@@ -128,7 +128,12 @@ def build_forcing(config: dict, grid: Grid) -> Forcing:
 def build_initial(config: dict, grid: Grid) -> State:
     icfg = _expect(config, "initial", dict, "", default={})
     if "checkpoint" in icfg:
-        state, _ = read_checkpoint(icfg["checkpoint"])
+        # a path string only: open() would take an integer as a file descriptor
+        path = _expect(icfg, "checkpoint", str, "initial")
+        try:
+            state, _ = read_checkpoint(path)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
         if state.grid != grid:
             raise ConfigError("checkpoint grid does not match the configured grid")
         return state

@@ -16,6 +16,7 @@ seeded initial data and the binary checkpoint format.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -28,9 +29,11 @@ from micropolar.spectral import (
     Grid,
     ScalarField,
     VectorField,
+    _full_from_half,
+    _half_leray,
+    _half_to_phys,
     _leray_arrays,
-    _to_phys_array,
-    _to_spec_array,
+    _phys_to_half,
 )
 
 __all__ = [
@@ -254,9 +257,9 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
         raise ValueError(f"need 1 <= mode_lo <= mode_hi <= {grid.num_modes}, "
                          f"got ({mode_lo}, {mode_hi})")
     kmax = int(np.max(np.abs(grid.table_wavevectors[:mode_hi])))
-    if kmax > grid.n // 3:
+    if kmax > grid.kcut:
         raise ValueError(f"forcing support reaches |k|={kmax} beyond the dealiased band "
-                         f"(n//3={grid.n // 3}); refine the grid")
+                         f"((n-1)//3={grid.kcut}); refine the grid")
 
     rng = np.random.default_rng(seed)
     wf = _profile_weights(profile, magnitude_f2, grid.num_modes, mode_lo, mode_hi, rng)
@@ -345,41 +348,42 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     """
     Explicitly treated part of the RHS: advection, 2 nu_r rot coupling and
     forcing.  Returns (EU, EW, max_speed); EU is Leray-projected, both are
-    dealiased and zero-mean.
+    dealiased and zero-mean half planes (last axis n//2 + 1).
+
+    ``U``, ``W``, ``f_hat`` and ``g_hat`` are full spectra of which only
+    the columns k2 = 0..n/2 are read.  ``extra(t, U, W)`` receives ``U``
+    and ``W`` as given and returns full spectra, read the same way.
+
+    Advection uses the rotational form P[(u.grad)u] = P[omega x u] with
+    omega = rot u, exact in the dealiased band because the gradient part
+    grad(|u|^2/2) is removed by the projection.  The inputs are truncated
+    to the band first, so this also holds for a state that is not
+    dealiased.  One step takes 5 inverse (u1, u2, omega, d1 w, d2 w) and 3
+    forward (omega u2, -omega u1, -u.grad w) real transforms.
     """
-    mask = grid.dealias_mask
-    d1 = grid.deriv_factor(0)
-    d2 = grid.deriv_factor(1)
-    u_phys = _to_phys_array(U).real
-    max_speed = float(np.max(np.hypot(u_phys[0], u_phys[1])))
+    m = grid.n // 2 + 1
+    keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
+    Uh = U[..., :m] * keep
+    Wh = W[..., :m] * keep
+    rot_uh, d1w, d2w = d1 * Uh[1] - d2 * Uh[0], d1 * Wh, d2 * Wh
+    u1, u2, rot_u, w1, w2 = _half_to_phys(np.stack([Uh[0], Uh[1], rot_uh, d1w, d2w]))
+    max_speed = math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
-    EU = np.empty_like(U)
-    for j in range(2):
-        adv = (u_phys[0] * _to_phys_array(d1 * U[j]).real
-               + u_phys[1] * _to_phys_array(d2 * U[j]).real)
-        EU[j] = -_to_spec_array(adv)
-    adv_w = (u_phys[0] * _to_phys_array(d1 * W).real
-             + u_phys[1] * _to_phys_array(d2 * W).real)
-    EW = -_to_spec_array(adv_w)
-
+    # -(omega x u) = (omega u2, -omega u1) and -(u.grad w)
+    adv = _phys_to_half(np.stack([rot_u * u2, -(rot_u * u1), -(u1 * w1 + u2 * w2)]))
+    EU, EW = adv[:2], adv[2]
     two_nur = 2.0 * params.nu_r
     if two_nur != 0.0:
-        EU[0] += two_nur * (d2 * W)
-        EU[1] += two_nur * (-(d1 * W))
-        EW += two_nur * (d1 * U[1] - d2 * U[0])
-    EU += f_hat
-    EW = EW + g_hat
+        EU[0] += two_nur * d2w
+        EU[1] -= two_nur * d1w
+        EW += two_nur * rot_uh
+    EU += f_hat[..., :m]
+    EW += g_hat[..., :m]
     if extra is not None:
         dU, dW = extra(t, U, W)
-        EU += dU
-        EW += dW
-
-    EU *= mask
-    EW *= mask
-    EU[0], EU[1] = _leray_arrays(grid, EU[0], EU[1])
-    EU[:, 0, 0] = 0.0
-    EW[0, 0] = 0.0
-    return EU, EW, max_speed
+        EU += dU[..., :m]
+        EW += dW[..., :m]
+    return _half_leray(grid, EU), EW * keep, max_speed
 
 
 def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, ScalarField]:
@@ -395,13 +399,19 @@ def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, Sc
     EU, EW, _ = _explicit_terms(grid, params, U, W,
                                 forcing.f_hat(state.t), forcing.g_hat(state.t), t=state.t)
     visc = (params.nu + params.nu_r) * grid.lam
-    du = EU - visc * U
-    dw = EW - (params.alpha * grid.lam + 4.0 * params.nu_r) * W
+    du = _full_from_half(grid, EU) - visc * U
+    dw = _full_from_half(grid, EW) - (params.alpha * grid.lam + 4.0 * params.nu_r) * W
     return VectorField.from_coeffs(grid, du[0], du[1]), ScalarField(grid, dw)
 
 
 class _Stepper:
-    """IMEX CN/AB2 integrator core operating on raw coefficient arrays."""
+    """
+    IMEX CN/AB2 integrator core.
+
+    ``advance`` takes and returns full spectra; inside, the step runs on
+    the real-transform half plane with Crank-Nicolson factors built once
+    per (grid, params, dt).
+    """
 
     def __init__(self, grid: Grid, params: Params, forcing: Forcing, dt: float,
                  cfl_limit: float = 0.5, extra: Callable | None = None):
@@ -416,13 +426,15 @@ class _Stepper:
         self.cfl_limit = cfl_limit
         self.extra = extra
 
-        lam = grid.lam
+        # u_new = num * u + dt / den * explicit, with den, num = 1 +/- dt/2 * linear;
+        # half-plane tables, complex like the spectra so products need no casting
+        lam = grid.lam[:, : grid.n // 2 + 1]
         rv = 0.5 * dt * (params.nu + params.nu_r) * lam
         rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
-        self.num_u = (1.0 - rv) / (1.0 + rv)
-        self.inv_den_u = 1.0 / (1.0 + rv)
-        self.num_w = (1.0 - rw) / (1.0 + rw)
-        self.inv_den_w = 1.0 / (1.0 + rw)
+        self.num_u = ((1.0 - rv) / (1.0 + rv)).astype(np.complex128)
+        self.dt_den_u = (dt * (1.0 / (1.0 + rv))).astype(np.complex128)
+        self.num_w = ((1.0 - rw) / (1.0 + rw)).astype(np.complex128)
+        self.dt_den_w = (dt * (1.0 / (1.0 + rw))).astype(np.complex128)
 
         self.EU_prev: np.ndarray | None = None
         self.EW_prev: np.ndarray | None = None
@@ -430,6 +442,22 @@ class _Stepper:
     def reset_history(self) -> None:
         self.EU_prev = None
         self.EW_prev = None
+
+    def imex_update(self, U: np.ndarray, W: np.ndarray, EU: np.ndarray, EW: np.ndarray,
+                    EU_prev: np.ndarray | None, EW_prev: np.ndarray | None):
+        """
+        One CN/AB2 update of half-plane arrays (forward Euler on the
+        explicit part without history); leading batch axes broadcast.
+        Returns the new (U, W), projected, dealiased and zero-mean.
+        """
+        if EU_prev is None:
+            ExU, ExW = EU, EW
+        else:
+            ExU = 1.5 * EU - 0.5 * EU_prev
+            ExW = 1.5 * EW - 0.5 * EW_prev
+        U_new = _half_leray(self.grid, self.num_u * U + self.dt_den_u * ExU)
+        W_new = (self.num_w * W + self.dt_den_w * ExW) * self.grid.half_keep
+        return U_new, W_new
 
     def advance(self, U: np.ndarray, W: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         grid, dt = self.grid, self.dt
@@ -443,22 +471,13 @@ class _Stepper:
                     f"dt={dt:.3e} exceeds CFL guard {dt_max:.3e} at t={t:.6g} "
                     f"(max advective speed {speed:.3e})"
                 )
-        if self.EU_prev is None:
-            ExU, ExW = EU, EW
-        else:
-            ExU = 1.5 * EU - 0.5 * self.EU_prev
-            ExW = 1.5 * EW - 0.5 * self.EW_prev
-        U_new = (self.num_u * U + dt * self.inv_den_u * ExU)
-        W_new = (self.num_w * W + dt * self.inv_den_w * ExW)
-        U_new[0], U_new[1] = _leray_arrays(grid, U_new[0], U_new[1])
-        U_new *= grid.dealias_mask
-        W_new *= grid.dealias_mask
-        U_new[:, 0, 0] = 0.0
-        W_new[0, 0] = 0.0
+        m = grid.n // 2 + 1
+        U_new, W_new = self.imex_update(U[..., :m], W[..., :m], EU, EW,
+                                        self.EU_prev, self.EW_prev)
         self.EU_prev, self.EW_prev = EU, EW
         if not (np.isfinite(U_new.view(np.float64)).all() and np.isfinite(W_new.view(np.float64)).all()):
             raise NumericsError(f"non-finite coefficients after step at t={t + dt:.6g}")
-        return U_new, W_new
+        return _full_from_half(grid, U_new), _full_from_half(grid, W_new)
 
 
 def step(state: State, params: Params, forcing: Forcing, dt: float,
@@ -601,6 +620,8 @@ def read_checkpoint(path) -> tuple[State, Params]:
             if data.size != count:
                 raise ValueError("checkpoint file truncated (payload)")
             blocks.append(data.astype(np.float64).view(np.complex128).reshape(n, n))
+        if fh.read(1):
+            raise ValueError("checkpoint file has trailing bytes after the payload")
     state = State(VectorField.from_coeffs(grid, blocks[0], blocks[1]),
                   ScalarField(grid, blocks[2]), t)
     return state, Params(nu, nu_r, alpha)

@@ -27,7 +27,11 @@ from micropolar.spectral import (
     Grid,
     ScalarField,
     VectorField,
+    _full_from_half,
+    _half_leray,
+    _half_to_phys,
     _leray_arrays,
+    _phys_to_half,
     _to_phys_array,
     _to_spec_array,
 )
@@ -99,51 +103,46 @@ def _tangent_explicit(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                       V: np.ndarray, Z: np.ndarray,
                       velocity_only: bool) -> tuple[np.ndarray, np.ndarray]:
     """
-    Explicit tangent terms for a batch of pairs, dealiased and projected:
-        E_V = Leray[-(u.grad)V - (V.grad)u + 2 nu_r rot Z]
+    Explicit tangent terms for a batch of pairs, dealiased and projected,
+    in the rotational form of :func:`micropolar.dynamics._explicit_terms`
+    linearized about (u, w):
+        E_V = Leray[-(omega_V x u + omega_u x V) + 2 nu_r rot Z]
         E_Z = -(u.grad)Z - (V.grad)w + 2 nu_r rot V
-    V has shape (N, 2, n, n), Z has (N, n, n).
+    with omega_X = rot X and omega x X = (-omega X2, omega X1).  V has shape
+    (N, 2, ...), Z (N, ...); every input may be a full spectrum or a half
+    plane (only the columns k2 = 0..n/2 are read), and the outputs are half
+    planes.
     """
-    mask = grid.dealias_mask
-    d1 = grid.deriv_factor(0)
-    d2 = grid.deriv_factor(1)
-    u_phys = _to_phys_array(U).real
-    gu = np.stack([
-        _to_phys_array(np.stack([d1 * U[0], d2 * U[0]])).real,
-        _to_phys_array(np.stack([d1 * U[1], d2 * U[1]])).real,
-    ])  # gu[j, i] = d u_j / d x_i
+    m = grid.n // 2 + 1
+    keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
+    # index 0 along the first axis is the base, 1 + j is pair j
+    vel = np.concatenate([U[None, :, :, :m], V[..., :m]]) * keep
+    planes = [vel[:, 0], vel[:, 1], d1 * vel[:, 1] - d2 * vel[:, 0]]
+    if not velocity_only:
+        scal = np.concatenate([W[None, :, :m], Z[..., :m]]) * keep
+        planes += [d1 * scal, d2 * scal]
+    spec = np.stack(planes, axis=1)
+    phys = _half_to_phys(spec)
+    base, pairs = phys[0], phys[1:]
+    u1, u2, rot_u = base[:3]
+    v1, v2, rot_v = pairs[:, 0], pairs[:, 1], pairs[:, 2]
 
-    V_phys = _to_phys_array(V).real
-    EV = np.empty_like(V)
-    for j in range(2):
-        dV1 = _to_phys_array(d1 * V[:, j]).real
-        dV2 = _to_phys_array(d2 * V[:, j]).real
-        adv = u_phys[0] * dV1 + u_phys[1] * dV2 \
-            + V_phys[:, 0] * gu[j, 0] + V_phys[:, 1] * gu[j, 1]
-        EV[:, j] = -_to_spec_array(adv)
-
+    # -(omega_V x u + omega_u x V) and -(u.grad Z + V.grad w)
+    terms = [rot_v * u2 + rot_u * v2, -(rot_v * u1 + rot_u * v1)]
+    if not velocity_only:
+        terms.append(-(u1 * pairs[:, 3] + u2 * pairs[:, 4] + v1 * base[3] + v2 * base[4]))
+    adv = _phys_to_half(np.stack(terms, axis=1))
+    EV = adv[:, :2]
     if velocity_only:
-        EZ = np.zeros_like(Z)
-    else:
-        gw = _to_phys_array(np.stack([d1 * W, d2 * W])).real
-        dZ1 = _to_phys_array(d1 * Z).real
-        dZ2 = _to_phys_array(d2 * Z).real
-        adv_z = u_phys[0] * dZ1 + u_phys[1] * dZ2 \
-            + V_phys[:, 0] * gw[0] + V_phys[:, 1] * gw[1]
-        EZ = -_to_spec_array(adv_z)
+        return _half_leray(grid, EV), np.zeros((V.shape[0],) + keep.shape, dtype=np.complex128)
 
+    EZ = adv[:, 2]
     two_nur = 2.0 * params.nu_r
-    if two_nur != 0.0 and not velocity_only:
-        EV[:, 0] += two_nur * (d2 * Z)
-        EV[:, 1] += two_nur * (-(d1 * Z))
-        EZ += two_nur * (d1 * V[:, 1] - d2 * V[:, 0])
-
-    EV *= mask
-    EZ *= mask
-    EV[:, 0], EV[:, 1] = _leray_arrays(grid, EV[:, 0], EV[:, 1])
-    EV[:, :, 0, 0] = 0.0
-    EZ[:, 0, 0] = 0.0
-    return EV, EZ
+    if two_nur != 0.0:
+        EV[:, 0] += two_nur * spec[1:, 4]
+        EV[:, 1] -= two_nur * spec[1:, 3]
+        EZ += two_nur * spec[1:, 2]
+    return _half_leray(grid, EV), EZ * keep
 
 
 def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
@@ -162,8 +161,8 @@ def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
     EV, EZ = _tangent_explicit(grid, params, base.u.stacked(), base.omega.coeffs,
                                Vb, Zb, velocity_only=False)
     visc = (params.nu + params.nu_r) * grid.lam
-    dV = EV[0] - visc * Vb[0]
-    dZ = EZ[0] - (params.alpha * grid.lam + 4.0 * params.nu_r) * Zb[0]
+    dV = _full_from_half(grid, EV[0]) - visc * Vb[0]
+    dZ = _full_from_half(grid, EZ[0]) - (params.alpha * grid.lam + 4.0 * params.nu_r) * Zb[0]
     return VectorField.from_coeffs(grid, dV[0], dV[1]), ScalarField(grid, dZ)
 
 
@@ -328,39 +327,24 @@ class _TangentRun:
         self.V, self.Z = random_tangent_pairs(grid, count, seed, velocity_only=velocity_only)
         _mgs(grid, self.V, self.Z)
         self.log_sums = np.zeros(count)
-
-        lam = grid.lam
-        rv = 0.5 * dt * (params.nu + params.nu_r) * lam
-        rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
-        self.num_u = (1.0 - rv) / (1.0 + rv)
-        self.inv_den_u = 1.0 / (1.0 + rv)
-        self.num_w = (1.0 - rw) / (1.0 + rw)
-        self.inv_den_w = 1.0 / (1.0 + rw)
         self.EV_prev: np.ndarray | None = None
         self.EZ_prev: np.ndarray | None = None
 
     def _advance_block(self) -> None:
-        """One reorth block: reorth_interval coupled steps, then MGS."""
+        """One reorth block: reorth_interval coupled steps on the half
+        plane (with the base stepper's CN factors), then MGS."""
+        m = self.grid.n // 2 + 1
+        V, Z = self.V[..., :m], self.Z[..., :m]
         for _ in range(self.reorth_interval):
             EV, EZ = _tangent_explicit(self.grid, self.params, self.U, self.W,
-                                       self.V, self.Z, self.velocity_only)
-            if self.EV_prev is None:
-                ExV, ExZ = EV, EZ
-            else:
-                ExV = 1.5 * EV - 0.5 * self.EV_prev
-                ExZ = 1.5 * EZ - 0.5 * self.EZ_prev
-            self.V = self.num_u * self.V + self.dt * self.inv_den_u * ExV
-            if self.velocity_only:
-                self.Z[...] = 0.0
-            else:
-                self.Z = self.num_w * self.Z + self.dt * self.inv_den_w * ExZ
-            self.V[:, 0], self.V[:, 1] = _leray_arrays(self.grid, self.V[:, 0], self.V[:, 1])
-            self.V *= self.grid.dealias_mask
-            self.Z *= self.grid.dealias_mask
+                                       V, Z, self.velocity_only)
+            V, Z = self.base.imex_update(V, Z, EV, EZ, self.EV_prev, self.EZ_prev)
             self.EV_prev, self.EZ_prev = EV, EZ
             # base advances with its own AB2 history
             self.U, self.W = self.base.advance(self.U, self.W, self.t)
             self.t += self.dt
+        self.V = _full_from_half(self.grid, V)
+        self.Z = _full_from_half(self.grid, Z)
         growth = _mgs(self.grid, self.V, self.Z)
         self.log_sums += np.log(growth)
 

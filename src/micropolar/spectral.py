@@ -78,6 +78,15 @@ class Grid:
     (k1, k2) order.  ``mode_rank[i, j]`` gives the position of grid slot
     (i, j) in that enumeration (the zero mode gets a sentinel rank equal
     to the table length).
+
+    ``dealias_mask`` keeps |k1|, |k2| <= ``kcut`` = (n - 1) // 3, the
+    largest cutoff for which quadratic products alias only outside the
+    band.  The ``half_*`` tables serve the real-transform half plane
+    (n, n//2 + 1) used by the time stepper: derivative factors (shaped
+    (n, 1) and (1, n//2 + 1) to broadcast), the Leray
+    entries (P11, P12, P22) with the dealias mask folded in, the mask
+    itself without the mean mode, and the row map k1 -> -k1 that rebuilds
+    the full Hermitian spectrum.
     """
 
     n: int
@@ -96,7 +105,9 @@ class Grid:
         factor = (2.0 * np.pi / self.L) ** 2
         lam = factor * ksq.astype(np.float64)
 
-        kcut = n // 3
+        # 2/3 rule: products of two fields with |k_i| <= kcut alias onto
+        # wavenumbers k -/+ n, which stay outside the band iff 3 kcut < n.
+        kcut = (n - 1) // 3
         dealias = (np.abs(K1) <= kcut) & (np.abs(K2) <= kcut)
 
         # Enumerate all nonzero modes sorted by (|k|^2, k1, k2).
@@ -122,6 +133,20 @@ class Grid:
         kd[n // 2] = 0.0
         K1d, K2d = np.meshgrid(kd, kd, indexing="ij")
 
+        # Half-plane tables for the real transforms (columns k2 = 0..n/2),
+        # stored complex so products with spectra need no casting.  The
+        # dealias mask, with the mean mode dropped, is folded into the Leray
+        # entries, so one projection also truncates and zeroes the mean.
+        m = n // 2 + 1
+        keep = (dealias & (ksq > 0))[:, :m]
+        k1h, k2h = K1d[:, :m], K2d[:, :m]
+        ksq_h = k1h * k1h + k2h * k2h
+        inv_ksq_h = np.divide(1.0, ksq_h, out=np.zeros_like(ksq_h), where=ksq_h > 0)
+        leray_h = np.stack([1.0 - k1h * k1h * inv_ksq_h,
+                            -k1h * k2h * inv_ksq_h,
+                            1.0 - k2h * k2h * inv_ksq_h]) * keep
+        deriv = 1j * (2.0 * np.pi / self.L)
+
         for name, value in (
             ("k1", K1),
             ("k2", K2),
@@ -135,9 +160,15 @@ class Grid:
             ("table_flat", table_flat),
             ("mode_rank", rank.reshape(n, n)),
             ("conj_flat", conj_flat),
+            ("half_keep", keep.astype(np.complex128)),
+            ("half_d1", deriv * kd[:, None]),
+            ("half_d2", deriv * kd[None, :m]),
+            ("half_leray", leray_h.astype(np.complex128)),
+            ("half_conj_rows", conj_axis),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "kcut", kcut)
 
     @property
     def lambda1(self) -> float:
@@ -176,9 +207,11 @@ def _hermitianized(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(grid: Grid, coeffs: np.ndarray) -> None:
+    scale = np.max(np.abs(coeffs))
+    if not np.isfinite(scale):
+        raise FieldError("coefficients are not finite")
     sym = _hermitianized(grid, coeffs)
     dev = np.max(np.abs(coeffs - sym))
-    scale = np.max(np.abs(coeffs))
     if dev > HERMITIAN_RTOL * scale:
         raise FieldError(
             f"coefficients are not Hermitian-symmetric (deviation {dev:.3e}, scale {scale:.3e})"
@@ -324,6 +357,26 @@ def _to_spec_array(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft2(samples, axes=(-2, -1)) / (n * n)
 
 
+def _half_to_phys(half: np.ndarray) -> np.ndarray:
+    """Real samples from half-plane spectra (last two axes (n, n//2 + 1))."""
+    return np.fft.irfft2(half, axes=(-2, -1), norm="forward")
+
+
+def _phys_to_half(samples: np.ndarray) -> np.ndarray:
+    """Half-plane spectra of real samples (last two axes (n, n))."""
+    return np.fft.rfft2(samples, axes=(-2, -1), norm="forward")
+
+
+def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full Hermitian spectrum whose columns k2 = 0..n/2 are ``half``."""
+    n, m = grid.n, half.shape[-1]
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., :m] = half
+    # column n - j holds conj(c[-k1, j]) for j = n/2 - 1 .. 1
+    np.conj(half[..., grid.half_conj_rows, m - 2:0:-1], out=full[..., m:])
+    return full
+
+
 def transform_to_physical(field: ScalarField) -> np.ndarray:
     """
     Evaluate the field on the n x n collocation lattice x_ab = (a, b) L / n.
@@ -358,6 +411,19 @@ def _leray_arrays(grid: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarra
     with np.errstate(invalid="ignore", divide="ignore"):
         dot = np.where(ksq > 0, (k1 * c1 + k2 * c2) / np.where(ksq > 0, ksq, 1.0), 0.0)
     return c1 - k1 * dot, c2 - k2 * dot
+
+
+def _half_leray(grid: Grid, C: np.ndarray) -> np.ndarray:
+    """
+    Leray projection of half-plane vector spectra C[..., 2, n, n//2 + 1],
+    truncated to the dealiased band with the mean mode zeroed.
+    """
+    p11, p12, p22 = grid.half_leray
+    c1, c2 = C[..., 0, :, :], C[..., 1, :, :]
+    out = np.empty_like(C)
+    out[..., 0, :, :] = p11 * c1 + p12 * c2
+    out[..., 1, :, :] = p12 * c1 + p22 * c2
+    return out
 
 
 def leray_project(u: VectorField) -> VectorField:

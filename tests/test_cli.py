@@ -129,6 +129,21 @@ class TestExitCodes:
         }))
         assert run("simulate", bad, tmp_path) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("damage", ["missing", "trailing_bytes", "not_a_path"])
+    def test_bad_checkpoint(self, small_config, tmp_path, damage):
+        assert run("simulate", small_config, tmp_path / "src") == EXIT_OK
+        ckpt = tmp_path / "src" / "final.ckpt"
+        if damage == "missing":
+            ckpt.unlink()
+        elif damage == "trailing_bytes":
+            ckpt.write_bytes(ckpt.read_bytes() + b"\0" * 7)
+        cfg = json.loads(small_config.read_text())
+        # an integer would otherwise be opened as a file descriptor (0 is stdin)
+        cfg["initial"] = {"checkpoint": 0 if damage == "not_a_path" else str(ckpt)}
+        resumed = tmp_path / "resumed.json"
+        resumed.write_text(json.dumps(cfg))
+        assert run("simulate", resumed, tmp_path / "out") == EXIT_CONFIG
+
     def test_numerical_failure_exit(self, tmp_path):
         cfg = tmp_path / "blowup.json"
         cfg.write_text(json.dumps({

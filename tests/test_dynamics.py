@@ -24,7 +24,7 @@ from micropolar.dynamics import (
     step,
     write_checkpoint,
 )
-from micropolar.spectral import ScalarField, VectorField, make_grid, norm
+from micropolar.spectral import FieldError, ScalarField, VectorField, make_grid, norm
 
 
 class TestParams:
@@ -213,6 +213,15 @@ class TestForcingProfiles:
         with pytest.raises(ValueError, match="dealiased band"):
             make_forcing(grid16, "uniform_N", 1.0, mode_hi=grid16.num_modes)
 
+    def test_support_check_uses_band_edge_n12(self):
+        # at n=12 the dealiased band is |k_i| <= (n - 1) // 3 = 3, not n // 3 = 4
+        grid = make_grid(12, 2 * np.pi)
+        outside = np.max(np.abs(grid.table_wavevectors), axis=1) > 3
+        first = int(np.argmax(outside))
+        make_forcing(grid, "uniform_N", 1.0, mode_hi=first)
+        with pytest.raises(ValueError, match="dealiased band"):
+            make_forcing(grid, "uniform_N", 1.0, mode_hi=first + 1)
+
     def test_decaying_gap_forcing(self, grid16):
         base = make_forcing(grid16, "steady", 0.01, 0.0, mode_hi=4, seed=2)
         gap = make_forcing(grid16, "steady", 0.04, 0.0, mode_hi=4, seed=3)
@@ -259,4 +268,21 @@ class TestCheckpoint:
         write_checkpoint(path, State.zero(grid16), Params(1.0, 0.5, 2.0))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, grid16, tmp_path):
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(path, State.zero(grid16), Params(1.0, 0.5, 2.0))
+        path.write_bytes(path.read_bytes() + b"\0" * 7)
+        with pytest.raises(ValueError, match="trailing"):
+            read_checkpoint(path)
+
+    def test_non_finite_payload_rejected(self, grid16, tmp_path):
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(path, random_state(grid16, 3, 0.1, 0.1), Params(1.0, 0.5, 2.0))
+        raw = bytearray(path.read_bytes())
+        offset = 4 + 4 + 4 + 6 * 8 + 16 * (1 * 16 + 1)  # u1 coefficient (1, 1)
+        raw[offset:offset + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FieldError, match="finite"):
             read_checkpoint(path)

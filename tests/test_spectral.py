@@ -7,6 +7,7 @@ independent oracles in oracles.py.
 import numpy as np
 import pytest
 
+from micropolar.dynamics import random_state
 from micropolar.spectral import (
     FieldError,
     Grid,
@@ -124,6 +125,14 @@ class TestTransforms:
     def test_wrong_shape_rejected(self, grid8):
         with pytest.raises(FieldError):
             transform_to_spectral(np.zeros((4, 4)), grid8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, grid8, bad):
+        c = np.zeros((8, 8), dtype=np.complex128)
+        c[1, 2] = bad
+        c[-1, -2] = np.conj(bad)
+        with pytest.raises(FieldError, match="finite"):
+            ScalarField(grid8, c)
 
 
 class TestLeray:
@@ -327,6 +336,21 @@ class TestTrilinear:
             val = trilinear_b1(u, om, ps_field)
             direct = trilinear_b1_direct(u, om, ps_field)
             assert val == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_full_band_matches_oracle(self, n):
+        # The fields fill the whole dealiased band, so a band edge at which
+        # products alias (kcut = n // 3 when 3 divides n) shows up here.
+        grid = make_grid(n, 2 * np.pi)
+        for seed in range(2):
+            u, v, w = (random_state(grid, seed + s, 1.0, 1.0, kmax=n).u.dealiased()
+                       for s in (0, 10, 20))
+            om, ps = (random_state(grid, seed + s, 1.0, 1.0, kmax=n).omega.dealiased()
+                      for s in (30, 40))
+            assert trilinear_b(u, v, w) == pytest.approx(trilinear_b_direct(u, v, w),
+                                                         rel=1e-12, abs=1e-14)
+            assert trilinear_b1(u, om, ps) == pytest.approx(trilinear_b1_direct(u, om, ps),
+                                                            rel=1e-12, abs=1e-14)
 
     def test_grid_mismatch(self, grid8, grid16):
         u8, _ = random_fields(grid8, 1)
