@@ -72,6 +72,22 @@ def _expect(mapping: dict, key: str, types, where: str, default=None, required=F
     return value
 
 
+def _section(config: dict, name: str, keys: tuple[str, ...], required: bool = False) -> dict:
+    """A fixed config section; a key outside ``keys`` (a typo) is an error."""
+    section = _expect(config, name, dict, "", default={}, required=required)
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown field {name}.{key}; expected one of {', '.join(keys)}")
+    return section
+
+
+def _whole_steps(span: float, dt: float, where: str) -> None:
+    """Reject a time span that is not a whole number of steps of size dt."""
+    steps = span / dt
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise ConfigError(f"{where}={span!r} is not a whole number of steps of dt={dt!r}")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -86,7 +102,7 @@ def load_config(path: str) -> dict:
 
 
 def build_grid(config: dict) -> Grid:
-    gcfg = _expect(config, "grid", dict, "", required=True)
+    gcfg = _section(config, "grid", ("n", "L"), required=True)
     n = _expect(gcfg, "n", int, "grid", required=True)
     L = _expect(gcfg, "L", (int, float), "grid", default=2.0 * math.pi)
     try:
@@ -96,7 +112,7 @@ def build_grid(config: dict) -> Grid:
 
 
 def build_params(config: dict) -> Params:
-    pcfg = _expect(config, "params", dict, "", required=True)
+    pcfg = _section(config, "params", ("nu", "nu_r", "alpha"), required=True)
     try:
         return Params(
             nu=float(_expect(pcfg, "nu", (int, float), "params", required=True)),
@@ -108,7 +124,8 @@ def build_params(config: dict) -> Params:
 
 
 def build_forcing(config: dict, grid: Grid) -> Forcing:
-    fcfg = _expect(config, "forcing", dict, "", default={})
+    fcfg = _section(config, "forcing", ("profile", "magnitude_f2", "magnitude_g2",
+                                        "mode_lo", "mode_hi", "seed"))
     profile = _expect(fcfg, "profile", str, "forcing", default="zero")
     if profile == "zero":
         return Forcing.zero(grid)
@@ -126,7 +143,8 @@ def build_forcing(config: dict, grid: Grid) -> Forcing:
 
 
 def build_initial(config: dict, grid: Grid) -> State:
-    icfg = _expect(config, "initial", dict, "", default={})
+    icfg = _section(config, "initial", ("checkpoint", "zero", "seed", "energy_u",
+                                        "energy_omega", "kmax"))
     if "checkpoint" in icfg:
         # a path string only: open() would take an integer as a file descriptor
         path = _expect(icfg, "checkpoint", str, "initial")
@@ -149,9 +167,10 @@ def build_initial(config: dict, grid: Grid) -> State:
 
 
 def build_constants(config: dict, params: Params, grid: Grid):
-    ccfg = _expect(config, "constants", dict, "", default={})
+    names = ("c1", "C", "C0", "c", "d", "r")
+    ccfg = _section(config, "constants", names)
     kwargs = {}
-    for name in ("c1", "C", "C0", "c", "d", "r"):
+    for name in names:
         if name in ccfg and ccfg[name] is not None:
             value = ccfg[name]
             if not isinstance(value, (int, float)):
@@ -164,12 +183,13 @@ def build_constants(config: dict, params: Params, grid: Grid):
 
 
 def build_integrator(config: dict) -> dict:
-    icfg = _expect(config, "integrator", dict, "", required=True)
+    icfg = _section(config, "integrator", ("dt", "t_end", "stride"), required=True)
     dt = float(_expect(icfg, "dt", (int, float), "integrator", required=True))
     t_end = float(_expect(icfg, "t_end", (int, float), "integrator", required=True))
     stride = _expect(icfg, "stride", int, "integrator", default=10)
     if dt <= 0 or t_end < 0 or stride < 1:
         raise ConfigError("integrator needs dt > 0, t_end >= 0, stride >= 1")
+    _whole_steps(t_end, dt, "integrator.t_end")
     return {"dt": dt, "t_end": t_end, "stride": stride}
 
 
@@ -334,6 +354,7 @@ def _twin_setup(config: dict):
     integ = build_integrator(config)
     ecfg = _expect(config, "experiment", dict, "", default={})
     spinup = float(_expect(ecfg, "spinup", (int, float), "experiment", default=0.0))
+    _whole_steps(spinup, integ["dt"], "experiment.spinup")
 
     reference = build_initial(config, grid)
     if spinup > 0:
@@ -419,6 +440,7 @@ def cmd_lyapunov(config: dict, out: Path, strict: bool) -> int:
     spinup = float(_expect(ecfg, "spinup", (int, float), "experiment", default=0.0))
     if count < 1:
         raise ConfigError("experiment.count must be >= 1")
+    _whole_steps(spinup, integ["dt"], "experiment.spinup")
 
     if spinup > 0:
         initial = simulate(initial, params, forcing, spinup, integ["dt"],
@@ -485,8 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--strict", action="store_true",
                        help="exit 4 when a verification check is violated")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker budget for sweep variants (runs are serialized)")
     p = sub.add_parser("checkpoint-info")
     p.add_argument("path", help="checkpoint file")
     return parser
@@ -506,9 +526,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_CONFIG
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         config = load_config(args.config)
         out = Path(args.out)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -501,14 +501,14 @@ class SimulationResult:
     series: dict[str, np.ndarray]
     final_state: State
     dt: float = 0.0
-    meta: dict = field(default_factory=dict)
 
 
 def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
     """
     Observer set consumed by the a-priori inequality verifiers: squared L2,
     H1 and D(A) norms of u and omega, and the forcing strengths in L2 and
-    the dual norm.
+    the dual norm.  The forcing observers of one mapping evaluate a steady
+    forcing once; time-dependent forcings are evaluated at every call.
     """
     def sq(kind, which):
         def fn(state: State, forcing: Forcing) -> float:
@@ -517,9 +517,19 @@ def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
         return fn
 
     def forcing_sq(kind, which):
+        # A steady forcing's arrays are read-only, so its norm is taken once
+        # and kept, keyed on the forcing's identity.
+        last = (None, 0.0)
+
         def fn(state: State, forcing: Forcing) -> float:
+            nonlocal last
+            if forcing.steady and last[0] is forcing:
+                return last[1]
             target = forcing.f_at(state.t) if which == "f" else forcing.g_at(state.t)
-            return spectral.norm(target, kind) ** 2
+            value = spectral.norm(target, kind) ** 2
+            if forcing.steady:
+                last = (forcing, value)
+            return value
         return fn
 
     return {

@@ -77,7 +77,8 @@ class Grid:
     in ``eigenvalues`` sorted ascending, ties broken by lexicographic
     (k1, k2) order.  ``mode_rank[i, j]`` gives the position of grid slot
     (i, j) in that enumeration (the zero mode gets a sentinel rank equal
-    to the table length).
+    to the table length).  ``lam``, ``inv_lam`` and ``lam_sq`` are the
+    H1, H^-1 and D(A) norm weights per grid slot.
 
     ``dealias_mask`` keeps |k1|, |k2| <= ``kcut`` = (n - 1) // 3, the
     largest cutoff for which quadratic products alias only outside the
@@ -154,6 +155,7 @@ class Grid:
             ("k2_deriv", K2d),
             ("lam", lam),
             ("inv_lam", inv_lam),
+            ("lam_sq", lam * lam),
             ("dealias_mask", dealias),
             ("eigenvalues", lam.ravel()[table_flat]),
             ("table_wavevectors", np.stack([K1.ravel()[table_flat], K2.ravel()[table_flat]], axis=1)),
@@ -206,7 +208,8 @@ def _hermitianized(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (flat + np.conj(flat[grid.conj_flat])).reshape(coeffs.shape)
 
 
-def _check_hermitian(grid: Grid, coeffs: np.ndarray) -> None:
+def _check_hermitian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Validate finiteness and Hermitian symmetry; return the symmetrized copy."""
     scale = np.max(np.abs(coeffs))
     if not np.isfinite(scale):
         raise FieldError("coefficients are not finite")
@@ -216,6 +219,7 @@ def _check_hermitian(grid: Grid, coeffs: np.ndarray) -> None:
         raise FieldError(
             f"coefficients are not Hermitian-symmetric (deviation {dev:.3e}, scale {scale:.3e})"
         )
+    return sym
 
 
 @dataclass(frozen=True)
@@ -236,8 +240,7 @@ class ScalarField:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != (n, n):
             raise FieldError(f"coefficient array must have shape ({n}, {n}), got {c.shape}")
-        _check_hermitian(self.grid, c)
-        c = _hermitianized(self.grid, c)
+        c = _check_hermitian(self.grid, c)
         c[0, 0] = 0.0
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -510,21 +513,16 @@ def _apply_mask(field, mask: np.ndarray):
 # Norms and inner products
 # ---------------------------------------------------------------------------
 
-_NORM_WEIGHTS = {"L2": 0, "H1": 1, "Hminus1": -1, "DA": 2}
+# Grid table weighting |c_k|^2 in each norm; the L2 norm is unweighted.
+_NORM_WEIGHTS = {"L2": None, "H1": "lam", "Hminus1": "inv_lam", "DA": "lam_sq"}
 
 
-def _norm_weight(grid: Grid, kind: str) -> np.ndarray:
+def _norm_weight(grid: Grid, kind: str) -> np.ndarray | None:
     try:
-        p = _NORM_WEIGHTS[kind]
+        table = _NORM_WEIGHTS[kind]
     except KeyError:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {sorted(_NORM_WEIGHTS)}") from None
-    if p == 0:
-        return np.ones_like(grid.lam)
-    if p == 1:
-        return grid.lam
-    if p == -1:
-        return grid.inv_lam
-    return grid.lam * grid.lam
+    return None if table is None else getattr(grid, table)
 
 
 def norm(field, kind: str = "L2") -> float:
@@ -538,9 +536,10 @@ def norm(field, kind: str = "L2") -> float:
     grid = _field_grid(field)
     w = _norm_weight(grid, kind)
     if isinstance(field, VectorField):
-        total = np.sum(w * (np.abs(field.u1.coeffs) ** 2 + np.abs(field.u2.coeffs) ** 2))
+        power = np.abs(field.u1.coeffs) ** 2 + np.abs(field.u2.coeffs) ** 2
     else:
-        total = np.sum(w * np.abs(field.coeffs) ** 2)
+        power = np.abs(field.coeffs) ** 2
+    total = np.sum(power if w is None else w * power)
     return float(np.sqrt(grid.area * total))
 
 

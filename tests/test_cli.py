@@ -144,6 +144,55 @@ class TestExitCodes:
         resumed.write_text(json.dumps(cfg))
         assert run("simulate", resumed, tmp_path / "out") == EXIT_CONFIG
 
+    @staticmethod
+    def _variant(small_config, tmp_path, **sections):
+        cfg = json.loads(small_config.read_text())
+        for name, updates in sections.items():
+            cfg[name] = {**cfg.get(name, {}), **updates}
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @pytest.mark.parametrize("cmd,section,key", [
+        ("simulate", "integrator", "t_end"),
+        ("sync-modes", "experiment", "spinup"),
+        ("lyapunov", "experiment", "spinup"),
+    ])
+    def test_span_not_whole_steps(self, small_config, tmp_path, capsys, cmd, section, key):
+        # dt = 0.01: 0.015 would silently round to 0.02
+        cfg = self._variant(small_config, tmp_path, **{section: {key: 0.015}})
+        assert run(cmd, cfg, tmp_path / "out") == EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_span_whole_steps_up_to_roundoff(self, small_config, tmp_path):
+        # 0.29 / 0.01 = 28.999999999999996 in floating point
+        cfg = self._variant(small_config, tmp_path, integrator={"t_end": 0.29})
+        assert run("simulate", cfg, tmp_path) == EXIT_OK
+        summary = load_summary(tmp_path / "summary.json")
+        assert summary["steps"] == 29
+
+    @pytest.mark.parametrize("section,key", [
+        ("params", "nu_rr"),
+        ("forcing", "magnitud_f2"),
+        ("grid", "N"),
+        ("initial", "sed"),
+        ("integrator", "strides"),
+        ("constants", "C1"),
+    ])
+    def test_unknown_key_rejected(self, small_config, tmp_path, capsys, section, key):
+        cfg = self._variant(small_config, tmp_path, **{section: {key: 0.1}})
+        assert run("verify-estimates", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_experiment_keys_lenient(self, small_config, tmp_path):
+        # one experiment block serves several subcommands, each reading its own keys
+        cfg = self._variant(small_config, tmp_path, experiment={"mu": "auto", "reorth_interval": 5})
+        assert run("bounds", cfg, tmp_path) == EXIT_OK
+
+    def test_jobs_option_removed(self, small_config, tmp_path):
+        assert run("bounds", small_config, tmp_path, "--jobs", "2") == EXIT_CONFIG
+
     def test_numerical_failure_exit(self, tmp_path):
         cfg = tmp_path / "blowup.json"
         cfg.write_text(json.dumps({

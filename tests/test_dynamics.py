@@ -144,6 +144,69 @@ class TestSimulate:
                        dt=0.01, observers={"one": lambda s, f: 1.0}, stride=1)
         assert np.all(res.series["one"] == 1.0)
 
+    def test_custom_observer_receives_validated_state(self, grid16):
+        seen = []
+
+        def grab(state, forcing):
+            seen.append(state)
+            return 0.0
+
+        init = random_state(grid16, 2, 0.1, 0.1)
+        simulate(init, Params(1.0, 0.0, 1.0), Forcing.zero(grid16), t_end=0.02,
+                 dt=0.01, observers={"grab": grab}, stride=1)
+        assert [s.t for s in seen] == [0.0, 0.01, 0.02]
+        for s in seen:
+            assert isinstance(s, State)
+            assert not s.omega.coeffs.flags.writeable
+            assert s.u.is_divergence_free()
+
+
+_FORCING_OBSERVERS = {"f_l2_sq": ("f", "L2"), "g_l2_sq": ("g", "L2"),
+                      "f_hm1_sq": ("f", "Hminus1"), "g_hm1_sq": ("g", "Hminus1")}
+
+
+def _forcing_norm_sq(forcing, which, kind, t):
+    target = forcing.f_at(t) if which == "f" else forcing.g_at(t)
+    return norm(target, kind) ** 2
+
+
+class TestRecordPath:
+    def test_time_dependent_forcing_evaluated_every_record(self, grid16):
+        base = make_forcing(grid16, "steady", 0.01, 0.002, mode_hi=4, seed=2)
+        gap = make_forcing(grid16, "steady", 0.04, 0.01, mode_hi=4, seed=3)
+        fo = forcing_with_decaying_gap(base, gap.f_at(0), gap.g_at(0), decay_rate=2.0)
+        res = simulate(random_state(grid16, 4, 0.1, 0.05), Params(0.3, 0.1, 0.3), fo,
+                       t_end=0.2, dt=0.01, stride=2)
+        for name, (which, kind) in _FORCING_OBSERVERS.items():
+            column = res.series[name]
+            expected = [_forcing_norm_sq(fo, which, kind, t) for t in res.times]
+            assert np.array_equal(column, expected), name
+            assert len(np.unique(column)) == len(column), name
+
+    def test_one_mapping_serves_two_steady_forcings(self, grid16):
+        fo1 = make_forcing(grid16, "steady", 0.01, 0.002, mode_hi=4, seed=2)
+        fo2 = make_forcing(grid16, "steady", 0.04, 0.01, mode_hi=5, seed=3)
+        state = random_state(grid16, 4, 0.1, 0.05)
+        observers = standard_observers()
+        for fo in (fo1, fo2, fo1, fo2):
+            for name, (which, kind) in _FORCING_OBSERVERS.items():
+                value = observers[name](state, fo)
+                assert value == _forcing_norm_sq(fo, which, kind, state.t), name
+        assert observers["f_l2_sq"](state, fo1) != observers["f_l2_sq"](state, fo2)
+
+    def test_steady_forcing_norms_evaluated_once(self, grid16, monkeypatch):
+        fo = make_forcing(grid16, "steady", 0.01, 0.002, mode_hi=4, seed=2)
+        calls = []
+        for name in ("f_at", "g_at"):
+            original = getattr(fo, name)
+            monkeypatch.setattr(fo, name, lambda t, _o=original, _n=name: calls.append(_n) or _o(t))
+        res = simulate(random_state(grid16, 4, 0.1, 0.05), Params(0.3, 0.1, 0.3), fo,
+                       t_end=0.1, dt=0.01, stride=1)
+        assert len(res.times) == 11
+        assert sorted(calls) == ["f_at", "f_at", "g_at", "g_at"]
+        for name, (which, kind) in _FORCING_OBSERVERS.items():
+            assert np.all(res.series[name] == _forcing_norm_sq(fo, which, kind, 0.0)), name
+
 
 class TestForcingProfiles:
     def _mode_energies(self, grid, field_f, field_g, count):

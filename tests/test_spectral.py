@@ -119,8 +119,21 @@ class TestTransforms:
     def test_non_hermitian_rejected(self, grid8):
         c = np.zeros((8, 8), dtype=np.complex128)
         c[1, 0] = 1.0  # conjugate slot left empty
-        with pytest.raises(FieldError):
+        with pytest.raises(FieldError, match="Hermitian"):
             ScalarField(grid8, c)
+
+    def test_near_hermitian_symmetrized_exactly(self, grid8):
+        rng = np.random.default_rng(4)
+        raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        flat = raw.ravel()
+        sym = 0.5 * (flat + np.conj(flat[grid8.conj_flat])).reshape(8, 8)
+        sym[1, 2] += 1e-12  # inside the tolerance: accepted, then symmetrized
+        f = ScalarField(grid8, sym)
+        c = f.coeffs.ravel()
+        assert np.array_equal(c, np.conj(c[grid8.conj_flat]))
+        assert f.coeffs[0, 0] == 0
+        assert not f.coeffs.flags.writeable
+        assert sym[1, 2] != f.coeffs[1, 2]  # the input array is left as given
 
     def test_wrong_shape_rejected(self, grid8):
         with pytest.raises(FieldError):
@@ -382,6 +395,17 @@ class TestNorms:
     def test_unknown_kind(self, grid8):
         with pytest.raises(ValueError):
             norm(ScalarField.zero(grid8), "H2")
+
+    def test_weight_tables_match_explicit_sums(self, grid16):
+        assert not grid16.lam_sq.flags.writeable
+        assert np.array_equal(grid16.lam_sq, grid16.lam * grid16.lam)
+        u, f = random_fields(grid16, 5)
+        power_f = np.abs(f.coeffs) ** 2
+        power_u = np.abs(u.u1.coeffs) ** 2 + np.abs(u.u2.coeffs) ** 2
+        for kind, w in (("L2", np.ones_like(grid16.lam)), ("H1", grid16.lam),
+                        ("Hminus1", grid16.inv_lam), ("DA", grid16.lam * grid16.lam)):
+            assert norm(f, kind) == np.sqrt(grid16.area * np.sum(w * power_f)), kind
+            assert norm(u, kind) == np.sqrt(grid16.area * np.sum(w * power_u)), kind
 
 
 class TestNodal:
