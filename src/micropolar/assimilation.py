@@ -26,6 +26,7 @@ from micropolar.dynamics import (
     Params,
     State,
     _Stepper,
+    _whole_steps,
 )
 from micropolar.estimates import Constants
 from micropolar.spectral import Grid, NodeSet, mode_mask
@@ -153,7 +154,7 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
         W2[mask_P] = W1[mask_P]
 
     slave()
-    nsteps = int(round(config.t_end / config.dt))
+    nsteps = _whole_steps(config.t_end, config.dt)
     t0 = config.reference.t
     times = [t0]
     delta_P = [_product_energy(grid, U1 - U2, W1 - W2, mask_P)]
@@ -203,37 +204,32 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
     grid = config.reference.grid
     if nodes.grid != grid:
         raise ValueError("node set belongs to a different grid")
-    sq_cell = nodes.square_of_cell
 
     U1, W1 = config.reference.u.stacked(), config.reference.omega.coeffs.copy()
     U2, W2 = config.perturbed.u.stacked(), config.perturbed.omega.coeffs.copy()
-    ref = {"U": U1, "W": W1}
 
-    def interp(coeffs: np.ndarray) -> np.ndarray:
-        """Spectrum of the piecewise-constant nodal interpolant I_h."""
-        if nodes.aligned:
-            gi = nodes.grid_indices
-            vals = spectral._to_phys_array(coeffs).real[gi[:, 0], gi[:, 1]]
-        else:
-            vals = spectral._sample_scalar(coeffs, nodes)
-        piece = vals[sq_cell]
-        return spectral._to_spec_array(piece - piece.mean())
+    # The closures below read the current (U1, W1) and (U2, W2) of the loop.
+    def node_values(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Values of (u1, u2, w) of (U, W) minus the reference at the nodes."""
+        return spectral._sample_scalar(np.concatenate([U - U1, (W - W1)[None]]), nodes)
 
     def nudge(t: float, U: np.ndarray, W: np.ndarray):
-        RU, RW = ref["U"], ref["W"]
-        dU = np.stack([interp(U[0] - RU[0]), interp(U[1] - RU[1])])
-        dW = interp(W - RW)
-        return -mu * dU, -mu * dW
+        # -mu I_h of the gap, one piecewise-constant interpolant per field
+        gap = spectral._interpolant_scalar(node_values(U, W), nodes)
+        return -mu * gap[:2], -mu * gap[2]
+
+    def eta() -> tuple[float, float]:
+        vals = node_values(U2, W2)
+        return float(np.max(np.hypot(vals[0], vals[1]))), float(np.max(np.abs(vals[2])))
 
     s1 = _Stepper(grid, config.params, config.forcing1, config.dt, config.cfl_limit)
     s2 = _Stepper(grid, config.params, config.forcing2, config.dt, config.cfl_limit,
                   extra=nudge)
 
-    nsteps = int(round(config.t_end / config.dt))
+    nsteps = _whole_steps(config.t_end, config.dt)
     t0 = config.reference.t
     times = [t0]
-    eta_u = [_eta_vec(U2 - U1, nodes)]
-    eta_om = [_eta_scalar(W2 - W1, nodes)]
+    etas = [eta()]
     h1 = [_h1_energy(grid, U2 - U1, W2 - W1)]
     diverged = False
     diagnostics: dict = {}
@@ -249,14 +245,13 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
             break
         # reference failures are configuration errors and propagate
         U1, W1 = s1.advance(U1, W1, t)
-        ref["U"], ref["W"] = U1, W1
         if (i + 1) % config.stride == 0 or i + 1 == nsteps:
             times.append(t0 + (i + 1) * config.dt)
-            eta_u.append(_eta_vec(U2 - U1, nodes))
-            eta_om.append(_eta_scalar(W2 - W1, nodes))
+            etas.append(eta())
             h1.append(_h1_energy(grid, U2 - U1, W2 - W1))
 
     times_arr = np.asarray(times)
+    eta_u, eta_om = np.asarray(etas).T
     h1_arr = np.asarray(h1)
     if diverged:
         converged, threshold_time, fit = False, None, None
@@ -266,7 +261,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
         fit = _fit_window(times_arr, h1_arr, h1_arr[0])
     return SyncReport(
         kind="nodes", times=times_arr,
-        series={"eta_u": np.asarray(eta_u), "eta_omega": np.asarray(eta_om), "h1_diff": h1_arr},
+        series={"eta_u": eta_u, "eta_omega": eta_om, "h1_diff": h1_arr},
         converged=converged, threshold_time=threshold_time,
         rate=None if fit is None else fit[0],
         rate_r2=None if fit is None else fit[1],
@@ -274,16 +269,6 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
         diverged=diverged,
         meta={"mu": mu, "num_nodes": nodes.count, **diagnostics},
     )
-
-
-def _eta_vec(dU: np.ndarray, nodes: NodeSet) -> float:
-    v1 = spectral._sample_scalar(dU[0], nodes)
-    v2 = spectral._sample_scalar(dU[1], nodes)
-    return float(np.max(np.hypot(v1, v2)))
-
-
-def _eta_scalar(dW: np.ndarray, nodes: NodeSet) -> float:
-    return float(np.max(np.abs(spectral._sample_scalar(dW, nodes))))
 
 
 @dataclass

@@ -31,6 +31,7 @@ from micropolar.dynamics import (
     NumericsError,
     Params,
     State,
+    _whole_steps,
     make_forcing,
     random_state,
     read_checkpoint,
@@ -81,11 +82,12 @@ def _section(config: dict, name: str, keys: tuple[str, ...], required: bool = Fa
     return section
 
 
-def _whole_steps(span: float, dt: float, where: str) -> None:
-    """Reject a time span that is not a whole number of steps of size dt."""
-    steps = span / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise ConfigError(f"{where}={span!r} is not a whole number of steps of dt={dt!r}")
+def _steps(span: float, step: float, where: str) -> int:
+    """Whole number of steps in a configured span; anything else is a config error."""
+    try:
+        return _whole_steps(span, step)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def load_config(path: str) -> dict:
@@ -189,7 +191,7 @@ def build_integrator(config: dict) -> dict:
     stride = _expect(icfg, "stride", int, "integrator", default=10)
     if dt <= 0 or t_end < 0 or stride < 1:
         raise ConfigError("integrator needs dt > 0, t_end >= 0, stride >= 1")
-    _whole_steps(t_end, dt, "integrator.t_end")
+    _steps(t_end, dt, "integrator.t_end")
     return {"dt": dt, "t_end": t_end, "stride": stride}
 
 
@@ -258,7 +260,7 @@ def cmd_simulate(config: dict, out: Path, strict: bool) -> int:
         chash,
         final_time=result.final_state.t,
         final_energy=result.final_state.energy(),
-        steps=int(round(integ["t_end"] / integ["dt"])),
+        steps=_whole_steps(integ["t_end"], integ["dt"]),
     ))
     return EXIT_OK
 
@@ -354,7 +356,7 @@ def _twin_setup(config: dict):
     integ = build_integrator(config)
     ecfg = _expect(config, "experiment", dict, "", default={})
     spinup = float(_expect(ecfg, "spinup", (int, float), "experiment", default=0.0))
-    _whole_steps(spinup, integ["dt"], "experiment.spinup")
+    _steps(spinup, integ["dt"], "experiment.spinup")
 
     reference = build_initial(config, grid)
     if spinup > 0:
@@ -440,7 +442,11 @@ def cmd_lyapunov(config: dict, out: Path, strict: bool) -> int:
     spinup = float(_expect(ecfg, "spinup", (int, float), "experiment", default=0.0))
     if count < 1:
         raise ConfigError("experiment.count must be >= 1")
-    _whole_steps(spinup, integ["dt"], "experiment.spinup")
+    if reorth < 1:
+        raise ConfigError("experiment.reorth_interval must be >= 1")
+    _steps(spinup, integ["dt"], "experiment.spinup")
+    _steps(integ["t_end"], integ["dt"] * reorth,
+           "integrator.t_end (in blocks of dt x experiment.reorth_interval)")
 
     if spinup > 0:
         initial = simulate(initial, params, forcing, spinup, integ["dt"],

@@ -296,6 +296,21 @@ def forcing_with_decaying_gap(base: Forcing, gap_f: VectorField, gap_g: ScalarFi
 # Initial data
 # ---------------------------------------------------------------------------
 
+def _random_scalars(grid: Grid, rng: np.random.Generator, kmax: float,
+                    count: int) -> np.ndarray:
+    """
+    ``count`` Hermitian spectra with standard normal real and imaginary
+    parts on 0 < |k| <= kmax, symmetrized; each draws its real then its
+    imaginary (n, n) block from ``rng``, in turn.
+    """
+    n = grid.n
+    band = (grid.lam > 0) & (np.sqrt(grid.k1**2 + grid.k2**2) <= kmax)
+    raw = np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for _ in range(count)]) * band
+    flat = raw.reshape(count, n * n)
+    return (0.5 * (flat + np.conj(flat[:, grid.conj_flat]))).reshape(count, n, n)
+
+
 def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: float = 0.05,
                  kmax: int = 4, t: float = 0.0) -> State:
     """
@@ -303,17 +318,8 @@ def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: flo
     scaled so |u|^2 = energy_u and |omega|^2 = energy_omega.
     """
     rng = np.random.default_rng(seed)
-    n = grid.n
-    band = (grid.lam > 0) & (np.sqrt(grid.k1**2 + grid.k2**2) <= kmax)
-
-    def one_scalar() -> np.ndarray:
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        raw *= band
-        flat = raw.ravel()
-        return (0.5 * (flat + np.conj(flat[grid.conj_flat]))).reshape(n, n)
-
-    c1, c2 = _leray_arrays(grid, one_scalar(), one_scalar())
-    w = one_scalar()
+    s1, s2, w = _random_scalars(grid, rng, kmax, 3)
+    c1, c2 = _leray_arrays(grid, s1, s2)
     u = VectorField.from_coeffs(grid, c1, c2)
     omega = ScalarField(grid, w)
     nu2 = spectral.norm(u) ** 2
@@ -439,10 +445,6 @@ class _Stepper:
         self.EU_prev: np.ndarray | None = None
         self.EW_prev: np.ndarray | None = None
 
-    def reset_history(self) -> None:
-        self.EU_prev = None
-        self.EW_prev = None
-
     def imex_update(self, U: np.ndarray, W: np.ndarray, EU: np.ndarray, EW: np.ndarray,
                     EU_prev: np.ndarray | None, EW_prev: np.ndarray | None):
         """
@@ -478,6 +480,21 @@ class _Stepper:
         if not (np.isfinite(U_new.view(np.float64)).all() and np.isfinite(W_new.view(np.float64)).all()):
             raise NumericsError(f"non-finite coefficients after step at t={t + dt:.6g}")
         return _full_from_half(grid, U_new), _full_from_half(grid, W_new)
+
+
+def _whole_steps(span: float, dt: float) -> int:
+    """
+    Number of steps of size ``dt`` in ``span``.  A span that is not a whole
+    number of steps (to 1e-9 relative) raises ``ValueError`` instead of
+    being rounded.
+    """
+    if not dt > 0:
+        raise ValueError(f"step must be positive, got {dt!r}")
+    steps = span / dt
+    whole = round(steps)
+    if abs(steps - whole) > 1e-9 * max(1.0, steps):
+        raise ValueError(f"{span!r} is not a whole number of steps of {dt!r}")
+    return int(whole)
 
 
 def step(state: State, params: Params, forcing: Forcing, dt: float,
@@ -560,7 +577,7 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
     if observers is None:
         observers = standard_observers()
     grid = initial.grid
-    nsteps = int(round(t_end / dt)) if t_end > 0 else 0
+    nsteps = _whole_steps(t_end, dt)
 
     stepper = _Stepper(grid, params, forcing, dt, cfl_limit)
     U = initial.u.stacked()

@@ -278,6 +278,14 @@ def nodes_bound(constants: Constants, F_tilde: float) -> int:
     return side * side
 
 
+def _log_sum_exp(log_terms: list[float]) -> float:
+    """log(sum(exp(v))) of the terms without overflow; -inf for no terms."""
+    if not log_terms:
+        return -math.inf
+    peak = max(log_terms)
+    return peak + math.log(sum(math.exp(v - peak) for v in log_terms))
+
+
 def nodes_bound_log10(constants: Constants, F_tilde: float) -> float:
     """log10 of the nodes bound, finite even when the bound itself overflows."""
     cst = constants
@@ -297,9 +305,7 @@ def nodes_bound_log10(constants: Constants, F_tilde: float) -> float:
         log_terms.append(math.log(c_exp2) + e)
     if not log_terms:
         return 0.0
-    peak = max(log_terms)
-    total = peak + math.log(sum(math.exp(v - peak) for v in log_terms))
-    return (total + math.log(cst.c / (cst.lambda1 * cst.k1))) / math.log(10.0)
+    return (_log_sum_exp(log_terms) + math.log(cst.c / (cst.lambda1 * cst.k1))) / math.log(10.0)
 
 
 def attractor_bound(constants: Constants, f_l2: float, g_l2: float) -> int:
@@ -487,11 +493,7 @@ def verify_time_averages(traj: SimulationResult, constants: Constants,
     if F > 0:
         coef = 16.0 * cst.C * cst.chat1 / (cst.alpha**2 * cst.nu * cst.k1**2 * cst.k2**3) * F**6
         log_terms.append(math.log(coef) + cst.chat2 + cst.chat3 * F**4)
-    if log_terms:
-        peak = max(log_terms)
-        log_right = peak + math.log(sum(math.exp(v - peak) for v in log_terms)) + math.log1p(slack)
-    else:
-        log_right = -math.inf
+    log_right = _log_sum_exp(log_terms) + math.log1p(slack)
     log_left = math.log(da) if da > 0 else -math.inf
     right_val = math.exp(log_right) if log_right < 700 else math.inf
     reports.append(CheckReport("da_time_average", da, right_val, log_right - log_left,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from micropolar import spectral
-from micropolar.dynamics import Forcing, Params, State, _Stepper
+from micropolar.dynamics import Forcing, Params, State, _random_scalars, _Stepper, _whole_steps
 from micropolar.estimates import Constants
 from micropolar.spectral import (
     FieldError,
@@ -32,12 +32,9 @@ from micropolar.spectral import (
     _half_to_phys,
     _leray_arrays,
     _phys_to_half,
-    _to_phys_array,
-    _to_spec_array,
 )
 
 __all__ = [
-    "TangentState",
     "LyapunovReport",
     "TraceSeries",
     "tangent_rhs",
@@ -47,19 +44,6 @@ __all__ = [
     "kaplan_yorke_dimension",
     "random_tangent_pairs",
 ]
-
-
-@dataclass(frozen=True)
-class TangentState:
-    """Orthonormal perturbation pairs attached to a base state."""
-
-    base: State
-    pairs: tuple[tuple[VectorField, ScalarField], ...]
-
-    def __post_init__(self) -> None:
-        for v, z in self.pairs:
-            if v.grid != self.base.grid or z.grid != self.base.grid:
-                raise FieldError("tangent pairs must live on the base grid")
 
 
 @dataclass
@@ -209,10 +193,11 @@ def _padded_phys(coeffs: np.ndarray, n: int, pad: int) -> np.ndarray:
 
 
 def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray,
-                velocity_only: bool) -> tuple[float, float, np.ndarray]:
+                velocity_only: bool) -> tuple[float, float, np.ndarray, float]:
     """
     |rho|_{L2} for rho(x) = sum_j (|v_j|^2 + |z_j|^2), evaluated with exact
-    zero-padded quadrature, plus sum_j ||phi_j||_H1^2 and per-pair H1 norms.
+    zero-padded quadrature, plus sum_j ||phi_j||_H1^2, per-pair H1 norms
+    and the integral of rho.
     """
     v_fine = _padded_phys(V, grid.n, 2)
     rho = np.sum(v_fine[:, 0] ** 2 + v_fine[:, 1] ** 2, axis=0)
@@ -223,52 +208,30 @@ def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray,
     h1_each = grid.area * np.sum(
         grid.lam * (np.abs(V[:, 0]) ** 2 + np.abs(V[:, 1]) ** 2 + np.abs(Z) ** 2), axis=(1, 2)
     ).real
-    return rho_l2, float(np.sum(h1_each)), h1_each
+    return rho_l2, float(np.sum(h1_each)), h1_each, grid.area * float(np.mean(rho))
 
 
 def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                   V: np.ndarray, Z: np.ndarray, velocity_only: bool) -> dict:
     """
-    Term-by-term trace of the linearized generator on the orthonormal span:
-    -sum a(phi_j, phi_j) - sum B(phi_j, ubar, phi_j) - sum R(phi_j, phi_j).
+    Trace of the linearized generator on the orthonormal span,
+    -sum_j [a(phi_j, phi_j) + B(phi_j, ubar, phi_j) + R(phi_j, phi_j)],
+    taken as sum_j Re <E(phi_j), phi_j> from the explicit tangent terms E of
+    :func:`_tangent_explicit` minus the diagonal part
+    sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2].
+    The two agree because b(u, v_j, v_j) = 0 and the Leray gradient is
+    orthogonal to the divergence-free, dealiased span.
     """
-    mask = grid.dealias_mask
-    d1 = grid.deriv_factor(0)
-    d2 = grid.deriv_factor(1)
-    area = grid.area
-
-    h1_v = area * np.sum(grid.lam * (np.abs(V[:, 0]) ** 2 + np.abs(V[:, 1]) ** 2), axis=(1, 2)).real
-    h1_z = area * np.sum(grid.lam * np.abs(Z) ** 2, axis=(1, 2)).real
-    a_term = (params.nu + params.nu_r) * np.sum(h1_v) + params.alpha * np.sum(h1_z)
-
-    # B(phi_j, ubar, phi_j) = b(v_j, u, v_j) + b1(v_j, w, z_j)
-    gu = np.stack([
-        _to_phys_array(np.stack([d1 * U[0], d2 * U[0]])).real,
-        _to_phys_array(np.stack([d1 * U[1], d2 * U[1]])).real,
-    ])
-    gw = _to_phys_array(np.stack([d1 * W, d2 * W])).real
-    V_phys = _to_phys_array(V).real
-    b_term = 0.0
-    for j in range(2):
-        q = V_phys[:, 0] * gu[j, 0] + V_phys[:, 1] * gu[j, 1]
-        qh = _to_spec_array(q) * mask
-        b_term += float(area * np.sum(qh * np.conj(V[:, j])).real)
-    if not velocity_only:
-        qz = V_phys[:, 0] * gw[0] + V_phys[:, 1] * gw[1]
-        qzh = _to_spec_array(qz) * mask
-        b_term += float(area * np.sum(qzh * np.conj(Z)).real)
-
-    # R(phi_j, phi_j) = -4 nu_r (rot z_j, v_j) + 4 nu_r |z_j|^2
-    r_term = 0.0
-    if params.nu_r != 0.0 and not velocity_only:
-        rot_z = np.stack([d2 * Z, -(d1 * Z)], axis=1)
-        cross = area * np.sum(rot_z[:, 0] * np.conj(V[:, 0]) + rot_z[:, 1] * np.conj(V[:, 1])).real
-        z_l2 = area * np.sum(np.abs(Z) ** 2).real
-        r_term = -4.0 * params.nu_r * float(cross) + 4.0 * params.nu_r * float(z_l2)
-
-    trace = -float(a_term) - b_term - float(r_term)
-    rho_l2, sum_h1, h1_each = _rho_and_h1(grid, V, Z, velocity_only)
-    base_h1 = math.sqrt(area * float(np.sum(grid.lam * (np.abs(U[0]) ** 2 + np.abs(U[1]) ** 2
+    EV, EZ = _tangent_explicit(grid, params, U, W, V, Z, velocity_only)
+    explicit = np.sum(_full_from_half(grid, EV) * np.conj(V)).real \
+        + np.sum(_full_from_half(grid, EZ) * np.conj(Z)).real
+    lam = grid.lam
+    h1_v = np.sum(lam * (np.abs(V[:, 0]) ** 2 + np.abs(V[:, 1]) ** 2))
+    diagonal = (params.nu + params.nu_r) * h1_v \
+        + np.sum((params.alpha * lam + 4.0 * params.nu_r) * np.abs(Z) ** 2)
+    trace = grid.area * float(explicit - diagonal)
+    rho_l2, sum_h1, h1_each, _ = _rho_and_h1(grid, V, Z, velocity_only)
+    base_h1 = math.sqrt(grid.area * float(np.sum(lam * (np.abs(U[0]) ** 2 + np.abs(U[1]) ** 2
                                                         + np.abs(W) ** 2)).real))
     return {"trace": trace, "sum_h1_sq": sum_h1, "rho_l2": rho_l2, "base_h1": base_h1,
             "h1_each": h1_each}
@@ -281,21 +244,11 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
 def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: int = 4,
                          velocity_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Seeded band-limited tangent pairs as raw arrays (not yet orthonormal)."""
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    band = (grid.lam > 0) & (np.sqrt(grid.k1**2 + grid.k2**2) <= kmax)
-
-    def scalar() -> np.ndarray:
-        raw = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * band
-        flat = raw.ravel()
-        return (0.5 * (flat + np.conj(flat[grid.conj_flat]))).reshape(n, n)
-
-    V = np.empty((count, 2, n, n), dtype=np.complex128)
-    Z = np.empty((count, n, n), dtype=np.complex128)
-    for j in range(count):
-        c1, c2 = _leray_arrays(grid, scalar(), scalar())
-        V[j, 0], V[j, 1] = c1, c2
-        Z[j] = 0.0 if velocity_only else scalar()
+    per = 2 if velocity_only else 3
+    s = _random_scalars(grid, np.random.default_rng(seed), kmax, count * per)
+    s = s.reshape(count, per, grid.n, grid.n)
+    V = np.stack(_leray_arrays(grid, s[:, 0], s[:, 1]), axis=1)
+    Z = np.zeros_like(s[:, 0]) if velocity_only else s[:, 2].copy()
     return V, Z
 
 
@@ -402,7 +355,7 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
     """
     run = _TangentRun(initial, params, forcing, count, dt, reorth_interval, seed,
                       velocity_only)
-    nblocks = max(1, int(round(t_span / (dt * reorth_interval))))
+    nblocks = max(1, _whole_steps(t_span, dt * reorth_interval))
     times = [run.t]
     samples = [run.sample_trace()]
     hist_t: list[float] = []
@@ -479,13 +432,9 @@ def lieb_thirring_check(pairs, grid: Grid | None = None,
     Rejects families whose Gram matrix deviates from identity by more than
     ``gram_tol``.
     """
-    if isinstance(pairs, TangentState):
-        grid = pairs.base.grid
-        plist = pairs.pairs
-    else:
-        plist = list(pairs)
-        if grid is None:
-            grid = plist[0][0].grid
+    plist = list(pairs)
+    if grid is None:
+        grid = plist[0][0].grid
     N = len(plist)
     V = np.stack([np.stack([v.u1.coeffs, v.u2.coeffs]) for v, _ in plist])
     Z = np.stack([z.coeffs for _, z in plist])
@@ -498,11 +447,7 @@ def lieb_thirring_check(pairs, grid: Grid | None = None,
     if dev > gram_tol:
         raise ValueError(f"family is not orthonormal (Gram deviation {dev:.3e})")
 
-    rho_l2, sum_h1, h1_each = _rho_and_h1(grid, V, Z, velocity_only=False)
-    v_fine = _padded_phys(V, grid.n, 2)
-    rho = np.sum(v_fine[:, 0] ** 2 + v_fine[:, 1] ** 2, axis=0)
-    rho += np.sum(_padded_phys(Z, grid.n, 2) ** 2, axis=0)
-    rho_integral = grid.area * float(np.mean(rho))
+    rho_l2, sum_h1, h1_each, rho_integral = _rho_and_h1(grid, V, Z, velocity_only=False)
     return {
         "ratio": rho_l2**2 / sum_h1,
         "rho_l2": rho_l2,

@@ -681,17 +681,18 @@ def make_node_set(grid: Grid, count: int | None = None, side: int | None = None,
 
 
 def _sample_scalar(coeffs: np.ndarray, nodes: NodeSet) -> np.ndarray:
+    """Values at the nodes of spectra ``coeffs[..., n, n]``, shape (..., N)."""
     grid = nodes.grid
     if nodes.aligned:
         phys = _to_phys_array(coeffs).real
         gi = nodes.grid_indices
-        return phys[gi[:, 0], gi[:, 1]]
+        return phys[..., gi[:, 0], gi[:, 1]]
     k1 = grid.k1.ravel().astype(np.float64)
     k2 = grid.k2.ravel().astype(np.float64)
     phase = np.exp(
         2j * np.pi / grid.L * (np.outer(nodes.points[:, 0], k1) + np.outer(nodes.points[:, 1], k2))
     )
-    return (phase @ coeffs.ravel()).real
+    return (coeffs.reshape(coeffs.shape[:-2] + (-1,)) @ phase.T).real
 
 
 def nodal_sample(field, nodes: NodeSet) -> np.ndarray:
@@ -701,9 +702,7 @@ def nodal_sample(field, nodes: NodeSet) -> np.ndarray:
     Returns shape (N,) for scalars and (N, 2) for vector fields.
     """
     if isinstance(field, VectorField):
-        return np.stack(
-            [_sample_scalar(field.u1.coeffs, nodes), _sample_scalar(field.u2.coeffs, nodes)], axis=1
-        )
+        return _sample_scalar(field.stacked(), nodes).T
     return _sample_scalar(field.coeffs, nodes)
 
 
@@ -716,8 +715,12 @@ def nodal_values_max(field, nodes: NodeSet) -> float:
 
 
 def _interpolant_scalar(values: np.ndarray, nodes: NodeSet) -> np.ndarray:
-    phys = values[nodes.square_of_cell]
-    phys = phys - phys.mean()
+    """Spectra of the mean-free piecewise-constant interpolants of
+    ``values[..., N]``, shape (..., n, n)."""
+    # take() returns a C-ordered gather, whose per-plane means are summed
+    # in the same (pairwise) order as the mean of a single plane
+    phys = np.take(values, nodes.square_of_cell, axis=-1)
+    phys = phys - phys.mean(axis=(-2, -1), keepdims=True)
     return _to_spec_array(phys)
 
 
@@ -733,7 +736,6 @@ def nodal_interpolant(values: np.ndarray, nodes: NodeSet, grid: Grid):
     if vals.shape[0] != nodes.count:
         raise ValueError(f"expected {nodes.count} values, got {vals.shape[0]}")
     if vals.ndim == 2:
-        return VectorField.from_coeffs(
-            grid, _interpolant_scalar(vals[:, 0], nodes), _interpolant_scalar(vals[:, 1], nodes)
-        )
+        c1, c2 = _interpolant_scalar(vals.T, nodes)
+        return VectorField.from_coeffs(grid, c1, c2)
     return ScalarField(grid, _interpolant_scalar(vals, nodes))

@@ -124,6 +124,16 @@ class TestNodeSync:
         assert report.series["eta_u"][0] > 0
         assert report.series["eta_u"][-1] < 1e-6 * report.series["eta_u"][0]
 
+    @pytest.mark.parametrize("run", ["modes", "nodes"])
+    def test_span_not_whole_steps(self, grid32, twin_setup, run):
+        fo, ref, pert = twin_setup
+        cfg = make_config(fo, ref, pert, t_end=0.015)
+        with pytest.raises(ValueError, match="whole number"):
+            if run == "modes":
+                run_mode_sync(cfg, 4)
+            else:
+                run_node_sync(cfg, make_node_set(grid32, count=16), mu=1.0)
+
     def test_bad_gain_rejected(self, grid32, twin_setup):
         fo, ref, pert = twin_setup
         nodes = make_node_set(grid32, count=16)

@@ -153,14 +153,18 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         return path
 
-    @pytest.mark.parametrize("cmd,section,key", [
-        ("simulate", "integrator", "t_end"),
-        ("sync-modes", "experiment", "spinup"),
-        ("lyapunov", "experiment", "spinup"),
+    @pytest.mark.parametrize("cmd,section,key,value", [
+        pytest.param("simulate", "integrator", "t_end", 0.015, id="simulate-integrator-t_end"),
+        pytest.param("sync-modes", "experiment", "spinup", 0.015,
+                     id="sync-modes-experiment-spinup"),
+        pytest.param("lyapunov", "experiment", "spinup", 0.015, id="lyapunov-experiment-spinup"),
+        # 15 whole steps, but 1.5 re-orthonormalization blocks of 10 steps
+        pytest.param("lyapunov", "integrator", "t_end", 0.15, id="lyapunov-integrator-t_end"),
     ])
-    def test_span_not_whole_steps(self, small_config, tmp_path, capsys, cmd, section, key):
+    def test_span_not_whole_steps(self, small_config, tmp_path, capsys, cmd, section, key,
+                                  value):
         # dt = 0.01: 0.015 would silently round to 0.02
-        cfg = self._variant(small_config, tmp_path, **{section: {key: 0.015}})
+        cfg = self._variant(small_config, tmp_path, **{section: {key: value}})
         assert run(cmd, cfg, tmp_path / "out") == EXIT_CONFIG
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())

@@ -131,6 +131,12 @@ class TestSimulate:
         assert res.final_state.t == init.t
         assert len(res.times) == 1
 
+    def test_span_not_whole_steps(self, grid16):
+        # 0.015 with dt = 0.01 used to end at t = 0.02
+        init = random_state(grid16, 2, 0.1, 0.1)
+        with pytest.raises(ValueError, match="whole number"):
+            simulate(init, Params(1.0, 0.0, 1.0), Forcing.zero(grid16), t_end=0.015, dt=0.01)
+
     def test_observer_stride(self, grid16):
         init = random_state(grid16, 2, 0.1, 0.1)
         res = simulate(init, Params(1.0, 0.0, 1.0), Forcing.zero(grid16),

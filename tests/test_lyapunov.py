@@ -180,21 +180,29 @@ class TestSpectrumRun:
         assert np.all(rep.exponents <= -k2 * 0.95)
         assert np.all(np.diff(rep.exponents) <= 1e-12)
 
-    def test_trace_sample_matches_trilinear_composition(self, grid16):
-        # dual route: the batched trace against per-pair form evaluations
+    @pytest.mark.parametrize("grid_name,velocity_only", [
+        pytest.param("grid16", False, id="n16-coupled"),
+        pytest.param("grid16", True, id="n16-velocity_only"),
+        pytest.param("grid32", False, id="n32-coupled"),
+    ])
+    def test_trace_sample_matches_trilinear_composition(self, request, grid_name,
+                                                        velocity_only):
+        # dual route: the trace from the tangent kernel against per-pair
+        # evaluations of the trilinear forms
         from micropolar.lyapunov import _trace_sample
-        from micropolar.spectral import apply_A1, trilinear_b, trilinear_b1
+        from micropolar.spectral import trilinear_b, trilinear_b1
 
-        params = PARAMS
-        base = random_state(grid16, 13, 0.3, 0.15)
-        V, Z = random_tangent_pairs(grid16, 3, seed=5)
-        _mgs(grid16, V, Z)
-        sample = _trace_sample(grid16, params, base.u.stacked(), base.omega.coeffs,
-                               V, Z, velocity_only=False)
+        grid = request.getfixturevalue(grid_name)
+        params = Params(nu=0.4, nu_r=0.0, alpha=0.5) if velocity_only else PARAMS
+        base = random_state(grid, 13, 0.3, 0.15)
+        V, Z = random_tangent_pairs(grid, 3, seed=5, velocity_only=velocity_only)
+        _mgs(grid, V, Z)
+        sample = _trace_sample(grid, params, base.u.stacked(), base.omega.coeffs,
+                               V, Z, velocity_only=velocity_only)
         total = 0.0
         for j in range(3):
-            v = VectorField.from_coeffs(grid16, V[j, 0], V[j, 1])
-            z = ScalarField(grid16, Z[j])
+            v = VectorField.from_coeffs(grid, V[j, 0], V[j, 1])
+            z = ScalarField(grid, Z[j])
             a = (params.nu + params.nu_r) * norm(v, "H1") ** 2 \
                 + params.alpha * norm(z, "H1") ** 2
             b = trilinear_b(v, base.u, v) + trilinear_b1(v, base.omega, z)
@@ -231,6 +239,13 @@ class TestSpectrumRun:
         with pytest.raises(ValueError, match="velocity-only"):
             lyapunov_spectrum(init, PARAMS, Forcing.zero(grid16), count=2,
                               t_span=1.0, dt=0.01, velocity_only=True)
+
+    def test_span_not_whole_blocks(self, grid16):
+        # 0.15 is 15 steps but 1.5 re-orthonormalization blocks of 10 steps
+        init = random_state(grid16, 2, 0.05, 0.02)
+        with pytest.raises(ValueError, match="whole number"):
+            lyapunov_spectrum(init, PARAMS, Forcing.zero(grid16), count=2,
+                              t_span=0.15, dt=0.01, reorth_interval=10)
 
 
 class TestKaplanYorke:

@@ -439,6 +439,29 @@ class TestNodal:
         assert np.max(np.abs(nodal_sample(f, aligned) - direct)) < 1e-12
         nodal_sample(f, unaligned)  # exercises the generic path
 
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_batched_helpers_match_per_plane(self, grid32, aligned):
+        from micropolar.spectral import _interpolant_scalar, _sample_scalar
+
+        nodes = make_node_set(grid32, count=64)
+        if not aligned:
+            nodes = make_node_set(grid32, side=8, points=(nodes.points + 0.001) % grid32.L)
+        assert nodes.aligned == aligned
+        u, w = random_fields(grid32, 4)
+        stack = np.stack([u.u1.coeffs, u.u2.coeffs, w.coeffs])
+        values = _sample_scalar(stack, nodes)
+        spectra = _interpolant_scalar(values, nodes)
+        single_values = np.stack([_sample_scalar(c, nodes) for c in stack])
+        single_spectra = np.stack([_interpolant_scalar(v, nodes) for v in single_values])
+        assert values.shape == (3, nodes.count) and spectra.shape == stack.shape
+        if aligned:
+            assert np.array_equal(values, single_values)
+            assert np.array_equal(spectra, single_spectra)
+        else:
+            assert np.max(np.abs(values - single_values)) <= 1e-14 * np.max(np.abs(single_values))
+            assert np.max(np.abs(spectra - single_spectra)) \
+                <= 1e-14 * np.max(np.abs(single_spectra))
+
     def test_interpolant_piecewise_values(self, grid16):
         nodes = make_node_set(grid16, count=16)
         values = np.arange(16, dtype=float)
