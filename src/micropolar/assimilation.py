@@ -26,10 +26,11 @@ from micropolar.dynamics import (
     Params,
     State,
     _Stepper,
+    _to_half,
     _whole_steps,
 )
 from micropolar.estimates import Constants
-from micropolar.spectral import Grid, NodeSet, mode_mask
+from micropolar.spectral import Grid, NodeSet, _full_from_half, mode_mask
 
 __all__ = [
     "SyncConfig",
@@ -58,9 +59,6 @@ class SyncConfig:
     t_end: float
     dt: float
     stride: int = 10
-    cfl_limit: float = 0.5
-    converged_rtol: float = 1e-16
-    sustained_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.reference.grid != self.perturbed.grid:
@@ -93,25 +91,22 @@ class SyncReport:
 
 
 def _product_energy(grid: Grid, dU: np.ndarray, dW: np.ndarray,
-                    mask: np.ndarray | None = None) -> float:
-    density = np.abs(dU[0]) ** 2 + np.abs(dU[1]) ** 2 + np.abs(dW) ** 2
-    if mask is not None:
-        density = density * mask
+                    weight: np.ndarray | None = None) -> float:
+    """Energy of half planes (dU, dW), full-spectrum slots weighted (mask or lam)."""
+    full = _full_from_half(grid, np.concatenate([dU, dW[None]]))
+    density = np.abs(full[0]) ** 2 + np.abs(full[1]) ** 2 + np.abs(full[2]) ** 2
+    if weight is not None:
+        density = density * weight
     return float(grid.area * np.sum(density))
 
 
-def _h1_energy(grid: Grid, dU: np.ndarray, dW: np.ndarray) -> float:
-    density = np.abs(dU[0]) ** 2 + np.abs(dU[1]) ** 2 + np.abs(dW) ** 2
-    return float(grid.area * np.sum(grid.lam * density))
-
-
 def _convergence(times: np.ndarray, values: np.ndarray, initial: float,
-                 rtol: float, sustained_fraction: float) -> tuple[bool, float | None]:
-    """Converged when the tail of the run stays below rtol * initial."""
+                 rtol: float) -> tuple[bool, float | None]:
+    """Converged when the last tenth of the run stays below rtol * initial."""
     if initial <= 0:
         return True, float(times[0]) if len(times) else None
     below = values <= rtol * initial
-    tail = max(2, int(sustained_fraction * len(values)))
+    tail = max(2, int(0.1 * len(values)))
     if not np.all(below[-tail:]):
         return False, None
     idx = len(below) - 1
@@ -143,15 +138,16 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     mask_P = mode_mask(grid, m, conjugate_closed=True)
     mask_Q = ~mask_P
     effective_m = int(np.count_nonzero(mask_P))
+    half_P = mask_P[:, : grid.n // 2 + 1]  # conjugate-closed: the half plane carries it
 
-    s1 = _Stepper(grid, config.params, config.forcing1, config.dt, config.cfl_limit)
-    s2 = _Stepper(grid, config.params, config.forcing2, config.dt, config.cfl_limit)
-    U1, W1 = config.reference.u.stacked(), config.reference.omega.coeffs.copy()
-    U2, W2 = config.perturbed.u.stacked(), config.perturbed.omega.coeffs.copy()
+    s1 = _Stepper(grid, config.params, config.forcing1, config.dt)
+    s2 = _Stepper(grid, config.params, config.forcing2, config.dt)
+    U1, W1 = _to_half(config.reference)
+    U2, W2 = _to_half(config.perturbed)
 
     def slave() -> None:
-        U2[:, mask_P] = U1[:, mask_P]
-        W2[mask_P] = W1[mask_P]
+        U2[:, half_P] = U1[:, half_P]
+        W2[half_P] = W1[half_P]
 
     slave()
     nsteps = _whole_steps(config.t_end, config.dt)
@@ -171,8 +167,7 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
 
     times_arr = np.asarray(times)
     dq = np.asarray(delta_Q)
-    converged, threshold_time = _convergence(times_arr, dq, dq[0],
-                                             config.converged_rtol, config.sustained_fraction)
+    converged, threshold_time = _convergence(times_arr, dq, dq[0], 1e-16)
     fit = _fit_window(times_arr, dq, dq[0])
     return SyncReport(
         kind="modes", times=times_arr,
@@ -205,8 +200,8 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
     if nodes.grid != grid:
         raise ValueError("node set belongs to a different grid")
 
-    U1, W1 = config.reference.u.stacked(), config.reference.omega.coeffs.copy()
-    U2, W2 = config.perturbed.u.stacked(), config.perturbed.omega.coeffs.copy()
+    U1, W1 = _to_half(config.reference)
+    U2, W2 = _to_half(config.perturbed)
 
     # The closures below read the current (U1, W1) and (U2, W2) of the loop.
     def node_values(U: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -222,15 +217,14 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
         vals = node_values(U2, W2)
         return float(np.max(np.hypot(vals[0], vals[1]))), float(np.max(np.abs(vals[2])))
 
-    s1 = _Stepper(grid, config.params, config.forcing1, config.dt, config.cfl_limit)
-    s2 = _Stepper(grid, config.params, config.forcing2, config.dt, config.cfl_limit,
-                  extra=nudge)
+    s1 = _Stepper(grid, config.params, config.forcing1, config.dt)
+    s2 = _Stepper(grid, config.params, config.forcing2, config.dt, extra=nudge)
 
     nsteps = _whole_steps(config.t_end, config.dt)
     t0 = config.reference.t
     times = [t0]
     etas = [eta()]
-    h1 = [_h1_energy(grid, U2 - U1, W2 - W1)]
+    h1 = [_product_energy(grid, U2 - U1, W2 - W1, grid.lam)]
     diverged = False
     diagnostics: dict = {}
     for i in range(nsteps):
@@ -248,7 +242,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
         if (i + 1) % config.stride == 0 or i + 1 == nsteps:
             times.append(t0 + (i + 1) * config.dt)
             etas.append(eta())
-            h1.append(_h1_energy(grid, U2 - U1, W2 - W1))
+            h1.append(_product_energy(grid, U2 - U1, W2 - W1, grid.lam))
 
     times_arr = np.asarray(times)
     eta_u, eta_om = np.asarray(etas).T
@@ -256,8 +250,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
     if diverged:
         converged, threshold_time, fit = False, None, None
     else:
-        converged, threshold_time = _convergence(times_arr, h1_arr, h1_arr[0], 1e-10,
-                                                 config.sustained_fraction)
+        converged, threshold_time = _convergence(times_arr, h1_arr, h1_arr[0], 1e-10)
         fit = _fit_window(times_arr, h1_arr, h1_arr[0])
     return SyncReport(
         kind="nodes", times=times_arr,

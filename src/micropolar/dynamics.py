@@ -17,6 +17,7 @@ seeded initial data and the binary checkpoint format.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -356,9 +357,8 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     forcing.  Returns (EU, EW, max_speed); EU is Leray-projected, both are
     dealiased and zero-mean half planes (last axis n//2 + 1).
 
-    ``U``, ``W``, ``f_hat`` and ``g_hat`` are full spectra of which only
-    the columns k2 = 0..n/2 are read.  ``extra(t, U, W)`` receives ``U``
-    and ``W`` as given and returns full spectra, read the same way.
+    ``U``, ``W``, ``f_hat``, ``g_hat`` and what ``extra(t, U, W)`` returns
+    are half planes or full spectra: only the columns k2 = 0..n/2 are read.
 
     Advection uses the rotational form P[(u.grad)u] = P[omega x u] with
     omega = rot u, exact in the dealiased band because the gradient part
@@ -411,13 +411,8 @@ def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, Sc
 
 
 class _Stepper:
-    """
-    IMEX CN/AB2 integrator core.
-
-    ``advance`` takes and returns full spectra; inside, the step runs on
-    the real-transform half plane with Crank-Nicolson factors built once
-    per (grid, params, dt).
-    """
+    """IMEX CN/AB2 integrator core on half planes (:func:`_to_half` and :func:`_from_half`
+    convert at the ``State`` boundary), with CN factors built once per (grid, params, dt)."""
 
     def __init__(self, grid: Grid, params: Params, forcing: Forcing, dt: float,
                  cfl_limit: float = 0.5, extra: Callable | None = None):
@@ -473,13 +468,23 @@ class _Stepper:
                     f"dt={dt:.3e} exceeds CFL guard {dt_max:.3e} at t={t:.6g} "
                     f"(max advective speed {speed:.3e})"
                 )
-        m = grid.n // 2 + 1
-        U_new, W_new = self.imex_update(U[..., :m], W[..., :m], EU, EW,
-                                        self.EU_prev, self.EW_prev)
+        U_new, W_new = self.imex_update(U, W, EU, EW, self.EU_prev, self.EW_prev)
         self.EU_prev, self.EW_prev = EU, EW
         if not (np.isfinite(U_new.view(np.float64)).all() and np.isfinite(W_new.view(np.float64)).all()):
             raise NumericsError(f"non-finite coefficients after step at t={t + dt:.6g}")
-        return _full_from_half(grid, U_new), _full_from_half(grid, W_new)
+        return U_new, W_new
+
+
+def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """Half planes (U, W) of a state, the layout of the time loops (copies)."""
+    m = state.grid.n // 2 + 1
+    return state.u.stacked()[..., :m].copy(), state.omega.coeffs[:, :m].copy()
+
+
+def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
+    """Validated state whose full spectra are rebuilt from half planes (U, W)."""
+    full = _full_from_half(grid, np.concatenate([U, W[None]]))
+    return State(VectorField.from_coeffs(grid, full[0], full[1]), ScalarField(grid, full[2]), t)
 
 
 def _whole_steps(span: float, dt: float) -> int:
@@ -505,9 +510,8 @@ def step(state: State, params: Params, forcing: Forcing, dt: float,
     Adams-Bashforth history across steps.
     """
     stepper = _Stepper(state.grid, params, forcing, dt, cfl_limit)
-    U, W = stepper.advance(state.u.stacked(), state.omega.coeffs.copy(), state.t)
-    return State(VectorField.from_coeffs(state.grid, U[0], U[1]),
-                 ScalarField(state.grid, W), state.t + dt)
+    U, W = stepper.advance(*_to_half(state), state.t)
+    return _from_half(state.grid, U, W, state.t + dt)
 
 
 @dataclass
@@ -580,15 +584,14 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
     nsteps = _whole_steps(t_end, dt)
 
     stepper = _Stepper(grid, params, forcing, dt, cfl_limit)
-    U = initial.u.stacked()
-    W = initial.omega.coeffs.copy()
+    U, W = _to_half(initial)
     t0 = initial.t
 
     times: list[float] = []
     records: dict[str, list[float]] = {name: [] for name in observers}
 
     def record(t: float, U: np.ndarray, W: np.ndarray) -> None:
-        state = State(VectorField.from_coeffs(grid, U[0], U[1]), ScalarField(grid, W), t)
+        state = _from_half(grid, U, W, t)
         times.append(t)
         for name, fn in observers.items():
             records[name].append(float(fn(state, forcing)))
@@ -600,10 +603,8 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
         if (i + 1) % stride == 0 or i + 1 == nsteps:
             record(t0 + (i + 1) * dt, U, W)
 
-    final = State(VectorField.from_coeffs(grid, U[0], U[1]), ScalarField(grid, W),
-                  t0 + nsteps * dt)
     return SimulationResult(np.asarray(times), {k: np.asarray(v) for k, v in records.items()},
-                            final, dt=dt)
+                            _from_half(grid, U, W, t0 + nsteps * dt), dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +640,15 @@ def read_checkpoint(path) -> tuple[State, Params]:
             raise ValueError(f"bad checkpoint magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
+        payload = 3 * n * n * 16  # checked before allocating: a corrupt n may ask for TiB
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != payload:
+            problem = "truncated" if size < payload else "has trailing bytes"
+            raise ValueError(f"checkpoint file {problem}: {size} payload bytes, "
+                             f"n={n} needs {payload}")
         grid = Grid(n, L)
-        count = n * n * 2  # interleaved (re, im) per coefficient
-        blocks = []
-        for _ in range(3):
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            if data.size != count:
-                raise ValueError("checkpoint file truncated (payload)")
-            blocks.append(data.astype(np.float64).view(np.complex128).reshape(n, n))
-        if fh.read(1):
-            raise ValueError("checkpoint file has trailing bytes after the payload")
+        data = np.frombuffer(fh.read(payload), dtype="<f8")
+    blocks = data.astype(np.float64).view(np.complex128).reshape(3, n, n)
     state = State(VectorField.from_coeffs(grid, blocks[0], blocks[1]),
                   ScalarField(grid, blocks[2]), t)
     return state, Params(nu, nu_r, alpha)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from micropolar import spectral
-from micropolar.dynamics import Forcing, Params, State, _random_scalars, _Stepper, _whole_steps
+from micropolar.dynamics import (Forcing, Params, State, _random_scalars, _Stepper, _to_half,
+                                 _whole_steps)
 from micropolar.estimates import Constants
 from micropolar.spectral import (
     FieldError,
@@ -183,13 +184,16 @@ def _mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _padded_phys(coeffs: np.ndarray, n: int, pad: int) -> np.ndarray:
-    """Physical samples on a (pad*n)^2 lattice via spectral zero padding."""
-    m = pad * n
-    kmap = (np.fft.fftfreq(n, 1.0 / n).astype(int)) % m
-    shape = coeffs.shape[:-2] + (m, m)
-    fine = np.zeros(shape, dtype=np.complex128)
-    fine[..., kmap[:, None], kmap[None, :]] = coeffs
-    return (np.fft.ifft2(fine, axes=(-2, -1)) * (m * m)).real
+    """Samples on a (pad*n)^2 lattice of Hermitian spectra, zero padded into a real half plane."""
+    m, h = pad * n, n // 2
+    rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+    fine = np.zeros(coeffs.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
+    fine[..., rows, :h] = coeffs[..., :h]
+    # the Nyquist lines k1, k2 = -n/2 are self-conjugate on the coarse grid only:
+    # the real field keeps half of each at -n/2 and the conjugate half at +n/2
+    fine[..., h, :h] = fine[..., m - h, :h] = 0.5 * coeffs[..., h, :h]
+    fine[..., -rows % m, h] = 0.5 * np.conj(coeffs[..., h])
+    return _half_to_phys(fine)
 
 
 def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray,
@@ -220,7 +224,7 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     :func:`_tangent_explicit` minus the diagonal part
     sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2].
     The two agree because b(u, v_j, v_j) = 0 and the Leray gradient is
-    orthogonal to the divergence-free, dealiased span.
+    orthogonal to the divergence-free, dealiased span.  The base may be half planes.
     """
     EV, EZ = _tangent_explicit(grid, params, U, W, V, Z, velocity_only)
     explicit = np.sum(_full_from_half(grid, EV) * np.conj(V)).real \
@@ -231,8 +235,9 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         + np.sum((params.alpha * lam + 4.0 * params.nu_r) * np.abs(Z) ** 2)
     trace = grid.area * float(explicit - diagonal)
     rho_l2, sum_h1, h1_each, _ = _rho_and_h1(grid, V, Z, velocity_only)
-    base_h1 = math.sqrt(grid.area * float(np.sum(lam * (np.abs(U[0]) ** 2 + np.abs(U[1]) ** 2
-                                                        + np.abs(W) ** 2)).real))
+    u1, u2, w = _full_from_half(grid, np.concatenate([U, W[None]])[..., : grid.n // 2 + 1])
+    base_h1 = math.sqrt(grid.area * float(np.sum(lam * (np.abs(u1) ** 2 + np.abs(u2) ** 2
+                                                        + np.abs(w) ** 2)).real))
     return {"trace": trace, "sum_h1_sq": sum_h1, "rho_l2": rho_l2, "base_h1": base_h1,
             "h1_each": h1_each}
 
@@ -253,11 +258,11 @@ def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: int = 4,
 
 
 class _TangentRun:
-    """Co-integrates a base trajectory and N tangent pairs."""
+    """Co-integrates a base trajectory (half planes) and N tangent pairs."""
 
     def __init__(self, initial: State, params: Params, forcing: Forcing, count: int,
                  dt: float, reorth_interval: int = 10, seed: int = 0,
-                 velocity_only: bool = False, cfl_limit: float = 0.5):
+                 velocity_only: bool = False):
         if count < 1:
             raise ValueError("need at least one tangent pair")
         if reorth_interval < 1:
@@ -271,9 +276,8 @@ class _TangentRun:
         self.velocity_only = velocity_only
         self.reorth_interval = reorth_interval
 
-        self.base = _Stepper(grid, params, forcing, dt, cfl_limit)
-        self.U = initial.u.stacked()
-        self.W = initial.omega.coeffs.copy()
+        self.base = _Stepper(grid, params, forcing, dt)
+        self.U, self.W = _to_half(initial)
         self.t0 = initial.t
         self.t = initial.t
 

@@ -680,13 +680,14 @@ def make_node_set(grid: Grid, count: int | None = None, side: int | None = None,
     return NodeSet(grid, side, points)
 
 
-def _sample_scalar(coeffs: np.ndarray, nodes: NodeSet) -> np.ndarray:
-    """Values at the nodes of spectra ``coeffs[..., n, n]``, shape (..., N)."""
+def _sample_scalar(half: np.ndarray, nodes: NodeSet) -> np.ndarray:
+    """Values at the nodes of half-plane spectra ``half[..., n, n//2 + 1]``, shape (..., N)."""
     grid = nodes.grid
     if nodes.aligned:
-        phys = _to_phys_array(coeffs).real
+        phys = _half_to_phys(half)
         gi = nodes.grid_indices
         return phys[..., gi[:, 0], gi[:, 1]]
+    coeffs = _full_from_half(grid, half)
     k1 = grid.k1.ravel().astype(np.float64)
     k2 = grid.k2.ravel().astype(np.float64)
     phase = np.exp(
@@ -701,9 +702,10 @@ def nodal_sample(field, nodes: NodeSet) -> np.ndarray:
 
     Returns shape (N,) for scalars and (N, 2) for vector fields.
     """
+    m = nodes.grid.n // 2 + 1
     if isinstance(field, VectorField):
-        return _sample_scalar(field.stacked(), nodes).T
-    return _sample_scalar(field.coeffs, nodes)
+        return _sample_scalar(field.stacked()[..., :m], nodes).T
+    return _sample_scalar(field.coeffs[:, :m], nodes)
 
 
 def nodal_values_max(field, nodes: NodeSet) -> float:
@@ -715,13 +717,13 @@ def nodal_values_max(field, nodes: NodeSet) -> float:
 
 
 def _interpolant_scalar(values: np.ndarray, nodes: NodeSet) -> np.ndarray:
-    """Spectra of the mean-free piecewise-constant interpolants of
-    ``values[..., N]``, shape (..., n, n)."""
+    """Half-plane spectra of the mean-free piecewise-constant interpolants
+    of ``values[..., N]``, shape (..., n, n//2 + 1)."""
     # take() returns a C-ordered gather, whose per-plane means are summed
     # in the same (pairwise) order as the mean of a single plane
     phys = np.take(values, nodes.square_of_cell, axis=-1)
     phys = phys - phys.mean(axis=(-2, -1), keepdims=True)
-    return _to_spec_array(phys)
+    return _phys_to_half(phys)
 
 
 def nodal_interpolant(values: np.ndarray, nodes: NodeSet, grid: Grid):
@@ -736,6 +738,6 @@ def nodal_interpolant(values: np.ndarray, nodes: NodeSet, grid: Grid):
     if vals.shape[0] != nodes.count:
         raise ValueError(f"expected {nodes.count} values, got {vals.shape[0]}")
     if vals.ndim == 2:
-        c1, c2 = _interpolant_scalar(vals.T, nodes)
+        c1, c2 = _full_from_half(grid, _interpolant_scalar(vals.T, nodes))
         return VectorField.from_coeffs(grid, c1, c2)
-    return ScalarField(grid, _interpolant_scalar(vals, nodes))
+    return ScalarField(grid, _full_from_half(grid, _interpolant_scalar(vals, nodes)))

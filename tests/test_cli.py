@@ -88,6 +88,15 @@ class TestSubcommands:
         info = json.loads(capsys.readouterr().out)
         assert info["n"] == 16 and info["divergence_free"]
 
+    def test_checkpoint_info_oversized_header(self, small_config, tmp_path, capsys):
+        run("simulate", small_config, tmp_path)
+        ckpt = tmp_path / "final.ckpt"
+        raw = bytearray(ckpt.read_bytes()[:4 + 4 + 4 + 6 * 8 + 64])
+        raw[8:12] = (2**20).to_bytes(4, "little")  # n = 2**20: 48 TiB of payload
+        ckpt.write_bytes(bytes(raw))
+        assert main(["checkpoint-info", str(ckpt)]) == EXIT_CONFIG
+        assert "truncated" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, small_config, tmp_path):

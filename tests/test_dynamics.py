@@ -346,6 +346,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             read_checkpoint(path)
 
+    def test_oversized_header_rejected_before_allocating(self, grid16, tmp_path):
+        # n = 2**20 would ask for 48 TiB; the payload size is checked first
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(path, State.zero(grid16), Params(1.0, 0.5, 2.0))
+        raw = bytearray(path.read_bytes()[:4 + 4 + 4 + 6 * 8 + 64])
+        raw[8:12] = (2**20).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated"):
+            read_checkpoint(path)
+
     def test_non_finite_payload_rejected(self, grid16, tmp_path):
         path = tmp_path / "s.ckpt"
         write_checkpoint(path, random_state(grid16, 3, 0.1, 0.1), Params(1.0, 0.5, 2.0))

@@ -59,18 +59,20 @@ def test_advance_keeps_invariants(n, seed, nu, nu_r, alpha, energy, forced):
     # kmax = n fills every mode, so the first step also truncates the input
     state = random_state(grid, seed, energy, 0.5 * energy, kmax=n)
     stepper = _Stepper(grid, params, forcing, dt=0.01)
-    U, W = state.u.stacked(), state.omega.coeffs.copy()
+    half = n // 2 + 1
+    U, W = state.u.stacked()[..., :half], state.omega.coeffs[:, :half].copy()
     outside = ~grid.dealias_mask
     for i in range(3):
         U, W = stepper.advance(U, W, 0.01 * i)
-        for c in (U[0], U[1], W):
+        full_u, full_w = _full_from_half(grid, U), _full_from_half(grid, W)
+        for c in (full_u[0], full_u[1], full_w):
             assert np.isfinite(c.view(np.float64)).all()
             assert _hermitian_deviation(grid, c) <= 1e-14 * max(np.max(np.abs(c)), 1e-300)
             assert c[0, 0] == 0
             assert np.all(c[outside] == 0)
-        u = VectorField.from_coeffs(grid, U[0], U[1])
+        u = VectorField.from_coeffs(grid, full_u[0], full_u[1])
         assert u.max_divergence() <= 1e-12
-        ScalarField(grid, W)
+        ScalarField(grid, full_w)
 
 
 def _advective_reference(grid, params, U, W, f_hat, g_hat):

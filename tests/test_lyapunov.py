@@ -14,6 +14,7 @@ from micropolar.dynamics import Forcing, Params, State, make_forcing, random_sta
 from micropolar.estimates import compute_constants
 from micropolar.lyapunov import (
     _mgs,
+    _padded_phys,
     kaplan_yorke_dimension,
     lieb_thirring_check,
     lyapunov_spectrum,
@@ -25,6 +26,7 @@ from micropolar.spectral import (
     ScalarField,
     VectorField,
     inner,
+    make_grid,
     norm,
     rot_scalar,
 )
@@ -161,6 +163,38 @@ class TestLiebThirring:
         a = lieb_thirring_check(pairs(V, Z))
         b = lieb_thirring_check(pairs(Vr, Zr))
         assert a["ratio"] == pytest.approx(b["ratio"], rel=1e-10)
+
+    @staticmethod
+    def _complex_padded_phys(coeffs, n):
+        """Reference quadrature: zero padding into a complex (2n)^2 spectrum,
+        real part of the complex inverse transform."""
+        m = 2 * n
+        kmap = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+        fine = np.zeros(coeffs.shape[:-2] + (m, m), dtype=np.complex128)
+        fine[..., kmap[:, None], kmap[None, :]] = coeffs
+        return (np.fft.ifft2(fine, axes=(-2, -1)) * (m * m)).real
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_padded_quadrature_with_nyquist_content(self, n):
+        grid = make_grid(n, 2 * np.pi)
+        # kmax = n fills every mode, the Nyquist row and column included
+        V, Z = random_tangent_pairs(grid, 3, seed=13, kmax=n)
+        _mgs(grid, V, Z)
+        h = n // 2
+        assert np.all(np.abs(Z[:, h, :]) > 0) and np.all(np.abs(Z[:, 1:, h]) > 0)
+        assert np.any(V[:, 0, h, :] != 0) and np.any(V[:, 1, :, h] != 0)
+        fine = {}
+        for name, coeffs in (("V", V), ("Z", Z)):
+            fine[name] = self._complex_padded_phys(coeffs, n)
+            scale = np.max(np.abs(fine[name]))
+            assert np.max(np.abs(_padded_phys(coeffs, n, 2) - fine[name])) <= 1e-14 * scale
+
+        rho = np.sum(fine["V"][:, 0] ** 2 + fine["V"][:, 1] ** 2 + fine["Z"] ** 2, axis=0)
+        pairs = [(VectorField.from_coeffs(grid, V[j, 0], V[j, 1]), ScalarField(grid, Z[j]))
+                 for j in range(3)]
+        out = lieb_thirring_check(pairs)
+        assert out["rho_l2"] == pytest.approx(math.sqrt(grid.area * np.mean(rho**2)), rel=1e-14)
+        assert out["rho_integral"] == pytest.approx(grid.area * np.mean(rho), rel=1e-14)
 
     def test_non_orthonormal_rejected(self, grid16):
         V, Z = random_tangent_pairs(grid16, 3, seed=8)

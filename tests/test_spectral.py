@@ -441,7 +441,7 @@ class TestNodal:
 
     @pytest.mark.parametrize("aligned", [True, False])
     def test_batched_helpers_match_per_plane(self, grid32, aligned):
-        from micropolar.spectral import _interpolant_scalar, _sample_scalar
+        from micropolar.spectral import _full_from_half, _interpolant_scalar, _sample_scalar
 
         nodes = make_node_set(grid32, count=64)
         if not aligned:
@@ -449,10 +449,12 @@ class TestNodal:
         assert nodes.aligned == aligned
         u, w = random_fields(grid32, 4)
         stack = np.stack([u.u1.coeffs, u.u2.coeffs, w.coeffs])
-        values = _sample_scalar(stack, nodes)
-        spectra = _interpolant_scalar(values, nodes)
-        single_values = np.stack([_sample_scalar(c, nodes) for c in stack])
-        single_spectra = np.stack([_interpolant_scalar(v, nodes) for v in single_values])
+        half = stack[..., : grid32.n // 2 + 1]
+        values = _sample_scalar(half, nodes)
+        spectra = _full_from_half(grid32, _interpolant_scalar(values, nodes))
+        single_values = np.stack([_sample_scalar(c, nodes) for c in half])
+        single_spectra = np.stack([_full_from_half(grid32, _interpolant_scalar(v, nodes))
+                                   for v in single_values])
         assert values.shape == (3, nodes.count) and spectra.shape == stack.shape
         if aligned:
             assert np.array_equal(values, single_values)
