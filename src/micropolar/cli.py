@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure (NaN or CFL),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -59,38 +60,111 @@ def config_hash(config: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config loading
+# Config schema
 # ---------------------------------------------------------------------------
 
-def _expect(mapping: dict, key: str, types, where: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required field {where}.{key}")
-        return default
-    value = mapping[key]
-    if not isinstance(value, types):
-        raise ConfigError(f"field {where}.{key} has wrong type {type(value).__name__}")
-    return value
+_REQUIRED = object()  # default of a key that the subcommands reading it cannot do without
 
 
-def _section(config: dict, name: str, keys: tuple[str, ...], required: bool = False) -> dict:
-    """A fixed config section; a key outside ``keys`` (a typo) is an error."""
-    section = _expect(config, name, dict, "", default={}, required=required)
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"unknown field {name}.{key}; expected one of {', '.join(keys)}")
-    return section
+def _real(v) -> bool:
+    """An int or a float, not a bool, that is finite as a float."""
+    return type(v) is float and math.isfinite(v) or type(v) is int and abs(v) <= sys.float_info.max
+
+
+_KINDS = {  # kind -> (test, description); JSON gives exact int, float, str and bool types
+    "real": (_real, "a finite number"),
+    "int": (lambda v: type(v) is int, "a whole number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "auto|int": (lambda v: v == "auto" or type(v) is int, '"auto" or a whole number'),
+    "auto|real": (lambda v: v == "auto" or _real(v), '"auto" or a finite number'),
+    "real|null": (lambda v: v is None or _real(v), "a finite number or null"),
+}
+_DOMAINS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+
+# section -> key -> (kind, default, domain).  Every key present is checked
+# when the config loads; a missing _REQUIRED key fails only the subcommands
+# that read it.  Domains the library checks (even n >= 8, Params, profile
+# names, the mode_lo/mode_hi range, square node counts, constants) are left
+# to it.  `experiment` holds the keys of every subcommand.
+_SCHEMA = {
+    "grid": {"n": ("int", _REQUIRED, None), "L": ("real", 2.0 * math.pi, None)},
+    "params": {"nu": ("real", _REQUIRED, None), "nu_r": ("real", 0.0, None),
+               "alpha": ("real", _REQUIRED, None)},
+    "forcing": {"profile": ("str", "zero", None),
+                "magnitude_f2": ("real", 0.0, None), "magnitude_g2": ("real", 0.0, None),
+                "mode_lo": ("int", 1, None), "mode_hi": ("int", 1, None),
+                "seed": ("int", 0, ">= 0")},
+    "initial": {"checkpoint": ("str", None, None), "zero": ("bool", False, None),
+                "seed": ("int", 0, ">= 0"), "energy_u": ("real", 0.1, ">= 0"),
+                "energy_omega": ("real", 0.05, ">= 0"), "kmax": ("int", 4, ">= 1")},
+    "integrator": {"dt": ("real", _REQUIRED, "> 0"), "t_end": ("real", _REQUIRED, ">= 0"),
+                   "stride": ("int", 10, ">= 1")},
+    "constants": {name: ("real|null", None, None) for name in ("c1", "C", "C0", "c", "d", "r")},
+    "experiment": {
+        "spinup": ("real", 0.0, ">= 0"),                 # sync-*, lyapunov
+        "perturb_seed": ("int", 99, ">= 0"),             # sync-*
+        "perturb_energy_u": ("real", 0.05, ">= 0"),      # sync-*
+        "perturb_energy_omega": ("real", 0.02, ">= 0"),  # sync-*
+        "m": ("auto|int", "auto", ">= 0"),               # sync-modes
+        "num_nodes": ("int", _REQUIRED, ">= 1"),         # sync-nodes
+        "mu": ("auto|real", "auto", "> 0"),              # sync-nodes
+        "count": ("int", 4, ">= 1"),                     # lyapunov
+        "reorth_interval": ("int", 10, ">= 1"),          # lyapunov
+        "seed": ("int", 0, ">= 0"),                      # lyapunov
+        "F_tilde": ("real", None, ">= 0"),               # bounds
+        "F_tilde_minus1": ("real", None, ">= 0"),        # bounds
+    },
+}
+
+
+def _check(config: dict) -> None:
+    """Check every key present against _SCHEMA; the first bad one is a ConfigError."""
+    for section, entries in config.items():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown field {section}; expected one of {', '.join(_SCHEMA)}")
+        if not isinstance(entries, dict):
+            raise ConfigError(f"field {section} must be an object, got {entries!r}")
+        for key, value in entries.items():
+            where = f"{section}.{key}"
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown field {where}; "
+                                  f"expected one of {', '.join(_SCHEMA[section])}")
+            kind, _, domain = _SCHEMA[section][key]
+            accepts, wanted = _KINDS[kind]
+            if not accepts(value):
+                raise ConfigError(f"field {where} must be {wanted}, got {value!r}")
+            if domain and isinstance(value, (int, float)) and not _DOMAINS[domain](value):
+                raise ConfigError(f"field {where} must be {domain}, got {value!r}")
+
+
+def _get(config: dict, where: str):
+    """Value at ``where`` ("section.key") in a checked config or its default; reals as floats."""
+    section, key = where.split(".")
+    kind, default, _ = _SCHEMA[section][key]
+    value = config.get(section, {}).get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"missing required field {where}")
+    return float(value) if "real" in kind and type(value) is int else value
+
+
+@contextlib.contextmanager
+def _config_errors(where: str = ""):
+    """Report a ValueError the library raises in the block as a config error."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{where}{err}") from err
 
 
 def _steps(span: float, step: float, where: str) -> int:
     """Whole number of steps in a configured span; anything else is a config error."""
-    try:
+    with _config_errors(f"{where}: "):
         return _whole_steps(span, step)
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
 
 
 def load_config(path: str) -> dict:
+    """The config as written, after every key in it passed _check."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -100,56 +174,29 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    _check(config)
     return config
 
 
 def build_grid(config: dict) -> Grid:
-    gcfg = _section(config, "grid", ("n", "L"), required=True)
-    n = _expect(gcfg, "n", int, "grid", required=True)
-    L = _expect(gcfg, "L", (int, float), "grid", default=2.0 * math.pi)
-    try:
-        return make_grid(n, float(L))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    with _config_errors():
+        return make_grid(_get(config, "grid.n"), _get(config, "grid.L"))
 
 
 def build_params(config: dict) -> Params:
-    pcfg = _section(config, "params", ("nu", "nu_r", "alpha"), required=True)
-    try:
-        return Params(
-            nu=float(_expect(pcfg, "nu", (int, float), "params", required=True)),
-            nu_r=float(_expect(pcfg, "nu_r", (int, float), "params", default=0.0)),
-            alpha=float(_expect(pcfg, "alpha", (int, float), "params", required=True)),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    with _config_errors():
+        return Params(**{key: _get(config, f"params.{key}") for key in _SCHEMA["params"]})
 
 
 def build_forcing(config: dict, grid: Grid) -> Forcing:
-    fcfg = _section(config, "forcing", ("profile", "magnitude_f2", "magnitude_g2",
-                                        "mode_lo", "mode_hi", "seed"))
-    profile = _expect(fcfg, "profile", str, "forcing", default="zero")
-    if profile == "zero":
-        return Forcing.zero(grid)
-    try:
-        return make_forcing(
-            grid, profile,
-            magnitude_f2=float(_expect(fcfg, "magnitude_f2", (int, float), "forcing", default=0.0)),
-            magnitude_g2=float(_expect(fcfg, "magnitude_g2", (int, float), "forcing", default=0.0)),
-            mode_lo=_expect(fcfg, "mode_lo", int, "forcing", default=1),
-            mode_hi=_expect(fcfg, "mode_hi", int, "forcing", default=1),
-            seed=_expect(fcfg, "seed", int, "forcing", default=0),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    with _config_errors():  # profile "zero" gives the zero forcing whatever the other keys
+        return make_forcing(grid, **{key: _get(config, f"forcing.{key}")
+                                     for key in _SCHEMA["forcing"]})
 
 
 def build_initial(config: dict, grid: Grid) -> State:
-    icfg = _section(config, "initial", ("checkpoint", "zero", "seed", "energy_u",
-                                        "energy_omega", "kmax"))
-    if "checkpoint" in icfg:
-        # a path string only: open() would take an integer as a file descriptor
-        path = _expect(icfg, "checkpoint", str, "initial")
+    path = _get(config, "initial.checkpoint")
+    if path is not None:
         try:
             state, _ = read_checkpoint(path)
         except (OSError, ValueError) as err:
@@ -157,42 +204,29 @@ def build_initial(config: dict, grid: Grid) -> State:
         if state.grid != grid:
             raise ConfigError("checkpoint grid does not match the configured grid")
         return state
-    if _expect(icfg, "zero", bool, "initial", default=False):
+    if _get(config, "initial.zero"):
         return State.zero(grid)
-    return random_state(
-        grid,
-        seed=_expect(icfg, "seed", int, "initial", default=0),
-        energy_u=float(_expect(icfg, "energy_u", (int, float), "initial", default=0.1)),
-        energy_omega=float(_expect(icfg, "energy_omega", (int, float), "initial", default=0.05)),
-        kmax=_expect(icfg, "kmax", int, "initial", default=4),
-    )
+    return random_state(grid, **{key: _get(config, f"initial.{key}")
+                                 for key in ("seed", "energy_u", "energy_omega", "kmax")})
 
 
 def build_constants(config: dict, params: Params, grid: Grid):
-    names = ("c1", "C", "C0", "c", "d", "r")
-    ccfg = _section(config, "constants", names)
-    kwargs = {}
-    for name in names:
-        if name in ccfg and ccfg[name] is not None:
-            value = ccfg[name]
-            if not isinstance(value, (int, float)):
-                raise ConfigError(f"constants.{name} must be numeric")
-            kwargs[name] = float(value)
-    try:
-        return compute_constants(params, grid, **kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    overrides = {key: _get(config, f"constants.{key}") for key in _SCHEMA["constants"]}
+    with _config_errors():
+        return compute_constants(params, grid, **{key: value for key, value in overrides.items()
+                                                  if value is not None})
 
 
 def build_integrator(config: dict) -> dict:
-    icfg = _section(config, "integrator", ("dt", "t_end", "stride"), required=True)
-    dt = float(_expect(icfg, "dt", (int, float), "integrator", required=True))
-    t_end = float(_expect(icfg, "t_end", (int, float), "integrator", required=True))
-    stride = _expect(icfg, "stride", int, "integrator", default=10)
-    if dt <= 0 or t_end < 0 or stride < 1:
-        raise ConfigError("integrator needs dt > 0, t_end >= 0, stride >= 1")
-    _steps(t_end, dt, "integrator.t_end")
-    return {"dt": dt, "t_end": t_end, "stride": stride}
+    integ = {key: _get(config, f"integrator.{key}") for key in _SCHEMA["integrator"]}
+    _steps(integ["t_end"], integ["dt"], "integrator.t_end")
+    return integ
+
+
+def _setup(config: dict):
+    grid = build_grid(config)
+    return (grid, build_params(config), build_forcing(config, grid),
+            build_initial(config, grid), build_integrator(config))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +277,7 @@ def _summary(chash: str, **fields) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: dict, out: Path, strict: bool) -> int:
-    grid = build_grid(config)
-    params = build_params(config)
-    forcing = build_forcing(config, grid)
-    initial = build_initial(config, grid)
-    integ = build_integrator(config)
+    _, params, forcing, initial, integ = _setup(config)
     chash = config_hash(config)
 
     result = simulate(initial, params, forcing, integ["t_end"], integ["dt"],
@@ -266,11 +296,7 @@ def cmd_simulate(config: dict, out: Path, strict: bool) -> int:
 
 
 def cmd_verify_estimates(config: dict, out: Path, strict: bool) -> int:
-    grid = build_grid(config)
-    params = build_params(config)
-    forcing = build_forcing(config, grid)
-    initial = build_initial(config, grid)
-    integ = build_integrator(config)
+    grid, params, forcing, initial, integ = _setup(config)
     constants = build_constants(config, params, grid)
     chash = config_hash(config)
 
@@ -279,7 +305,8 @@ def cmd_verify_estimates(config: dict, out: Path, strict: bool) -> int:
     strength = force_strength(forcing, grid, window=result.times)
 
     reports = [estimates.verify_energy_inequality(result, constants)]
-    reports.extend(estimates.verify_time_averages(result, constants, strength))
+    with _config_errors("integrator.t_end / integrator.stride: "):
+        reports.extend(estimates.verify_time_averages(result, constants, strength))
     reports.append(estimates.verify_h1_bound(result, constants, strength))
     ball = estimates.verify_absorbing_ball(result, constants, strength)
 
@@ -306,11 +333,10 @@ def cmd_bounds(config: dict, out: Path, strict: bool) -> int:
     constants = build_constants(config, params, grid)
     chash = config_hash(config)
 
-    ecfg = _expect(config, "experiment", dict, "", default={})
-    if "F_tilde" in ecfg:
-        F = float(ecfg["F_tilde"])
-        Fm1 = float(ecfg.get("F_tilde_minus1", F / math.sqrt(grid.lambda1)))
-        strength = estimates.ForceStrength(F, Fm1)
+    F = _get(config, "experiment.F_tilde")
+    if F is not None:
+        Fm1 = _get(config, "experiment.F_tilde_minus1")
+        strength = estimates.ForceStrength(F, F / math.sqrt(grid.lambda1) if Fm1 is None else Fm1)
         f_l2 = strength.F_tilde
         g_l2 = 0.0
     else:
@@ -350,44 +376,32 @@ def cmd_bounds(config: dict, out: Path, strict: bool) -> int:
 
 
 def _twin_setup(config: dict):
-    grid = build_grid(config)
-    params = build_params(config)
-    forcing = build_forcing(config, grid)
-    integ = build_integrator(config)
-    ecfg = _expect(config, "experiment", dict, "", default={})
-    spinup = float(_expect(ecfg, "spinup", (int, float), "experiment", default=0.0))
+    grid, params, forcing, reference, integ = _setup(config)
+    spinup = _get(config, "experiment.spinup")
     _steps(spinup, integ["dt"], "experiment.spinup")
-
-    reference = build_initial(config, grid)
     if spinup > 0:
         reference = simulate(reference, params, forcing, spinup, integ["dt"],
                              stride=10**9).final_state
-    perturb_seed = _expect(ecfg, "perturb_seed", int, "experiment", default=99)
-    pert = random_state(grid, perturb_seed,
-                        energy_u=float(_expect(ecfg, "perturb_energy_u", (int, float),
-                                               "experiment", default=0.05)),
-                        energy_omega=float(_expect(ecfg, "perturb_energy_omega", (int, float),
-                                                   "experiment", default=0.02)))
-    perturbed = State(pert.u, pert.omega, reference.t)
-    cfg = assimilation.SyncConfig(
-        params=params, reference=reference, perturbed=perturbed,
-        forcing1=forcing, forcing2=forcing,
-        t_end=integ["t_end"], dt=integ["dt"], stride=integ["stride"],
-    )
-    return grid, params, forcing, cfg, ecfg
+    perturbed = random_state(grid, _get(config, "experiment.perturb_seed"),
+                             energy_u=_get(config, "experiment.perturb_energy_u"),
+                             energy_omega=_get(config, "experiment.perturb_energy_omega"),
+                             t=reference.t)
+    with _config_errors():  # a twin run needs t_end > 0
+        cfg = assimilation.SyncConfig(params=params, reference=reference, perturbed=perturbed,
+                                      forcing1=forcing, forcing2=forcing, t_end=integ["t_end"],
+                                      dt=integ["dt"], stride=integ["stride"])
+    return grid, params, forcing, cfg
 
 
 def cmd_sync_modes(config: dict, out: Path, strict: bool) -> int:
-    grid, params, forcing, cfg, ecfg = _twin_setup(config)
+    grid, params, forcing, cfg = _twin_setup(config)
     chash = config_hash(config)
-    m = ecfg.get("m", "auto")
+    m = _get(config, "experiment.m")
     if m == "auto":
         constants = build_constants(config, params, grid)
         strength = force_strength(forcing, grid)
         m = estimates.modes_bound(constants, strength.F_tilde_minus1,
                                   "exact_eigenvalues", grid)
-    elif not isinstance(m, int) or m < 0:
-        raise ConfigError("experiment.m must be a nonnegative integer or 'auto'")
 
     report = assimilation.run_mode_sync(cfg, m)
     write_csv(out / "sync_modes.csv", ["t", "delta_P", "delta_Q"],
@@ -401,26 +415,21 @@ def cmd_sync_modes(config: dict, out: Path, strict: bool) -> int:
 
 
 def cmd_sync_nodes(config: dict, out: Path, strict: bool) -> int:
-    grid, params, forcing, cfg, ecfg = _twin_setup(config)
+    grid, params, forcing, cfg = _twin_setup(config)
     chash = config_hash(config)
-    num_nodes = _expect(ecfg, "num_nodes", int, "experiment", required=True)
-    try:
-        nodes = make_node_set(grid, count=num_nodes)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    mu = ecfg.get("mu", "auto")
+    with _config_errors():
+        nodes = make_node_set(grid, count=_get(config, "experiment.num_nodes"))
+    mu = _get(config, "experiment.mu")
     if mu == "auto":
         constants = build_constants(config, params, grid)
         mu = assimilation.default_nudging_gain(constants, nodes.count)
-    elif not isinstance(mu, (int, float)) or mu <= 0:
-        raise ConfigError("experiment.mu must be a positive number or 'auto'")
 
-    report = assimilation.run_node_sync(cfg, nodes, float(mu))
+    report = assimilation.run_node_sync(cfg, nodes, mu)
     write_csv(out / "sync_nodes.csv", ["t", "eta_u", "eta_omega", "h1_diff"],
               [report.times, report.series["eta_u"], report.series["eta_omega"],
                report.series["h1_diff"]], chash)
     write_json(out / "summary.json", _summary(
-        chash, kind="nodes", num_nodes=nodes.count, mu=float(mu),
+        chash, kind="nodes", num_nodes=nodes.count, mu=mu,
         converged=report.converged, diverged=report.diverged, rate=report.rate,
         threshold_time=report.threshold_time, min_relative=report.min_relative(),
     ))
@@ -428,22 +437,11 @@ def cmd_sync_nodes(config: dict, out: Path, strict: bool) -> int:
 
 
 def cmd_lyapunov(config: dict, out: Path, strict: bool) -> int:
-    grid = build_grid(config)
-    params = build_params(config)
-    forcing = build_forcing(config, grid)
-    initial = build_initial(config, grid)
-    integ = build_integrator(config)
+    grid, params, forcing, initial, integ = _setup(config)
     constants = build_constants(config, params, grid)
     chash = config_hash(config)
-    ecfg = _expect(config, "experiment", dict, "", default={})
-    count = _expect(ecfg, "count", int, "experiment", default=4)
-    reorth = _expect(ecfg, "reorth_interval", int, "experiment", default=10)
-    seed = _expect(ecfg, "seed", int, "experiment", default=0)
-    spinup = float(_expect(ecfg, "spinup", (int, float), "experiment", default=0.0))
-    if count < 1:
-        raise ConfigError("experiment.count must be >= 1")
-    if reorth < 1:
-        raise ConfigError("experiment.reorth_interval must be >= 1")
+    count, reorth, seed, spinup = (_get(config, f"experiment.{key}")
+                                   for key in ("count", "reorth_interval", "seed", "spinup"))
     _steps(spinup, integ["dt"], "experiment.spinup")
     _steps(integ["t_end"], integ["dt"] * reorth,
            "integrator.t_end (in blocks of dt x experiment.reorth_interval)")
@@ -451,10 +449,11 @@ def cmd_lyapunov(config: dict, out: Path, strict: bool) -> int:
     if spinup > 0:
         initial = simulate(initial, params, forcing, spinup, integ["dt"],
                            stride=10**9).final_state
-    report = lyapunov.lyapunov_spectrum(initial, params, forcing, count,
-                                        integ["t_end"], integ["dt"],
-                                        reorth_interval=reorth, seed=seed,
-                                        constants=constants)
+    with _config_errors():  # the tangent count is bounded by the grid's mode budget
+        report = lyapunov.lyapunov_spectrum(initial, params, forcing, count,
+                                            integ["t_end"], integ["dt"],
+                                            reorth_interval=reorth, seed=seed,
+                                            constants=constants)
     write_csv(out / "qn_series.csv", ["t", "trace", "running_average"],
               [report.trace.times, report.trace.trace, report.trace.running_average], chash)
     write_json(out / "lyapunov.json", _summary(

@@ -84,12 +84,12 @@ class Params:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.nu_r < 0:
-            raise ValueError(f"nu_r must be nonnegative, got {self.nu_r}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.nu_r < math.inf:
+            raise ValueError(f"nu_r must be nonnegative and finite, got {self.nu_r}")
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,9 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
         return Forcing.zero(grid)
     if profile not in FORCING_PROFILES:
         raise ValueError(f"unknown forcing profile {profile!r}; expected one of {FORCING_PROFILES}")
-    if magnitude_f2 < 0 or magnitude_g2 < 0:
-        raise ValueError("forcing magnitudes must be nonnegative")
+    if not (0 <= magnitude_f2 < math.inf and 0 <= magnitude_g2 < math.inf):
+        raise ValueError(f"forcing magnitudes must be nonnegative and finite, "
+                         f"got ({magnitude_f2}, {magnitude_g2})")
     if not 1 <= mode_lo <= mode_hi <= grid.num_modes:
         raise ValueError(f"need 1 <= mode_lo <= mode_hi <= {grid.num_modes}, "
                          f"got ({mode_lo}, {mode_hi})")

@@ -70,11 +70,13 @@ class Constants:
     r: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.nu <= 0 or self.alpha <= 0 or self.nu_r < 0:
-            raise ValueError("need nu > 0, alpha > 0, nu_r >= 0")
+        if not (0 < self.nu < math.inf and 0 < self.alpha < math.inf
+                and 0 <= self.nu_r < math.inf):
+            raise ValueError("need finite nu > 0, alpha > 0, nu_r >= 0")
         for name in ("lambda1", "c1", "C", "C0", "c", "d", "r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"constant {name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def k1(self) -> float:

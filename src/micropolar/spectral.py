@@ -96,8 +96,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got n={self.n}")
-        if not self.L > 0:
-            raise ValueError(f"period length must be positive, got L={self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"period length must be positive and finite, got L={self.L}")
 
         n = self.n
         kax = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
@@ -187,11 +187,6 @@ class Grid:
         """Number of enumerated nonzero modes (n^2 - 1)."""
         return len(self.eigenvalues)
 
-    @property
-    def wavenumber_table(self) -> np.ndarray:
-        """Integer wavevectors of every grid slot, shape (n^2, 2), FFT layout order."""
-        return np.stack([self.k1.ravel(), self.k2.ravel()], axis=1)
-
     def deriv_factor(self, axis: int) -> np.ndarray:
         """Spectral derivative multiplier i*(2*pi/L)*k_axis (Nyquist lines zeroed)."""
         k = self.k1_deriv if axis == 0 else self.k2_deriv
@@ -199,7 +194,7 @@ class Grid:
 
 
 def make_grid(n: int, L: float) -> Grid:
-    """Build a grid, rejecting odd or undersized n and nonpositive L."""
+    """Build a grid, rejecting odd or undersized n and nonpositive or infinite L."""
     return Grid(int(n), float(L))
 
 
@@ -258,10 +253,6 @@ class ScalarField:
         c[(-k[0]) % grid.n, (-k[1]) % grid.n] = np.conj(coeff)
         return cls(grid, c)
 
-    @property
-    def is_dealiased(self) -> bool:
-        return bool(np.all(self.coeffs[~self.grid.dealias_mask] == 0))
-
     def dealiased(self) -> "ScalarField":
         return ScalarField(self.grid, self.coeffs * self.grid.dealias_mask)
 
@@ -318,10 +309,6 @@ class VectorField:
 
     def is_divergence_free(self, tol: float = 1e-12) -> bool:
         return self.max_divergence() <= tol
-
-    @property
-    def is_dealiased(self) -> bool:
-        return self.u1.is_dealiased and self.u2.is_dealiased
 
     def dealiased(self) -> "VectorField":
         return VectorField(self.u1.dealiased(), self.u2.dealiased())

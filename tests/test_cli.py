@@ -3,9 +3,16 @@ CLI contract tests: subcommand outputs, config-hash embedding, exit codes
 and byte-level determinism on a desk-scale configuration.
 """
 
+import copy
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micropolar import cli
 from micropolar.cli import EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_VIOLATION, main
@@ -198,6 +205,52 @@ class TestExitCodes:
         assert run("verify-estimates", cfg, tmp_path / "out") == EXIT_CONFIG
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd,section,key,value", [
+        pytest.param("simulate", "initial", "energy_u", math.nan, id="initial-energy_u-nan"),
+        pytest.param("simulate", "initial", "energy_u", -1, id="initial-energy_u-negative"),
+        pytest.param("simulate", "initial", "kmax", 0, id="initial-kmax-zero"),
+        pytest.param("simulate", "initial", "seed", True, id="initial-seed-bool"),
+        pytest.param("simulate", "initial", "seed", -1, id="initial-seed-negative"),
+        pytest.param("simulate", "grid", "L", math.inf, id="grid-L-inf"),
+        pytest.param("simulate", "params", "nu_r", math.nan, id="params-nu_r-nan"),
+        pytest.param("simulate", "forcing", "magnitude_f2", math.inf,
+                     id="forcing-magnitude_f2-inf"),
+        pytest.param("sync-nodes", "experiment", "mu", math.nan, id="experiment-mu-nan"),
+        pytest.param("sync-modes", "experiment", "m", True, id="experiment-m-bool"),
+        pytest.param("lyapunov", "experiment", "count", True, id="experiment-count-bool"),
+        pytest.param("lyapunov", "experiment", "seed", -1, id="experiment-seed-negative"),
+        pytest.param("sync-modes", "experiment", "perturb_seed", -1,
+                     id="experiment-perturb_seed-negative"),
+        pytest.param("bounds", "experiment", "F_tilde", "abc", id="experiment-F_tilde-str"),
+        pytest.param("bounds", "experiment", "F_tilde", math.inf, id="experiment-F_tilde-inf"),
+        pytest.param("bounds", "experiment", "F_tilde", -1, id="experiment-F_tilde-negative"),
+        pytest.param("verify-estimates", "constants", "C", math.nan, id="constants-C-nan"),
+        pytest.param("simulate", "experiment", "perturb_sed", 7, id="experiment-typo"),
+    ])
+    def test_bad_value_named(self, small_config, tmp_path, capsys, cmd, section, key, value):
+        cfg = self._variant(small_config, tmp_path, **{section: {key: value}})
+        assert run(cmd, cfg, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected when the config loads
+
+    def test_unknown_section_rejected(self, small_config, tmp_path, capsys):
+        # read as a typo, not as the constants section: C would silently stay 1
+        cfg = self._variant(small_config, tmp_path, constant={"C": 50})
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert re.search(r"field constant\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("cmd,section,key,value", [
+        # a run too short for the post-transient averaging window
+        pytest.param("verify-estimates", "integrator", "stride", 100, id="verify-window"),
+        pytest.param("sync-modes", "integrator", "t_end", 0, id="sync-zero-span"),
+        pytest.param("lyapunov", "experiment", "count", 256, id="lyapunov-mode-budget"),
+    ])
+    def test_library_domain_exit(self, small_config, tmp_path, capsys, cmd, section, key, value):
+        cfg = self._variant(small_config, tmp_path, **{section: {key: value}})
+        assert run(cmd, cfg, tmp_path / "out") == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_experiment_keys_lenient(self, small_config, tmp_path):
         # one experiment block serves several subcommands, each reading its own keys
         cfg = self._variant(small_config, tmp_path, experiment={"mu": "auto", "reorth_interval": 5})
@@ -226,3 +279,65 @@ class TestExitCodes:
         monkeypatch.setattr(cli.estimates, "verify_energy_inequality", fake_energy_check)
         assert run("verify-estimates", small_config, tmp_path, "--strict") == EXIT_VIOLATION
         assert run("verify-estimates", small_config, tmp_path) == EXIT_OK
+
+
+# A valid config on which every subcommand runs in a few dozen steps at n=16.
+_BASE = {
+    "grid": {"n": 16, "L": 6.283185307179586},
+    "params": {"nu": 0.3, "nu_r": 0.1, "alpha": 0.3},
+    "forcing": {"profile": "steady", "magnitude_f2": 0.01, "magnitude_g2": 0.002,
+                "mode_hi": 5, "seed": 3},
+    "initial": {"seed": 11, "energy_u": 0.1, "energy_omega": 0.05, "kmax": 4},
+    "integrator": {"dt": 0.01, "t_end": 0.16, "stride": 1},
+    "constants": {"C": 1.0},
+    "experiment": {"count": 2, "m": 4, "num_nodes": 16, "mu": "auto", "spinup": 0.02,
+                   "perturb_seed": 7, "reorth_interval": 2, "seed": 0},
+}
+_PLACES = ([(section, key) for section, keys in _BASE.items() for key in keys]
+           + [(section, None) for section in _BASE]
+           + [("initial", "zero"), ("initial", "checkpoint"), ("constants", "d"),
+              ("experiment", "F_tilde"), ("experiment", "F_tilde_minus1")])
+_VALUES = [None, True, False, 0, 1, -1, 2.5, -0.5, math.nan, math.inf, -math.inf,
+           "abc", "auto", [], {}]
+
+
+def _mutated(mutations):
+    """_BASE after each (action, (section, key), value): drop, set, or typo (a
+    misspelt key, or a misspelt section when key is None)."""
+    config = copy.deepcopy(_BASE)
+    for action, (section, key), value in mutations:
+        value = copy.deepcopy(value)
+        if key is None:
+            if action == "drop":
+                config.pop(section, None)
+            elif action == "set":
+                config[section] = value
+            else:
+                config[section[:-1]] = {}
+            continue
+        block = config.get(section)
+        if not isinstance(block, dict):
+            block = config[section] = {}
+        if action == "drop":
+            block.pop(key, None)
+        else:
+            block[key if action == "set" else (key[:-1] or key + key)] = value
+    return config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    cmd=st.sampled_from(["bounds"] * 5 + ["simulate", "verify-estimates", "sync-modes",
+                                          "sync-nodes", "lyapunov"]),
+    mutations=st.lists(st.tuples(st.sampled_from(["drop", "set", "typo"]),
+                                 st.sampled_from(_PLACES), st.sampled_from(_VALUES)),
+                       min_size=1, max_size=3),
+)
+def test_mutated_config_exits_cleanly(cmd, mutations):
+    """Dropped keys, wrong types, bools, NaN, +-Infinity, negative seeds and
+    typo keys end in an exit code, never in an exception out of main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(_mutated(mutations)))
+        assert main([cmd, "--config", str(path), "--out", str(Path(tmp) / "out")]) in {
+            EXIT_OK, EXIT_CONFIG, EXIT_NUMERICS, EXIT_VIOLATION}

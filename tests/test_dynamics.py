@@ -36,6 +36,13 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(nu=nu, nu_r=nu_r, alpha=alpha)
 
+    @pytest.mark.parametrize("nu,nu_r,alpha", [(float("nan"), 0.0, 1.0), (1.0, float("nan"), 1.0),
+                                               (1.0, float("inf"), 1.0), (1.0, 0.0, float("inf"))])
+    def test_nonfinite_params(self, nu, nu_r, alpha):
+        # nan < 0 is False, so a sign test alone lets NaN through
+        with pytest.raises(ValueError, match="finite"):
+            Params(nu=nu, nu_r=nu_r, alpha=alpha)
+
 
 class TestRhs:
     def test_zero_state_zero_forcing(self, grid16):
@@ -276,6 +283,12 @@ class TestForcingProfiles:
             make_forcing(grid16, "uniform_N", 1.0, mode_hi=10**6)
         with pytest.raises(ValueError):
             make_forcing(grid16, "uniform_N", -1.0, mode_hi=3)
+
+    @pytest.mark.parametrize("f2,g2", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                       (0.1, float("nan")), (0.1, float("inf"))])
+    def test_nonfinite_magnitudes_rejected(self, grid16, f2, g2):
+        with pytest.raises(ValueError, match="finite"):
+            make_forcing(grid16, "uniform_N", f2, g2, mode_hi=3)
 
     def test_support_outside_band_rejected(self, grid16):
         # entries near the table end exceed |k| = n//3

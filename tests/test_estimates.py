@@ -64,6 +64,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             compute_constants(Params(1.0, 0.0, 1.0), grid16, c1=0.0)
 
+    @pytest.mark.parametrize("name", ["c1", "C", "C0", "c", "d", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_override_rejected(self, grid16, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            compute_constants(Params(1.0, 0.0, 1.0), grid16, **{name: value})
+
     def test_empirical_growth_constant(self, grid16):
         d = empirical_eigenvalue_growth(grid16)
         lam = grid16.eigenvalues

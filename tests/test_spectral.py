@@ -85,6 +85,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(n, L)
 
+    @pytest.mark.parametrize("L", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_period(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(8, L)
+
 
 class TestTransforms:
     def test_zero_field(self, grid8):
