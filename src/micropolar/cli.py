@@ -189,7 +189,7 @@ def build_params(config: dict) -> Params:
 
 
 def build_forcing(config: dict, grid: Grid) -> Forcing:
-    with _config_errors():  # profile "zero" gives the zero forcing whatever the other keys
+    with _config_errors():
         return make_forcing(grid, **{key: _get(config, f"forcing.{key}")
                                      for key in _SCHEMA["forcing"]})
 
@@ -333,9 +333,11 @@ def cmd_bounds(config: dict, out: Path, strict: bool) -> int:
     constants = build_constants(config, params, grid)
     chash = config_hash(config)
 
-    F = _get(config, "experiment.F_tilde")
+    F, Fm1 = _get(config, "experiment.F_tilde"), _get(config, "experiment.F_tilde_minus1")
+    if F is None and Fm1 is not None:
+        raise ConfigError("field experiment.F_tilde_minus1 needs experiment.F_tilde; "
+                          "without it both strengths come from the forcing")
     if F is not None:
-        Fm1 = _get(config, "experiment.F_tilde_minus1")
         strength = estimates.ForceStrength(F, F / math.sqrt(grid.lambda1) if Fm1 is None else Fm1)
         f_l2 = strength.F_tilde
         g_l2 = 0.0

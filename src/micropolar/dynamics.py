@@ -246,18 +246,20 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
     enumeration (the pair (n, N) of the two-scale and band profiles; only
     ``mode_hi`` = N is used by uniform/linear profiles).  Signs of the mode
     amplitudes are drawn from a seeded generator; per-mode magnitudes are
-    reproduced exactly.
+    reproduced exactly.  Profile ``"zero"``, or two zero magnitudes, gives
+    the zero forcing once the arguments have passed the same checks.
     """
-    if profile == "zero" or (magnitude_f2 == 0 and magnitude_g2 == 0):
-        return Forcing.zero(grid)
-    if profile not in FORCING_PROFILES:
-        raise ValueError(f"unknown forcing profile {profile!r}; expected one of {FORCING_PROFILES}")
+    if profile != "zero" and profile not in FORCING_PROFILES:
+        raise ValueError(f"unknown forcing profile {profile!r}; "
+                         f"expected 'zero' or one of {FORCING_PROFILES}")
     if not (0 <= magnitude_f2 < math.inf and 0 <= magnitude_g2 < math.inf):
         raise ValueError(f"forcing magnitudes must be nonnegative and finite, "
                          f"got ({magnitude_f2}, {magnitude_g2})")
     if not 1 <= mode_lo <= mode_hi <= grid.num_modes:
         raise ValueError(f"need 1 <= mode_lo <= mode_hi <= {grid.num_modes}, "
                          f"got ({mode_lo}, {mode_hi})")
+    if profile == "zero" or (magnitude_f2 == 0 and magnitude_g2 == 0):
+        return Forcing.zero(grid)
     kmax = int(np.max(np.abs(grid.table_wavevectors[:mode_hi])))
     if kmax > grid.kcut:
         raise ValueError(f"forcing support reaches |k|={kmax} beyond the dealiased band "
@@ -317,8 +319,12 @@ def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: flo
                  kmax: int = 4, t: float = 0.0) -> State:
     """
     Seeded random divergence-free initial state band-limited to |k| <= kmax,
-    scaled so |u|^2 = energy_u and |omega|^2 = energy_omega.
+    scaled so |u|^2 = energy_u and |omega|^2 = energy_omega (zero gives a
+    zero field; a negative or non-finite energy is a ValueError).
     """
+    if not (0 <= energy_u < math.inf and 0 <= energy_omega < math.inf):
+        raise ValueError(f"initial energies must be nonnegative and finite, "
+                         f"got ({energy_u}, {energy_omega})")
     rng = np.random.default_rng(seed)
     s1, s2, w = _random_scalars(grid, rng, kmax, 3)
     c1, c2 = _leray_arrays(grid, s1, s2)

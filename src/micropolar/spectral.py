@@ -337,16 +337,6 @@ def _same_grid(*fields) -> Grid:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _to_phys_array(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.shape[-1]
-    return np.fft.ifft2(coeffs, axes=(-2, -1)) * (n * n)
-
-
-def _to_spec_array(samples: np.ndarray) -> np.ndarray:
-    n = samples.shape[-1]
-    return np.fft.fft2(samples, axes=(-2, -1)) / (n * n)
-
-
 def _half_to_phys(half: np.ndarray) -> np.ndarray:
     """Real samples from half-plane spectra (last two axes (n, n//2 + 1))."""
     return np.fft.irfft2(half, axes=(-2, -1), norm="forward")
@@ -368,18 +358,8 @@ def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
 
 
 def transform_to_physical(field: ScalarField) -> np.ndarray:
-    """
-    Evaluate the field on the n x n collocation lattice x_ab = (a, b) L / n.
-
-    Raises ``FieldError`` if the imaginary residue of the inverse
-    transform exceeds 1e-12 relative to the field amplitude.
-    """
-    z = _to_phys_array(field.coeffs)
-    scale = np.max(np.abs(z.real))
-    residue = np.max(np.abs(z.imag))
-    if residue > 1e-12 * max(scale, 1e-300):
-        raise FieldError(f"imaginary residue {residue:.3e} exceeds tolerance (scale {scale:.3e})")
-    return np.ascontiguousarray(z.real)
+    """Evaluate the field on the n x n collocation lattice x_ab = (a, b) L / n."""
+    return _half_to_phys(field.coeffs[:, : field.grid.n // 2 + 1])
 
 
 def transform_to_spectral(samples: np.ndarray, grid: Grid) -> ScalarField:
@@ -387,7 +367,7 @@ def transform_to_spectral(samples: np.ndarray, grid: Grid) -> ScalarField:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.shape != (grid.n, grid.n):
         raise FieldError(f"sample array must have shape ({grid.n}, {grid.n}), got {arr.shape}")
-    return ScalarField(grid, _to_spec_array(arr))
+    return ScalarField(grid, _full_from_half(grid, _phys_to_half(arr)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,42 +526,33 @@ def inner(f, g) -> float:
 # Trilinear advective forms
 # ---------------------------------------------------------------------------
 
-def _advect_scalar_arrays(grid: Grid, u_phys: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Dealiased spectrum of (u . grad) f for one scalar spectrum c."""
-    d1 = _to_phys_array(grid.deriv_factor(0) * c).real
-    d2 = _to_phys_array(grid.deriv_factor(1) * c).real
-    q = u_phys[0] * d1 + u_phys[1] * d2
-    out = _to_spec_array(q)
-    out *= grid.dealias_mask
-    out[0, 0] = 0.0
-    return out
-
-
 def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
     """
     Advective form b(u, v, w) = sum_ij int u_i d(v_j)/dx_i w_j dx.
 
-    Evaluated pseudo-spectrally with 2/3-rule dealiasing of the quadratic
-    product and exact Parseval quadrature; inputs are truncated to the
-    dealiased band, where the result equals the direct convolution sum.
+    Inputs are truncated to the dealiased band |k_i| <= kcut, where the
+    result equals the direct convolution sum: the cubic integrand then has
+    |k_i| <= 3 kcut < n, so its grid mean is its exact integral.
     """
     grid = _same_grid(u, v, w)
-    mask = grid.dealias_mask
-    u_phys = _to_phys_array(np.stack([u.u1.coeffs * mask, u.u2.coeffs * mask])).real
-    total = 0.0
-    for vc, wc in ((v.u1.coeffs, w.u1.coeffs), (v.u2.coeffs, w.u2.coeffs)):
-        q = _advect_scalar_arrays(grid, u_phys, vc * mask)
-        total += np.sum(q * np.conj(wc * mask)).real
-    return float(grid.area * total)
+    m = grid.n // 2 + 1
+    V = v.stacked()[..., :m]
+    u1, u2, d1v1, d1v2, d2v1, d2v2, w1, w2 = _half_to_phys(np.concatenate(
+        [u.stacked()[..., :m], grid.half_d1 * V, grid.half_d2 * V, w.stacked()[..., :m]])
+        * grid.half_keep)
+    q = (u1 * d1v1 + u2 * d2v1) * w1 + (u1 * d1v2 + u2 * d2v2) * w2
+    return float(grid.area * np.mean(q))
 
 
 def trilinear_b1(u: VectorField, omega: ScalarField, psi: ScalarField) -> float:
-    """Scalar advective form b1(u, w, p) = sum_i int u_i dw/dx_i p dx."""
+    """Scalar advective form b1(u, w, p) = sum_i int u_i dw/dx_i p dx, evaluated as b."""
     grid = _same_grid(u, omega, psi)
-    mask = grid.dealias_mask
-    u_phys = _to_phys_array(np.stack([u.u1.coeffs * mask, u.u2.coeffs * mask])).real
-    q = _advect_scalar_arrays(grid, u_phys, omega.coeffs * mask)
-    return float(grid.area * np.sum(q * np.conj(psi.coeffs * mask)).real)
+    m = grid.n // 2 + 1
+    om = omega.coeffs[:, :m]
+    u1, u2, d1w, d2w, p = _half_to_phys(np.stack(
+        [u.u1.coeffs[:, :m], u.u2.coeffs[:, :m], grid.half_d1 * om, grid.half_d2 * om,
+         psi.coeffs[:, :m]]) * grid.half_keep)
+    return float(grid.area * np.mean((u1 * d1w + u2 * d2w) * p))
 
 
 # ---------------------------------------------------------------------------

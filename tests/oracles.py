@@ -6,6 +6,8 @@ evaluation path: transforms are direct O(n^4) Fourier sums, trilinear
 forms are direct convolution sums over wavevector triples, and
 integrals of band-limited products use plain grid-mean quadrature
 (exact because the integrands stay below the lattice Nyquist band).
+The advective-form reference for the rotational-form kernel runs on
+complex full-plane FFTs, which the library no longer uses.
 """
 
 from __future__ import annotations
@@ -32,6 +34,24 @@ def dft_spectral(grid: Grid, samples: np.ndarray) -> np.ndarray:
     k = np.fft.fftfreq(n, 1.0 / n).astype(int)
     E = np.exp(-2j * np.pi / L * np.outer(k, x))
     return (E @ samples @ E.T) / (n * n)
+
+
+def to_phys_array(coeffs: np.ndarray) -> np.ndarray:
+    """Complex samples of full spectra (last two axes (n, n)) by ifft2."""
+    n = coeffs.shape[-1]
+    return np.fft.ifft2(coeffs, axes=(-2, -1)) * (n * n)
+
+
+def advect_scalar_arrays(grid: Grid, u_phys: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dealiased spectrum of (u . grad) f for one scalar spectrum c."""
+    d1 = to_phys_array(grid.deriv_factor(0) * c).real
+    d2 = to_phys_array(grid.deriv_factor(1) * c).real
+    q = u_phys[0] * d1 + u_phys[1] * d2
+    n = q.shape[-1]
+    out = np.fft.fft2(q, axes=(-2, -1)) / (n * n)
+    out *= grid.dealias_mask
+    out[0, 0] = 0.0
+    return out
 
 
 def quadrature_inner(grid: Grid, p: np.ndarray, q: np.ndarray) -> float:

@@ -234,6 +234,19 @@ class TestExitCodes:
         assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()  # rejected when the config loads
 
+    def test_F_tilde_minus1_needs_F_tilde(self, small_config, tmp_path, capsys):
+        # alone it would be ignored, both strengths then coming from the forcing
+        cfg = self._variant(small_config, tmp_path, experiment={"F_tilde_minus1": 5.0})
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "experiment.F_tilde_minus1" in err and re.search(r"experiment\.F_tilde\b", err)
+
+    @pytest.mark.parametrize("key,value", [("magnitude_f2", -1), ("mode_hi", 10**6)])
+    def test_zero_forcing_checked(self, small_config, tmp_path, capsys, key, value):
+        cfg = self._variant(small_config, tmp_path, forcing={"profile": "zero", key: value})
+        assert run("bounds", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, small_config, tmp_path, capsys):
         # read as a typo, not as the constants section: C would silently stay 1
         cfg = self._variant(small_config, tmp_path, constant={"C": 50})

@@ -284,6 +284,17 @@ class TestForcingProfiles:
         with pytest.raises(ValueError):
             make_forcing(grid16, "uniform_N", -1.0, mode_hi=3)
 
+    def test_zero_profile_checked_like_the_others(self):
+        grid = make_grid(8, 2 * np.pi)
+        fo = make_forcing(grid, "zero", 0.0, 0.0, mode_lo=1, mode_hi=1)
+        assert norm(fo.f_at(0)) == 0 and norm(fo.g_at(0)) == 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_forcing(grid, "zero", -1.0)
+        with pytest.raises(ValueError, match="mode_lo"):
+            make_forcing(grid, "zero", 0.0, mode_hi=10**6)
+        with pytest.raises(ValueError, match="unknown forcing profile"):
+            make_forcing(grid, "gaussian", 0.0)
+
     @pytest.mark.parametrize("f2,g2", [(float("nan"), 0.0), (float("inf"), 0.0),
                                        (0.1, float("nan")), (0.1, float("inf"))])
     def test_nonfinite_magnitudes_rejected(self, grid16, f2, g2):
@@ -312,6 +323,13 @@ class TestForcingProfiles:
         d0 = fo.f_at(0.0) - base.f_at(0.0)
         d1 = fo.f_at(1.0) - base.f_at(1.0)
         assert norm(d1) == pytest.approx(np.exp(-2.0) * norm(d0), rel=1e-12)
+
+
+@pytest.mark.parametrize("energy_u,energy_omega", [
+    (-1.0, 0.1), (0.1, -1.0), (float("nan"), 0.1), (0.1, float("inf"))])
+def test_random_state_rejects_bad_energy(grid16, energy_u, energy_omega):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        random_state(grid16, 0, energy_u=energy_u, energy_omega=energy_omega)
 
 
 class TestCheckpoint:

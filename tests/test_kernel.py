@@ -2,7 +2,7 @@
 Guards for the half-plane nonlinear kernel: the stepper's invariants over
 random grids, parameters and states (hypothesis), and the rotational-form
 explicit and tangent terms against the advective form built from the
-trilinear-form reference ``spectral._advect_scalar_arrays``.
+complex full-plane reference ``oracles.advect_scalar_arrays``.
 """
 
 import numpy as np
@@ -22,12 +22,12 @@ from micropolar.lyapunov import _tangent_explicit, random_tangent_pairs
 from micropolar.spectral import (
     ScalarField,
     VectorField,
-    _advect_scalar_arrays,
     _full_from_half,
     _leray_arrays,
-    _to_phys_array,
     make_grid,
 )
+from oracles import advect_scalar_arrays as _advect_scalar_arrays
+from oracles import to_phys_array as _to_phys_array
 
 # The rotational and advective forms differ by grad(|u|^2 / 2), which the
 # projection removes exactly in the dealiased band; what is left is FFT

@@ -112,14 +112,22 @@ class TestTransforms:
             scale = np.max(np.abs(f.coeffs))
             assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12 * scale
 
-    def test_physical_matches_direct_dft(self, grid8):
-        u, _ = random_fields(grid8, 3)
-        phys = transform_to_physical(u.u1)
-        direct = dft_physical(grid8, u.u1.coeffs)
+    @pytest.mark.parametrize("n,full_band", [pytest.param(8, False, id="dealiased-n8"),
+                                             pytest.param(8, True, id="full_band-n8"),
+                                             pytest.param(16, True, id="full_band-n16")])
+    def test_physical_matches_direct_dft(self, n, full_band):
+        # a full band (kmax = n) fills the self-conjugate Nyquist lines
+        # k_i = -n/2, which irfft2 takes from the half plane alone while
+        # dft_physical sums the full spectrum
+        grid = make_grid(n, 2 * np.pi)
+        f = (random_state(grid, 3, 1.0, 1.0, kmax=n).omega if full_band
+             else random_fields(grid, 3)[0].u1)
+        phys = transform_to_physical(f)
+        direct = dft_physical(grid, f.coeffs)
         assert np.max(np.abs(direct.imag)) < 1e-12
         assert np.max(np.abs(phys - direct.real)) < 1e-12 * max(np.max(np.abs(direct.real)), 1e-30)
-        back = dft_spectral(grid8, phys)
-        assert np.max(np.abs(back - u.u1.coeffs)) < 1e-12
+        back = dft_spectral(grid, phys)
+        assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_non_hermitian_rejected(self, grid8):
         c = np.zeros((8, 8), dtype=np.complex128)
@@ -295,8 +303,12 @@ class TestGalerkin:
 
     def test_conjugate_closure_keeps_fields_real(self, grid16):
         _, f = random_fields(grid16, 41)
+        conj = grid16.conj_flat
         for m in (1, 2, 3, 5):
-            transform_to_physical(galerkin_P(f, m))  # raises if symmetry broke
+            mask = mode_mask(grid16, m).ravel()
+            assert np.array_equal(mask, mask[conj])
+            c = galerkin_P(f, m).coeffs.ravel()
+            assert np.array_equal(c, np.conj(c[conj]))
 
     def test_mask_closure_counts(self, grid8):
         # first lambda-1 entry is (-1, 0); closure adds its partner (1, 0)
