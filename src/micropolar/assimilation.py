@@ -30,7 +30,7 @@ from micropolar.dynamics import (
     _whole_steps,
 )
 from micropolar.estimates import Constants
-from micropolar.spectral import Grid, NodeSet, _full_from_half, mode_mask
+from micropolar.spectral import Grid, NodeSet, _product_energy, mode_mask
 
 __all__ = [
     "SyncConfig",
@@ -90,16 +90,6 @@ class SyncReport:
         return float(np.min(self.series[key]) / self.initial)
 
 
-def _product_energy(grid: Grid, dU: np.ndarray, dW: np.ndarray,
-                    weight: np.ndarray | None = None) -> float:
-    """Energy of half planes (dU, dW), full-spectrum slots weighted (mask or lam)."""
-    full = _full_from_half(grid, np.concatenate([dU, dW[None]]))
-    density = np.abs(full[0]) ** 2 + np.abs(full[1]) ** 2 + np.abs(full[2]) ** 2
-    if weight is not None:
-        density = density * weight
-    return float(grid.area * np.sum(density))
-
-
 def _convergence(times: np.ndarray, values: np.ndarray, initial: float,
                  rtol: float) -> tuple[bool, float | None]:
     """Converged when the last tenth of the run stays below rtol * initial."""
@@ -126,6 +116,30 @@ def _fit_window(times: np.ndarray, values: np.ndarray, initial: float) -> tuple[
     return fit_decay_rate(times[usable], values[usable], transient_fraction=0.0)
 
 
+def _sync_report(kind: str, times: list[float], series: dict[str, np.ndarray], key: str,
+                 rtol: float, diverged: bool, meta: dict) -> SyncReport:
+    """
+    Verdict on the decay of ``series[key]`` from its first sample: converged
+    below ``rtol`` times it, and the fitted rate.  A diverged run gets
+    neither.
+    """
+    times_arr = np.asarray(times)
+    values = series[key]
+    if diverged:
+        converged, threshold_time, fit = False, None, None
+    else:
+        converged, threshold_time = _convergence(times_arr, values, values[0], rtol)
+        fit = _fit_window(times_arr, values, values[0])
+    return SyncReport(
+        kind=kind, times=times_arr, series=series,
+        converged=converged, threshold_time=threshold_time,
+        rate=None if fit is None else fit[0],
+        rate_r2=None if fit is None else fit[1],
+        initial=float(values[0]), final=float(values[-1]),
+        diverged=diverged, meta=meta,
+    )
+
+
 def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     """
     Twin run with the first m enumerated modes of the second solution
@@ -135,7 +149,7 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     and delta_Q at the configured stride.
     """
     grid = config.reference.grid
-    mask_P = mode_mask(grid, m, conjugate_closed=True)
+    mask_P = mode_mask(grid, m)
     mask_Q = ~mask_P
     effective_m = int(np.count_nonzero(mask_P))
     half_P = mask_P[:, : grid.n // 2 + 1]  # conjugate-closed: the half plane carries it
@@ -165,19 +179,9 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
             delta_P.append(_product_energy(grid, U1 - U2, W1 - W2, mask_P))
             delta_Q.append(_product_energy(grid, U1 - U2, W1 - W2, mask_Q))
 
-    times_arr = np.asarray(times)
-    dq = np.asarray(delta_Q)
-    converged, threshold_time = _convergence(times_arr, dq, dq[0], 1e-16)
-    fit = _fit_window(times_arr, dq, dq[0])
-    return SyncReport(
-        kind="modes", times=times_arr,
-        series={"delta_P": np.asarray(delta_P), "delta_Q": dq},
-        converged=converged, threshold_time=threshold_time,
-        rate=None if fit is None else fit[0],
-        rate_r2=None if fit is None else fit[1],
-        initial=float(dq[0]), final=float(dq[-1]),
-        meta={"m": m, "effective_m": effective_m},
-    )
+    return _sync_report("modes", times,
+                        {"delta_P": np.asarray(delta_P), "delta_Q": np.asarray(delta_Q)},
+                        "delta_Q", 1e-16, False, {"m": m, "effective_m": effective_m})
 
 
 def default_nudging_gain(constants: Constants, node_count: int) -> float:
@@ -244,24 +248,11 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
             etas.append(eta())
             h1.append(_product_energy(grid, U2 - U1, W2 - W1, grid.lam))
 
-    times_arr = np.asarray(times)
     eta_u, eta_om = np.asarray(etas).T
-    h1_arr = np.asarray(h1)
-    if diverged:
-        converged, threshold_time, fit = False, None, None
-    else:
-        converged, threshold_time = _convergence(times_arr, h1_arr, h1_arr[0], 1e-10)
-        fit = _fit_window(times_arr, h1_arr, h1_arr[0])
-    return SyncReport(
-        kind="nodes", times=times_arr,
-        series={"eta_u": eta_u, "eta_omega": eta_om, "h1_diff": h1_arr},
-        converged=converged, threshold_time=threshold_time,
-        rate=None if fit is None else fit[0],
-        rate_r2=None if fit is None else fit[1],
-        initial=float(h1_arr[0]), final=float(h1_arr[-1]),
-        diverged=diverged,
-        meta={"mu": mu, "num_nodes": nodes.count, **diagnostics},
-    )
+    return _sync_report("nodes", times,
+                        {"eta_u": eta_u, "eta_omega": eta_om, "h1_diff": np.asarray(h1)},
+                        "h1_diff", 1e-10, diverged,
+                        {"mu": mu, "num_nodes": nodes.count, **diagnostics})
 
 
 @dataclass

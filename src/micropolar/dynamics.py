@@ -33,6 +33,7 @@ from micropolar.spectral import (
     _full_from_half,
     _half_leray,
     _half_to_phys,
+    _hermitianized,
     _leray_arrays,
     _phys_to_half,
 )
@@ -168,20 +169,21 @@ class Forcing:
     def g_at(self, t: float) -> ScalarField:
         return ScalarField(self.grid, self.g_hat(t))
 
-    def magnitude(self, t: float = 0.0) -> float:
-        """(|f|^2 + |g|^2)^(1/2) at time t."""
-        return float(np.sqrt(spectral.norm(self.f_at(t)) ** 2 + spectral.norm(self.g_at(t)) ** 2))
-
 
 def _profile_weights(profile: str, total: float, num_modes: int,
-                     mode_lo: int, mode_hi: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-mode squared magnitudes m_j (1-based table entries) summing to ``total``."""
+                     mode_lo: int, mode_hi: int, rng: np.random.Generator | None) -> np.ndarray:
+    """
+    Per-mode squared magnitudes m_j (1-based table entries) summing to
+    ``total``: the one statement of each profile's law.  Only the random
+    profiles (band, steady) draw from ``rng``; the others accept None.
+    """
     w = np.zeros(num_modes)
     if total == 0:
         return w
     if profile == "two_scale":
-        w[mode_lo - 1] = total / 2.0
-        w[mode_hi - 1] = total / 2.0
+        # half at each end of the pair; equal ends get the whole magnitude
+        w[mode_lo - 1] += total / 2.0
+        w[mode_hi - 1] += total / 2.0
     elif profile == "band":
         raw = rng.uniform(0.25, 1.0, size=mode_hi - mode_lo + 1)
         w[mode_lo - 1 : mode_hi] = raw * (total / raw.sum())
@@ -311,8 +313,7 @@ def _random_scalars(grid: Grid, rng: np.random.Generator, kmax: float,
     band = (grid.lam > 0) & (np.sqrt(grid.k1**2 + grid.k2**2) <= kmax)
     raw = np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                     for _ in range(count)]) * band
-    flat = raw.reshape(count, n * n)
-    return (0.5 * (flat + np.conj(flat[:, grid.conj_flat]))).reshape(count, n, n)
+    return _hermitianized(grid, raw)
 
 
 def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: float = 0.05,
@@ -509,14 +510,13 @@ def _whole_steps(span: float, dt: float) -> int:
     return int(whole)
 
 
-def step(state: State, params: Params, forcing: Forcing, dt: float,
-         cfl_limit: float = 0.5) -> State:
+def step(state: State, params: Params, forcing: Forcing, dt: float) -> State:
     """
     Advance one IMEX step from a cold start (forward Euler on the explicit
     part).  For long runs prefer :func:`simulate`, which keeps the
     Adams-Bashforth history across steps.
     """
-    stepper = _Stepper(state.grid, params, forcing, dt, cfl_limit)
+    stepper = _Stepper(state.grid, params, forcing, dt)
     U, W = stepper.advance(*_to_half(state), state.t)
     return _from_half(state.grid, U, W, state.t + dt)
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from micropolar.dynamics import Forcing, SimulationResult
+from micropolar.dynamics import Forcing, SimulationResult, _profile_weights
 from micropolar.spectral import Grid
 from micropolar import spectral
 
@@ -208,37 +208,27 @@ def profile_dual_strength(profile: str, F_tilde: float, grid: Grid,
                           mode_lo: int = 1, mode_hi: int = 1):
     """
     Squared dual strength F~_{-1}^2 implied by a forcing profile of total
-    squared magnitude F~^2.  Exact value for two_scale / uniform_N / the
-    linear profiles; a (low, high) bracket for a band with unknown
-    distribution.
+    squared magnitude F~^2: sum_j m_j / lambda_j over the per-mode weights
+    m_j that :func:`micropolar.dynamics.make_forcing` lays out, exact for
+    two_scale / uniform_N / the linear profiles; a (low, high) bracket for
+    a band with unknown distribution.
     """
     lam = grid.eigenvalues
     if not 1 <= mode_lo <= mode_hi <= len(lam):
         raise ValueError(f"need 1 <= mode_lo <= mode_hi <= {len(lam)}")
     F2 = F_tilde**2
-    if profile == "two_scale":
-        return 0.5 * F2 * (1.0 / lam[mode_lo - 1] + 1.0 / lam[mode_hi - 1])
     if profile == "band":
         return (F2 / lam[mode_hi - 1], F2 / lam[mode_lo - 1])
-    if profile == "uniform_N":
-        N = mode_hi
-        return F2 * np.sum(1.0 / lam[:N]) / N
-    if profile == "linear_increasing":
-        N = mode_hi
-        k = np.arange(1, N + 1)
-        return float(np.sum(2.0 * F2 * k / (N * (N + 1)) / lam[:N]))
-    if profile == "linear_decreasing":
-        N = mode_hi
-        k = np.arange(1, N + 1)
-        return float(np.sum(2.0 * F2 * (N + 1 - k) / (N * (N + 1)) / lam[:N]))
-    raise ValueError(f"profile {profile!r} has no closed-form dual strength")
+    if profile not in ("two_scale", "uniform_N", "linear_increasing", "linear_decreasing"):
+        raise ValueError(f"profile {profile!r} has no closed-form dual strength")
+    return float(np.sum(_profile_weights(profile, F2, len(lam), mode_lo, mode_hi, None) / lam))
 
 
 def profile_modes_bound(profile: str, constants: Constants, F_tilde: float, grid: Grid,
-                          mode_lo: int = 1, mode_hi: int = 1,
-                          method: str = "exact_eigenvalues"):
+                        mode_lo: int = 1, mode_hi: int = 1):
     """
-    Determining-modes bound specialised to a forcing spatial distribution.
+    Determining-modes bound (exact eigenvalues) specialised to a forcing
+    spatial distribution.
 
     Returns an integer m, except for the band profile where an inclusive
     (m_low, m_high) interval is returned.
@@ -246,9 +236,9 @@ def profile_modes_bound(profile: str, constants: Constants, F_tilde: float, grid
     strength = profile_dual_strength(profile, F_tilde, grid, mode_lo, mode_hi)
     if isinstance(strength, tuple):
         lo, hi = strength
-        return (modes_bound(constants, math.sqrt(lo), method, grid),
-                modes_bound(constants, math.sqrt(hi), method, grid))
-    return modes_bound(constants, math.sqrt(strength), method, grid)
+        return (modes_bound(constants, math.sqrt(lo), "exact_eigenvalues", grid),
+                modes_bound(constants, math.sqrt(hi), "exact_eigenvalues", grid))
+    return modes_bound(constants, math.sqrt(strength), "exact_eigenvalues", grid)
 
 
 def _nodes_bound_raw(cst: Constants, F_tilde: float) -> float:
@@ -289,7 +279,10 @@ def _log_sum_exp(log_terms: list[float]) -> float:
 
 
 def nodes_bound_log10(constants: Constants, F_tilde: float) -> float:
-    """log10 of the nodes bound, finite even when the bound itself overflows."""
+    """
+    log10 of the nodes bound's raw threshold, finite even when the bound
+    itself overflows; 0 (the one-node floor) when the threshold is <= 0.
+    """
     cst = constants
     e = cst.chat2 + cst.chat3 * F_tilde**4
     pre = cst.c1**2 * math.sqrt(cst.c) / (cst.lambda1 * cst.nu) + cst.c1 / cst.alpha
@@ -307,7 +300,13 @@ def nodes_bound_log10(constants: Constants, F_tilde: float) -> float:
         log_terms.append(math.log(c_exp2) + e)
     if not log_terms:
         return 0.0
-    return (_log_sum_exp(log_terms) + math.log(cst.c / (cst.lambda1 * cst.k1))) / math.log(10.0)
+    log_sum = _log_sum_exp(log_terms)
+    if t1 < 0:
+        # nu_r < alpha / 4: the first term is negative and may outweigh the rest
+        if log_sum <= math.log(-t1):
+            return 0.0
+        log_sum += math.log1p(t1 * math.exp(-log_sum))
+    return (log_sum + math.log(cst.c / (cst.lambda1 * cst.k1))) / math.log(10.0)
 
 
 def attractor_bound(constants: Constants, f_l2: float, g_l2: float) -> int:
@@ -355,22 +354,21 @@ class BallReport:
     violated: bool
 
 
-def detect_transient(times: np.ndarray, energy: np.ndarray, rel_tol: float = 0.02,
-                     horizon_fraction: float = 0.2) -> int | None:
+def detect_transient(times: np.ndarray, energy: np.ndarray) -> int | None:
     """
-    First sample index after which the energy stays within ``rel_tol`` of
-    its window mean over a horizon of ``horizon_fraction`` of the samples.
-    Returns None when no settled window exists.
+    First sample index after which the energy stays within 2 % of its
+    window mean over a horizon of a fifth of the samples.  Returns None
+    when no settled window exists.
     """
     n = len(energy)
-    h = max(2, int(horizon_fraction * n))
+    h = max(2, int(0.2 * n))
     scale = float(np.max(energy)) if n else 0.0
     for i in range(0, n - h + 1):
         win = energy[i: i + h]
         mean = float(np.mean(win))
         if mean <= 1e-12 * max(scale, 1e-300):
             return i
-        if np.max(np.abs(win - mean)) <= rel_tol * mean:
+        if np.max(np.abs(win - mean)) <= 0.02 * mean:
             return i
     return None
 
@@ -459,8 +457,7 @@ def _post_transient_slice(traj: SimulationResult) -> tuple[slice, bool]:
 
 
 def verify_time_averages(traj: SimulationResult, constants: Constants,
-                         strength: ForceStrength, slack: float = 0.05,
-                         min_samples: int = 4) -> list[CheckReport]:
+                         strength: ForceStrength, slack: float = 0.05) -> list[CheckReport]:
     """
     Post-transient window averages against the three closed-form bounds:
     the H1 average 2 F~^2 / (k1 k2), its dual-norm variant 2 F~_{-1}^2 / k1^2,
@@ -470,10 +467,9 @@ def verify_time_averages(traj: SimulationResult, constants: Constants,
     _required(traj, ["u_h1_sq", "omega_h1_sq", "u_da_sq", "omega_da_sq"])
     cst = constants
     window, settled = _post_transient_slice(traj)
-    if len(traj.times[window]) < min_samples:
+    if len(traj.times[window]) < 4:
         raise ValueError(
-            f"averaging window holds {len(traj.times[window])} samples, "
-            f"need at least {min_samples}"
+            f"averaging window holds {len(traj.times[window])} samples, need at least 4"
         )
     h1 = float(np.mean(traj.series["u_h1_sq"][window] + traj.series["omega_h1_sq"][window]))
     da = float(np.mean(traj.series["u_da_sq"][window] + traj.series["omega_da_sq"][window]))

@@ -33,6 +33,7 @@ from micropolar.spectral import (
     _half_to_phys,
     _leray_arrays,
     _phys_to_half,
+    _product_energy,
 )
 
 __all__ = [
@@ -196,18 +197,15 @@ def _padded_phys(coeffs: np.ndarray, n: int, pad: int) -> np.ndarray:
     return _half_to_phys(fine)
 
 
-def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray,
-                velocity_only: bool) -> tuple[float, float, np.ndarray, float]:
+def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray) -> tuple[float, float, np.ndarray, float]:
     """
     |rho|_{L2} for rho(x) = sum_j (|v_j|^2 + |z_j|^2), evaluated with exact
     zero-padded quadrature, plus sum_j ||phi_j||_H1^2, per-pair H1 norms
     and the integral of rho.
     """
     v_fine = _padded_phys(V, grid.n, 2)
-    rho = np.sum(v_fine[:, 0] ** 2 + v_fine[:, 1] ** 2, axis=0)
-    if not velocity_only:
-        z_fine = _padded_phys(Z, grid.n, 2)
-        rho += np.sum(z_fine**2, axis=0)
+    rho = np.sum(v_fine[:, 0] ** 2 + v_fine[:, 1] ** 2, axis=0) \
+        + np.sum(_padded_phys(Z, grid.n, 2) ** 2, axis=0)
     rho_l2 = math.sqrt(grid.area * float(np.mean(rho**2)))
     h1_each = grid.area * np.sum(
         grid.lam * (np.abs(V[:, 0]) ** 2 + np.abs(V[:, 1]) ** 2 + np.abs(Z) ** 2), axis=(1, 2)
@@ -234,10 +232,9 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     diagonal = (params.nu + params.nu_r) * h1_v \
         + np.sum((params.alpha * lam + 4.0 * params.nu_r) * np.abs(Z) ** 2)
     trace = grid.area * float(explicit - diagonal)
-    rho_l2, sum_h1, h1_each, _ = _rho_and_h1(grid, V, Z, velocity_only)
-    u1, u2, w = _full_from_half(grid, np.concatenate([U, W[None]])[..., : grid.n // 2 + 1])
-    base_h1 = math.sqrt(grid.area * float(np.sum(lam * (np.abs(u1) ** 2 + np.abs(u2) ** 2
-                                                        + np.abs(w) ** 2)).real))
+    rho_l2, sum_h1, h1_each, _ = _rho_and_h1(grid, V, Z)
+    m = grid.n // 2 + 1
+    base_h1 = math.sqrt(_product_energy(grid, U[..., :m], W[..., :m], lam))
     return {"trace": trace, "sum_h1_sq": sum_h1, "rho_l2": rho_l2, "base_h1": base_h1,
             "h1_each": h1_each}
 
@@ -305,10 +302,6 @@ class _TangentRun:
         growth = _mgs(self.grid, self.V, self.Z)
         self.log_sums += np.log(growth)
 
-    def sample_trace(self) -> dict:
-        return _trace_sample(self.grid, self.params, self.U, self.W, self.V, self.Z,
-                             self.velocity_only)
-
 
 def _assemble_trace(times: list[float], samples: list[dict]) -> TraceSeries:
     t = np.asarray(times)
@@ -348,8 +341,7 @@ def kaplan_yorke_dimension(exponents: np.ndarray) -> tuple[float | None, bool]:
 def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: int,
                       t_span: float, dt: float, reorth_interval: int = 10, seed: int = 0,
                       constants: Constants | None = None,
-                      velocity_only: bool = False,
-                      convergence_rtol: float = 0.01) -> LyapunovReport:
+                      velocity_only: bool = False) -> LyapunovReport:
     """
     Benettin estimate of the leading ``count`` Lyapunov exponents along one
     trajectory (an ergodic proxy for the attractor-uniform exponents; the
@@ -359,28 +351,32 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
     """
     run = _TangentRun(initial, params, forcing, count, dt, reorth_interval, seed,
                       velocity_only)
+
+    def sample() -> dict:
+        return _trace_sample(run.grid, params, run.U, run.W, run.V, run.Z, velocity_only)
+
     nblocks = max(1, _whole_steps(t_span, dt * reorth_interval))
     times = [run.t]
-    samples = [run.sample_trace()]
+    samples = [sample()]
     hist_t: list[float] = []
     hist: list[np.ndarray] = []
     for _ in range(nblocks):
         run._advance_block()
         times.append(run.t)
-        samples.append(run.sample_trace())
+        samples.append(sample())
         hist_t.append(run.t - run.t0)
         hist.append(run.log_sums / (run.t - run.t0))
 
     exponents = np.sort(hist[-1])[::-1]
     history = np.asarray(hist)
     hist_t_arr = np.asarray(hist_t)
-    # settled when the sorted estimates move less than rtol (relative to the
-    # largest exponent magnitude) over the trailing half of the run
+    # settled when the sorted estimates move less than 1 % of the largest
+    # exponent magnitude over the trailing half of the run
     half = len(history) // 2
     scale = max(float(np.max(np.abs(exponents))), 1e-12)
     drift = float(np.max(np.abs(np.sort(history[half:], axis=1) - np.sort(history[-1])))) \
         if half >= 1 else math.inf
-    converged = drift <= convergence_rtol * scale
+    converged = drift <= 0.01 * scale
 
     trace = _assemble_trace(times, samples)
     ky, undetermined = kaplan_yorke_dimension(exponents)
@@ -427,14 +423,13 @@ def trace_PN(initial: State, params: Params, forcing: Forcing, count: int,
     return report.trace
 
 
-def lieb_thirring_check(pairs, grid: Grid | None = None,
-                        gram_tol: float = 1e-8) -> dict:
+def lieb_thirring_check(pairs, grid: Grid | None = None) -> dict:
     """
     For an orthonormal family of pairs, the ratio |rho|^2 / sum ||phi_j||^2
     with rho(x) = sum_j (|v_j(x)|^2 + |z_j(x)|^2), plus the Schwartz lower
     pieces (integral of rho equals the family size N, and N^2 <= |Q| |rho|^2).
     Rejects families whose Gram matrix deviates from identity by more than
-    ``gram_tol``.
+    1e-8.
     """
     plist = list(pairs)
     if grid is None:
@@ -448,10 +443,10 @@ def lieb_thirring_check(pairs, grid: Grid | None = None,
         for j in range(N):
             gram[i, j] = _pair_inner(grid, V[i], Z[i], V[j], Z[j])
     dev = float(np.max(np.abs(gram - np.eye(N))))
-    if dev > gram_tol:
+    if dev > 1e-8:
         raise ValueError(f"family is not orthonormal (Gram deviation {dev:.3e})")
 
-    rho_l2, sum_h1, h1_each, rho_integral = _rho_and_h1(grid, V, Z, velocity_only=False)
+    rho_l2, sum_h1, h1_each, rho_integral = _rho_and_h1(grid, V, Z)
     return {
         "ratio": rho_l2**2 / sum_h1,
         "rho_l2": rho_l2,

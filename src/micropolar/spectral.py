@@ -199,8 +199,9 @@ def make_grid(n: int, L: float) -> Grid:
 
 
 def _hermitianized(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    flat = coeffs.ravel()
-    return 0.5 * (flat + np.conj(flat[grid.conj_flat])).reshape(coeffs.shape)
+    """Exact Hermitian part (c_k + conj(c_-k)) / 2 of spectra ``coeffs[..., n, n]``."""
+    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
+    return 0.5 * (flat + np.conj(flat[..., grid.conj_flat])).reshape(coeffs.shape)
 
 
 def _check_hermitian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -438,36 +439,28 @@ def rot_scalar(omega: ScalarField) -> VectorField:
     )
 
 
-def mode_mask(grid: Grid, m: int, conjugate_closed: bool = True) -> np.ndarray:
+def mode_mask(grid: Grid, m: int) -> np.ndarray:
     """
     Boolean mask over grid slots selecting the first ``m`` enumerated modes.
 
-    With ``conjugate_closed`` (the default, required for the projection of a
-    real field to stay real) the selection is closed under k -> -k, so the
-    kept set may exceed ``m`` by the partners of modes cut mid-pair.
+    The selection is closed under k -> -k, so that the projection of a real
+    field stays real; the kept set may exceed ``m`` by the partners of
+    modes cut mid-pair.
     """
     if not 0 <= m <= grid.num_modes:
         raise ValueError(f"mode count m={m} outside [0, {grid.num_modes}]")
     mask = (grid.mode_rank < m).ravel()
-    if conjugate_closed:
-        mask = mask | mask[grid.conj_flat]
-    return mask.reshape(grid.n, grid.n)
+    return (mask | mask[grid.conj_flat]).reshape(grid.n, grid.n)
 
 
 def galerkin_P(field, m: int):
     """Projection onto the first m modes of the eigenvalue enumeration."""
-    mask = mode_mask(_field_grid(field), m)
-    return _apply_mask(field, mask)
+    return _apply_mask(field, mode_mask(field.grid, m))
 
 
 def galerkin_Q(field, m: int):
     """Complementary projection onto modes above the first m."""
-    mask = ~mode_mask(_field_grid(field), m)
-    return _apply_mask(field, mask)
-
-
-def _field_grid(field) -> Grid:
-    return field.grid
+    return _apply_mask(field, ~mode_mask(field.grid, m))
 
 
 def _apply_mask(field, mask: np.ndarray):
@@ -500,7 +493,7 @@ def norm(field, kind: str = "L2") -> float:
     the dual norm, ``DA`` the |A .| graph norm; all carry the Parseval
     factor |Q|.
     """
-    grid = _field_grid(field)
+    grid = field.grid
     w = _norm_weight(grid, kind)
     if isinstance(field, VectorField):
         power = np.abs(field.u1.coeffs) ** 2 + np.abs(field.u2.coeffs) ** 2
@@ -508,6 +501,14 @@ def norm(field, kind: str = "L2") -> float:
         power = np.abs(field.coeffs) ** 2
     total = np.sum(power if w is None else w * power)
     return float(np.sqrt(grid.area * total))
+
+
+def _product_energy(grid: Grid, dU: np.ndarray, dW: np.ndarray, weight: np.ndarray) -> float:
+    """Energy area * sum weight |c|^2 over the full spectra of half planes (dU, dW);
+    ``weight`` is a full-plane table (a mode mask or ``grid.lam``)."""
+    full = _full_from_half(grid, np.concatenate([dU, dW[None]]))
+    density = np.abs(full[0]) ** 2 + np.abs(full[1]) ** 2 + np.abs(full[2]) ** 2
+    return float(grid.area * np.sum(density * weight))
 
 
 def inner(f, g) -> float:
@@ -645,13 +646,11 @@ def _sample_scalar(half: np.ndarray, nodes: NodeSet) -> np.ndarray:
         phys = _half_to_phys(half)
         gi = nodes.grid_indices
         return phys[..., gi[:, 0], gi[:, 1]]
-    coeffs = _full_from_half(grid, half)
-    k1 = grid.k1.ravel().astype(np.float64)
-    k2 = grid.k2.ravel().astype(np.float64)
-    phase = np.exp(
-        2j * np.pi / grid.L * (np.outer(nodes.points[:, 0], k1) + np.outer(nodes.points[:, 1], k2))
-    )
-    return (coeffs.reshape(coeffs.shape[:-2] + (-1,)) @ phase.T).real
+    # sum_ab c_ab E1_ja E2_jb with per-axis phases E_ja = exp(2 pi i x_j k_a / L),
+    # contracted over the full spectrum (the Nyquist lines sit off the grid here)
+    k = grid.k1[:, 0].astype(np.float64)
+    E1, E2 = np.exp(2j * np.pi / grid.L * nodes.points.T[:, :, None] * k)
+    return ((_full_from_half(grid, half) @ E2.T) * E1.T).sum(axis=-2).real
 
 
 def nodal_sample(field, nodes: NodeSet) -> np.ndarray:

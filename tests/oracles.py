@@ -36,6 +36,15 @@ def dft_spectral(grid: Grid, samples: np.ndarray) -> np.ndarray:
     return (E @ samples @ E.T) / (n * n)
 
 
+def phase_sum_sample(grid: Grid, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Direct sum_k c_k exp(2 pi i k.x / L) of full spectra ``coeffs[..., n, n]``
+    at arbitrary ``points[N, 2]``, through one N x n^2 phase table."""
+    k1 = grid.k1.ravel().astype(np.float64)
+    k2 = grid.k2.ravel().astype(np.float64)
+    phase = np.exp(2j * np.pi / grid.L * (np.outer(points[:, 0], k1) + np.outer(points[:, 1], k2)))
+    return (coeffs.reshape(coeffs.shape[:-2] + (-1,)) @ phase.T).real
+
+
 def to_phys_array(coeffs: np.ndarray) -> np.ndarray:
     """Complex samples of full spectra (last two axes (n, n)) by ifft2."""
     n = coeffs.shape[-1]

@@ -63,6 +63,17 @@ class TestSubcommands:
         assert data["attractor_fractal"] == 2 * data["attractor_hausdorff"]
         assert data["nodes"] is None or data["nodes"] >= 1
 
+    def test_bounds_two_scale_equal_modes(self, small_config, tmp_path):
+        # equal ends of the pair put the whole requested magnitude in that mode
+        cfg = json.loads(small_config.read_text())
+        cfg["forcing"] = {"profile": "two_scale", "magnitude_f2": 0.01, "magnitude_g2": 0.002,
+                          "mode_lo": 4, "mode_hi": 4, "seed": 3}
+        path = tmp_path / "two_scale.json"
+        path.write_text(json.dumps(cfg))
+        assert run("bounds", path, tmp_path / "out") == EXIT_OK
+        data = load_summary(tmp_path / "out" / "bounds.json")
+        assert data["F_tilde"] ** 2 == pytest.approx(0.01 + 0.002, rel=1e-12)
+
     def test_verify_outputs(self, small_config, tmp_path):
         assert run("verify-estimates", small_config, tmp_path, "--strict") == EXIT_OK
         checks = load_summary(tmp_path / "checks.json")["checks"]

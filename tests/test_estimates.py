@@ -29,6 +29,7 @@ from micropolar.estimates import (
     verify_h1_bound,
     verify_time_averages,
 )
+from micropolar.estimates import _nodes_bound_raw
 from micropolar.spectral import make_grid, norm
 
 
@@ -150,6 +151,14 @@ class TestProfileBounds:
         lam = grid16.eigenvalues
         same = profile_dual_strength("two_scale", 1.0, grid16, mode_lo=3, mode_hi=3)
         assert same == pytest.approx(1.0 / lam[2])
+        # the forcing itself puts the whole magnitude in the one mode
+        for mode in (1, 3, 8):
+            fo = make_forcing(grid16, "two_scale", 0.3, 0.1, mode_lo=mode, mode_hi=mode, seed=5)
+            assert norm(fo.f_at(0.0)) ** 2 == pytest.approx(0.3, rel=1e-12)
+            assert norm(fo.g_at(0.0)) ** 2 == pytest.approx(0.1, rel=1e-12)
+            measured = force_strength(fo, grid16).F_tilde_minus1 ** 2
+            predicted = profile_dual_strength("two_scale", math.sqrt(0.4), grid16, mode, mode)
+            assert predicted == pytest.approx(measured, rel=1e-12)
 
     def test_uniform_single_mode_reduces(self, grid16):
         val = profile_dual_strength("uniform_N", 2.0, grid16, mode_hi=1)
@@ -200,7 +209,6 @@ class TestNodesBound:
 
     def test_log10_matches_raw(self):
         for F in (0.3, 0.7, 1.0):
-            raw = 10 if F == 0 else None
             log10 = nodes_bound_log10(UNIT, F)
             direct = math.log10(
                 (8 * 0**2 / 1 - 0)
@@ -208,6 +216,17 @@ class TestNodesBound:
                 + 80 * F**4 * math.exp(8 * F**4)
             )
             assert log10 == pytest.approx(direct, rel=1e-12)
+        # nu_r < alpha / 4 makes the first term 8 nu_r^2 / alpha - 2 nu_r negative
+        for nu_r in (0.01, 0.05):
+            cst = Constants(nu=0.3, nu_r=nu_r, alpha=0.3, lambda1=1.0)
+            for F in (0.01, 0.03, 0.05):
+                raw = _nodes_bound_raw(cst, F)
+                assert raw > 0
+                assert nodes_bound_log10(cst, F) == pytest.approx(math.log10(raw), rel=1e-12)
+            # a threshold <= 0 reads as the one-node floor, like zero forcing
+            assert _nodes_bound_raw(cst, 1e-3) < 0
+            assert nodes_bound_log10(cst, 1e-3) == 0.0
+            assert nodes_bound(cst, 1e-3) == 1
 
     def test_overflow_raises_with_log10(self):
         steep = Constants(nu=0.01, nu_r=0.0, alpha=0.01, lambda1=1.0, c1=1.0)

@@ -38,6 +38,7 @@ from oracles import (
     dft_physical,
     dft_spectral,
     laplacian_eigenvalues_bruteforce,
+    phase_sum_sample,
     quadrature_inner,
     random_fields,
     trilinear_b1_direct,
@@ -448,13 +449,33 @@ class TestNodal:
         assert not unaligned.aligned
         _, f = random_fields(grid32, 12)
         # trig evaluation at aligned points equals the grid gather
-        direct = np.array([
-            np.sum(f.coeffs * np.exp(2j * np.pi / grid32.L
-                                     * (grid32.k1 * p[0] + grid32.k2 * p[1]))).real
-            for p in aligned.points
-        ])
+        direct = phase_sum_sample(grid32, f.coeffs, aligned.points)
         assert np.max(np.abs(nodal_sample(f, aligned) - direct)) < 1e-12
         nodal_sample(f, unaligned)  # exercises the generic path
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("placement", ["shifted", "random"])
+    @pytest.mark.parametrize("band", ["kcut", "n"])
+    def test_unaligned_matches_phase_sum(self, n, placement, band):
+        from micropolar.dynamics import _random_scalars
+        from micropolar.spectral import _sample_scalar
+
+        grid = make_grid(n, 2 * np.pi)
+        centers = make_node_set(grid, side=n // 4)
+        rng = np.random.default_rng(n)
+        if placement == "shifted":
+            points = (centers.points + 0.001) % grid.L
+        else:  # anywhere inside each covering square
+            h = grid.L / centers.side
+            corners = np.floor(centers.points / h) * h
+            points = corners + rng.uniform(0.05, 0.95, corners.shape) * h
+        nodes = make_node_set(grid, side=centers.side, points=points)
+        assert not nodes.aligned
+        # kmax = n fills every slot, the Nyquist lines included
+        coeffs = _random_scalars(grid, rng, grid.kcut if band == "kcut" else n, 3)
+        values = _sample_scalar(coeffs[..., : n // 2 + 1], nodes)
+        reference = phase_sum_sample(grid, coeffs, nodes.points)
+        assert np.max(np.abs(values - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("aligned", [True, False])
     def test_batched_helpers_match_per_plane(self, grid32, aligned):
