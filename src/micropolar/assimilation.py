@@ -152,7 +152,6 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     mask_P = mode_mask(grid, m)
     mask_Q = ~mask_P
     effective_m = int(np.count_nonzero(mask_P))
-    half_P = mask_P[:, : grid.n // 2 + 1]  # conjugate-closed: the half plane carries it
 
     s1 = _Stepper(grid, config.params, config.forcing1, config.dt)
     s2 = _Stepper(grid, config.params, config.forcing2, config.dt)
@@ -160,8 +159,11 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     U2, W2 = _to_half(config.perturbed)
 
     def slave() -> None:
-        U2[:, half_P] = U1[:, half_P]
-        W2[half_P] = W1[half_P]
+        # the mask is conjugate-closed, so its columns k2 >= 0 carry it; after
+        # the first step both states are band planes, zero beyond the band
+        P = mask_P[:, : U2.shape[-1]]
+        U2[:, P] = U1[:, P]
+        W2[P] = W1[P]
 
     slave()
     nsteps = _whole_steps(config.t_end, config.dt)
@@ -214,7 +216,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
 
     def nudge(t: float, U: np.ndarray, W: np.ndarray):
         # -mu I_h of the gap, one piecewise-constant interpolant per field
-        gap = spectral._interpolant_scalar(node_values(U, W), nodes)
+        gap = spectral._interpolant_scalar(node_values(U, W), nodes, grid.kcut + 1)
         return -mu * gap[:2], -mu * gap[2]
 
     def eta() -> tuple[float, float]:

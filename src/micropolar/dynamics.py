@@ -363,10 +363,11 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     """
     Explicitly treated part of the RHS: advection, 2 nu_r rot coupling and
     forcing.  Returns (EU, EW, max_speed); EU is Leray-projected, both are
-    dealiased and zero-mean half planes (last axis n//2 + 1).
+    dealiased and zero-mean band planes (last axis kcut + 1).
 
     ``U``, ``W``, ``f_hat``, ``g_hat`` and what ``extra(t, U, W)`` returns
-    are half planes or full spectra: only the columns k2 = 0..n/2 are read.
+    are band planes, half planes or full spectra: only the columns
+    k2 = 0..kcut are read.
 
     Advection uses the rotational form P[(u.grad)u] = P[omega x u] with
     omega = rot u, exact in the dealiased band because the gradient part
@@ -375,16 +376,16 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     dealiased.  One step takes 5 inverse (u1, u2, omega, d1 w, d2 w) and 3
     forward (omega u2, -omega u1, -u.grad w) real transforms.
     """
-    m = grid.n // 2 + 1
+    n, m = grid.n, grid.kcut + 1
     keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
     Uh = U[..., :m] * keep
     Wh = W[..., :m] * keep
     rot_uh, d1w, d2w = d1 * Uh[1] - d2 * Uh[0], d1 * Wh, d2 * Wh
-    u1, u2, rot_u, w1, w2 = _half_to_phys(np.stack([Uh[0], Uh[1], rot_uh, d1w, d2w]))
+    u1, u2, rot_u, w1, w2 = _half_to_phys(np.stack([Uh[0], Uh[1], rot_uh, d1w, d2w]), n)
     max_speed = math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
     # -(omega x u) = (omega u2, -omega u1) and -(u.grad w)
-    adv = _phys_to_half(np.stack([rot_u * u2, -(rot_u * u1), -(u1 * w1 + u2 * w2)]))
+    adv = _phys_to_half(np.stack([rot_u * u2, -(rot_u * u1), -(u1 * w1 + u2 * w2)]), m)
     EU, EW = adv[:2], adv[2]
     two_nur = 2.0 * params.nu_r
     if two_nur != 0.0:
@@ -419,8 +420,9 @@ def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, Sc
 
 
 class _Stepper:
-    """IMEX CN/AB2 integrator core on half planes (:func:`_to_half` and :func:`_from_half`
-    convert at the ``State`` boundary), with CN factors built once per (grid, params, dt)."""
+    """IMEX CN/AB2 integrator core on band planes (columns k2 = 0..kcut of the
+    half plane; :func:`_to_half` and :func:`_from_half` convert at the ``State``
+    boundary), with CN factors built once per (grid, params, dt)."""
 
     def __init__(self, grid: Grid, params: Params, forcing: Forcing, dt: float,
                  cfl_limit: float = 0.5, extra: Callable | None = None):
@@ -436,8 +438,8 @@ class _Stepper:
         self.extra = extra
 
         # u_new = num * u + dt / den * explicit, with den, num = 1 +/- dt/2 * linear;
-        # half-plane tables, complex like the spectra so products need no casting
-        lam = grid.lam[:, : grid.n // 2 + 1]
+        # band-plane tables, complex like the spectra so products need no casting
+        lam = grid.lam[:, : grid.kcut + 1]
         rv = 0.5 * dt * (params.nu + params.nu_r) * lam
         rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
         self.num_u = ((1.0 - rv) / (1.0 + rv)).astype(np.complex128)
@@ -451,10 +453,14 @@ class _Stepper:
     def imex_update(self, U: np.ndarray, W: np.ndarray, EU: np.ndarray, EW: np.ndarray,
                     EU_prev: np.ndarray | None, EW_prev: np.ndarray | None):
         """
-        One CN/AB2 update of half-plane arrays (forward Euler on the
-        explicit part without history); leading batch axes broadcast.
-        Returns the new (U, W), projected, dealiased and zero-mean.
+        One CN/AB2 update (forward Euler on the explicit part without
+        history); leading batch axes broadcast.  ``U`` and ``W`` may be
+        wider than the band planes ``EU``, ``EW``: only their band columns
+        are read.  Returns the new (U, W) as band planes, projected,
+        dealiased and zero-mean.
         """
+        m = self.grid.kcut + 1
+        U, W = U[..., :m], W[..., :m]
         if EU_prev is None:
             ExU, ExW = EU, EW
         else:
@@ -465,6 +471,7 @@ class _Stepper:
         return U_new, W_new
 
     def advance(self, U: np.ndarray, W: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """One step from band or half planes (U, W) at time t; returns band planes."""
         grid, dt = self.grid, self.dt
         EU, EW, speed = _explicit_terms(grid, self.params, U, W,
                                         self.forcing.f_hat(t), self.forcing.g_hat(t),
@@ -484,13 +491,14 @@ class _Stepper:
 
 
 def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Half planes (U, W) of a state, the layout of the time loops (copies)."""
+    """Whole half planes (U, W) of a state (copies); the time loops narrow
+    them to band planes at their first step."""
     m = state.grid.n // 2 + 1
     return state.u.stacked()[..., :m].copy(), state.omega.coeffs[:, :m].copy()
 
 
 def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
-    """Validated state whose full spectra are rebuilt from half planes (U, W)."""
+    """Validated state whose full spectra are rebuilt from half or band planes (U, W)."""
     full = _full_from_half(grid, np.concatenate([U, W[None]]))
     return State(VectorField.from_coeffs(grid, full[0], full[1]), ScalarField(grid, full[2]), t)
 

@@ -95,11 +95,11 @@ def _tangent_explicit(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         E_V = Leray[-(omega_V x u + omega_u x V) + 2 nu_r rot Z]
         E_Z = -(u.grad)Z - (V.grad)w + 2 nu_r rot V
     with omega_X = rot X and omega x X = (-omega X2, omega X1).  V has shape
-    (N, 2, ...), Z (N, ...); every input may be a full spectrum or a half
-    plane (only the columns k2 = 0..n/2 are read), and the outputs are half
-    planes.
+    (N, 2, ...), Z (N, ...); every input may be a full spectrum, a half
+    plane or a band plane (only the columns k2 = 0..kcut are read), and the
+    outputs are band planes.
     """
-    m = grid.n // 2 + 1
+    m = grid.kcut + 1
     keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
     # index 0 along the first axis is the base, 1 + j is pair j
     vel = np.concatenate([U[None, :, :, :m], V[..., :m]]) * keep
@@ -108,7 +108,7 @@ def _tangent_explicit(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         scal = np.concatenate([W[None, :, :m], Z[..., :m]]) * keep
         planes += [d1 * scal, d2 * scal]
     spec = np.stack(planes, axis=1)
-    phys = _half_to_phys(spec)
+    phys = _half_to_phys(spec, grid.n)
     base, pairs = phys[0], phys[1:]
     u1, u2, rot_u = base[:3]
     v1, v2, rot_v = pairs[:, 0], pairs[:, 1], pairs[:, 2]
@@ -117,7 +117,7 @@ def _tangent_explicit(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     terms = [rot_v * u2 + rot_u * v2, -(rot_v * u1 + rot_u * v1)]
     if not velocity_only:
         terms.append(-(u1 * pairs[:, 3] + u2 * pairs[:, 4] + v1 * base[3] + v2 * base[4]))
-    adv = _phys_to_half(np.stack(terms, axis=1))
+    adv = _phys_to_half(np.stack(terms, axis=1), m)
     EV = adv[:, :2]
     if velocity_only:
         return _half_leray(grid, EV), np.zeros((V.shape[0],) + keep.shape, dtype=np.complex128)
@@ -185,16 +185,17 @@ def _mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _padded_phys(coeffs: np.ndarray, n: int, pad: int) -> np.ndarray:
-    """Samples on a (pad*n)^2 lattice of Hermitian spectra, zero padded into a real half plane."""
+    """Samples on a (pad*n)^2 lattice of Hermitian spectra, zero padded into a
+    real half plane whose nonzero columns k2 = 0..n/2 are all that is passed."""
     m, h = pad * n, n // 2
     rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
-    fine = np.zeros(coeffs.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
+    fine = np.zeros(coeffs.shape[:-2] + (m, h + 1), dtype=np.complex128)
     fine[..., rows, :h] = coeffs[..., :h]
     # the Nyquist lines k1, k2 = -n/2 are self-conjugate on the coarse grid only:
     # the real field keeps half of each at -n/2 and the conjugate half at +n/2
     fine[..., h, :h] = fine[..., m - h, :h] = 0.5 * coeffs[..., h, :h]
     fine[..., -rows % m, h] = 0.5 * np.conj(coeffs[..., h])
-    return _half_to_phys(fine)
+    return _half_to_phys(fine, m)
 
 
 def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray) -> tuple[float, float, np.ndarray, float]:
@@ -222,7 +223,7 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     :func:`_tangent_explicit` minus the diagonal part
     sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2].
     The two agree because b(u, v_j, v_j) = 0 and the Leray gradient is
-    orthogonal to the divergence-free, dealiased span.  The base may be half planes.
+    orthogonal to the divergence-free, dealiased span.  The base may be half or band planes.
     """
     EV, EZ = _tangent_explicit(grid, params, U, W, V, Z, velocity_only)
     explicit = np.sum(_full_from_half(grid, EV) * np.conj(V)).real \
@@ -255,7 +256,7 @@ def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: int = 4,
 
 
 class _TangentRun:
-    """Co-integrates a base trajectory (half planes) and N tangent pairs."""
+    """Co-integrates a base trajectory (half, then band planes) and N tangent pairs."""
 
     def __init__(self, initial: State, params: Params, forcing: Forcing, count: int,
                  dt: float, reorth_interval: int = 10, seed: int = 0,
@@ -285,9 +286,9 @@ class _TangentRun:
         self.EZ_prev: np.ndarray | None = None
 
     def _advance_block(self) -> None:
-        """One reorth block: reorth_interval coupled steps on the half
-        plane (with the base stepper's CN factors), then MGS."""
-        m = self.grid.n // 2 + 1
+        """One reorth block: reorth_interval coupled steps on band planes
+        (with the base stepper's CN factors), then MGS."""
+        m = self.grid.kcut + 1
         V, Z = self.V[..., :m], self.Z[..., :m]
         for _ in range(self.reorth_interval):
             EV, EZ = _tangent_explicit(self.grid, self.params, self.U, self.W,

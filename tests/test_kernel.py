@@ -151,3 +151,23 @@ def test_full_from_half_inverts_the_slice(n):
     state = random_state(grid, 3, 1.0, 1.0, kmax=n)
     U = state.u.stacked()
     assert np.array_equal(_full_from_half(grid, U[..., : n // 2 + 1]), U)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 32, 64])
+def test_advance_from_band_slice_equals_half_plane(n):
+    # a dealiased input carries nothing beyond the band, so its band slice
+    # must step to the same bits as the whole half plane
+    grid = make_grid(n, 2 * np.pi)
+    params = Params(0.1, 0.2, 0.1)
+    forcing = make_forcing(grid, "steady", 0.05, 0.01, mode_hi=4, seed=n)
+    state = random_state(grid, n, 1.0, 0.5, kmax=grid.kcut)
+    assert np.all(state.omega.coeffs[~grid.dealias_mask] == 0)
+    half = n // 2 + 1
+    U, W = state.u.stacked()[..., :half], state.omega.coeffs[:, :half].copy()
+    band = grid.kcut + 1
+    out_half = _Stepper(grid, params, forcing, dt=0.01).advance(U, W, 0.0)
+    out_band = _Stepper(grid, params, forcing, dt=0.01).advance(U[..., :band].copy(),
+                                                                 W[..., :band].copy(), 0.0)
+    for a, b in zip(out_half, out_band):
+        assert a.shape[-1] == band
+        assert a.tobytes() == b.tobytes()

@@ -162,6 +162,61 @@ class TestTransforms:
             ScalarField(grid8, c)
 
 
+BAND_NS = [8, 12, 16, 32, 64]
+
+
+class TestBandPlanes:
+    """The transforms and the rebuild at any width: band planes (columns
+    k2 = 0..kcut) give the bits of the zero-padded half plane."""
+
+    @pytest.mark.parametrize("n", BAND_NS)
+    def test_half_to_phys_of_band_plane(self, n):
+        from micropolar.dynamics import _random_scalars
+        from micropolar.spectral import _half_to_phys
+
+        grid = make_grid(n, 2 * np.pi)
+        half = _random_scalars(grid, np.random.default_rng(n), grid.kcut, 3)[..., : n // 2 + 1]
+        reference = np.fft.irfft2(half, axes=(-2, -1), norm="forward")
+        assert _half_to_phys(half[..., : grid.kcut + 1], n).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", BAND_NS)
+    def test_phys_to_half_at_every_width(self, n):
+        from micropolar.spectral import _phys_to_half
+
+        x = np.random.default_rng(n).standard_normal((3, n, n))
+        full = np.fft.rfft2(x, axes=(-2, -1), norm="forward")
+        for width in range(1, n // 2 + 2):
+            assert _phys_to_half(x, width).tobytes() == full[..., :width].tobytes()
+
+    @pytest.mark.parametrize("n", BAND_NS)
+    def test_full_from_half_at_every_width(self, n):
+        from micropolar.dynamics import _random_scalars
+        from micropolar.spectral import _full_from_half
+
+        grid = make_grid(n, 2 * np.pi)
+        full = _random_scalars(grid, np.random.default_rng(n), n, 2)
+        for width in range(1, n // 2 + 2):
+            # the Hermitian spectrum of the zero-padded half plane: |k2| < width kept
+            reference = full.copy()
+            reference[..., width : n - width + 1] = 0
+            assert _full_from_half(grid, full[..., :width]).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_hermitianized_batch_equals_per_plane(self, n):
+        from micropolar.spectral import _hermitianized
+
+        grid = make_grid(n, 2 * np.pi)
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        batched = _hermitianized(grid, raw)
+        single = np.stack([_hermitianized(grid, plane) for plane in raw])
+        assert batched.flags.c_contiguous
+        assert batched.tobytes() == single.tobytes()
+        flat = raw.reshape(3, -1)
+        reference = 0.5 * (flat + np.conj(flat[:, grid.conj_flat]))
+        assert batched.tobytes() == reference.reshape(raw.shape).tobytes()
+
+
 class TestLeray:
     def test_gradient_field_annihilated(self, grid16):
         rng = np.random.default_rng(1)
@@ -476,6 +531,26 @@ class TestNodal:
         values = _sample_scalar(coeffs[..., : n // 2 + 1], nodes)
         reference = phase_sum_sample(grid, coeffs, nodes.points)
         assert np.max(np.abs(values - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_unaligned_phase_tables_built_once(self, n):
+        from micropolar.dynamics import _random_scalars
+        from micropolar.spectral import _full_from_half, _sample_scalar
+
+        grid = make_grid(n, 2 * np.pi)
+        rng = np.random.default_rng(n)
+        # shuffled, so the node set must sort the points before the tables
+        points = rng.permutation((make_node_set(grid, side=n // 4).points + 0.001) % grid.L)
+        nodes = make_node_set(grid, side=n // 4, points=points)
+        assert not nodes.aligned and not nodes.phases.flags.writeable
+        coeffs = _random_scalars(grid, rng, grid.kcut, 3)
+        # the tables as the sampler once built them on every call
+        k = grid.k1[:, 0].astype(np.float64)
+        E1, E2 = np.exp(2j * np.pi / grid.L * nodes.points.T[:, :, None] * k)
+        for width in (grid.kcut + 1, n // 2 + 1):
+            half = coeffs[..., :width]
+            per_call = ((_full_from_half(grid, half) @ E2.T) * E1.T).sum(axis=-2).real
+            assert _sample_scalar(half, nodes).tobytes() == per_call.tobytes()
 
     @pytest.mark.parametrize("aligned", [True, False])
     def test_batched_helpers_match_per_plane(self, grid32, aligned):
