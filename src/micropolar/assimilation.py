@@ -216,7 +216,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
 
     def nudge(t: float, U: np.ndarray, W: np.ndarray):
         # -mu I_h of the gap, one piecewise-constant interpolant per field
-        gap = spectral._interpolant_scalar(node_values(U, W), nodes, grid.kcut + 1)
+        gap = spectral._interpolant_scalar(node_values(U, W), nodes)
         return -mu * gap[:2], -mu * gap[2]
 
     def eta() -> tuple[float, float]:

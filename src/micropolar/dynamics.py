@@ -376,12 +376,12 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     dealiased.  One step takes 5 inverse (u1, u2, omega, d1 w, d2 w) and 3
     forward (omega u2, -omega u1, -u.grad w) real transforms.
     """
-    n, m = grid.n, grid.kcut + 1
+    m = grid.kcut + 1
     keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
     Uh = U[..., :m] * keep
     Wh = W[..., :m] * keep
     rot_uh, d1w, d2w = d1 * Uh[1] - d2 * Uh[0], d1 * Wh, d2 * Wh
-    u1, u2, rot_u, w1, w2 = _half_to_phys(np.stack([Uh[0], Uh[1], rot_uh, d1w, d2w]), n)
+    u1, u2, rot_u, w1, w2 = _half_to_phys(np.stack([Uh[0], Uh[1], rot_uh, d1w, d2w]))
     max_speed = math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
     # -(omega x u) = (omega u2, -omega u1) and -(u.grad w)

@@ -108,7 +108,7 @@ def _tangent_explicit(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         scal = np.concatenate([W[None, :, :m], Z[..., :m]]) * keep
         planes += [d1 * scal, d2 * scal]
     spec = np.stack(planes, axis=1)
-    phys = _half_to_phys(spec, grid.n)
+    phys = _half_to_phys(spec)
     base, pairs = phys[0], phys[1:]
     u1, u2, rot_u = base[:3]
     v1, v2, rot_v = pairs[:, 0], pairs[:, 1], pairs[:, 2]
@@ -195,7 +195,7 @@ def _padded_phys(coeffs: np.ndarray, n: int, pad: int) -> np.ndarray:
     # the real field keeps half of each at -n/2 and the conjugate half at +n/2
     fine[..., h, :h] = fine[..., m - h, :h] = 0.5 * coeffs[..., h, :h]
     fine[..., -rows % m, h] = 0.5 * np.conj(coeffs[..., h])
-    return _half_to_phys(fine, m)
+    return _half_to_phys(fine)
 
 
 def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray) -> tuple[float, float, np.ndarray, float]:

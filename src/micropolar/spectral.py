@@ -345,15 +345,15 @@ def _same_grid(*fields) -> Grid:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _half_to_phys(half: np.ndarray, n: int) -> np.ndarray:
+def _half_to_phys(half: np.ndarray) -> np.ndarray:
     """
     Real samples on an n x n lattice from the leading columns k2 = 0..w-1
     of half-plane spectra (last two axes (n, w), w <= n//2 + 1); the
-    missing columns are zero.  The axis-0 stage runs on the w given columns
-    only, and ``irfft`` zero-pads the rest: the bits of ``irfft2`` of the
-    zero-padded half plane.
+    missing columns are zero.  ``irfft2`` runs its axis-0 stage on the w
+    given columns only and zero-pads the rest in its last stage.
     """
-    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), n=n, axis=-1, norm="forward")
+    n = half.shape[-2]
+    return np.fft.irfft2(half, s=(n, n), axes=(-2, -1), norm="forward")
 
 
 def _phys_to_half(samples: np.ndarray, width: int) -> np.ndarray:
@@ -378,8 +378,7 @@ def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
 
 def transform_to_physical(field: ScalarField) -> np.ndarray:
     """Evaluate the field on the n x n collocation lattice x_ab = (a, b) L / n."""
-    n = field.grid.n
-    return _half_to_phys(field.coeffs[:, : n // 2 + 1], n)
+    return _half_to_phys(field.coeffs[:, : field.grid.n // 2 + 1])
 
 
 def transform_to_spectral(samples: np.ndarray, grid: Grid) -> ScalarField:
@@ -559,7 +558,7 @@ def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
     V = v.stacked()[..., :m]
     u1, u2, d1v1, d1v2, d2v1, d2v2, w1, w2 = _half_to_phys(np.concatenate(
         [u.stacked()[..., :m], grid.half_d1 * V, grid.half_d2 * V, w.stacked()[..., :m]])
-        * grid.half_keep, grid.n)
+        * grid.half_keep)
     q = (u1 * d1v1 + u2 * d2v1) * w1 + (u1 * d1v2 + u2 * d2v2) * w2
     return float(grid.area * np.mean(q))
 
@@ -571,7 +570,7 @@ def trilinear_b1(u: VectorField, omega: ScalarField, psi: ScalarField) -> float:
     om = omega.coeffs[:, :m]
     u1, u2, d1w, d2w, p = _half_to_phys(np.stack(
         [u.u1.coeffs[:, :m], u.u2.coeffs[:, :m], grid.half_d1 * om, grid.half_d2 * om,
-         psi.coeffs[:, :m]]) * grid.half_keep, grid.n)
+         psi.coeffs[:, :m]]) * grid.half_keep)
     return float(grid.area * np.mean((u1 * d1w + u2 * d2w) * p))
 
 
@@ -669,7 +668,7 @@ def _sample_scalar(half: np.ndarray, nodes: NodeSet) -> np.ndarray:
     width w <= n//2 + 1, missing columns zero), shape (..., N)."""
     grid = nodes.grid
     if nodes.aligned:
-        phys = _half_to_phys(half, grid.n)
+        phys = _half_to_phys(half)
         gi = nodes.grid_indices
         return phys[..., gi[:, 0], gi[:, 1]]
     # sum_ab c_ab E1_ja E2_jb, contracted over the full spectrum (the
@@ -698,15 +697,14 @@ def nodal_values_max(field, nodes: NodeSet) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def _interpolant_scalar(values: np.ndarray, nodes: NodeSet, width: int | None = None) -> np.ndarray:
+def _interpolant_scalar(values: np.ndarray, nodes: NodeSet) -> np.ndarray:
     """Half-plane spectra of the mean-free piecewise-constant interpolants
-    of ``values[..., N]``, shape (..., n, width): the columns k2 = 0..width-1
-    (all n//2 + 1 by default)."""
+    of ``values[..., N]``, shape (..., n, n//2 + 1)."""
     # take() returns a C-ordered gather, whose per-plane means are summed
     # in the same (pairwise) order as the mean of a single plane
     phys = np.take(values, nodes.square_of_cell, axis=-1)
     phys = phys - phys.mean(axis=(-2, -1), keepdims=True)
-    return _phys_to_half(phys, nodes.grid.n // 2 + 1 if width is None else width)
+    return _phys_to_half(phys, nodes.grid.n // 2 + 1)
 
 
 def nodal_interpolant(values: np.ndarray, nodes: NodeSet, grid: Grid):
