@@ -451,7 +451,7 @@ def cmd_lyapunov(config: dict, out: Path, strict: bool) -> int:
     if spinup > 0:
         initial = simulate(initial, params, forcing, spinup, integ["dt"],
                            stride=10**9).final_state
-    with _config_errors():  # the tangent count is bounded by the grid's mode budget
+    with _config_errors("experiment.count: "):  # the band bounds the count of pairs
         report = lyapunov.lyapunov_spectrum(initial, params, forcing, count,
                                             integ["t_end"], integ["dt"],
                                             reorth_interval=reorth, seed=seed,

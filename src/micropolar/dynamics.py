@@ -359,46 +359,81 @@ def shear_state(grid: Grid, amplitude: float = 1.0, t: float = 0.0) -> State:
 
 def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                     f_hat: np.ndarray, g_hat: np.ndarray,
-                    extra: Callable | None = None, t: float = 0.0):
+                    extra: Callable | None = None, t: float = 0.0,
+                    V: np.ndarray | None = None, Z: np.ndarray | None = None):
     """
     Explicitly treated part of the RHS: advection, 2 nu_r rot coupling and
     forcing.  Returns (EU, EW, max_speed); EU is Leray-projected, both are
     dealiased and zero-mean band planes (last axis kcut + 1).
 
-    ``U``, ``W``, ``f_hat``, ``g_hat`` and what ``extra(t, U, W)`` returns
-    are band planes, half planes or full spectra: only the columns
-    k2 = 0..kcut are read.
+    Given tangent pairs ``V`` (N, 2, ...) and ``Z`` (N, ...), it also
+    returns their terms (EV, EZ), the same part of the dynamics linearized
+    about (u, w):
+        E_V = Leray[-(omega_V x u + omega_u x V) + 2 nu_r rot Z]
+        E_Z = -(u.grad)Z - (V.grad)w + 2 nu_r rot V
+    with omega_X = rot X and omega x X = (-omega X2, omega X1).  Forcing and
+    ``extra`` act on the state only.
+
+    ``U``, ``W``, ``V``, ``Z``, ``f_hat``, ``g_hat`` and what
+    ``extra(t, U, W)`` returns are band planes, half planes or full
+    spectra: only the columns k2 = 0..kcut are read.
 
     Advection uses the rotational form P[(u.grad)u] = P[omega x u] with
     omega = rot u, exact in the dealiased band because the gradient part
     grad(|u|^2/2) is removed by the projection.  The inputs are truncated
     to the band first, so this also holds for a state that is not
-    dealiased.  One step takes 5 inverse (u1, u2, omega, d1 w, d2 w) and 3
-    forward (omega u2, -omega u1, -u.grad w) real transforms.
+    dealiased.  The state and each pair take 5 inverse (u1, u2, omega,
+    d1 w, d2 w) and 3 forward (omega u2, -omega u1, -u.grad w) real
+    transforms, all members in one call each way.
     """
     m = grid.kcut + 1
     keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
-    Uh = U[..., :m] * keep
-    Wh = W[..., :m] * keep
-    rot_uh, d1w, d2w = d1 * Uh[1] - d2 * Uh[0], d1 * Wh, d2 * Wh
-    u1, u2, rot_u, w1, w2 = _half_to_phys(np.stack([Uh[0], Uh[1], rot_uh, d1w, d2w]))
+    if V is None:
+        Uh, Wh, state = U[..., :m] * keep, W[..., :m] * keep, ...
+    else:
+        # member 0 is the state, member 1 + j is pair j
+        Uh = np.concatenate([U[None, ..., :m], V[..., :m]]) * keep
+        Wh = np.concatenate([W[None, ..., :m], Z[..., :m]]) * keep
+        state = 0
+    c1, c2 = Uh.swapaxes(0, -3)
+    rot_uh, d1w, d2w = d1 * c2 - d2 * c1, d1 * Wh, d2 * Wh
+    phys = _half_to_phys(np.stack([c1, c2, rot_uh, d1w, d2w], axis=-3))
+    u1, u2, rot_u, w1, w2 = phys[state]
     max_speed = math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
+    prod = np.empty(phys.shape[:-3] + (3,) + phys.shape[-2:])
+    own = prod[state]
     # -(omega x u) = (omega u2, -omega u1) and -(u.grad w)
-    adv = _phys_to_half(np.stack([rot_u * u2, -(rot_u * u1), -(u1 * w1 + u2 * w2)]), m)
-    EU, EW = adv[:2], adv[2]
+    own[0] = rot_u * u2
+    own[1] = -(rot_u * u1)
+    own[2] = -(u1 * w1 + u2 * w2)
+    if V is not None:
+        # -(omega_V x u + omega_u x V) and -(u.grad Z + V.grad w)
+        v1, v2, rot_v, z1, z2 = phys[1:].swapaxes(0, 1)
+        prod[1:, 0] = rot_v * u2 + rot_u * v2
+        prod[1:, 1] = -(rot_v * u1 + rot_u * v1)
+        prod[1:, 2] = -(u1 * z1 + u2 * z2 + v1 * w1 + v2 * w2)
+    adv = _phys_to_half(prod, m)
+    # free the products now; kept, they would raise the peak memory of what follows
+    del prod, own
     two_nur = 2.0 * params.nu_r
     if two_nur != 0.0:
-        EU[0] += two_nur * d2w
-        EU[1] -= two_nur * d1w
-        EW += two_nur * rot_uh
-    EU += f_hat[..., :m]
-    EW += g_hat[..., :m]
+        # ad[i] is term i of every member
+        ad = adv.swapaxes(0, -3)
+        ad[0] += two_nur * d2w
+        ad[1] -= two_nur * d1w
+        ad[2] += two_nur * rot_uh
+    own = adv[state]
+    own[:2] += f_hat[..., :m]
+    own[2] += g_hat[..., :m]
     if extra is not None:
         dU, dW = extra(t, U, W)
-        EU += dU[..., :m]
-        EW += dW[..., :m]
-    return _half_leray(grid, EU), EW * keep, max_speed
+        own[:2] += dU[..., :m]
+        own[2] += dW[..., :m]
+    EU, EW = _half_leray(grid, adv[..., :2, :, :]), adv[..., 2, :, :] * keep
+    if V is None:
+        return EU, EW, max_speed
+    return EU[0], EW[0], max_speed, EU[1:], EW[1:]
 
 
 def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, ScalarField]:
@@ -447,35 +482,36 @@ class _Stepper:
         self.num_w = ((1.0 - rw) / (1.0 + rw)).astype(np.complex128)
         self.dt_den_w = (dt * (1.0 / (1.0 + rw))).astype(np.complex128)
 
-        self.EU_prev: np.ndarray | None = None
-        self.EW_prev: np.ndarray | None = None
+        # explicit terms of the last step: (EU, EW), then (EV, EZ) when pairs rode along
+        self.E_prev: tuple[np.ndarray, ...] = ()
 
     def imex_update(self, U: np.ndarray, W: np.ndarray, EU: np.ndarray, EW: np.ndarray,
-                    EU_prev: np.ndarray | None, EW_prev: np.ndarray | None):
+                    prev: tuple[np.ndarray, ...]):
         """
-        One CN/AB2 update (forward Euler on the explicit part without
-        history); leading batch axes broadcast.  ``U`` and ``W`` may be
-        wider than the band planes ``EU``, ``EW``: only their band columns
-        are read.  Returns the new (U, W) as band planes, projected,
-        dealiased and zero-mean.
+        One CN/AB2 update with the previous explicit terms ``prev`` (forward
+        Euler when it is empty); leading batch axes broadcast.  ``U`` and
+        ``W`` may be wider than the band planes ``EU``, ``EW``: only their
+        band columns are read.  Returns the new (U, W) as band planes,
+        projected, dealiased and zero-mean.
         """
         m = self.grid.kcut + 1
         U, W = U[..., :m], W[..., :m]
-        if EU_prev is None:
-            ExU, ExW = EU, EW
-        else:
-            ExU = 1.5 * EU - 0.5 * EU_prev
-            ExW = 1.5 * EW - 0.5 * EW_prev
-        U_new = _half_leray(self.grid, self.num_u * U + self.dt_den_u * ExU)
-        W_new = (self.num_w * W + self.dt_den_w * ExW) * self.grid.half_keep
+        if prev:
+            EU = 1.5 * EU - 0.5 * prev[0]
+            EW = 1.5 * EW - 0.5 * prev[1]
+        U_new = _half_leray(self.grid, self.num_u * U + self.dt_den_u * EU)
+        W_new = (self.num_w * W + self.dt_den_w * EW) * self.grid.half_keep
         return U_new, W_new
 
-    def advance(self, U: np.ndarray, W: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """One step from band or half planes (U, W) at time t; returns band planes."""
+    def advance(self, U: np.ndarray, W: np.ndarray, t: float,
+                V: np.ndarray | None = None, Z: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """One step from band or half planes (U, W) at time t; returns band planes.
+        Tangent pairs (V, Z) ride along under the dynamics linearized about
+        (U, W), with the same AB2 history; then (U, W, V, Z) is returned."""
         grid, dt = self.grid, self.dt
-        EU, EW, speed = _explicit_terms(grid, self.params, U, W,
-                                        self.forcing.f_hat(t), self.forcing.g_hat(t),
-                                        extra=self.extra, t=t)
+        EU, EW, speed, *pair_terms = _explicit_terms(
+            grid, self.params, U, W, self.forcing.f_hat(t), self.forcing.g_hat(t),
+            extra=self.extra, t=t, V=V, Z=Z)
         if speed > 0:
             dt_max = self.cfl_limit * (grid.L / grid.n) / speed
             if dt > dt_max:
@@ -483,11 +519,14 @@ class _Stepper:
                     f"dt={dt:.3e} exceeds CFL guard {dt_max:.3e} at t={t:.6g} "
                     f"(max advective speed {speed:.3e})"
                 )
-        U_new, W_new = self.imex_update(U, W, EU, EW, self.EU_prev, self.EW_prev)
-        self.EU_prev, self.EW_prev = EU, EW
-        if not (np.isfinite(U_new.view(np.float64)).all() and np.isfinite(W_new.view(np.float64)).all()):
-            raise NumericsError(f"non-finite coefficients after step at t={t + dt:.6g}")
-        return U_new, W_new
+        out = self.imex_update(U, W, EU, EW, self.E_prev[:2])
+        if V is not None:
+            out += self.imex_update(V, Z, *pair_terms, self.E_prev[2:])
+        self.E_prev = (EU, EW, *pair_terms)
+        for X in out:
+            if not np.isfinite(X.view(np.float64)).all():
+                raise NumericsError(f"non-finite coefficients after step at t={t + dt:.6g}")
+        return out
 
 
 def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from micropolar import spectral
-from micropolar.dynamics import (Forcing, Params, State, _random_scalars, _Stepper, _to_half,
-                                 _whole_steps)
+from micropolar.dynamics import (Forcing, NumericsError, Params, State, _explicit_terms,
+                                 _random_scalars, _Stepper, _to_half, _whole_steps)
 from micropolar.estimates import Constants
 from micropolar.spectral import (
     FieldError,
@@ -29,10 +29,8 @@ from micropolar.spectral import (
     ScalarField,
     VectorField,
     _full_from_half,
-    _half_leray,
     _half_to_phys,
     _leray_arrays,
-    _phys_to_half,
     _product_energy,
 )
 
@@ -85,52 +83,6 @@ class LyapunovReport:
 # Tangent right-hand side
 # ---------------------------------------------------------------------------
 
-def _tangent_explicit(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
-                      V: np.ndarray, Z: np.ndarray,
-                      velocity_only: bool) -> tuple[np.ndarray, np.ndarray]:
-    """
-    Explicit tangent terms for a batch of pairs, dealiased and projected,
-    in the rotational form of :func:`micropolar.dynamics._explicit_terms`
-    linearized about (u, w):
-        E_V = Leray[-(omega_V x u + omega_u x V) + 2 nu_r rot Z]
-        E_Z = -(u.grad)Z - (V.grad)w + 2 nu_r rot V
-    with omega_X = rot X and omega x X = (-omega X2, omega X1).  V has shape
-    (N, 2, ...), Z (N, ...); every input may be a full spectrum, a half
-    plane or a band plane (only the columns k2 = 0..kcut are read), and the
-    outputs are band planes.
-    """
-    m = grid.kcut + 1
-    keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
-    # index 0 along the first axis is the base, 1 + j is pair j
-    vel = np.concatenate([U[None, :, :, :m], V[..., :m]]) * keep
-    planes = [vel[:, 0], vel[:, 1], d1 * vel[:, 1] - d2 * vel[:, 0]]
-    if not velocity_only:
-        scal = np.concatenate([W[None, :, :m], Z[..., :m]]) * keep
-        planes += [d1 * scal, d2 * scal]
-    spec = np.stack(planes, axis=1)
-    phys = _half_to_phys(spec)
-    base, pairs = phys[0], phys[1:]
-    u1, u2, rot_u = base[:3]
-    v1, v2, rot_v = pairs[:, 0], pairs[:, 1], pairs[:, 2]
-
-    # -(omega_V x u + omega_u x V) and -(u.grad Z + V.grad w)
-    terms = [rot_v * u2 + rot_u * v2, -(rot_v * u1 + rot_u * v1)]
-    if not velocity_only:
-        terms.append(-(u1 * pairs[:, 3] + u2 * pairs[:, 4] + v1 * base[3] + v2 * base[4]))
-    adv = _phys_to_half(np.stack(terms, axis=1), m)
-    EV = adv[:, :2]
-    if velocity_only:
-        return _half_leray(grid, EV), np.zeros((V.shape[0],) + keep.shape, dtype=np.complex128)
-
-    EZ = adv[:, 2]
-    two_nur = 2.0 * params.nu_r
-    if two_nur != 0.0:
-        EV[:, 0] += two_nur * spec[1:, 4]
-        EV[:, 1] -= two_nur * spec[1:, 3]
-        EZ += two_nur * spec[1:, 2]
-    return _half_leray(grid, EV), EZ * keep
-
-
 def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
                 params: Params) -> tuple[VectorField, ScalarField]:
     """
@@ -144,8 +96,9 @@ def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
         raise FieldError("perturbation lives on a different grid than the base")
     Vb = V.stacked()[None]
     Zb = Z.coeffs[None]
-    EV, EZ = _tangent_explicit(grid, params, base.u.stacked(), base.omega.coeffs,
-                               Vb, Zb, velocity_only=False)
+    W = base.omega.coeffs
+    zero = np.zeros_like(W)
+    *_, EV, EZ = _explicit_terms(grid, params, base.u.stacked(), W, zero, zero, V=Vb, Z=Zb)
     visc = (params.nu + params.nu_r) * grid.lam
     dV = _full_from_half(grid, EV[0]) - visc * Vb[0]
     dZ = _full_from_half(grid, EZ[0]) - (params.alpha * grid.lam + 4.0 * params.nu_r) * Zb[0]
@@ -164,6 +117,8 @@ def _pair_inner(grid: Grid, V1, Z1, V2, Z2) -> float:
 def _mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """In-place modified Gram-Schmidt in the product inner product;
     returns the growth factors (diagonal of R)."""
+    if not (np.isfinite(V.view(np.float64)).all() and np.isfinite(Z.view(np.float64)).all()):
+        raise NumericsError("non-finite tangent pairs at re-orthonormalization")
     N = V.shape[0]
     norms = np.empty(N)
     for j in range(N):
@@ -215,17 +170,18 @@ def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray) -> tuple[float, float,
 
 
 def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
-                  V: np.ndarray, Z: np.ndarray, velocity_only: bool) -> dict:
+                  V: np.ndarray, Z: np.ndarray) -> dict:
     """
     Trace of the linearized generator on the orthonormal span,
     -sum_j [a(phi_j, phi_j) + B(phi_j, ubar, phi_j) + R(phi_j, phi_j)],
     taken as sum_j Re <E(phi_j), phi_j> from the explicit tangent terms E of
-    :func:`_tangent_explicit` minus the diagonal part
+    :func:`micropolar.dynamics._explicit_terms` minus the diagonal part
     sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2].
     The two agree because b(u, v_j, v_j) = 0 and the Leray gradient is
     orthogonal to the divergence-free, dealiased span.  The base may be half or band planes.
     """
-    EV, EZ = _tangent_explicit(grid, params, U, W, V, Z, velocity_only)
+    zero = np.zeros_like(W)
+    *_, EV, EZ = _explicit_terms(grid, params, U, W, zero, zero, V=V, Z=Z)
     explicit = np.sum(_full_from_half(grid, EV) * np.conj(V)).real \
         + np.sum(_full_from_half(grid, EZ) * np.conj(Z)).real
     lam = grid.lam
@@ -268,9 +224,13 @@ class _TangentRun:
         if velocity_only and params.nu_r != 0.0:
             raise ValueError("velocity-only tangents are exact only for nu_r = 0")
         grid = initial.grid
-        if count > grid.num_modes:
-            raise ValueError(f"tangent count {count} exceeds the mode budget {grid.num_modes}")
-        self.grid, self.params, self.dt = grid, params, dt
+        # the pairs live in the dealiased band, (2 kcut + 1)^2 - 1 real
+        # dimensions per field, with Z = 0 for velocity-only pairs
+        dim = ((2 * grid.kcut + 1) ** 2 - 1) * (1 if velocity_only else 2)
+        if count > dim:
+            raise ValueError(f"tangent count {count} exceeds the mode budget of the "
+                             f"dealiased band, {dim} real dimensions at n={grid.n}")
+        self.grid, self.dt = grid, dt
         self.velocity_only = velocity_only
         self.reorth_interval = reorth_interval
 
@@ -282,21 +242,16 @@ class _TangentRun:
         self.V, self.Z = random_tangent_pairs(grid, count, seed, velocity_only=velocity_only)
         _mgs(grid, self.V, self.Z)
         self.log_sums = np.zeros(count)
-        self.EV_prev: np.ndarray | None = None
-        self.EZ_prev: np.ndarray | None = None
 
     def _advance_block(self) -> None:
-        """One reorth block: reorth_interval coupled steps on band planes
-        (with the base stepper's CN factors), then MGS."""
-        m = self.grid.kcut + 1
-        V, Z = self.V[..., :m], self.Z[..., :m]
+        """One reorth block: reorth_interval coupled steps of the base and
+        its pairs on band planes, then MGS."""
+        V, Z = self.V, self.Z
         for _ in range(self.reorth_interval):
-            EV, EZ = _tangent_explicit(self.grid, self.params, self.U, self.W,
-                                       V, Z, self.velocity_only)
-            V, Z = self.base.imex_update(V, Z, EV, EZ, self.EV_prev, self.EZ_prev)
-            self.EV_prev, self.EZ_prev = EV, EZ
-            # base advances with its own AB2 history
-            self.U, self.W = self.base.advance(self.U, self.W, self.t)
+            self.U, self.W, V, Z = self.base.advance(self.U, self.W, self.t, V, Z)
+            if self.velocity_only:
+                # exact: with nu_r = 0 no velocity term reads Z
+                Z[...] = 0.0
             self.t += self.dt
         self.V = _full_from_half(self.grid, V)
         self.Z = _full_from_half(self.grid, Z)
@@ -354,7 +309,7 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
                       velocity_only)
 
     def sample() -> dict:
-        return _trace_sample(run.grid, params, run.U, run.W, run.V, run.Z, velocity_only)
+        return _trace_sample(run.grid, params, run.U, run.W, run.V, run.Z)
 
     nblocks = max(1, _whole_steps(t_span, dt * reorth_interval))
     times = [run.t]

@@ -269,11 +269,23 @@ class TestExitCodes:
         pytest.param("verify-estimates", "integrator", "stride", 100, id="verify-window"),
         pytest.param("sync-modes", "integrator", "t_end", 0, id="sync-zero-span"),
         pytest.param("lyapunov", "experiment", "count", 256, id="lyapunov-mode-budget"),
+        # below n^2 - 1 = 255 but above the band's 2 ((2 kcut + 1)^2 - 1) = 240
+        pytest.param("lyapunov", "experiment", "count", 241, id="lyapunov-band-dimension"),
     ])
     def test_library_domain_exit(self, small_config, tmp_path, capsys, cmd, section, key, value):
         cfg = self._variant(small_config, tmp_path, **{section: {key: value}})
         assert run(cmd, cfg, tmp_path / "out") == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_lyapunov_count_fills_the_band(self, small_config, tmp_path, capsys):
+        # n = 8 (kcut = 2): 48 pairs span the band, 49 are a config error
+        small = {"grid": {"n": 8}, "forcing": {"mode_hi": 4}}
+        cfg = self._variant(small_config, tmp_path, **small, experiment={"count": 48})
+        assert run("lyapunov", cfg, tmp_path / "out") == EXIT_OK
+        assert len(load_summary(tmp_path / "out" / "lyapunov.json")["exponents"]) == 48
+        cfg = self._variant(small_config, tmp_path, **small, experiment={"count": 49})
+        assert run("lyapunov", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert "config error: experiment.count: " in capsys.readouterr().err
 
     def test_experiment_keys_lenient(self, small_config, tmp_path):
         # one experiment block serves several subcommands, each reading its own keys

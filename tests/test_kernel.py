@@ -18,7 +18,7 @@ from micropolar.dynamics import (
     make_forcing,
     random_state,
 )
-from micropolar.lyapunov import _tangent_explicit, random_tangent_pairs
+from micropolar.lyapunov import random_tangent_pairs
 from micropolar.spectral import (
     ScalarField,
     VectorField,
@@ -115,7 +115,8 @@ def test_tangent_terms_match_advective_form(grid32, nu_r, velocity_only):
     base = random_state(grid32, 6, 1.0, 0.5)
     U, W = base.u.stacked(), base.omega.coeffs
     V, Z = random_tangent_pairs(grid32, 3, seed=9, velocity_only=velocity_only)
-    EV, EZ = _tangent_explicit(grid32, params, U, W, V, Z, velocity_only)
+    zero = np.zeros_like(W)
+    *_, EV, EZ = _explicit_terms(grid32, params, U, W, zero, zero, V=V, Z=Z)
 
     mask = grid32.dealias_mask
     d1, d2 = grid32.deriv_factor(0), grid32.deriv_factor(1)
@@ -134,15 +135,42 @@ def test_tangent_terms_match_advective_form(grid32, nu_r, velocity_only):
         ref_v[:, 0, 0] = 0.0
         assert np.max(np.abs(_full_from_half(grid32, EV[j]) - ref_v)) \
             <= ROUNDOFF * np.max(np.abs(adv))
-        if velocity_only:
-            assert np.all(EZ[j] == 0)
-            continue
         adv_z = (_advect_scalar_arrays(grid32, u_phys, Zj)
                  + _advect_scalar_arrays(grid32, v_phys, W * mask))
         ref_z = (-adv_z + two_nur * (d1 * Vj[1] - d2 * Vj[0])) * mask
         ref_z[0, 0] = 0.0
         assert np.max(np.abs(_full_from_half(grid32, EZ[j]) - ref_z)) \
             <= ROUNDOFF * np.max(np.abs(adv_z))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("nu_r", [0.0, 0.2])
+def test_pairs_ride_along_bitwise(n, nu_r):
+    # the state's terms are the same bits with or without pairs, and each
+    # pair's terms are the same bits as in a call with that pair alone;
+    # forcing and the extra term act on the state only
+    grid = make_grid(n, 2 * np.pi)
+    params = Params(0.1, nu_r, 0.1)
+    forcing = make_forcing(grid, "steady", 0.05, 0.01, mode_hi=4, seed=n)
+    state = random_state(grid, n, 1.0, 0.5, kmax=n)
+    U, W = state.u.stacked(), state.omega.coeffs
+    V, Z = random_tangent_pairs(grid, 4, seed=n + 1, kmax=n)
+    f_hat, g_hat = forcing.f_hat(0.0), forcing.g_hat(0.0)
+
+    def extra(t, U, W):
+        return 0.5 * U, -0.25 * W
+
+    alone = _explicit_terms(grid, params, U, W, f_hat, g_hat, extra, 0.0)
+    riding = _explicit_terms(grid, params, U, W, f_hat, g_hat, extra, 0.0, V=V, Z=Z)
+    for a, b in zip(alone, riding[:3]):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    EV, EZ = riding[3:]
+    assert EV.shape == (4, 2, n, grid.kcut + 1) and EZ.shape == (4, n, grid.kcut + 1)
+    for j in range(4):
+        *_, EVj, EZj = _explicit_terms(grid, params, U, W, f_hat, g_hat, extra, 0.0,
+                                       V=V[j:j + 1], Z=Z[j:j + 1])
+        assert EVj[0].tobytes() == EV[j].tobytes()
+        assert EZj[0].tobytes() == EZ[j].tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])

@@ -10,11 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from micropolar.dynamics import Forcing, Params, State, make_forcing, random_state, rhs
+from micropolar.dynamics import (
+    Forcing,
+    NumericsError,
+    Params,
+    State,
+    make_forcing,
+    random_state,
+    rhs,
+)
 from micropolar.estimates import compute_constants
 from micropolar.lyapunov import (
     _mgs,
     _padded_phys,
+    _TangentRun,
     kaplan_yorke_dimension,
     lieb_thirring_check,
     lyapunov_spectrum,
@@ -119,6 +128,12 @@ class TestOrthonormalization:
         V[1] = V[0]
         Z[1] = Z[0]
         with pytest.raises(RuntimeError, match="rank"):
+            _mgs(grid16, V, Z)
+
+    def test_non_finite_pairs_rejected(self, grid16):
+        V, Z = random_tangent_pairs(grid16, 3, seed=1)
+        V[1, 0, 1, 2] = np.inf
+        with pytest.raises(NumericsError, match="non-finite"):
             _mgs(grid16, V, Z)
 
 
@@ -231,8 +246,7 @@ class TestSpectrumRun:
         base = random_state(grid, 13, 0.3, 0.15)
         V, Z = random_tangent_pairs(grid, 3, seed=5, velocity_only=velocity_only)
         _mgs(grid, V, Z)
-        sample = _trace_sample(grid, params, base.u.stacked(), base.omega.coeffs,
-                               V, Z, velocity_only=velocity_only)
+        sample = _trace_sample(grid, params, base.u.stacked(), base.omega.coeffs, V, Z)
         total = 0.0
         for j in range(3):
             v = VectorField.from_coeffs(grid, V[j, 0], V[j, 1])
@@ -273,6 +287,37 @@ class TestSpectrumRun:
         with pytest.raises(ValueError, match="velocity-only"):
             lyapunov_spectrum(init, PARAMS, Forcing.zero(grid16), count=2,
                               t_span=1.0, dt=0.01, velocity_only=True)
+
+    def test_count_bounded_by_band_dimension(self, grid8):
+        # the band of n = 8 (kcut = 2) holds 24 real dimensions per field
+        init = random_state(grid8, 2, 0.05, 0.02)
+        lyapunov_spectrum(init, PARAMS, Forcing.zero(grid8), count=48,
+                          t_span=0.1, dt=0.01)
+        with pytest.raises(ValueError, match="mode budget"):
+            lyapunov_spectrum(init, PARAMS, Forcing.zero(grid8), count=49,
+                              t_span=0.1, dt=0.01)
+        params = Params(nu=0.4, nu_r=0.0, alpha=0.5)
+        with pytest.raises(ValueError, match="mode budget"):
+            lyapunov_spectrum(init, params, Forcing.zero(grid8), count=25,
+                              t_span=0.1, dt=0.01, velocity_only=True)
+
+    def test_velocity_only_pairs_keep_zero_microrotation(self, grid16):
+        params = Params(nu=0.4, nu_r=0.0, alpha=0.5)
+        init = random_state(grid16, 2, 0.05, 0.02)
+        run = _TangentRun(init, params, Forcing.zero(grid16), 3, dt=0.01,
+                          reorth_interval=5, seed=4, velocity_only=True)
+        for _ in range(2):
+            run._advance_block()
+            assert np.all(run.Z == 0)
+            assert np.all(np.isfinite(run.V))
+
+    def test_non_finite_pair_in_run_raises(self, grid16):
+        init = random_state(grid16, 2, 0.05, 0.02)
+        run = _TangentRun(init, PARAMS, Forcing.zero(grid16), 3, dt=0.01,
+                          reorth_interval=5, seed=4)
+        run.Z[2, 1, 1] = np.nan
+        with pytest.raises(NumericsError, match="non-finite"):
+            run._advance_block()
 
     def test_span_not_whole_blocks(self, grid16):
         # 0.15 is 15 steps but 1.5 re-orthonormalization blocks of 10 steps
