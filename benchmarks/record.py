@@ -1,0 +1,187 @@
+"""
+Per-layer performance point of the micropolar solver, written to
+``BENCH_<label>.json`` at the root of this checkout.
+
+    python3 benchmarks/record.py --label LABEL [--src PATH] [--out PATH]
+
+``--src`` is the ``src`` directory of the tree to measure (default: this
+checkout's).  A point for an earlier commit measures a copy of it, for
+example ``git archive COMMIT | tar -x -C DIR`` and ``--src DIR/src``; a
+layer that does not exist there is recorded as absent.
+
+Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
+
+- ``advance`` and ``advance_8_pairs``: one ``_Stepper.advance`` call
+  without tangent pairs and with 8 (after two warm-up steps);
+- ``from_half``: one ``_from_half`` record of a stepped state.
+
+Each layer reports the median and interquartile range of single-call
+times in microseconds, and, from a separate run under ``tracemalloc``
+(after a first pass that fills the allocators' caches), the traced bytes
+per call (net growth over the calls, divided by their count) and the
+peak of traced memory above the level before the first call.
+``simulate_stride10`` reports the minor page faults (``ru_minflt``) per
+step of an in-process ``simulate`` at stride 10, after a warm-up run.
+Faults follow the allocator's heap layout, so they are an observation,
+not a target.  ``machine`` records nproc, the Python and numpy versions
+and the median of 5 runs of the perfbench host-speed probe.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (16, 32, 64, 128, 256)
+# calls per timed layer at each n, so that every layer takes about a second
+CALLS = {16: 400, 32: 200, 64: 100, 128: 40, 256: 15}
+PAIRS = 8
+
+
+def _summary(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_us": median * 1e6, "iqr_us": (q3 - q1) * 1e6, "calls": len(samples)}
+
+
+def _timed(call, count: int) -> list[float]:
+    times = []
+    for _ in range(count):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def _traced(call, count: int) -> dict:
+    tracemalloc.start()
+    try:
+        # a first pass fills numpy's and Python's small-block caches, which
+        # would otherwise read as growth
+        for _ in range(count):
+            call()
+        before = tracemalloc.get_traced_memory()[0]
+        # the int object that holds `before` is itself traced
+        before += tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        for _ in range(count):
+            call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"traced_bytes_per_call": (after - before) / count,
+            "traced_peak_bytes": peak - before}
+
+
+def _setup(n: int):
+    from micropolar.dynamics import Params, make_forcing, random_state
+    from micropolar.spectral import make_grid
+
+    grid = make_grid(n, 6.283185307179586)
+    params = Params(0.15, 0.075, 0.15)
+    forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+    return grid, params, forcing, random_state(grid, 2, 0.15, 0.05)
+
+
+class _Loop:
+    """A stepper and its planes, advanced one call at a time."""
+
+    def __init__(self, n: int, pairs: int):
+        from micropolar.dynamics import _Stepper, _to_half
+
+        self.grid, params, forcing, state = _setup(n)
+        self.stepper = _Stepper(self.grid, params, forcing, dt=0.01)
+        self.planes = list(_to_half(state))
+        if pairs:
+            from micropolar.lyapunov import random_tangent_pairs
+            self.planes += list(random_tangent_pairs(self.grid, pairs, seed=3))
+        self.t = 0.0
+        for _ in range(2):
+            self.step()
+
+    def step(self) -> None:
+        U, W, *VZ = self.planes
+        self.planes = list(self.stepper.advance(U, W, self.t, *VZ))
+        self.t += 0.01
+
+
+def _advance(n: int, pairs: int) -> dict:
+    loop = _Loop(n, pairs)
+    count = max(10, CALLS[n] // (1 + pairs // 2))
+    return {**_summary(_timed(loop.step, count)), **_traced(loop.step, count)}
+
+
+def _from_half(n: int) -> dict:
+    from micropolar.dynamics import _from_half as from_half
+
+    loop = _Loop(n, 0)
+    U, W = loop.planes
+
+    def record():
+        from_half(loop.grid, U, W, loop.t)
+
+    return {**_summary(_timed(record, CALLS[n])), **_traced(record, CALLS[n])}
+
+
+def _faults(n: int) -> dict:
+    from micropolar.dynamics import simulate
+
+    grid, params, forcing, state = _setup(n)
+    steps = CALLS[n] // 2
+    simulate(state, params, forcing, 0.01 * steps, 0.01, stride=10)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulate(state, params, forcing, 0.01 * steps, 0.01, stride=10)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return {"minflt_per_step": (after - before) / steps, "steps": steps}
+
+
+def _layer(measure, *args):
+    try:
+        return measure(*args)
+    except (ImportError, AttributeError, TypeError) as err:
+        return {"absent": f"{type(err).__name__}: {err}"}
+
+
+def _machine() -> dict:
+    import numpy
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from probe import speed_probe
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "probe_median_s": statistics.median(speed_probe() for _ in range(5))}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--out", help="output file (default: BENCH_<label>.json at the root)")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+
+    point = {"label": args.label, "machine": _machine(), "layers": {}}
+    layers = (("advance", lambda n: _layer(_advance, n, 0)),
+              (f"advance_{PAIRS}_pairs", lambda n: _layer(_advance, n, PAIRS)),
+              ("from_half", lambda n: _layer(_from_half, n)),
+              ("simulate_stride10", lambda n: _layer(_faults, n)))
+    for name, measure in layers:
+        point["layers"][name] = {str(n): measure(n) for n in SIZES}
+        print(name, json.dumps(point["layers"][name]), flush=True)
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(point, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,6 +35,7 @@ from micropolar.spectral import (
     _half_to_phys,
     _hermitianized,
     _leray_arrays,
+    _mirror_half,
     _phys_to_half,
 )
 
@@ -357,10 +358,70 @@ def shear_state(grid: Grid, amplitude: float = 1.0, t: float = 0.0) -> State:
 # Right-hand side and IMEX stepping
 # ---------------------------------------------------------------------------
 
+class _Workspace:
+    """
+    Buffers of the nonlinear kernel and of one IMEX step for ``members``
+    members (the state, then its tangent pairs) on one grid, allocated
+    once.  Arrays are component-major, (component, member, n, width), so
+    one component of all members is one contiguous block, and the band
+    tables are stacked to (member, n, kcut + 1): every elementwise
+    operation then runs over equal contiguous shapes, for which numpy
+    needs no iteration buffers.  A buffer lends its bytes to other
+    temporaries while what it holds is spent:
+
+    - ``phys``: the 5 physical planes of each member; the products
+      overwrite planes 2..4 as their factors are spent.  Before the
+      inverse transform and after the forward one, its bytes hold the
+      band-plane temporaries ``tmp`` and the finiteness mask ``finite``.
+    - one spectral scratch: the spectral input ``spec_in``, whose inverse
+      axis-0 stage runs in place, then the forward transform's last-axis
+      stage ``rfft_out``, then the AB2 combination ``ab2``.
+    - ``E`` and ``E_prev``: this step's and the last step's explicit
+      terms, swapped after each step; ``E_prev`` is scratch once the AB2
+      combination has read it.
+    - ``out``: the stepper's band planes, which ``U``, ``W``, ``V`` and
+      ``Z`` view in the layout of the stepper's inputs.
+    """
+
+    def __init__(self, grid: Grid, members: int):
+        n, m, h = grid.n, grid.kcut + 1, grid.n // 2 + 1
+        self.members = members
+        self.phys = np.empty((5, members, n, n))
+        spec = np.empty(members * n * max(5 * m, 3 * h), dtype=np.complex128)
+        self.spec_in = spec[: 5 * members * n * m].reshape(5, members, n, m)
+        self.rfft_out = spec[: 3 * members * n * h].reshape(3, members, n, h)
+        self.ab2 = spec[: 3 * members * n * m].reshape(3, members, n, m)
+        spent = self.phys.reshape(-1)
+        self.tmp = spent.view(np.complex128)[: 4 * members * n * m].reshape(4, members, n, m)
+        self.finite = spent.view(np.bool_)[: 6 * members * n * m].reshape(3, members, n, 2 * m)
+        self.E, self.E_prev, self.out = (np.empty((3, members, n, m), dtype=np.complex128)
+                                         for _ in range(3))
+        self.U, self.W = self.out[:2, 0], self.out[2, 0]
+        self.V, self.Z = self.out[:2, 1:].swapaxes(0, 1), self.out[2, 1:]
+        self.keep, self.d1, self.d2 = (self.stacked(x) for x in
+                                       (grid.half_keep, grid.half_d1, grid.half_d2))
+        self.leray = tuple(self.stacked(x) for x in grid.half_leray)
+
+    def stacked(self, table: np.ndarray) -> np.ndarray:
+        """
+        A band table (broadcastable to (n, kcut + 1)) as a contiguous plane
+        stacked over the members.  numpy buffers a table broadcast over
+        the members only when a plane has at most half its ufunc buffer
+        of elements (``np.getbufsize()``), so only such small planes are
+        copied per member; larger ones are viewed.
+        """
+        plane = np.ascontiguousarray(np.broadcast_to(table, self.E.shape[-2:]))
+        stack = np.broadcast_to(plane, (self.members,) + plane.shape)
+        if self.members > 1 and 2 * plane.size <= np.getbufsize():
+            return stack.copy()
+        return stack
+
+
 def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                     f_hat: np.ndarray, g_hat: np.ndarray,
                     extra: Callable | None = None, t: float = 0.0,
-                    V: np.ndarray | None = None, Z: np.ndarray | None = None):
+                    V: np.ndarray | None = None, Z: np.ndarray | None = None,
+                    work: _Workspace | None = None):
     """
     Explicitly treated part of the RHS: advection, 2 nu_r rot coupling and
     forcing.  Returns (EU, EW, max_speed); EU is Leray-projected, both are
@@ -385,55 +446,104 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     dealiased.  The state and each pair take 5 inverse (u1, u2, omega,
     d1 w, d2 w) and 3 forward (omega u2, -omega u1, -u.grad w) real
     transforms, all members in one call each way.
-    """
-    m = grid.kcut + 1
-    keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
-    if V is None:
-        Uh, Wh, state = U[..., :m] * keep, W[..., :m] * keep, ...
-    else:
-        # member 0 is the state, member 1 + j is pair j
-        Uh = np.concatenate([U[None, ..., :m], V[..., :m]]) * keep
-        Wh = np.concatenate([W[None, ..., :m], Z[..., :m]]) * keep
-        state = 0
-    c1, c2 = Uh.swapaxes(0, -3)
-    rot_uh, d1w, d2w = d1 * c2 - d2 * c1, d1 * Wh, d2 * Wh
-    phys = _half_to_phys(np.stack([c1, c2, rot_uh, d1w, d2w], axis=-3))
-    u1, u2, rot_u, w1, w2 = phys[state]
-    max_speed = math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
-    prod = np.empty(phys.shape[:-3] + (3,) + phys.shape[-2:])
-    own = prod[state]
-    # -(omega x u) = (omega u2, -omega u1) and -(u.grad w)
-    own[0] = rot_u * u2
-    own[1] = -(rot_u * u1)
-    own[2] = -(u1 * w1 + u2 * w2)
-    if V is not None:
-        # -(omega_V x u + omega_u x V) and -(u.grad Z + V.grad w)
-        v1, v2, rot_v, z1, z2 = phys[1:].swapaxes(0, 1)
-        prod[1:, 0] = rot_v * u2 + rot_u * v2
-        prod[1:, 1] = -(rot_v * u1 + rot_u * v1)
-        prod[1:, 2] = -(u1 * z1 + u2 * z2 + v1 * w1 + v2 * w2)
-    adv = _phys_to_half(prod, m)
-    # free the products now; kept, they would raise the peak memory of what follows
-    del prod, own
+    Every temporary lives in the workspace ``work`` (a fresh one when
+    omitted), and the terms returned are views of its ``E``.
+    """
+    if work is None:
+        work = _Workspace(grid, 1 if V is None else 1 + len(V))
+    m = grid.kcut + 1
+    keep, d1, d2 = work.keep, work.d1, work.d2
+    spec, phys, tmp, E = work.spec_in, work.phys, work.tmp, work.E
+    pair_u = (None, None) if V is None else (V[:, 0], V[:, 1])
+
+    def truncate(x, y, out):
+        # band columns of the state's plane x and the pairs' planes y,
+        # masked; member 0 is the state, member 1 + j is pair j
+        np.multiply(x[..., :m], keep[0], out=out[0])
+        if y is not None:
+            np.multiply(y[..., :m], keep[1:], out=out[1:])
+
+    # spectral input (c1, c2, rot u, d1 w, d2 w) of every member
+    truncate(U[0], pair_u[0], spec[0])
+    truncate(U[1], pair_u[1], spec[1])
+    truncate(W, Z, spec[3])
+    np.multiply(d2, spec[3], out=spec[4])
+    np.multiply(d1, spec[3], out=spec[3])
+    np.multiply(d1, spec[1], out=spec[2])
+    np.multiply(d2, spec[0], out=tmp[0])
+    np.subtract(spec[2], tmp[0], out=spec[2])
+    _half_to_phys(spec, out=phys)
+
+    u1, u2, rot_u, w1, w2 = phys[:, 0]
+    # products into planes 2..4 of each member, each written over factors
+    # it has spent; the pairs' go first, as they read the state's factors
+    # (one pair at a time: planes of equal shape need no iteration buffers)
+    for j in range(1, work.members):
+        v1, v2, rot_v, z1, z2 = phys[:, j]
+        # -(u.grad Z + V.grad w)
+        np.multiply(u1, z1, out=z1)
+        np.multiply(u2, z2, out=z2)
+        np.add(z1, z2, out=z2)
+        np.multiply(v1, w1, out=z1)
+        np.add(z2, z1, out=z2)
+        np.multiply(v2, w2, out=z1)
+        np.add(z2, z1, out=z2)
+        np.negative(z2, out=z2)
+        # -(omega_V x u + omega_u x V)
+        np.multiply(rot_v, u1, out=z1)
+        np.multiply(rot_u, v1, out=v1)
+        np.add(z1, v1, out=z1)
+        np.negative(z1, out=z1)
+        np.multiply(rot_v, u2, out=rot_v)
+        np.multiply(rot_u, v2, out=v2)
+        np.add(rot_v, v2, out=rot_v)
+    # -(u.grad w), then -(omega x u) = (omega u2, -omega u1)
+    np.multiply(u1, w1, out=w1)
+    np.multiply(u2, w2, out=w2)
+    np.add(w1, w2, out=w2)
+    np.negative(w2, out=w2)
+    np.multiply(rot_u, u1, out=w1)
+    np.negative(w1, out=w1)
+    np.multiply(rot_u, u2, out=rot_u)
+    # the speeds, in the spent velocity planes
+    np.multiply(u1, u1, out=u1)
+    np.multiply(u2, u2, out=u2)
+    np.add(u1, u2, out=u1)
+    max_speed = math.sqrt(float(u1.max()))
+    _phys_to_half(phys[2:], m, out=E, scratch=work.rfft_out)
+
     two_nur = 2.0 * params.nu_r
     if two_nur != 0.0:
-        # ad[i] is term i of every member
-        ad = adv.swapaxes(0, -3)
-        ad[0] += two_nur * d2w
-        ad[1] -= two_nur * d1w
-        ad[2] += two_nur * rot_uh
-    own = adv[state]
-    own[:2] += f_hat[..., :m]
-    own[2] += g_hat[..., :m]
+        # the coupling's factors again, from the inputs: the inverse
+        # transform has overwritten the spectral input
+        wh, t1, c1, c2 = tmp
+        truncate(W, Z, wh)
+        np.multiply(d2, wh, out=t1)
+        np.multiply(two_nur, t1, out=t1)
+        np.add(E[0], t1, out=E[0])
+        np.multiply(d1, wh, out=t1)
+        np.multiply(two_nur, t1, out=t1)
+        np.subtract(E[1], t1, out=E[1])
+        truncate(U[0], pair_u[0], c1)
+        truncate(U[1], pair_u[1], c2)
+        np.multiply(d1, c2, out=wh)
+        np.multiply(d2, c1, out=t1)
+        np.subtract(wh, t1, out=wh)
+        np.multiply(two_nur, wh, out=wh)
+        np.add(E[2], wh, out=E[2])
+    own = E[:, 0]
+    for k, f in enumerate((f_hat[0], f_hat[1], g_hat)):
+        np.add(own[k], f[..., :m], out=own[k])
     if extra is not None:
         dU, dW = extra(t, U, W)
-        own[:2] += dU[..., :m]
-        own[2] += dW[..., :m]
-    EU, EW = _half_leray(grid, adv[..., :2, :, :]), adv[..., 2, :, :] * keep
+        for k, d in enumerate((dU[0], dU[1], dW)):
+            np.add(own[k], d[..., :m], out=own[k])
+    _half_leray(work.leray, E[0], E[1], E[0], E[1], tmp)
+    np.multiply(E[2], keep, out=E[2])
     if V is None:
-        return EU, EW, max_speed
-    return EU[0], EW[0], max_speed, EU[1:], EW[1:]
+        return E[:2, 0], E[2, 0], max_speed
+    return E[:2, 0], E[2, 0], max_speed, E[:2, 1:].swapaxes(0, 1), E[2, 1:]
 
 
 def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, ScalarField]:
@@ -457,7 +567,8 @@ def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, Sc
 class _Stepper:
     """IMEX CN/AB2 integrator core on band planes (columns k2 = 0..kcut of the
     half plane; :func:`_to_half` and :func:`_from_half` convert at the ``State``
-    boundary), with CN factors built once per (grid, params, dt)."""
+    boundary), with CN factors built once per (grid, params, dt) and one
+    :class:`_Workspace` per member count, so that a step allocates no arrays."""
 
     def __init__(self, grid: Grid, params: Params, forcing: Forcing, dt: float,
                  cfl_limit: float = 0.5, extra: Callable | None = None):
@@ -474,44 +585,72 @@ class _Stepper:
 
         # u_new = num * u + dt / den * explicit, with den, num = 1 +/- dt/2 * linear;
         # band-plane tables, complex like the spectra so products need no casting
-        lam = grid.lam[:, : grid.kcut + 1]
+        m = grid.kcut + 1
+        lam = grid.lam[:, :m]
         rv = 0.5 * dt * (params.nu + params.nu_r) * lam
         rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
         self.num_u = ((1.0 - rv) / (1.0 + rv)).astype(np.complex128)
         self.dt_den_u = (dt * (1.0 / (1.0 + rv))).astype(np.complex128)
         self.num_w = ((1.0 - rw) / (1.0 + rw)).astype(np.complex128)
         self.dt_den_w = (dt * (1.0 / (1.0 + rw))).astype(np.complex128)
+        # a steady forcing's band columns, copied once so that the kernel
+        # adds contiguous planes; a time-dependent one is evaluated per step
+        self.band_forcing = None
+        if forcing.steady:
+            self.band_forcing = (np.ascontiguousarray(forcing.f_hat(0.0)[..., :m]),
+                                 np.ascontiguousarray(forcing.g_hat(0.0)[..., :m]))
 
-        # explicit terms of the last step: (EU, EW), then (EV, EZ) when pairs rode along
-        self.E_prev: tuple[np.ndarray, ...] = ()
+        self.work: _Workspace | None = None
+        self.cn: tuple[np.ndarray, ...] = ()  # the CN tables stacked over the members
+        self.history = False  # whether work.E_prev holds the last step's terms
 
-    def imex_update(self, U: np.ndarray, W: np.ndarray, EU: np.ndarray, EW: np.ndarray,
-                    prev: tuple[np.ndarray, ...]):
-        """
-        One CN/AB2 update with the previous explicit terms ``prev`` (forward
-        Euler when it is empty); leading batch axes broadcast.  ``U`` and
-        ``W`` may be wider than the band planes ``EU``, ``EW``: only their
-        band columns are read.  Returns the new (U, W) as band planes,
-        projected, dealiased and zero-mean.
-        """
-        m = self.grid.kcut + 1
-        U, W = U[..., :m], W[..., :m]
-        if prev:
-            EU = 1.5 * EU - 0.5 * prev[0]
-            EW = 1.5 * EW - 0.5 * prev[1]
-        U_new = _half_leray(self.grid, self.num_u * U + self.dt_den_u * EU)
-        W_new = (self.num_w * W + self.dt_den_w * EW) * self.grid.half_keep
-        return U_new, W_new
+    def _imex(self) -> None:
+        """CN/AB2 update (forward Euler without history) of every member, in
+        place in ``work.out``, from the terms in ``work.E``: projected,
+        dealiased and zero-mean."""
+        work = self.work
+        E, prev, A, out = work.E, work.E_prev, work.ab2, work.out
+        num_u, dt_den_u, num_w, dt_den_w = self.cn
+        terms = E
+        if self.history:
+            np.multiply(1.5, E, out=A)
+            np.multiply(0.5, prev, out=prev)
+            np.subtract(A, prev, out=A)
+            terms = A
+        for k in (0, 1):
+            np.multiply(num_u, out[k], out=out[k])
+            np.multiply(dt_den_u, terms[k], out=A[k])
+            np.add(out[k], A[k], out=out[k])
+        _half_leray(work.leray, out[0], out[1], out[0], out[1], prev)
+        np.multiply(num_w, out[2], out=out[2])
+        np.multiply(dt_den_w, terms[2], out=A[2])
+        np.add(out[2], A[2], out=out[2])
+        np.multiply(out[2], work.keep, out=out[2])
 
     def advance(self, U: np.ndarray, W: np.ndarray, t: float,
                 V: np.ndarray | None = None, Z: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        """One step from band or half planes (U, W) at time t; returns band planes.
-        Tangent pairs (V, Z) ride along under the dynamics linearized about
-        (U, W), with the same AB2 history; then (U, W, V, Z) is returned."""
-        grid, dt = self.grid, self.dt
-        EU, EW, speed, *pair_terms = _explicit_terms(
-            grid, self.params, U, W, self.forcing.f_hat(t), self.forcing.g_hat(t),
-            extra=self.extra, t=t, V=V, Z=Z)
+        """
+        One step from band or half planes (U, W) at time t; returns band
+        planes.  Tangent pairs (V, Z) ride along under the dynamics
+        linearized about (U, W), with the same AB2 history; then
+        (U, W, V, Z) is returned.  A change of the number of pairs
+        restarts that history with forward Euler.
+
+        The returned planes are the stepper's own buffers, and the next
+        call overwrites them: pass them back in (they may also be changed
+        in place in between) and copy whatever must outlive the next step.
+        """
+        grid, dt, m = self.grid, self.dt, self.grid.kcut + 1
+        members = 1 if V is None else 1 + len(V)
+        if self.work is None or self.work.members != members:
+            self.work = _Workspace(grid, members)
+            self.cn = tuple(self.work.stacked(x) for x in
+                            (self.num_u, self.dt_den_u, self.num_w, self.dt_den_w))
+            self.history = False
+        work = self.work
+        f_hat, g_hat = self.band_forcing or (self.forcing.f_hat(t), self.forcing.g_hat(t))
+        speed = _explicit_terms(grid, self.params, U, W, f_hat, g_hat,
+                                extra=self.extra, t=t, V=V, Z=Z, work=work)[2]
         if speed > 0:
             dt_max = self.cfl_limit * (grid.L / grid.n) / speed
             if dt > dt_max:
@@ -519,14 +658,19 @@ class _Stepper:
                     f"dt={dt:.3e} exceeds CFL guard {dt_max:.3e} at t={t:.6g} "
                     f"(max advective speed {speed:.3e})"
                 )
-        out = self.imex_update(U, W, EU, EW, self.E_prev[:2])
-        if V is not None:
-            out += self.imex_update(V, Z, *pair_terms, self.E_prev[2:])
-        self.E_prev = (EU, EW, *pair_terms)
-        for X in out:
-            if not np.isfinite(X.view(np.float64)).all():
-                raise NumericsError(f"non-finite coefficients after step at t={t + dt:.6g}")
-        return out
+        # the update runs in place on the stepper's planes; inputs that are
+        # not those planes are copied in first
+        for given, own in ((U, work.U), (W, work.W), (V, work.V), (Z, work.Z)):
+            if given is not None and given is not own:
+                np.copyto(own, given[..., :m])
+        self._imex()
+        work.E, work.E_prev = work.E_prev, work.E
+        self.history = True
+        if not np.isfinite(work.out.view(np.float64), out=work.finite).all():
+            raise NumericsError(f"non-finite coefficients after step at t={t + dt:.6g}")
+        if V is None:
+            return work.U, work.W
+        return work.U, work.W, work.V, work.Z
 
 
 def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
@@ -537,9 +681,36 @@ def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
-    """Validated state whose full spectra are rebuilt from half or band planes (U, W)."""
-    full = _full_from_half(grid, np.concatenate([U, W[None]]))
-    return State(VectorField.from_coeffs(grid, full[0], full[1]), ScalarField(grid, full[2]), t)
+    """
+    State whose full spectra are rebuilt from the half or band planes
+    (U, W) of a finite state (an initial state, or a result that
+    ``advance`` has checked), in one pass over one array: filled,
+    mirrored, made exactly Hermitian, the mean zeroed, and wrapped without
+    the constructors' second validation.  The coefficients equal those of
+    the validating ``ScalarField`` bit for bit, and are copies: the state
+    outlives the stepper's next write to (U, W).
+    """
+    n, m = grid.n, U.shape[-1]
+    full = np.zeros((3, n, n), dtype=np.complex128)
+    full[:2, :, :m] = U
+    full[2, :, :m] = W
+    _mirror_half(grid, full, m)
+    # The Hermitian part (c_k + conj(c_-k)) * 0.5 of _hermitianized, with its
+    # bits (signed zeros included) but no gathered copy of the spectra: a
+    # mirrored column holds c_-k = conj(c_k) exactly, so there the sum is
+    # c_k + c_k.  Only the columns that are their own mirror image, k2 = 0
+    # (and n/2 when a whole half plane is given), gather c_-k.
+    own = [0] if m <= n // 2 else [0, n // 2]
+    edge = full[..., own]
+    edge_sym = np.conj(edge[:, grid.half_conj_rows])
+    edge_sym += edge
+    edge_sym *= 0.5
+    np.add(full, full, out=full)
+    np.multiply(full, 0.5, out=full)
+    full[..., own] = edge_sym
+    full[:, 0, 0] = 0.0
+    u1, u2, w = (ScalarField._trusted(grid, c) for c in full)
+    return State(VectorField(u1, u2), w, t)
 
 
 def _whole_steps(span: float, dt: float) -> int:

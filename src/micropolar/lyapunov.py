@@ -21,7 +21,8 @@ import numpy as np
 
 from micropolar import spectral
 from micropolar.dynamics import (Forcing, NumericsError, Params, State, _explicit_terms,
-                                 _random_scalars, _Stepper, _to_half, _whole_steps)
+                                 _random_scalars, _Stepper, _to_half, _whole_steps,
+                                 _Workspace)
 from micropolar.estimates import Constants
 from micropolar.spectral import (
     FieldError,
@@ -170,7 +171,7 @@ def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray) -> tuple[float, float,
 
 
 def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
-                  V: np.ndarray, Z: np.ndarray) -> dict:
+                  V: np.ndarray, Z: np.ndarray, work: _Workspace | None = None) -> dict:
     """
     Trace of the linearized generator on the orthonormal span,
     -sum_j [a(phi_j, phi_j) + B(phi_j, ubar, phi_j) + R(phi_j, phi_j)],
@@ -179,9 +180,11 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2].
     The two agree because b(u, v_j, v_j) = 0 and the Leray gradient is
     orthogonal to the divergence-free, dealiased span.  The base may be half or band planes.
+    The kernel runs in ``work``, a workspace for 1 + N members that holds
+    nothing live at the call (the run's stepper between steps), or a fresh one.
     """
     zero = np.zeros_like(W)
-    *_, EV, EZ = _explicit_terms(grid, params, U, W, zero, zero, V=V, Z=Z)
+    *_, EV, EZ = _explicit_terms(grid, params, U, W, zero, zero, V=V, Z=Z, work=work)
     explicit = np.sum(_full_from_half(grid, EV) * np.conj(V)).real \
         + np.sum(_full_from_half(grid, EZ) * np.conj(Z)).real
     lam = grid.lam
@@ -309,7 +312,7 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
                       velocity_only)
 
     def sample() -> dict:
-        return _trace_sample(run.grid, params, run.U, run.W, run.V, run.Z)
+        return _trace_sample(run.grid, params, run.U, run.W, run.V, run.Z, run.base.work)
 
     nblocks = max(1, _whole_steps(t_span, dt * reorth_interval))
     times = [run.t]

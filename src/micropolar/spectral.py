@@ -253,6 +253,19 @@ class ScalarField:
         return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
 
     @classmethod
+    def _trusted(cls, grid: Grid, coeffs: np.ndarray) -> "ScalarField":
+        """
+        Field that takes ``coeffs`` as they are, frozen and not copied,
+        without the validation of the constructor: for (n, n) spectra the
+        caller has already made finite, exactly Hermitian and zero-mean.
+        """
+        field = object.__new__(cls)
+        coeffs.setflags(write=False)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "coeffs", coeffs)
+        return field
+
+    @classmethod
     def from_mode(cls, grid: Grid, k: tuple[int, int], coeff: complex) -> "ScalarField":
         """Single-mode field c_k = coeff, c_{-k} = conj(coeff)."""
         c = np.zeros((grid.n, grid.n), dtype=np.complex128)
@@ -345,34 +358,47 @@ def _same_grid(*fields) -> Grid:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _half_to_phys(half: np.ndarray) -> np.ndarray:
+def _half_to_phys(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     Real samples on an n x n lattice from the leading columns k2 = 0..w-1
     of half-plane spectra (last two axes (n, w), w <= n//2 + 1); the
-    missing columns are zero.  ``irfft2`` runs its axis-0 stage on the w
-    given columns only and zero-pads the rest in its last stage.
+    missing columns are zero.  The stages of ``irfft2(half, s=(n, n))``,
+    with its bits: the axis-0 ``ifft`` on the w given columns only, then
+    the last-axis ``irfft``, which zero-pads the rest.  Given ``out``, the
+    samples are written there and the axis-0 stage runs in place in
+    ``half``, which it overwrites.
     """
     n = half.shape[-2]
-    return np.fft.irfft2(half, s=(n, n), axes=(-2, -1), norm="forward")
+    stage = np.fft.ifft(half, axis=-2, norm="forward", out=None if out is None else half)
+    return np.fft.irfft(stage, n=n, axis=-1, norm="forward", out=out)
 
 
-def _phys_to_half(samples: np.ndarray, width: int) -> np.ndarray:
+def _phys_to_half(samples: np.ndarray, width: int, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Columns k2 = 0..width-1 of the half-plane spectra of real samples
     (last two axes (n, n)): the bits of ``rfft2(samples)[..., :width]``,
-    with the axis-0 stage run on those columns only."""
-    return np.fft.fft(np.fft.rfft(samples, axis=-1, norm="forward")[..., :width],
-                      axis=-2, norm="forward")
+    with the axis-0 stage run on those columns only.  The last-axis stage
+    writes the whole half plane into ``scratch`` and the result goes to
+    ``out``, when they are given."""
+    half = np.fft.rfft(samples, axis=-1, norm="forward", out=scratch)
+    return np.fft.fft(half[..., :width], axis=-2, norm="forward", out=out)
 
 
 def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Full Hermitian spectrum whose columns k2 = 0..w-1 are ``half``, for any
     width w = 1..n/2 + 1 (a band plane included); columns k2 = w..n/2 are zero."""
-    n, m = grid.n, half.shape[-1]
-    full = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., :m] = half
+    full = np.zeros(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    full[..., : half.shape[-1]] = half
+    return _mirror_half(grid, full, half.shape[-1])
+
+
+def _mirror_half(grid: Grid, full: np.ndarray, m: int) -> np.ndarray:
+    """Fill, in place, the columns k2 = n-m+1..n-1 of spectra ``full[..., n, n]``
+    from their columns k2 = 1..m-1 (m <= n/2 + 1) by Hermitian symmetry."""
+    n = grid.n
     # column n - j holds conj(c[-k1, j]) for j = m - 1 .. 1, below n/2
     j = min(m, n // 2)
-    np.conj(half[..., grid.half_conj_rows, j - 1:0:-1], out=full[..., n - j + 1:])
+    np.conj(full[..., grid.half_conj_rows, j - 1:0:-1], out=full[..., n - j + 1:])
     return full
 
 
@@ -402,17 +428,24 @@ def _leray_arrays(grid: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarra
     return c1 - k1 * dot, c2 - k2 * dot
 
 
-def _half_leray(grid: Grid, C: np.ndarray) -> np.ndarray:
+def _half_leray(leray, c1: np.ndarray, c2: np.ndarray, out1: np.ndarray, out2: np.ndarray,
+                tmp) -> None:
     """
-    Leray projection of band-plane vector spectra C[..., 2, n, kcut + 1],
-    truncated to the dealiased band with the mean mode zeroed.
+    Leray projection (out1, out2) of band-plane vector spectra (c1, c2),
+    truncated to the dealiased band with the mean mode zeroed.  ``leray``
+    holds the entries (P11, P12, P22) of ``Grid.half_leray`` and ``tmp``
+    three scratch planes, all of the shape of c1, so that every product is
+    elementwise over equal shapes.  out1 and out2 may be c1 and c2.
     """
-    p11, p12, p22 = grid.half_leray
-    c1, c2 = C[..., 0, :, :], C[..., 1, :, :]
-    out = np.empty_like(C)
-    out[..., 0, :, :] = p11 * c1 + p12 * c2
-    out[..., 1, :, :] = p12 * c1 + p22 * c2
-    return out
+    p11, p12, p22 = leray
+    t0, t1, t2 = tmp[:3]
+    # c1 is spent before out1 is written, and out2 takes p22 c2 elementwise
+    np.multiply(p11, c1, out=t0)
+    np.multiply(p12, c1, out=t1)
+    np.multiply(p12, c2, out=t2)
+    np.add(t0, t2, out=out1)
+    np.multiply(p22, c2, out=out2)
+    np.add(t1, out2, out=out2)
 
 
 def leray_project(u: VectorField) -> VectorField:

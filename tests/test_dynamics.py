@@ -13,6 +13,9 @@ from micropolar.dynamics import (
     NumericsError,
     Params,
     State,
+    _from_half,
+    _Stepper,
+    _to_half,
     forcing_with_decaying_gap,
     make_forcing,
     random_state,
@@ -24,7 +27,14 @@ from micropolar.dynamics import (
     step,
     write_checkpoint,
 )
-from micropolar.spectral import FieldError, ScalarField, VectorField, make_grid, norm
+from micropolar.spectral import (
+    FieldError,
+    ScalarField,
+    VectorField,
+    _full_from_half,
+    make_grid,
+    norm,
+)
 
 
 class TestParams:
@@ -219,6 +229,48 @@ class TestRecordPath:
         assert sorted(calls) == ["f_at", "f_at", "g_at", "g_at"]
         for name, (which, kind) in _FORCING_OBSERVERS.items():
             assert np.all(res.series[name] == _forcing_norm_sq(fo, which, kind, 0.0)), name
+
+
+def _validated_from_half(grid, U, W, t):
+    """The record boundary through the validating constructors."""
+    full = _full_from_half(grid, np.concatenate([U, W[None]]))
+    return State(VectorField.from_coeffs(grid, full[0], full[1]), ScalarField(grid, full[2]), t)
+
+
+def _coefficient_bits(state):
+    # uint64 views, so that signed zeros count
+    return [c.view(np.uint64).tobytes() for c in
+            (state.u.u1.coeffs, state.u.u2.coeffs, state.omega.coeffs)]
+
+
+class TestFromHalf:
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_validating_construction(self, n, seed):
+        grid = make_grid(n, 2 * np.pi)
+        # kmax = n fills every mode: the whole half plane, Nyquist column included
+        state = random_state(grid, seed, 1.0, 0.5, kmax=n)
+        params = Params(0.1, 0.05, 0.1)
+        forcing = make_forcing(grid, "steady", 0.05, 0.01, mode_hi=4, seed=seed)
+        stepper = _Stepper(grid, params, forcing, dt=0.005)
+        U, W = _to_half(state)
+        for i in range(6):
+            fast, checked = _from_half(grid, U, W, 0.1 * i), _validated_from_half(grid, U, W, 0.1 * i)
+            assert _coefficient_bits(fast) == _coefficient_bits(checked)
+            assert fast.t == checked.t
+            U, W = stepper.advance(U, W, 0.005 * i)
+
+    def test_record_outlives_the_stepper_buffers(self, grid16):
+        params = Params(0.1, 0.05, 0.1)
+        forcing = make_forcing(grid16, "steady", 0.05, 0.01, mode_hi=4, seed=2)
+        stepper = _Stepper(grid16, params, forcing, dt=0.01)
+        U, W = stepper.advance(*_to_half(random_state(grid16, 5, 0.5, 0.2)), 0.0)
+        recorded = _from_half(grid16, U, W, 0.01)
+        bits = _coefficient_bits(recorded)
+        U2, W2 = stepper.advance(U, W, 0.01)
+        assert U2 is U and W2 is W  # the stepper's own planes, overwritten in place
+        assert _coefficient_bits(recorded) == bits
+        assert not recorded.u.u1.coeffs.flags.writeable
 
 
 class TestForcingProfiles:

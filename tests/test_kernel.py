@@ -2,8 +2,12 @@
 Guards for the half-plane nonlinear kernel: the stepper's invariants over
 random grids, parameters and states (hypothesis), and the rotational-form
 explicit and tangent terms against the advective form built from the
-complex full-plane reference ``oracles.advect_scalar_arrays``.
+complex full-plane reference ``oracles.advect_scalar_arrays``; a reused
+workspace gives the bits of a fresh one, and a warm step allocates no
+arrays.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from micropolar.dynamics import (
     Params,
     _explicit_terms,
     _Stepper,
+    _to_half,
+    _Workspace,
     make_forcing,
     random_state,
 )
@@ -198,4 +204,71 @@ def test_advance_from_band_slice_equals_half_plane(n):
                                                                  W[..., :band].copy(), 0.0)
     for a, b in zip(out_half, out_band):
         assert a.shape[-1] == band
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 4])
+@pytest.mark.parametrize("nu_r", [0.0, 0.2])
+@pytest.mark.parametrize("with_extra", [False, True])
+def test_reused_workspace_equals_fresh(pairs, nu_r, with_extra):
+    # one workspace fed states A, B, A in turn: nothing a call leaves in its
+    # buffers reaches the next one (with nu_r = 0 the coupling writes nothing)
+    grid = make_grid(16, 2 * np.pi)
+    params = Params(0.1, nu_r, 0.1)
+    forcing = make_forcing(grid, "steady", 0.05, 0.01, mode_hi=4, seed=1)
+    f_hat, g_hat = forcing.f_hat(0.0), forcing.g_hat(0.0)
+    extra = (lambda t, U, W: (0.5 * U, -0.25 * W)) if with_extra else None
+
+    def inputs(seed):
+        state = random_state(grid, seed, 1.0, 0.5, kmax=16)
+        V, Z = random_tangent_pairs(grid, pairs, seed=seed + 1, kmax=16) if pairs else (None, None)
+        return state.u.stacked(), state.omega.coeffs, V, Z
+
+    work = _Workspace(grid, 1 + pairs)
+    for seed in (3, 4, 3):
+        U, W, V, Z = inputs(seed)
+        reused = _explicit_terms(grid, params, U, W, f_hat, g_hat, extra, 0.0, V=V, Z=Z, work=work)
+        fresh = _explicit_terms(grid, params, U, W, f_hat, g_hat, extra, 0.0, V=V, Z=Z)
+        assert len(reused) == len(fresh) == (3 if pairs == 0 else 5)
+        for a, b in zip(reused, fresh):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("pairs", [0, 4])
+def test_warm_advance_allocates_no_arrays(grid64, pairs):
+    # after two warm-up steps every temporary lives in the stepper's
+    # workspace: 20 steps stay under one band plane above the baseline
+    params = Params(0.15, 0.075, 0.15)
+    forcing = make_forcing(grid64, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+    stepper = _Stepper(grid64, params, forcing, dt=0.01)
+    state = random_state(grid64, 3, 0.15, 0.05)
+    half = grid64.n // 2 + 1
+    planes = [state.u.stacked()[..., :half], state.omega.coeffs[:, :half].copy()]
+    if pairs:
+        planes += list(random_tangent_pairs(grid64, pairs, seed=5))
+    for i in range(2):
+        planes = stepper.advance(planes[0], planes[1], 0.01 * i, *planes[2:])
+    band_plane = grid64.n * (grid64.kcut + 1) * 16
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for i in range(2, 22):
+            planes = stepper.advance(planes[0], planes[1], 0.01 * i, *planes[2:])
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert peak < band_plane, f"{peak} bytes above baseline, one band plane is {band_plane}"
+
+
+def test_new_pair_count_restarts_the_history(grid16):
+    # a step with another number of pairs starts over with forward Euler,
+    # like a fresh stepper, instead of reading a history it does not have
+    params = Params(0.1, 0.2, 0.1)
+    forcing = make_forcing(grid16, "steady", 0.05, 0.01, mode_hi=4, seed=3)
+    stepper = _Stepper(grid16, params, forcing, dt=0.01)
+    U, W = (X.copy() for X in stepper.advance(*_to_half(random_state(grid16, 7, 0.5, 0.2)), 0.0))
+    V, Z = random_tangent_pairs(grid16, 2, seed=8)
+    riding = stepper.advance(U, W, 0.01, V, Z)
+    fresh = _Stepper(grid16, params, forcing, dt=0.01).advance(U, W, 0.01, V, Z)
+    for a, b in zip(riding, fresh):
         assert a.tobytes() == b.tobytes()
