@@ -13,18 +13,28 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
 
 - ``advance`` and ``advance_8_pairs``: one ``_Stepper.advance`` call
   without tangent pairs and with 8 (after two warm-up steps);
-- ``from_half``: one ``_from_half`` record of a stepped state.
+- ``from_half``: one ``_from_half`` record of a stepped state;
+- ``record``: one record of the default observer set, amortized over a
+  stride-1 in-process ``simulate`` as its time minus that of the same
+  steps without records (a fresh stepper and bare ``advance`` calls);
+- ``nudge`` (at n = 64 only): one call of ``run_node_sync``'s nudging
+  term, with 1024 nodes on the lattice (``aligned``) and 900 off it
+  (``unaligned``), taken from a short twin run.
 
 Each layer reports the median and interquartile range of single-call
 times in microseconds, and, from a separate run under ``tracemalloc``
 (after a first pass that fills the allocators' caches), the traced bytes
 per call (net growth over the calls, divided by their count) and the
-peak of traced memory above the level before the first call.
+peak of traced memory above the level before the first call.  ``record``
+reports the median and interquartile range over 15 pairs of runs (which
+run goes first alternates), and the traced peaks of one ``simulate`` and
+of its bare steps.
 ``simulate_stride10`` reports the minor page faults (``ru_minflt``) per
 step of an in-process ``simulate`` at stride 10, after a warm-up run.
 Faults follow the allocator's heap layout, so they are an observation,
-not a target.  ``machine`` records nproc, the Python and numpy versions
-and the median of 5 runs of the perfbench host-speed probe.
+not a target.  ``machine`` records nproc (the CPUs this process may run
+on), the Python and numpy versions and the median of 5 runs of the
+perfbench host-speed probe.
 """
 
 from __future__ import annotations
@@ -113,13 +123,13 @@ class _Loop:
         self.t += 0.01
 
 
-def _advance(n: int, pairs: int) -> dict:
+def _advance(n: int, calls: int, pairs: int) -> dict:
     loop = _Loop(n, pairs)
-    count = max(10, CALLS[n] // (1 + pairs // 2))
+    count = max(min(10, calls), calls // (1 + pairs // 2))
     return {**_summary(_timed(loop.step, count)), **_traced(loop.step, count)}
 
 
-def _from_half(n: int) -> dict:
+def _from_half(n: int, calls: int) -> dict:
     from micropolar.dynamics import _from_half as from_half
 
     loop = _Loop(n, 0)
@@ -128,19 +138,108 @@ def _from_half(n: int) -> dict:
     def record():
         from_half(loop.grid, U, W, loop.t)
 
-    return {**_summary(_timed(record, CALLS[n])), **_traced(record, CALLS[n])}
+    return {**_summary(_timed(record, calls)), **_traced(record, calls)}
 
 
-def _faults(n: int) -> dict:
+def _traced_peak(call) -> int:
+    """Peak of traced memory during ``call()`` above the level before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _record(n: int, calls: int) -> dict:
+    from micropolar.dynamics import _Stepper, _to_half, simulate
+
+    grid, params, forcing, state = _setup(n)
+    steps = 2 * calls
+
+    def recorded():
+        simulate(state, params, forcing, 0.01 * steps, 0.01, stride=1)
+
+    def bare():
+        stepper = _Stepper(grid, params, forcing, 0.01)
+        U, W = _to_half(state)
+        for i in range(steps):
+            U, W = stepper.advance(U, W, 0.01 * i)
+
+    recorded(), bare()  # warm-up
+    took = {recorded: [], bare: []}
+    for i in range(15):
+        for run in ((recorded, bare), (bare, recorded))[i % 2]:
+            took[run] += _timed(run, 1)
+    per_record = [(a - b) / (steps + 1) for a, b in zip(took[recorded], took[bare])]
+    return {**_summary(per_record), "steps": steps,
+            "traced_peak_bytes": _traced_peak(recorded),
+            "bare_traced_peak_bytes": _traced_peak(bare)}
+
+
+def _nudge(n: int, calls: int) -> dict:
+    """The nudging term as ``run_node_sync`` hands it to its stepper: caught
+    from a three-step twin run, then called on band planes."""
+    from micropolar.assimilation import SyncConfig, run_node_sync
+    from micropolar.dynamics import _Stepper, _to_half, random_state
+    from micropolar.spectral import make_node_set
+
+    grid, params, forcing, state = _setup(n)
+    perturbed = random_state(grid, 3, 0.15, 0.05)
+    m = grid.kcut + 1
+    U, W = (x[..., :m].copy() for x in _to_half(perturbed))
+    config = SyncConfig(params, state, perturbed, forcing, forcing, t_end=0.03, dt=0.01)
+    result = {}
+    # 1024 nodes at n = 64 sit on the lattice (side n / 2), 900 do not
+    for name, side in (("aligned", n // 2), ("unaligned", n // 2 - 2)):
+        nodes = make_node_set(grid, side=side)
+        assert nodes.aligned == (name == "aligned")
+        caught = []
+        init = _Stepper.__init__
+
+        def catch(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.extra is not None:
+                caught.append(self.extra)
+
+        _Stepper.__init__ = catch
+        try:
+            run_node_sync(config, nodes, mu=1.0)
+        finally:
+            _Stepper.__init__ = init
+        nudge = caught[0]
+
+        def term():
+            nudge(0.0, U, W)
+
+        count = max(3, calls // 4)
+        result[name] = {"nodes": nodes.count, **_summary(_timed(term, count)),
+                        **_traced(term, count)}
+    return result
+
+
+def _faults(n: int, calls: int) -> dict:
     from micropolar.dynamics import simulate
 
     grid, params, forcing, state = _setup(n)
-    steps = CALLS[n] // 2
+    steps = max(2, calls // 2)
     simulate(state, params, forcing, 0.01 * steps, 0.01, stride=10)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     simulate(state, params, forcing, 0.01 * steps, 0.01, stride=10)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     return {"minflt_per_step": (after - before) / steps, "steps": steps}
+
+
+# name, measure(n, calls) and the sizes it runs at
+LAYERS = (
+    ("advance", lambda n, calls: _advance(n, calls, 0), SIZES),
+    (f"advance_{PAIRS}_pairs", lambda n, calls: _advance(n, calls, PAIRS), SIZES),
+    ("from_half", _from_half, SIZES),
+    ("record", _record, SIZES),
+    ("nudge", _nudge, (64,)),
+    ("simulate_stride10", _faults, SIZES),
+)
 
 
 def _layer(measure, *args):
@@ -156,7 +255,7 @@ def _machine() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from probe import speed_probe
 
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
             "numpy": numpy.__version__,
             "probe_median_s": statistics.median(speed_probe() for _ in range(5))}
 
@@ -170,12 +269,8 @@ def main() -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
 
     point = {"label": args.label, "machine": _machine(), "layers": {}}
-    layers = (("advance", lambda n: _layer(_advance, n, 0)),
-              (f"advance_{PAIRS}_pairs", lambda n: _layer(_advance, n, PAIRS)),
-              ("from_half", lambda n: _layer(_from_half, n)),
-              ("simulate_stride10", lambda n: _layer(_faults, n)))
-    for name, measure in layers:
-        point["layers"][name] = {str(n): measure(n) for n in SIZES}
+    for name, measure, sizes in LAYERS:
+        point["layers"][name] = {str(n): _layer(measure, n, CALLS[n]) for n in sizes}
         print(name, json.dumps(point["layers"][name]), flush=True)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=1) + "\n")

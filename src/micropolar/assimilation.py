@@ -191,6 +191,45 @@ def default_nudging_gain(constants: Constants, node_count: int) -> float:
     return constants.k1 * constants.lambda1 * node_count / (2.0 * constants.c)
 
 
+class _Nudging:
+    """
+    The nudging term of a node twin, -mu I_h of the gap between the
+    nudged planes and ``reference`` (the reference's current planes, which
+    the loop keeps up to date), as the stepper's ``extra``.  It works in
+    buffers of the run: the differences, the physical planes (samples,
+    then interpolants), the node values, and the interpolants' band
+    spectra, which the kernel reads; each call overwrites the last one's.
+    """
+
+    def __init__(self, nodes: NodeSet, mu: float, reference: tuple[np.ndarray, np.ndarray]):
+        grid = nodes.grid
+        n = grid.n
+        self.nodes, self.mu, self.reference = nodes, mu, reference
+        self.diff = np.empty((3, n, 0), dtype=np.complex128)  # sized by the planes given
+        self.phys = np.empty((3, n, n))
+        self.values = np.empty((3, nodes.count))
+        self.gap = np.empty((3, n, grid.kcut + 1), dtype=np.complex128)
+        self.scratch = np.empty((3, n, n // 2 + 1), dtype=np.complex128)
+
+    def node_values(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Values of (u1, u2, w) of (U, W) minus the reference at the nodes."""
+        U1, W1 = self.reference
+        if self.diff.shape[-1] != U.shape[-1]:
+            self.diff = np.empty((3,) + U.shape[-2:], dtype=np.complex128)
+        np.subtract(U, U1, out=self.diff[:2])
+        np.subtract(W, W1, out=self.diff[2])
+        return spectral._sample_scalar(self.diff, self.nodes, out=self.values, phys=self.phys)
+
+    def __call__(self, t: float, U: np.ndarray, W: np.ndarray):
+        # -mu I_h of the gap, one piecewise-constant interpolant per field,
+        # in the band columns that the kernel reads
+        gap = spectral._interpolant_scalar(self.node_values(U, W), self.nodes,
+                                           self.gap.shape[-1], out=self.gap,
+                                           phys=self.phys, scratch=self.scratch)
+        np.multiply(-self.mu, gap, out=gap)
+        return gap[:2], gap[2]
+
+
 def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
     """
     Twin run where the second solution is relaxed toward the reference's
@@ -208,19 +247,10 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
 
     U1, W1 = _to_half(config.reference)
     U2, W2 = _to_half(config.perturbed)
-
-    # The closures below read the current (U1, W1) and (U2, W2) of the loop.
-    def node_values(U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Values of (u1, u2, w) of (U, W) minus the reference at the nodes."""
-        return spectral._sample_scalar(np.concatenate([U - U1, (W - W1)[None]]), nodes)
-
-    def nudge(t: float, U: np.ndarray, W: np.ndarray):
-        # -mu I_h of the gap, one piecewise-constant interpolant per field
-        gap = spectral._interpolant_scalar(node_values(U, W), nodes)
-        return -mu * gap[:2], -mu * gap[2]
+    nudge = _Nudging(nodes, mu, (U1, W1))
 
     def eta() -> tuple[float, float]:
-        vals = node_values(U2, W2)
+        vals = nudge.node_values(U2, W2)
         return float(np.max(np.hypot(vals[0], vals[1]))), float(np.max(np.abs(vals[2])))
 
     s1 = _Stepper(grid, config.params, config.forcing1, config.dt)
@@ -245,6 +275,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
             break
         # reference failures are configuration errors and propagate
         U1, W1 = s1.advance(U1, W1, t)
+        nudge.reference = (U1, W1)
         if (i + 1) % config.stride == 0 or i + 1 == nsteps:
             times.append(t0 + (i + 1) * config.dt)
             etas.append(eta())

@@ -680,20 +680,20 @@ def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
     return state.u.stacked()[..., :m].copy(), state.omega.coeffs[:, :m].copy()
 
 
-def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
+def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
-    State whose full spectra are rebuilt from the half or band planes
-    (U, W) of a finite state (an initial state, or a result that
-    ``advance`` has checked), in one pass over one array: filled,
-    mirrored, made exactly Hermitian, the mean zeroed, and wrapped without
-    the constructors' second validation.  The coefficients equal those of
-    the validating ``ScalarField`` bit for bit, and are copies: the state
-    outlives the stepper's next write to (U, W).
+    Full spectra (K, 3, n, n) of (u1, u2, omega), rebuilt from K records of
+    half or band planes U (K, 2, n, w) and W (K, n, w) of finite states (an
+    initial state, or results that ``advance`` has checked), in one pass
+    over one array: filled, mirrored, made exactly Hermitian and the mean
+    zeroed.  Each record's coefficients equal those of the validating
+    ``ScalarField`` bit for bit, and are copies: they outlive the
+    stepper's next write to its planes.
     """
     n, m = grid.n, U.shape[-1]
-    full = np.zeros((3, n, n), dtype=np.complex128)
-    full[:2, :, :m] = U
-    full[2, :, :m] = W
+    full = np.zeros((len(U), 3, n, n), dtype=np.complex128)
+    full[:, :2, :, :m] = U
+    full[:, 2, :, :m] = W
     _mirror_half(grid, full, m)
     # The Hermitian part (c_k + conj(c_-k)) * 0.5 of _hermitianized, with its
     # bits (signed zeros included) but no gathered copy of the spectra: a
@@ -702,14 +702,20 @@ def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
     # (and n/2 when a whole half plane is given), gather c_-k.
     own = [0] if m <= n // 2 else [0, n // 2]
     edge = full[..., own]
-    edge_sym = np.conj(edge[:, grid.half_conj_rows])
+    edge_sym = np.conj(edge[..., grid.half_conj_rows, :])
     edge_sym += edge
     edge_sym *= 0.5
     np.add(full, full, out=full)
     np.multiply(full, 0.5, out=full)
     full[..., own] = edge_sym
-    full[:, 0, 0] = 0.0
-    u1, u2, w = (ScalarField._trusted(grid, c) for c in full)
+    full[..., 0, 0] = 0.0
+    return full
+
+
+def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
+    """State of the half or band planes (U, W): :func:`_full_spectra` of
+    one record, wrapped without the constructors' second validation."""
+    u1, u2, w = (ScalarField._trusted(grid, c) for c in _full_spectra(grid, U[None], W[None])[0])
     return State(VectorField(u1, u2), w, t)
 
 
@@ -749,47 +755,127 @@ class SimulationResult:
     dt: float = 0.0
 
 
+# The standard observer set, in its order: name -> (norm kind, field), the
+# field being u, omega, the force f or the moment g.
+_STANDARD_SET = {
+    "u_l2_sq": ("L2", "u"),
+    "omega_l2_sq": ("L2", "omega"),
+    "u_h1_sq": ("H1", "u"),
+    "omega_h1_sq": ("H1", "omega"),
+    "u_da_sq": ("DA", "u"),
+    "omega_da_sq": ("DA", "omega"),
+    "f_l2_sq": ("L2", "f"),
+    "g_l2_sq": ("L2", "g"),
+    "f_hm1_sq": ("Hminus1", "f"),
+    "g_hm1_sq": ("Hminus1", "g"),
+}
+
+# Byte budget on the full spectra (3 n^2 complex per record) of one batch of
+# standard records: 21 records at n = 16, 5 at n = 32, one from n = 64 on.
+_RECORD_BATCH_BYTES = 256 * 1024
+
+
+def _forcing_sq(kind: str, which: str) -> Callable[[float, Forcing], float]:
+    """
+    Squared ``kind`` norm of the force (``which`` "f") or the moment ("g")
+    at time t.  A steady forcing's arrays are read-only, so its norm is
+    taken once and kept, keyed on the forcing's identity; a time-dependent
+    one is evaluated at every call.
+    """
+    last = (None, 0.0)
+
+    def at(t: float, forcing: Forcing) -> float:
+        nonlocal last
+        if forcing.steady and last[0] is forcing:
+            return last[1]
+        target = forcing.f_at(t) if which == "f" else forcing.g_at(t)
+        value = spectral.norm(target, kind) ** 2
+        if forcing.steady:
+            last = (forcing, value)
+        return value
+    return at
+
+
+class _StandardRecords:
+    """
+    The standard observer series of one run.  The forcing norms are taken
+    at each record's time, in order.  The state norms are taken in batches:
+    a record's band planes are copied into a run-owned buffer of ``size``
+    records, and when it fills (and at :meth:`flush`) all its records are
+    evaluated at once.  With one record per batch (n >= 64), or for the
+    initial state's half planes, a record is evaluated from the planes
+    given, without a copy.
+    """
+
+    def __init__(self, grid: Grid, forcing: Forcing):
+        n = grid.n
+        self.grid, self.forcing = grid, forcing
+        self.size = max(1, _RECORD_BATCH_BYTES // (3 * n * n * 16))
+        self.planes = None
+        if self.size > 1:
+            self.planes = np.empty((self.size, 3, n, grid.kcut + 1), dtype=np.complex128)
+        self.pending = 0
+        self.series: dict[str, list[float]] = {name: [] for name in _STANDARD_SET}
+        self.forcing_sq = {name: _forcing_sq(kind, which)
+                           for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
+
+    def add(self, t: float, U: np.ndarray, W: np.ndarray) -> None:
+        for name, at in self.forcing_sq.items():
+            self.series[name].append(at(t, self.forcing))
+        if self.planes is None or U.shape[-1] != self.planes.shape[-1]:
+            self.flush()
+            self._evaluate(U[None], W[None])
+            return
+        self.planes[self.pending, :2] = U
+        self.planes[self.pending, 2] = W
+        self.pending += 1
+        if self.pending == self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.pending:
+            batch = self.planes[: self.pending]
+            self._evaluate(batch[:, :2], batch[:, 2])
+            self.pending = 0
+
+    def _evaluate(self, U: np.ndarray, W: np.ndarray) -> None:
+        """The u and omega norms of K records of planes U (K, 2, n, w) and W
+        (K, n, w): |c|^2 is taken once per field over the K full spectra,
+        and each norm is one weighted sum per record, with the bits of
+        ``spectral.norm(field, kind) ** 2``."""
+        full = _full_spectra(self.grid, U, W)
+        # one component at a time: at most two planes per record beside the spectra
+        u = spectral._power(full[:, 0])
+        u += spectral._power(full[:, 1])
+        fields = {"u": u, "omega": spectral._power(full[:, 2])}
+        del full
+        for name, (kind, which) in _STANDARD_SET.items():
+            if which in fields:
+                roots = spectral._norms(self.grid, fields[which], kind).tolist()
+                self.series[name].extend(root ** 2 for root in roots)
+
+
 def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
     """
     Observer set consumed by the a-priori inequality verifiers: squared L2,
     H1 and D(A) norms of u and omega, and the forcing strengths in L2 and
     the dual norm.  The forcing observers of one mapping evaluate a steady
     forcing once; time-dependent forcings are evaluated at every call.
+    ``simulate`` without observers records this set in batches, with the
+    same bits (``spectral.norm`` and the batches share its arithmetic).
     """
-    def sq(kind, which):
+    def state_sq(kind, which):
         def fn(state: State, forcing: Forcing) -> float:
             target = state.u if which == "u" else state.omega
             return spectral.norm(target, kind) ** 2
         return fn
 
     def forcing_sq(kind, which):
-        # A steady forcing's arrays are read-only, so its norm is taken once
-        # and kept, keyed on the forcing's identity.
-        last = (None, 0.0)
+        at = _forcing_sq(kind, which)
+        return lambda state, forcing: at(state.t, forcing)
 
-        def fn(state: State, forcing: Forcing) -> float:
-            nonlocal last
-            if forcing.steady and last[0] is forcing:
-                return last[1]
-            target = forcing.f_at(state.t) if which == "f" else forcing.g_at(state.t)
-            value = spectral.norm(target, kind) ** 2
-            if forcing.steady:
-                last = (forcing, value)
-            return value
-        return fn
-
-    return {
-        "u_l2_sq": sq("L2", "u"),
-        "omega_l2_sq": sq("L2", "omega"),
-        "u_h1_sq": sq("H1", "u"),
-        "omega_h1_sq": sq("H1", "omega"),
-        "u_da_sq": sq("DA", "u"),
-        "omega_da_sq": sq("DA", "omega"),
-        "f_l2_sq": forcing_sq("L2", "f"),
-        "g_l2_sq": forcing_sq("L2", "g"),
-        "f_hm1_sq": forcing_sq("Hminus1", "f"),
-        "g_hm1_sq": forcing_sq("Hminus1", "g"),
-    }
+    return {name: (forcing_sq if which in "fg" else state_sq)(kind, which)
+            for name, (kind, which) in _STANDARD_SET.items()}
 
 
 def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt: float,
@@ -800,11 +886,14 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
 
     Observers are sampled every ``stride`` steps (and at the initial and
     final instants); the run is deterministic given its configuration.
+    Each observer of a mapping is called at its record's time, in time
+    order, with one validated, read-only ``State``.  Without observers the
+    :func:`standard_observers` set is recorded, equal bit for bit, but
+    evaluated in batches of records (see ``_StandardRecords``) without
+    building a ``State`` per record.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    if observers is None:
-        observers = standard_observers()
     grid = initial.grid
     nsteps = _whole_steps(t_end, dt)
 
@@ -813,13 +902,20 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
     t0 = initial.t
 
     times: list[float] = []
-    records: dict[str, list[float]] = {name: [] for name in observers}
+    if observers is None:
+        standard = _StandardRecords(grid, forcing)
+        series, record_planes = standard.series, standard.add
+    else:
+        series = {name: [] for name in observers}
+
+        def record_planes(t: float, U: np.ndarray, W: np.ndarray) -> None:
+            state = _from_half(grid, U, W, t)
+            for name, fn in observers.items():
+                series[name].append(float(fn(state, forcing)))
 
     def record(t: float, U: np.ndarray, W: np.ndarray) -> None:
-        state = _from_half(grid, U, W, t)
         times.append(t)
-        for name, fn in observers.items():
-            records[name].append(float(fn(state, forcing)))
+        record_planes(t, U, W)
 
     record(t0, U, W)
     for i in range(nsteps):
@@ -827,8 +923,10 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
         U, W = stepper.advance(U, W, t)
         if (i + 1) % stride == 0 or i + 1 == nsteps:
             record(t0 + (i + 1) * dt, U, W)
+    if observers is None:
+        standard.flush()
 
-    return SimulationResult(np.asarray(times), {k: np.asarray(v) for k, v in records.items()},
+    return SimulationResult(np.asarray(times), {k: np.asarray(v) for k, v in series.items()},
                             _from_half(grid, U, W, t0 + nsteps * dt), dt=dt)
 
 

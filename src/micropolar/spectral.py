@@ -536,6 +536,25 @@ def _norm_weight(grid: Grid, kind: str) -> np.ndarray | None:
     return None if table is None else getattr(grid, table)
 
 
+def _power(spectra: np.ndarray) -> np.ndarray:
+    """|c|^2 of spectra, as a new float array.  A vector's power is its
+    components' summed, the first plus the second."""
+    power = np.abs(spectra)
+    return np.square(power, out=power)
+
+
+def _norms(grid: Grid, power: np.ndarray, kind: str) -> np.ndarray:
+    """
+    Norms sqrt(|Q| sum_k w_k p_k) of a batch of powers ``power[..., n, n]``
+    (from :func:`_power`), one per leading index: each plane is summed
+    alone, in the order of ``np.sum`` over that plane.
+    """
+    w = _norm_weight(grid, kind)
+    weighted = power if w is None else w * power
+    sums = np.add.reduce(weighted.reshape(weighted.shape[:-2] + (-1,)), axis=-1)
+    return np.sqrt(grid.area * sums)
+
+
 def norm(field, kind: str = "L2") -> float:
     """
     Spectral Sobolev norm of a scalar or vector field.
@@ -544,14 +563,11 @@ def norm(field, kind: str = "L2") -> float:
     the dual norm, ``DA`` the |A .| graph norm; all carry the Parseval
     factor |Q|.
     """
-    grid = field.grid
-    w = _norm_weight(grid, kind)
     if isinstance(field, VectorField):
-        power = np.abs(field.u1.coeffs) ** 2 + np.abs(field.u2.coeffs) ** 2
+        power = _power(field.u1.coeffs) + _power(field.u2.coeffs)
     else:
-        power = np.abs(field.coeffs) ** 2
-    total = np.sum(power if w is None else w * power)
-    return float(np.sqrt(grid.area * total))
+        power = _power(field.coeffs)
+    return float(_norms(field.grid, power, kind))
 
 
 def _product_energy(grid: Grid, dU: np.ndarray, dW: np.ndarray, weight: np.ndarray) -> float:
@@ -618,7 +634,8 @@ class NodeSet:
 
     Default placement is the center of each covering square.  When every
     node lies on a collocation point the sampling fast path reads physical
-    samples directly; otherwise the exact trigonometric interpolant is
+    samples directly, at the row-major lattice indices ``flat_indices``;
+    otherwise the exact trigonometric interpolant is
     evaluated through the per-axis phase tables ``phases`` = (E1, E2),
     E_ja = exp(2 pi i x_j k_a / L) over the full wavenumber axis, built
     once here.
@@ -638,7 +655,8 @@ class NodeSet:
         h = L / s
         sq = np.floor(pts / h).astype(np.int64)
         owners = sq[:, 0] * s + sq[:, 1]
-        if len(np.unique(owners)) != s * s:
+        # s^2 nonnegative owners: a repeated one leaves a square empty
+        if np.bincount(owners).max() > 1:
             raise ValueError("node set must place exactly one point in each covering square")
         # Sort node storage by owning square so interpolation is a gather.
         perm = np.argsort(owners)
@@ -650,21 +668,22 @@ class NodeSet:
         rounded = np.rint(frac)
         aligned = bool(np.max(np.abs(frac - rounded)) < 1e-9)
         object.__setattr__(self, "aligned", aligned)
-        gi = phases = None
+        flat = phases = None
         if aligned:
             gi = (rounded.astype(np.int64)) % n
-            gi.setflags(write=False)
+            flat = gi[:, 0] * n + gi[:, 1]
         else:
             k = self.grid.k1[:, 0].astype(np.float64)
             phases = np.exp(2j * np.pi / L * pts.T[:, :, None] * k)
             phases.setflags(write=False)
-        object.__setattr__(self, "grid_indices", gi)
+        object.__setattr__(self, "flat_indices", flat)
         object.__setattr__(self, "phases", phases)
 
         cells = np.arange(n)
         cell_sq = np.minimum((cells * s) // n, s - 1)
         square_of_cell = cell_sq[:, None] * s + cell_sq[None, :]
-        square_of_cell.setflags(write=False)
+        # the two gather tables stay writeable: np.take copies a read-only
+        # index array at every call
         object.__setattr__(self, "square_of_cell", square_of_cell)
 
     @property
@@ -696,18 +715,29 @@ def make_node_set(grid: Grid, count: int | None = None, side: int | None = None,
     return NodeSet(grid, side, points)
 
 
-def _sample_scalar(half: np.ndarray, nodes: NodeSet) -> np.ndarray:
-    """Values at the nodes of half-plane spectra ``half[..., n, w]`` (any
-    width w <= n//2 + 1, missing columns zero), shape (..., N)."""
-    grid = nodes.grid
+def _sample_scalar(half: np.ndarray, nodes: NodeSet, out: np.ndarray | None = None,
+                   phys: np.ndarray | None = None) -> np.ndarray:
+    """
+    Values at the nodes of half-plane spectra ``half[..., n, w]`` (any
+    width w <= n//2 + 1, missing columns zero), shape (..., N).  Given
+    ``out``, the values are written there; given ``phys`` (..., n, n) as
+    well, aligned nodes take no other array: the samples go to ``phys``,
+    and the inverse transform's axis-0 stage runs in place in ``half``,
+    which it overwrites.
+    """
     if nodes.aligned:
-        phys = _half_to_phys(half)
-        gi = nodes.grid_indices
-        return phys[..., gi[:, 0], gi[:, 1]]
+        samples = _half_to_phys(half, out=phys)
+        flat = samples.reshape(samples.shape[:-2] + (-1,))
+        # mode="clip": out= is written directly, not through a checked copy
+        return np.take(flat, nodes.flat_indices, axis=-1, out=out, mode="clip")
     # sum_ab c_ab E1_ja E2_jb, contracted over the full spectrum (the
     # Nyquist lines sit off the grid here)
     E1, E2 = nodes.phases
-    return ((_full_from_half(grid, half) @ E2.T) * E1.T).sum(axis=-2).real
+    values = ((_full_from_half(nodes.grid, half) @ E2.T) * E1.T).sum(axis=-2).real
+    if out is None:
+        return values
+    np.copyto(out, values)
+    return out
 
 
 def nodal_sample(field, nodes: NodeSet) -> np.ndarray:
@@ -730,14 +760,27 @@ def nodal_values_max(field, nodes: NodeSet) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def _interpolant_scalar(values: np.ndarray, nodes: NodeSet) -> np.ndarray:
-    """Half-plane spectra of the mean-free piecewise-constant interpolants
-    of ``values[..., N]``, shape (..., n, n//2 + 1)."""
+def _interpolant_scalar(values: np.ndarray, nodes: NodeSet, width: int | None = None,
+                        out: np.ndarray | None = None, phys: np.ndarray | None = None,
+                        scratch: np.ndarray | None = None) -> np.ndarray:
+    """
+    Columns k2 = 0..width-1 (default: the whole half plane, n//2 + 1) of
+    the half-plane spectra of the mean-free piecewise-constant
+    interpolants of ``values[..., N]``, shape (..., n, width).  The axis-0
+    stage transforms each column on its own, so a narrower width keeps
+    the bits of those columns.  Given ``out``, ``phys`` (..., n, n) and
+    ``scratch`` (..., n, n//2 + 1), it writes into them and takes no other
+    array but the planes' means.
+    """
     # take() returns a C-ordered gather, whose per-plane means are summed
     # in the same (pairwise) order as the mean of a single plane
-    phys = np.take(values, nodes.square_of_cell, axis=-1)
-    phys = phys - phys.mean(axis=(-2, -1), keepdims=True)
-    return _phys_to_half(phys, nodes.grid.n // 2 + 1)
+    phys = np.take(values, nodes.square_of_cell, axis=-1, out=phys, mode="clip")
+    # plane by plane: a broadcast mean would make numpy buffer small planes
+    means = phys.mean(axis=(-2, -1))
+    for plane, mean in zip(phys.reshape((-1,) + phys.shape[-2:]), means.reshape(-1)):
+        np.subtract(plane, mean, out=plane)
+    width = nodes.grid.n // 2 + 1 if width is None else width
+    return _phys_to_half(phys, width, out=out, scratch=scratch)
 
 
 def nodal_interpolant(values: np.ndarray, nodes: NodeSet, grid: Grid):

@@ -134,6 +134,46 @@ class TestNodeSync:
             else:
                 run_node_sync(cfg, make_node_set(grid32, count=16), mu=1.0)
 
+    def test_warm_nudged_advance_allocates_no_arrays(self, grid64, monkeypatch):
+        # the nudging term works in buffers of the run: after warm-up a
+        # nudged step stays under one band plane above the traced baseline
+        import tracemalloc
+
+        from micropolar.dynamics import _Stepper, _to_half
+
+        caught = []
+        init = _Stepper.__init__
+
+        def catch(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.extra is not None:
+                caught.append(self.extra)
+
+        monkeypatch.setattr(_Stepper, "__init__", catch)
+        params = Params(0.15, 0.075, 0.15)
+        fo = make_forcing(grid64, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+        nodes = make_node_set(grid64, count=1024)
+        assert nodes.aligned
+        ref, pert = random_state(grid64, 2, 0.15, 0.05), random_state(grid64, 3, 0.15, 0.05)
+        run_node_sync(SyncConfig(params, ref, pert, fo, fo, t_end=0.03, dt=0.01), nodes, mu=1.0)
+        monkeypatch.undo()
+        # the caught term keeps nudging toward the run's last reference planes
+        stepper = _Stepper(grid64, params, fo, 0.01, extra=caught[0])
+        m = grid64.kcut + 1
+        U, W = (x[..., :m].copy() for x in _to_half(pert))
+        for i in range(3):
+            U, W = stepper.advance(U, W, 0.01 * i)
+        band_plane = grid64.n * m * 16
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for i in range(3, 13):
+                U, W = stepper.advance(U, W, 0.01 * i)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert peak < band_plane, f"{peak} bytes above baseline, one band plane is {band_plane}"
+
     def test_bad_gain_rejected(self, grid32, twin_setup):
         fo, ref, pert = twin_setup
         nodes = make_node_set(grid32, count=16)

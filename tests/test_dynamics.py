@@ -231,6 +231,115 @@ class TestRecordPath:
             assert np.all(res.series[name] == _forcing_norm_sq(fo, which, kind, 0.0)), name
 
 
+def _series_bits(result):
+    # uint64 views, so that equal-comparing values with other bits count
+    return {name: column.view(np.uint64).tobytes() for name, column in result.series.items()}
+
+
+class TestStandardBatches:
+    """The default observer set is evaluated in batches of records; its
+    series must equal the per-State observers' bit for bit."""
+
+    @staticmethod
+    def _forcing(grid, kind):
+        base = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+        if kind == "steady":
+            return base
+        gap = make_forcing(grid, "steady", 0.04, 0.01, mode_hi=4, seed=3)
+        return forcing_with_decaying_gap(base, gap.f_at(0), gap.g_at(0), decay_rate=2.0)
+
+    # 23 and 47 steps: multiples of no stride and of no batch size
+    # (21 records at n = 16, 5 at n = 32, 1 at n = 128)
+    @pytest.mark.parametrize("n,steps", [(16, 47), (32, 47), (128, 23)])
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    @pytest.mark.parametrize("kind", ["steady", "decaying_gap"])
+    def test_default_equals_per_state_observers(self, n, steps, stride, kind):
+        grid = make_grid(n, 2 * np.pi)
+        forcing = self._forcing(grid, kind)
+        params = Params(0.15, 0.075, 0.15)
+        initial = random_state(grid, 2, 0.15, 0.05)
+        batched = simulate(initial, params, forcing, 0.01 * steps, 0.01, stride=stride)
+        per_state = simulate(initial, params, forcing, 0.01 * steps, 0.01, stride=stride,
+                             observers=standard_observers())
+        assert list(batched.series) == list(standard_observers())
+        assert _series_bits(batched) == _series_bits(per_state)
+        assert batched.times.tobytes() == per_state.times.tobytes()
+        assert len(batched.times) == 1 + -(-steps // stride)
+        assert _coefficient_bits(batched.final_state) == _coefficient_bits(per_state.final_state)
+
+    def test_mixed_mapping_keeps_the_per_state_contract(self, grid16):
+        seen = []
+
+        def energy(state, forcing):
+            seen.append(state)
+            return state.energy()
+
+        forcing = self._forcing(grid16, "steady")
+        params = Params(0.15, 0.075, 0.15)
+        initial = random_state(grid16, 2, 0.15, 0.05)
+        standard = standard_observers()
+        mixed = {"u_h1_sq": standard["u_h1_sq"], "energy": energy,
+                 "f_hm1_sq": standard["f_hm1_sq"], "omega_da_sq": standard["omega_da_sq"]}
+        res = simulate(initial, params, forcing, 0.29, 0.01, stride=2, observers=mixed)
+        default = simulate(initial, params, forcing, 0.29, 0.01, stride=2)
+        assert list(res.series) == list(mixed)
+        for name in ("u_h1_sq", "f_hm1_sq", "omega_da_sq"):
+            assert res.series[name].view(np.uint64).tobytes() \
+                == default.series[name].view(np.uint64).tobytes(), name
+        # the custom observer got one validated, read-only State per record, in time order
+        assert [s.t for s in seen] == list(res.times)
+        assert all(isinstance(s, State) and not s.u.u1.coeffs.flags.writeable for s in seen)
+        expected = default.series["u_l2_sq"] + default.series["omega_l2_sq"]
+        assert np.array_equal(res.series["energy"], expected)
+
+    def test_default_builds_no_state_per_record(self, grid16, monkeypatch):
+        import micropolar.dynamics as dynamics
+
+        states, batches = [], []
+        from_half, full_spectra = dynamics._from_half, dynamics._full_spectra
+        monkeypatch.setattr(dynamics, "_from_half",
+                            lambda *a: states.append(a[-1]) or from_half(*a))
+        monkeypatch.setattr(dynamics, "_full_spectra",
+                            lambda grid, U, W: batches.append(len(U)) or full_spectra(grid, U, W))
+        forcing = self._forcing(grid16, "steady")
+        res = simulate(random_state(grid16, 2, 0.15, 0.05), Params(0.15, 0.075, 0.15), forcing,
+                       0.47, 0.01, stride=1)
+        assert len(res.times) == 48
+        assert states == [res.final_state.t]  # only the final state
+        # the initial half planes alone, then 47 band records in batches of 21
+        assert batches == [1, 21, 21, 5, 1]
+
+    def test_one_record_batches_hold_one_record(self, grid64):
+        # from n = 64 on a batch is one record, taken from the stepper's
+        # planes: the run peaks at most one record's full spectra and their
+        # power above its bare steps, and holds no buffer of records
+        import tracemalloc
+
+        params = Params(0.15, 0.075, 0.15)
+        forcing = self._forcing(grid64, "steady")
+        initial = random_state(grid64, 2, 0.15, 0.05)
+
+        def peak(call):
+            call()  # warm-up
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        def bare():
+            stepper = _Stepper(grid64, params, forcing, 0.01)
+            U, W = _to_half(initial)
+            for i in range(8):
+                U, W = stepper.advance(U, W, 0.01 * i)
+
+        recorded = peak(lambda: simulate(initial, params, forcing, 0.08, 0.01, stride=1))
+        record = 3 * grid64.n ** 2 * (16 + 8)
+        assert recorded - peak(bare) <= record
+
+
 def _validated_from_half(grid, U, W, t):
     """The record boundary through the validating constructors."""
     full = _full_from_half(grid, np.concatenate([U, W[None]]))
@@ -259,6 +368,23 @@ class TestFromHalf:
             assert _coefficient_bits(fast) == _coefficient_bits(checked)
             assert fast.t == checked.t
             U, W = stepper.advance(U, W, 0.005 * i)
+
+    def test_batch_records_equal_validating_construction(self, grid16):
+        # each record of a batch gets the validating constructor's bits, also
+        # where column k2 = 0 is Hermitian only to roundoff
+        from micropolar.dynamics import _full_spectra
+
+        rng = np.random.default_rng(7)
+        m = grid16.kcut + 1
+        states = [random_state(grid16, seed, 0.5, 0.2) for seed in range(3)]
+        U = np.stack([s.u.stacked()[..., :m] for s in states])
+        W = np.stack([s.omega.coeffs[:, :m] for s in states])
+        U[..., 0] *= 1 + 1e-12 * rng.standard_normal(U[..., 0].shape)
+        W[..., 0] *= 1 + 1e-12 * rng.standard_normal(W[..., 0].shape)
+        full = _full_spectra(grid16, U, W)
+        for k in range(len(states)):
+            checked = _validated_from_half(grid16, U[k], W[k], 0.0)
+            assert [c.view(np.uint64).tobytes() for c in full[k]] == _coefficient_bits(checked)
 
     def test_record_outlives_the_stepper_buffers(self, grid16):
         params = Params(0.1, 0.05, 0.1)

@@ -587,6 +587,26 @@ class TestNodal:
         recon = phys[nodes.square_of_cell == 5]
         assert np.allclose(recon, values[5] - values.mean(), atol=1e-12)
 
+    def test_node_set_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma (about 10 ms), which no CLI run needs
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import micropolar
+
+        code = ("import sys\n"
+                "from micropolar.spectral import make_grid, make_node_set\n"
+                "grid = make_grid(16, 6.283185307179586)\n"
+                "assert make_node_set(grid, count=64).aligned\n"
+                "assert not make_node_set(grid, side=6).aligned\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(micropolar.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
     def test_one_per_square_enforced(self, grid16):
         pts = make_node_set(grid16, count=16).points.copy()
         pts[0] = pts[1]  # two nodes in one square
