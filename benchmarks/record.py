@@ -19,7 +19,14 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   steps without records (a fresh stepper and bare ``advance`` calls);
 - ``nudge`` (at n = 64 only): one call of ``run_node_sync``'s nudging
   term, with 1024 nodes on the lattice (``aligned``) and 900 off it
-  (``unaligned``), taken from a short twin run.
+  (``unaligned``), taken from a short twin run;
+- ``reorth`` (at n = 32 only): one re-orthonormalization of 8 and of 64
+  tangent pairs, ``lyapunov._mgs`` on the frame of a Benettin run after
+  one block (a Householder QR of band planes; before, modified
+  Gram-Schmidt over the full spectra that the block rebuilt for it);
+- ``trace_sample`` (at n = 32 only): one trace sample of 8 pairs at a
+  block boundary, as the run takes it (from the tangent terms of the
+  block's first step; before, with its own kernel call).
 
 Each layer reports the median and interquartile range of single-call
 times in microseconds, and, from a separate run under ``tracemalloc``
@@ -219,6 +226,48 @@ def _nudge(n: int, calls: int) -> dict:
     return result
 
 
+def _tangent_run(n: int, pairs: int):
+    """A Benettin run of ``pairs`` tangent pairs after one block."""
+    from micropolar.lyapunov import _TangentRun
+
+    grid, params, forcing, state = _setup(n)
+    run = _TangentRun(state, params, forcing, pairs, dt=0.01, seed=3)
+    run._advance_block()
+    return run
+
+
+def _reorth(n: int, calls: int) -> dict:
+    from micropolar.lyapunov import _mgs
+
+    result = {}
+    for pairs in (PAIRS, 64):
+        run = _tangent_run(n, pairs)
+        if hasattr(run, "pairs"):
+            def reorth():
+                _mgs(run.grid, run.pairs)
+        else:  # the frame as full spectra
+            def reorth():
+                _mgs(run.grid, run.V, run.Z)
+        count = max(3, calls // (1 + pairs // 2))
+        result[f"{pairs}_pairs"] = {**_summary(_timed(reorth, count)), **_traced(reorth, count)}
+    return result
+
+
+def _trace_sample(n: int, calls: int) -> dict:
+    from micropolar.lyapunov import _trace_sample as trace_sample
+
+    run = _tangent_run(n, PAIRS)
+    params, work = run.base.params, run.base.work
+    if hasattr(run, "pairs"):
+        def sample():
+            trace_sample(run.grid, params, run.U, run.W, run.pairs, terms=work.E_prev[:, 1:])
+    else:  # a kernel call per sample
+        def sample():
+            trace_sample(run.grid, params, run.U, run.W, run.V, run.Z, work)
+    count = max(3, calls // 4)
+    return {**_summary(_timed(sample, count)), **_traced(sample, count)}
+
+
 def _faults(n: int, calls: int) -> dict:
     from micropolar.dynamics import simulate
 
@@ -238,6 +287,8 @@ LAYERS = (
     ("from_half", _from_half, SIZES),
     ("record", _record, SIZES),
     ("nudge", _nudge, (64,)),
+    ("reorth", _reorth, (32,)),
+    ("trace_sample", _trace_sample, (32,)),
     ("simulate_stride10", _faults, SIZES),
 )
 

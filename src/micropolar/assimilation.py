@@ -30,7 +30,7 @@ from micropolar.dynamics import (
     _whole_steps,
 )
 from micropolar.estimates import Constants
-from micropolar.spectral import Grid, NodeSet, _product_energy, mode_mask
+from micropolar.spectral import Grid, NodeSet, _product_energies, mode_mask
 
 __all__ = [
     "SyncConfig",
@@ -169,8 +169,7 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     nsteps = _whole_steps(config.t_end, config.dt)
     t0 = config.reference.t
     times = [t0]
-    delta_P = [_product_energy(grid, U1 - U2, W1 - W2, mask_P)]
-    delta_Q = [_product_energy(grid, U1 - U2, W1 - W2, mask_Q)]
+    deltas = [_product_energies(grid, U1 - U2, W1 - W2, mask_P, mask_Q)]
     for i in range(nsteps):
         t = t0 + i * config.dt
         U1, W1 = s1.advance(U1, W1, t)
@@ -178,11 +177,10 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
         slave()
         if (i + 1) % config.stride == 0 or i + 1 == nsteps:
             times.append(t0 + (i + 1) * config.dt)
-            delta_P.append(_product_energy(grid, U1 - U2, W1 - W2, mask_P))
-            delta_Q.append(_product_energy(grid, U1 - U2, W1 - W2, mask_Q))
+            deltas.append(_product_energies(grid, U1 - U2, W1 - W2, mask_P, mask_Q))
 
-    return _sync_report("modes", times,
-                        {"delta_P": np.asarray(delta_P), "delta_Q": np.asarray(delta_Q)},
+    delta_P, delta_Q = np.asarray(deltas).T
+    return _sync_report("modes", times, {"delta_P": delta_P, "delta_Q": delta_Q},
                         "delta_Q", 1e-16, False, {"m": m, "effective_m": effective_m})
 
 
@@ -260,7 +258,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
     t0 = config.reference.t
     times = [t0]
     etas = [eta()]
-    h1 = [_product_energy(grid, U2 - U1, W2 - W1, grid.lam)]
+    h1 = _product_energies(grid, U2 - U1, W2 - W1, grid.lam)
     diverged = False
     diagnostics: dict = {}
     for i in range(nsteps):
@@ -279,7 +277,7 @@ def run_node_sync(config: SyncConfig, nodes: NodeSet, mu: float) -> SyncReport:
         if (i + 1) % config.stride == 0 or i + 1 == nsteps:
             times.append(t0 + (i + 1) * config.dt)
             etas.append(eta())
-            h1.append(_product_energy(grid, U2 - U1, W2 - W1, grid.lam))
+            h1 += _product_energies(grid, U2 - U1, W2 - W1, grid.lam)
 
     eta_u, eta_om = np.asarray(etas).T
     return _sync_report("nodes", times,

@@ -381,6 +381,10 @@ class _Workspace:
       combination has read it.
     - ``out``: the stepper's band planes, which ``U``, ``W``, ``V`` and
       ``Z`` view in the layout of the stepper's inputs.
+    - ``factors`` (with pairs): the state's 5 physical planes copied over
+      the pairs, (5, pairs, n, n), 5 * pairs * n^2 * 8 bytes (320 KiB for
+      8 pairs at n = 32), refreshed per kernel call, so that the pairs'
+      products run over equal contiguous shapes.
     """
 
     def __init__(self, grid: Grid, members: int):
@@ -401,6 +405,7 @@ class _Workspace:
         self.keep, self.d1, self.d2 = (self.stacked(x) for x in
                                        (grid.half_keep, grid.half_d1, grid.half_d2))
         self.leray = tuple(self.stacked(x) for x in grid.half_leray)
+        self.factors = np.empty((5, members - 1, n, n)) if members > 1 else None
 
     def stacked(self, table: np.ndarray) -> np.ndarray:
         """
@@ -475,12 +480,13 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     np.subtract(spec[2], tmp[0], out=spec[2])
     _half_to_phys(spec, out=phys)
 
-    u1, u2, rot_u, w1, w2 = phys[:, 0]
     # products into planes 2..4 of each member, each written over factors
-    # it has spent; the pairs' go first, as they read the state's factors
-    # (one pair at a time: planes of equal shape need no iteration buffers)
-    for j in range(1, work.members):
-        v1, v2, rot_v, z1, z2 = phys[:, j]
+    # it has spent; the pairs' go first, all pairs in one pass, as they
+    # read the state's factors
+    if work.members > 1:
+        np.copyto(work.factors, phys[:, :1])
+        u1, u2, rot_u, w1, w2 = work.factors
+        v1, v2, rot_v, z1, z2 = phys[:, 1:]
         # -(u.grad Z + V.grad w)
         np.multiply(u1, z1, out=z1)
         np.multiply(u2, z2, out=z2)
@@ -498,6 +504,7 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         np.multiply(rot_v, u2, out=rot_v)
         np.multiply(rot_u, v2, out=v2)
         np.add(rot_v, v2, out=rot_v)
+    u1, u2, rot_u, w1, w2 = phys[:, 0]
     # -(u.grad w), then -(omega x u) = (omega u2, -omega u1)
     np.multiply(u1, w1, out=w1)
     np.multiply(u2, w2, out=w2)

@@ -3,10 +3,10 @@ Tangent-linear dynamics, Lyapunov spectra and attractor-dimension
 diagnostics.
 
 Perturbation pairs (V, Z) evolve under the dynamics linearized about a
-co-integrated base trajectory, re-orthonormalized periodically by modified
-Gram-Schmidt in the product L2 inner product (Benettin's method).  The
-trace of the linearized generator restricted to the evolving span is
-sampled at each re-orthonormalization and feeds the volume-element bound
+co-integrated base trajectory, as band planes, re-orthonormalized
+periodically by one QR in the product L2 inner product (Benettin's
+method).  The trace of the linearized generator restricted to the evolving
+span is sampled at each re-orthonormalization and feeds the volume-element bound
 q_N <= -kappa1 N^2 + kappa2; the pointwise Sobolev-Lieb-Thirring ratio
 |rho|^2 / sum ||phi_j||_H1^2 is measured with exact zero-padded quadrature
 to fit an empirical shape constant.
@@ -24,16 +24,9 @@ from micropolar.dynamics import (Forcing, NumericsError, Params, State, _explici
                                  _random_scalars, _Stepper, _to_half, _whole_steps,
                                  _Workspace)
 from micropolar.estimates import Constants
-from micropolar.spectral import (
-    FieldError,
-    Grid,
-    ScalarField,
-    VectorField,
-    _full_from_half,
-    _half_to_phys,
-    _leray_arrays,
-    _product_energy,
-)
+from micropolar.spectral import (FieldError, Grid, ScalarField, VectorField, _column_weights,
+                                 _full_from_half, _half_to_phys, _leray_arrays, _power,
+                                 _product_energies, _real_weights)
 
 __all__ = [
     "LyapunovReport",
@@ -110,93 +103,101 @@ def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
 # Orthonormalization and quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _pair_inner(grid: Grid, V1, Z1, V2, Z2) -> float:
-    s = np.sum(V1[0] * np.conj(V2[0]) + V1[1] * np.conj(V2[1]) + Z1 * np.conj(Z2))
-    return float(grid.area * s.real)
-
-
-def _mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """In-place modified Gram-Schmidt in the product inner product;
-    returns the growth factors (diagonal of R)."""
-    if not (np.isfinite(V.view(np.float64)).all() and np.isfinite(Z.view(np.float64)).all()):
+def _mgs(grid: Grid, pairs: np.ndarray) -> np.ndarray:
+    """
+    Re-orthonormalizes, in place, band-plane tangent pairs ``pairs[N, 3, n,
+    kcut + 1]`` (v1, v2, z) in the product L2 inner product, by one
+    Householder QR of their weighted real views (Benettin's method needs
+    some QR), and returns the growth factors |R_jj|.  A residual of at most
+    1e-14 of its vector's norm is rank loss.  (The name is that of the
+    Gram-Schmidt loop this replaced, under which perfbench times it.)
+    """
+    real = pairs.view(np.float64)
+    if not np.isfinite(real).all():
         raise NumericsError("non-finite tangent pairs at re-orthonormalization")
-    N = V.shape[0]
-    norms = np.empty(N)
-    for j in range(N):
-        before = math.sqrt(_pair_inner(grid, V[j], Z[j], V[j], Z[j]))
-        for i in range(j):
-            proj = _pair_inner(grid, V[j], Z[j], V[i], Z[i])
-            V[j] -= proj * V[i]
-            Z[j] -= proj * Z[i]
-        nrm = math.sqrt(_pair_inner(grid, V[j], Z[j], V[j], Z[j]))
-        if nrm <= 1e-14 * before or nrm == 0.0:
-            raise RuntimeError(
-                f"rank loss during re-orthonormalization (vector {j}: "
-                f"residual {nrm:.3e} of {before:.3e})"
-            )
-        V[j] /= nrm
-        Z[j] /= nrm
-        norms[j] = nrm
-    return norms
+    weights = _real_weights(grid, pairs.shape[-1])
+    frame = (real * weights).reshape(len(pairs), -1)
+    q, r = np.linalg.qr(frame.T)
+    growth = np.abs(np.diagonal(r))
+    before = np.sqrt(np.einsum("is,is->i", frame, frame))
+    lost = np.flatnonzero((growth <= 1e-14 * before) | (growth == 0.0))
+    if len(lost):
+        j = lost[0]
+        raise RuntimeError(f"rank loss during re-orthonormalization (vector {j}: "
+                           f"residual {growth[j]:.3e} of {before[j]:.3e})")
+    np.divide((q * np.sign(np.diagonal(r))).T.reshape(real.shape), weights, out=real)
+    # the reflections leave roundoff in Q's rows at k = 0, zero in the frame
+    np.multiply(pairs, grid.half_keep, out=pairs)
+    return growth
 
 
-def _padded_phys(coeffs: np.ndarray, n: int, pad: int) -> np.ndarray:
-    """Samples on a (pad*n)^2 lattice of Hermitian spectra, zero padded into a
-    real half plane whose nonzero columns k2 = 0..n/2 are all that is passed."""
-    m, h = pad * n, n // 2
+def _padded_phys(coeffs: np.ndarray, n: int, pad: float) -> np.ndarray:
+    """Samples on a (pad*n)^2 lattice of the Hermitian spectra whose columns
+    k2 = 0..w-1 are ``coeffs[..., n, w]`` (band or half planes, or full
+    spectra, of which k2 <= n/2 is read), zero padded into a half plane."""
+    m, h = round(pad * n), n // 2
+    w = min(coeffs.shape[-1], h + 1)
+    c = min(w, h)
     rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
-    fine = np.zeros(coeffs.shape[:-2] + (m, h + 1), dtype=np.complex128)
-    fine[..., rows, :h] = coeffs[..., :h]
+    fine = np.zeros(coeffs.shape[:-2] + (m, w), dtype=np.complex128)
+    fine[..., rows, :c] = coeffs[..., :c]
     # the Nyquist lines k1, k2 = -n/2 are self-conjugate on the coarse grid only:
     # the real field keeps half of each at -n/2 and the conjugate half at +n/2
-    fine[..., h, :h] = fine[..., m - h, :h] = 0.5 * coeffs[..., h, :h]
-    fine[..., -rows % m, h] = 0.5 * np.conj(coeffs[..., h])
-    return _half_to_phys(fine)
+    fine[..., h, :c] = fine[..., m - h, :c] = 0.5 * coeffs[..., h, :c]
+    if w > h:
+        fine[..., -rows % m, h] = 0.5 * np.conj(coeffs[..., h])
+    # given out, the axis-0 stage runs in place in fine
+    return _half_to_phys(fine, out=np.empty(fine.shape[:-1] + (m,)))
 
 
-def _rho_and_h1(grid: Grid, V: np.ndarray, Z: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+def _rho_and_h1(grid: Grid, pairs: np.ndarray) -> tuple[float, float, np.ndarray, float]:
     """
     |rho|_{L2} for rho(x) = sum_j (|v_j|^2 + |z_j|^2), evaluated with exact
     zero-padded quadrature, plus sum_j ||phi_j||_H1^2, per-pair H1 norms
-    and the integral of rho.
+    and the integral of rho, of pairs ``pairs[N, 3, n, w]`` given as band
+    or half planes.
     """
-    v_fine = _padded_phys(V, grid.n, 2)
-    rho = np.sum(v_fine[:, 0] ** 2 + v_fine[:, 1] ** 2, axis=0) \
-        + np.sum(_padded_phys(Z, grid.n, 2) ** 2, axis=0)
+    # rho^2 of band planes reaches |k_i| <= 4 kcut < 3n/2, so a (3n/2)^2
+    # lattice is exact for them; half planes reach n/2 and take (2n)^2
+    fine = _padded_phys(pairs, grid.n, 1.5 if pairs.shape[-1] <= grid.kcut + 1 else 2)
+    rho = np.sum(np.square(fine, out=fine), axis=(0, 1))
     rho_l2 = math.sqrt(grid.area * float(np.mean(rho**2)))
-    h1_each = grid.area * np.sum(
-        grid.lam * (np.abs(V[:, 0]) ** 2 + np.abs(V[:, 1]) ** 2 + np.abs(Z) ** 2), axis=(1, 2)
-    ).real
+    w = pairs.shape[-1]
+    h1_each = grid.area * np.sum(_column_weights(grid, w) * grid.lam[:, :w] * _power(pairs),
+                                 axis=(1, 2, 3))
     return rho_l2, float(np.sum(h1_each)), h1_each, grid.area * float(np.mean(rho))
 
 
 def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
-                  V: np.ndarray, Z: np.ndarray, work: _Workspace | None = None) -> dict:
+                  pairs: np.ndarray, terms: np.ndarray | None = None,
+                  work: _Workspace | None = None) -> dict:
     """
-    Trace of the linearized generator on the orthonormal span,
+    Trace of the linearized generator on the orthonormal span of band-plane
+    ``pairs[N, 3, n, kcut + 1]`` about the base (U, W), half or band planes,
     -sum_j [a(phi_j, phi_j) + B(phi_j, ubar, phi_j) + R(phi_j, phi_j)],
-    taken as sum_j Re <E(phi_j), phi_j> from the explicit tangent terms E of
-    :func:`micropolar.dynamics._explicit_terms` minus the diagonal part
-    sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2].
-    The two agree because b(u, v_j, v_j) = 0 and the Leray gradient is
-    orthogonal to the divergence-free, dealiased span.  The base may be half or band planes.
-    The kernel runs in ``work``, a workspace for 1 + N members that holds
-    nothing live at the call (the run's stepper between steps), or a fresh one.
+    taken as sum_j Re <E(phi_j), phi_j> minus the diagonal part
+    sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2]
+    (b(u, v_j, v_j) = 0; the Leray gradient is orthogonal to the span).
+    E are the pairs' explicit terms ``terms[3, N, n, kcut + 1]``, which a
+    step's kernel call serves, as forcing does not reach them; or else the
+    kernel runs in ``work`` (1 + N members, nothing live) or a fresh one.
     """
-    zero = np.zeros_like(W)
-    *_, EV, EZ = _explicit_terms(grid, params, U, W, zero, zero, V=V, Z=Z, work=work)
-    explicit = np.sum(_full_from_half(grid, EV) * np.conj(V)).real \
-        + np.sum(_full_from_half(grid, EZ) * np.conj(Z)).real
-    lam = grid.lam
-    h1_v = np.sum(lam * (np.abs(V[:, 0]) ** 2 + np.abs(V[:, 1]) ** 2))
-    diagonal = (params.nu + params.nu_r) * h1_v \
-        + np.sum((params.alpha * lam + 4.0 * params.nu_r) * np.abs(Z) ** 2)
-    trace = grid.area * float(explicit - diagonal)
-    rho_l2, sum_h1, h1_each, _ = _rho_and_h1(grid, V, Z)
-    m = grid.n // 2 + 1
-    base_h1 = math.sqrt(_product_energy(grid, U[..., :m], W[..., :m], lam))
-    return {"trace": trace, "sum_h1_sq": sum_h1, "rho_l2": rho_l2, "base_h1": base_h1,
-            "h1_each": h1_each}
+    if terms is None:
+        zero = np.zeros_like(W)
+        work = work or _Workspace(grid, 1 + len(pairs))
+        _explicit_terms(grid, params, U, W, zero, zero, V=pairs[:, :2], Z=pairs[:, 2], work=work)
+        terms = work.E[:, 1:]
+    m = pairs.shape[-1]
+    frame, weights = pairs.swapaxes(0, 1), _column_weights(grid, m)
+    h1, power = weights * grid.lam[:, :m], _power(frame)
+    explicit = np.sum(weights * (terms * np.conj(frame)).real)
+    diagonal = np.sum((params.nu + params.nu_r) * h1 * (power[0] + power[1])
+                      + (params.alpha * h1 + 4.0 * params.nu_r * weights) * power[2])
+    rho_l2, sum_h1, _, _ = _rho_and_h1(grid, pairs)
+    w = grid.n // 2 + 1
+    base_h1 = math.sqrt(_product_energies(grid, U[..., :w], W[..., :w], grid.lam)[0])
+    return {"trace": grid.area * float(explicit - diagonal), "sum_h1_sq": sum_h1,
+            "rho_l2": rho_l2, "base_h1": base_h1}
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +215,17 @@ def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: int = 4,
     return V, Z
 
 
+def _band_pairs(grid: Grid, count: int, seed: int, velocity_only: bool = False) -> np.ndarray:
+    """:func:`random_tangent_pairs` as band planes (count, 3, n, kcut + 1) of
+    (v1, v2, z), not yet orthonormal, masked to the dealiased band (kmax = 4
+    reaches beyond kcut below n = 14): a frame holds nothing a step drops."""
+    V, Z = random_tangent_pairs(grid, count, seed, velocity_only=velocity_only)
+    return np.concatenate([V, Z[:, None]], axis=1)[..., :grid.kcut + 1] * grid.half_keep
+
+
 class _TangentRun:
-    """Co-integrates a base trajectory (half, then band planes) and N tangent pairs."""
+    """Co-integrates a base trajectory (half, then band planes) and N tangent
+    pairs, kept as band planes ``pairs[N, 3, n, kcut + 1]`` (v1, v2, z)."""
 
     def __init__(self, initial: State, params: Params, forcing: Forcing, count: int,
                  dt: float, reorth_interval: int = 10, seed: int = 0,
@@ -242,42 +252,48 @@ class _TangentRun:
         self.t0 = initial.t
         self.t = initial.t
 
-        self.V, self.Z = random_tangent_pairs(grid, count, seed, velocity_only=velocity_only)
-        _mgs(grid, self.V, self.Z)
+        self.pairs = _band_pairs(grid, count, seed, velocity_only)
+        self.V, self.Z = self.pairs[:, :2], self.pairs[:, 2]
+        _mgs(grid, self.pairs)
         self.log_sums = np.zeros(count)
 
-    def _advance_block(self) -> None:
-        """One reorth block: reorth_interval coupled steps of the base and
-        its pairs on band planes, then MGS."""
-        V, Z = self.V, self.Z
-        for _ in range(self.reorth_interval):
-            self.U, self.W, V, Z = self.base.advance(self.U, self.W, self.t, V, Z)
+    def _advance_block(self) -> dict:
+        """
+        One reorth block: reorth_interval coupled steps of the base and its
+        pairs, then one QR.  Returns the trace sample of the frame the block
+        starts from, taken with the pairs' terms of its first step.
+        """
+        stepper = self.base
+        U, W, V, Z = self.U, self.W, self.V, self.Z
+        start = (U.copy(), W.copy())  # the first step overwrites the stepper's planes
+        for i in range(self.reorth_interval):
+            U, W, V, Z = stepper.advance(U, W, self.t, V, Z)
+            if i == 0:
+                # this step's terms: the frame's pairs are copied into the
+                # stepper's planes, and left as they were
+                sample = _trace_sample(self.grid, stepper.params, *start, self.pairs,
+                                       terms=stepper.work.E_prev[:, 1:])
             if self.velocity_only:
                 # exact: with nu_r = 0 no velocity term reads Z
                 Z[...] = 0.0
             self.t += self.dt
-        self.V = _full_from_half(self.grid, V)
-        self.Z = _full_from_half(self.grid, Z)
-        growth = _mgs(self.grid, self.V, self.Z)
-        self.log_sums += np.log(growth)
+        self.U, self.W = U, W
+        np.copyto(self.V, V)
+        np.copyto(self.Z, Z)
+        self.log_sums += np.log(_mgs(self.grid, self.pairs))
+        return sample
 
 
 def _assemble_trace(times: list[float], samples: list[dict]) -> TraceSeries:
+    """The samples, at least two, as series, with the trapezoidal running
+    average of the trace."""
     t = np.asarray(times)
-    tr = np.asarray([s["trace"] for s in samples])
-    if len(t) > 1:
-        integral = np.concatenate([[0.0], np.cumsum(0.5 * (tr[1:] + tr[:-1]) * np.diff(t))])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            running = np.where(t > t[0], integral / np.maximum(t - t[0], 1e-300), tr)
-        running[0] = tr[0]
-    else:
-        running = tr.copy()
-    return TraceSeries(
-        times=t, trace=tr, running_average=running,
-        sum_h1_sq=np.asarray([s["sum_h1_sq"] for s in samples]),
-        rho_l2=np.asarray([s["rho_l2"] for s in samples]),
-        base_h1=np.asarray([s["base_h1"] for s in samples]),
-    )
+    series = {key: np.asarray([s[key] for s in samples])
+              for key in ("trace", "sum_h1_sq", "rho_l2", "base_h1")}
+    tr = series["trace"]
+    integral = np.cumsum(0.5 * (tr[1:] + tr[:-1]) * np.diff(t))
+    running = np.concatenate([tr[:1], integral / (t[1:] - t[0])])
+    return TraceSeries(times=t, running_average=running, **series)
 
 
 def kaplan_yorke_dimension(exponents: np.ndarray) -> tuple[float | None, bool]:
@@ -310,25 +326,20 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
     """
     run = _TangentRun(initial, params, forcing, count, dt, reorth_interval, seed,
                       velocity_only)
-
-    def sample() -> dict:
-        return _trace_sample(run.grid, params, run.U, run.W, run.V, run.Z, run.base.work)
-
     nblocks = max(1, _whole_steps(t_span, dt * reorth_interval))
-    times = [run.t]
-    samples = [sample()]
-    hist_t: list[float] = []
+    times: list[float] = []
+    samples: list[dict] = []
     hist: list[np.ndarray] = []
     for _ in range(nblocks):
-        run._advance_block()
         times.append(run.t)
-        samples.append(sample())
-        hist_t.append(run.t - run.t0)
+        samples.append(run._advance_block())
         hist.append(run.log_sums / (run.t - run.t0))
+    # the last frame has no next step: its terms come from the kernel
+    times.append(run.t)
+    samples.append(_trace_sample(run.grid, params, run.U, run.W, run.pairs, work=run.base.work))
 
     exponents = np.sort(hist[-1])[::-1]
     history = np.asarray(hist)
-    hist_t_arr = np.asarray(hist_t)
     # settled when the sorted estimates move less than 1 % of the largest
     # exponent magnitude over the trailing half of the run
     half = len(history) // 2
@@ -346,7 +357,7 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
         kaplan_yorke=ky,
         ky_undetermined=undetermined,
         trace=trace,
-        exponent_history_times=hist_t_arr,
+        exponent_history_times=np.asarray(times[1:]) - run.t0,
         exponent_history=history,
         converged=converged,
         meta={"count": count, "dt": dt, "reorth_interval": reorth_interval,
@@ -393,19 +404,14 @@ def lieb_thirring_check(pairs, grid: Grid | None = None) -> dict:
     plist = list(pairs)
     if grid is None:
         grid = plist[0][0].grid
-    N = len(plist)
-    V = np.stack([np.stack([v.u1.coeffs, v.u2.coeffs]) for v, _ in plist])
-    Z = np.stack([z.coeffs for _, z in plist])
-
-    gram = np.empty((N, N))
-    for i in range(N):
-        for j in range(N):
-            gram[i, j] = _pair_inner(grid, V[i], Z[i], V[j], Z[j])
-    dev = float(np.max(np.abs(gram - np.eye(N))))
+    N, w = len(plist), grid.n // 2 + 1
+    half = np.stack([np.stack([v.u1.coeffs, v.u2.coeffs, z.coeffs])[..., :w] for v, z in plist])
+    frame = (half.view(np.float64) * _real_weights(grid, w)).reshape(N, -1)
+    dev = float(np.max(np.abs(frame @ frame.T - np.eye(N))))
     if dev > 1e-8:
         raise ValueError(f"family is not orthonormal (Gram deviation {dev:.3e})")
 
-    rho_l2, sum_h1, h1_each, rho_integral = _rho_and_h1(grid, V, Z)
+    rho_l2, sum_h1, h1_each, rho_integral = _rho_and_h1(grid, half)
     return {
         "ratio": rho_l2**2 / sum_h1,
         "rho_l2": rho_l2,

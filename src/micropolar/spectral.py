@@ -555,6 +555,25 @@ def _norms(grid: Grid, power: np.ndarray, kind: str) -> np.ndarray:
     return np.sqrt(grid.area * sums)
 
 
+def _column_weights(grid: Grid, width: int) -> np.ndarray:
+    """How often each column k2 = 0..width-1 of a half plane appears in the
+    full Hermitian spectrum: once for k2 = 0 and n/2, their own mirror
+    images, twice for the others.  Weighted sums over half or band planes
+    are the full spectra's sums."""
+    weights = np.full(width, 2.0)
+    weights[0] = 1.0
+    if width > grid.n // 2:
+        weights[grid.n // 2] = 1.0
+    return weights
+
+
+def _real_weights(grid: Grid, width: int) -> np.ndarray:
+    """sqrt(|Q| * column weight) per entry of the float view (n, 2 width) of
+    half planes: Euclidean products of weighted real views are the product
+    L2 inner products of the fields."""
+    return np.repeat(np.sqrt(grid.area * _column_weights(grid, width)), 2)
+
+
 def norm(field, kind: str = "L2") -> float:
     """
     Spectral Sobolev norm of a scalar or vector field.
@@ -570,12 +589,14 @@ def norm(field, kind: str = "L2") -> float:
     return float(_norms(field.grid, power, kind))
 
 
-def _product_energy(grid: Grid, dU: np.ndarray, dW: np.ndarray, weight: np.ndarray) -> float:
-    """Energy area * sum weight |c|^2 over the full spectra of half planes (dU, dW);
-    ``weight`` is a full-plane table (a mode mask or ``grid.lam``)."""
+def _product_energies(grid: Grid, dU: np.ndarray, dW: np.ndarray,
+                      *weights: np.ndarray) -> list[float]:
+    """Energies area * sum weight |c|^2 over the full spectra of half planes
+    (dU, dW), one per ``weight``, a full-plane table (a mode mask or
+    ``grid.lam``); the spectra and |c|^2 are formed once for all."""
     full = _full_from_half(grid, np.concatenate([dU, dW[None]]))
     density = np.abs(full[0]) ** 2 + np.abs(full[1]) ** 2 + np.abs(full[2]) ** 2
-    return float(grid.area * np.sum(density * weight))
+    return [float(grid.area * np.sum(density * weight)) for weight in weights]
 
 
 def inner(f, g) -> float:

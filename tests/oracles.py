@@ -7,14 +7,18 @@ forms are direct convolution sums over wavevector triples, and
 integrals of band-limited products use plain grid-mean quadrature
 (exact because the integrands stay below the lattice Nyquist band).
 The advective-form reference for the rotational-form kernel runs on
-complex full-plane FFTs, which the library no longer uses.
+complex full-plane FFTs, which the library no longer uses.  The
+re-orthonormalization reference is modified Gram-Schmidt over full
+spectra, the library's loop before it took one QR of band planes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from micropolar.dynamics import random_state
+from micropolar.dynamics import NumericsError, random_state
 from micropolar.spectral import Grid, ScalarField, VectorField
 
 
@@ -128,3 +132,35 @@ def random_fields(grid: Grid, seed: int, scale: float = 1.0):
     """Seeded dealiased random (divergence-free u, omega) pair."""
     s = random_state(grid, seed, scale, scale)
     return s.u.dealiased(), s.omega.dealiased()
+
+
+def pair_inner(grid: Grid, V1, Z1, V2, Z2) -> float:
+    """Product L2 inner product of two pairs of full spectra."""
+    s = np.sum(V1[0] * np.conj(V2[0]) + V1[1] * np.conj(V2[1]) + Z1 * np.conj(Z2))
+    return float(grid.area * s.real)
+
+
+def mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """In-place modified Gram-Schmidt of pairs of full spectra V (N, 2, n, n)
+    and Z (N, n, n) in the product inner product; returns the growth
+    factors (diagonal of R)."""
+    if not (np.isfinite(V.view(np.float64)).all() and np.isfinite(Z.view(np.float64)).all()):
+        raise NumericsError("non-finite tangent pairs at re-orthonormalization")
+    N = V.shape[0]
+    norms = np.empty(N)
+    for j in range(N):
+        before = math.sqrt(pair_inner(grid, V[j], Z[j], V[j], Z[j]))
+        for i in range(j):
+            proj = pair_inner(grid, V[j], Z[j], V[i], Z[i])
+            V[j] -= proj * V[i]
+            Z[j] -= proj * Z[i]
+        nrm = math.sqrt(pair_inner(grid, V[j], Z[j], V[j], Z[j]))
+        if nrm <= 1e-14 * before or nrm == 0.0:
+            raise RuntimeError(
+                f"rank loss during re-orthonormalization (vector {j}: "
+                f"residual {nrm:.3e} of {before:.3e})"
+            )
+        V[j] /= nrm
+        Z[j] /= nrm
+        norms[j] = nrm
+    return norms

@@ -17,10 +17,18 @@ from micropolar.assimilation import (
 )
 from micropolar.dynamics import Forcing, Params, State, make_forcing, random_state, simulate
 from micropolar.estimates import Constants, compute_constants
-from micropolar.spectral import make_node_set
+from micropolar.spectral import _full_from_half, make_node_set
 
 
 PARAMS = Params(nu=0.25, nu_r=0.1, alpha=0.25)
+
+
+def separate_energy(grid, dU, dW, weight):
+    """One weighted energy of half planes over their own rebuilt spectra, as
+    each twin series was taken before the series shared |c|^2."""
+    full = _full_from_half(grid, np.concatenate([dU, dW[None]]))
+    density = np.abs(full[0]) ** 2 + np.abs(full[1]) ** 2 + np.abs(full[2]) ** 2
+    return float(grid.area * np.sum(density * weight))
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +67,27 @@ class TestModeSync:
         report = run_mode_sync(make_config(fo, ref, pert, t_end=1.0), 30)
         assert np.all(report.series["delta_P"] == 0.0)
         assert report.meta["effective_m"] >= 30
+
+    def test_series_equal_separate_energies(self, grid32, twin_setup, monkeypatch):
+        # delta_P and delta_Q come from one |c|^2 per record, with the bits
+        # of one energy evaluation each
+        from micropolar import assimilation
+
+        fo, ref, pert = twin_setup
+        shared = assimilation._product_energies
+        separate = []
+
+        def spy(grid, dU, dW, *weights):
+            separate.append([separate_energy(grid, dU, dW, w) for w in weights])
+            return shared(grid, dU, dW, *weights)
+
+        monkeypatch.setattr(assimilation, "_product_energies", spy)
+        report = run_mode_sync(make_config(fo, ref, pert, t_end=0.5, stride=3), 40)
+        expected = np.asarray(separate)
+        assert expected.shape == (len(report.times), 2) and np.all(expected[1:, 1] > 0)
+        for k, name in enumerate(("delta_P", "delta_Q")):
+            got = np.ascontiguousarray(report.series[name])
+            assert np.array_equal(got.view(np.uint64), expected[:, k].view(np.uint64))
 
     def test_sufficient_modes_converge(self, grid32, twin_setup):
         fo, ref, pert = twin_setup

@@ -149,7 +149,7 @@ def test_tangent_terms_match_advective_form(grid32, nu_r, velocity_only):
             <= ROUNDOFF * np.max(np.abs(adv_z))
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("n", [8, 16, 32, 128])
 @pytest.mark.parametrize("nu_r", [0.0, 0.2])
 def test_pairs_ride_along_bitwise(n, nu_r):
     # the state's terms are the same bits with or without pairs, and each
@@ -234,21 +234,20 @@ def test_reused_workspace_equals_fresh(pairs, nu_r, with_extra):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-@pytest.mark.parametrize("pairs", [0, 4])
-def test_warm_advance_allocates_no_arrays(grid64, pairs):
+def _assert_warm_advance_allocates_no_arrays(grid, pairs):
     # after two warm-up steps every temporary lives in the stepper's
     # workspace: 20 steps stay under one band plane above the baseline
     params = Params(0.15, 0.075, 0.15)
-    forcing = make_forcing(grid64, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
-    stepper = _Stepper(grid64, params, forcing, dt=0.01)
-    state = random_state(grid64, 3, 0.15, 0.05)
-    half = grid64.n // 2 + 1
+    forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+    stepper = _Stepper(grid, params, forcing, dt=0.01)
+    state = random_state(grid, 3, 0.15, 0.05)
+    half = grid.n // 2 + 1
     planes = [state.u.stacked()[..., :half], state.omega.coeffs[:, :half].copy()]
     if pairs:
-        planes += list(random_tangent_pairs(grid64, pairs, seed=5))
+        planes += list(random_tangent_pairs(grid, pairs, seed=5))
     for i in range(2):
         planes = stepper.advance(planes[0], planes[1], 0.01 * i, *planes[2:])
-    band_plane = grid64.n * (grid64.kcut + 1) * 16
+    band_plane = grid.n * (grid.kcut + 1) * 16
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
@@ -258,6 +257,17 @@ def test_warm_advance_allocates_no_arrays(grid64, pairs):
     finally:
         tracemalloc.stop()
     assert peak < band_plane, f"{peak} bytes above baseline, one band plane is {band_plane}"
+
+
+@pytest.mark.parametrize("pairs", [0, 4])
+def test_warm_advance_allocates_no_arrays(grid64, pairs):
+    _assert_warm_advance_allocates_no_arrays(grid64, pairs)
+
+
+def test_warm_advance_with_8_pairs_allocates_no_arrays(grid32):
+    # planes this small would make numpy buffer a broadcast of the state's
+    # factors over the pairs: the workspace stacks them instead
+    _assert_warm_advance_allocates_no_arrays(grid32, 8)
 
 
 def test_new_pair_count_restarts_the_history(grid16):

@@ -15,15 +15,23 @@ from micropolar.dynamics import (
     NumericsError,
     Params,
     State,
+    _explicit_terms,
+    _Stepper,
+    _to_half,
+    _Workspace,
     make_forcing,
     random_state,
     rhs,
 )
 from micropolar.estimates import compute_constants
+from micropolar import lyapunov
 from micropolar.lyapunov import (
+    _band_pairs,
     _mgs,
     _padded_phys,
+    _rho_and_h1,
     _TangentRun,
+    _trace_sample,
     kaplan_yorke_dimension,
     lieb_thirring_check,
     lyapunov_spectrum,
@@ -34,11 +42,13 @@ from micropolar.lyapunov import (
 from micropolar.spectral import (
     ScalarField,
     VectorField,
+    _full_from_half,
     inner,
     make_grid,
     norm,
     rot_scalar,
 )
+from oracles import mgs, pair_inner
 
 
 PARAMS = Params(nu=0.4, nu_r=0.15, alpha=0.5)
@@ -47,6 +57,25 @@ PARAMS = Params(nu=0.4, nu_r=0.15, alpha=0.5)
 def perturbation(grid, seed, scale=1.0):
     s = random_state(grid, seed, scale, scale)
     return s.u, s.omega
+
+
+def orthonormal_pairs(grid, count, seed, velocity_only=False):
+    """Band-plane pairs (count, 3, n, kcut + 1) as a run starts from."""
+    pairs = _band_pairs(grid, count, seed, velocity_only)
+    _mgs(grid, pairs)
+    return pairs
+
+
+def gram(grid, pairs):
+    """Oracle Gram matrix of pairs of band or half planes, over full spectra."""
+    full = _full_from_half(grid, pairs)
+    return np.array([[pair_inner(grid, a[:2], a[2], b[:2], b[2]) for b in full] for a in full])
+
+
+def as_fields(grid, pairs):
+    """(VectorField, ScalarField) per pair of band or half planes."""
+    full = _full_from_half(grid, pairs)
+    return [(VectorField.from_coeffs(grid, f[0], f[1]), ScalarField(grid, f[2])) for f in full]
 
 
 class TestTangentRhs:
@@ -114,27 +143,57 @@ class TestTangentRhs:
 
 class TestOrthonormalization:
     def test_mgs_orthonormalizes(self, grid16):
-        V, Z = random_tangent_pairs(grid16, 4, seed=0)
-        _mgs(grid16, V, Z)
+        full = _full_from_half(grid16, orthonormal_pairs(grid16, 4, seed=0))
         for i in range(4):
             for j in range(4):
                 ip = grid16.area * float(np.sum(
-                    V[i, 0] * np.conj(V[j, 0]) + V[i, 1] * np.conj(V[j, 1])
-                    + Z[i] * np.conj(Z[j])).real)
+                    full[i, 0] * np.conj(full[j, 0]) + full[i, 1] * np.conj(full[j, 1])
+                    + full[i, 2] * np.conj(full[j, 2])).real)
                 assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
     def test_rank_loss_detected(self, grid16):
-        V, Z = random_tangent_pairs(grid16, 2, seed=1)
-        V[1] = V[0]
-        Z[1] = Z[0]
+        pairs = _band_pairs(grid16, 2, seed=1)
+        pairs[1] = pairs[0]
         with pytest.raises(RuntimeError, match="rank"):
-            _mgs(grid16, V, Z)
+            _mgs(grid16, pairs)
 
     def test_non_finite_pairs_rejected(self, grid16):
-        V, Z = random_tangent_pairs(grid16, 3, seed=1)
-        V[1, 0, 1, 2] = np.inf
+        pairs = _band_pairs(grid16, 3, seed=1)
+        pairs[1, 0, 1, 2] = np.inf
         with pytest.raises(NumericsError, match="non-finite"):
-            _mgs(grid16, V, Z)
+            _mgs(grid16, pairs)
+
+    @pytest.mark.parametrize("count", [8, 64])
+    def test_qr_matches_mgs_oracle(self, grid32, count):
+        # the QR of the weighted real view against modified Gram-Schmidt
+        # over full spectra: same growth factors and an orthonormal frame
+        pairs = _band_pairs(grid32, count, seed=count)
+        full = _full_from_half(grid32, pairs)
+        V, Z = full[:, :2].copy(), full[:, 2].copy()
+        expected = mgs(grid32, V, Z)
+        growth = _mgs(grid32, pairs)
+        assert np.max(np.abs(growth / expected - 1.0)) <= 1e-13
+        assert np.max(np.abs(gram(grid32, pairs) - np.eye(count))) <= 1e-12
+        frame = _full_from_half(grid32, pairs)
+        assert np.max(np.abs(frame[:, :2] - V)) <= 1e-12 * np.max(np.abs(V))
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-9])
+    def test_ill_conditioned_frame_orthonormalized(self, grid32, scale):
+        # two nearly parallel pairs: the frame still comes out orthonormal,
+        # with the growth factors of Gram-Schmidt to its own accuracy there
+        # (eps times the condition)
+        pairs = _band_pairs(grid32, 4, seed=7)
+        pairs[1] = pairs[0] + scale * pairs[1]
+        full = _full_from_half(grid32, pairs)
+        expected = mgs(grid32, full[:, :2].copy(), full[:, 2].copy())
+        growth = _mgs(grid32, pairs)
+        assert growth == pytest.approx(expected, rel=1e-6)
+        assert np.max(np.abs(gram(grid32, pairs) - np.eye(4))) <= 1e-12
+
+    def test_slots_outside_the_band_stay_zero(self, grid16):
+        pairs = orthonormal_pairs(grid16, 3, seed=2, velocity_only=True)
+        assert np.all(pairs[:, 2] == 0)
+        assert np.all(pairs[..., grid16.half_keep == 0] == 0)
 
 
 class TestLiebThirring:
@@ -157,17 +216,14 @@ class TestLiebThirring:
         assert out["rho_integral"] == pytest.approx(1.0, rel=1e-12)
 
     def test_schwartz_inequality(self, grid16):
-        V, Z = random_tangent_pairs(grid16, 5, seed=4)
-        _mgs(grid16, V, Z)
-        pairs = [(VectorField.from_coeffs(grid16, V[j, 0], V[j, 1]),
-                  ScalarField(grid16, Z[j])) for j in range(5)]
+        pairs = as_fields(grid16, orthonormal_pairs(grid16, 5, seed=4))
         out = lieb_thirring_check(pairs)
         assert out["schwartz_lhs"] <= out["schwartz_rhs"] * (1 + 1e-12)
         assert out["rho_integral"] == pytest.approx(5.0, rel=1e-12)
 
     def test_ratio_invariant_under_remixing(self, grid16):
-        V, Z = random_tangent_pairs(grid16, 4, seed=6)
-        _mgs(grid16, V, Z)
+        full = _full_from_half(grid16, orthonormal_pairs(grid16, 4, seed=6))
+        V, Z = full[:, :2], full[:, 2]
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         Vr = np.einsum("ij,jabc->iabc", q, V)
@@ -194,7 +250,7 @@ class TestLiebThirring:
         grid = make_grid(n, 2 * np.pi)
         # kmax = n fills every mode, the Nyquist row and column included
         V, Z = random_tangent_pairs(grid, 3, seed=13, kmax=n)
-        _mgs(grid, V, Z)
+        mgs(grid, V, Z)
         h = n // 2
         assert np.all(np.abs(Z[:, h, :]) > 0) and np.all(np.abs(Z[:, 1:, h]) > 0)
         assert np.any(V[:, 0, h, :] != 0) and np.any(V[:, 1, :, h] != 0)
@@ -210,6 +266,22 @@ class TestLiebThirring:
         out = lieb_thirring_check(pairs)
         assert out["rho_l2"] == pytest.approx(math.sqrt(grid.area * np.mean(rho**2)), rel=1e-14)
         assert out["rho_integral"] == pytest.approx(grid.area * np.mean(rho), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_band_lattice_matches_half_plane_lattice(self, n):
+        # band planes are sampled on a (3n/2)^2 lattice, half planes on a
+        # (2n)^2 one; with the band full, both give rho's moments exactly
+        grid = make_grid(n, 2 * np.pi)
+        V, Z = random_tangent_pairs(grid, 5, seed=n, kmax=n)
+        band = np.concatenate([V, Z[:, None]], axis=1)[..., :grid.kcut + 1] * grid.half_keep
+        _mgs(grid, band)
+        half = np.zeros(band.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+        half[..., :grid.kcut + 1] = band
+        rho_l2, sum_h1, _, rho_integral = _rho_and_h1(grid, band)
+        expected = _rho_and_h1(grid, half)
+        assert rho_l2 == pytest.approx(expected[0], rel=1e-14)
+        assert rho_integral == pytest.approx(expected[3], rel=1e-14)
+        assert sum_h1 == pytest.approx(expected[1], rel=1e-14)
 
     def test_non_orthonormal_rejected(self, grid16):
         V, Z = random_tangent_pairs(grid16, 3, seed=8)
@@ -244,13 +316,10 @@ class TestSpectrumRun:
         grid = request.getfixturevalue(grid_name)
         params = Params(nu=0.4, nu_r=0.0, alpha=0.5) if velocity_only else PARAMS
         base = random_state(grid, 13, 0.3, 0.15)
-        V, Z = random_tangent_pairs(grid, 3, seed=5, velocity_only=velocity_only)
-        _mgs(grid, V, Z)
-        sample = _trace_sample(grid, params, base.u.stacked(), base.omega.coeffs, V, Z)
+        pairs = orthonormal_pairs(grid, 3, seed=5, velocity_only=velocity_only)
+        sample = _trace_sample(grid, params, base.u.stacked(), base.omega.coeffs, pairs)
         total = 0.0
-        for j in range(3):
-            v = VectorField.from_coeffs(grid, V[j, 0], V[j, 1])
-            z = ScalarField(grid, Z[j])
+        for v, z in as_fields(grid, pairs):
             a = (params.nu + params.nu_r) * norm(v, "H1") ** 2 \
                 + params.alpha * norm(z, "H1") ** 2
             b = trilinear_b(v, base.u, v) + trilinear_b1(v, base.omega, z)
@@ -325,6 +394,71 @@ class TestSpectrumRun:
         with pytest.raises(ValueError, match="whole number"):
             lyapunov_spectrum(init, PARAMS, Forcing.zero(grid16), count=2,
                               t_span=0.15, dt=0.01, reorth_interval=10)
+
+
+class TestBenettinBlocks:
+    @staticmethod
+    def setup(grid):
+        fo = make_forcing(grid, "steady", 0.01, 0.002, mode_hi=6, seed=2)
+        return PARAMS, fo, random_state(grid, 4, 0.1, 0.05)
+
+    def test_step_terms_equal_kernel_call(self, grid32):
+        # forcing reaches only the state's terms: a step's pair terms are the
+        # bits of the zero-forcing kernel call the trace sample would make
+        params, fo, init = self.setup(grid32)
+        stepper = _Stepper(grid32, params, fo, dt=0.01)
+        pairs = orthonormal_pairs(grid32, 8, seed=1)
+        U, W = _to_half(init)
+        for i in range(3):
+            U, W = (x.copy() for x in stepper.advance(U, W, 0.01 * i, pairs[:, :2], pairs[:, 2])[:2])
+        stepper.advance(U, W, 0.03, pairs[:, :2], pairs[:, 2])
+        from_step = stepper.work.E_prev[:, 1:]
+        fresh = _Workspace(grid32, 9)
+        zero = np.zeros_like(W)
+        _explicit_terms(grid32, params, U, W, zero, zero, V=pairs[:, :2], Z=pairs[:, 2], work=fresh)
+        assert np.array_equal(from_step.view(np.uint64), fresh.E[:, 1:].view(np.uint64))
+        assert _trace_sample(grid32, params, U, W, pairs, terms=from_step) \
+            == _trace_sample(grid32, params, U, W, pairs)
+
+    @pytest.mark.parametrize("velocity_only", [False, True])
+    def test_block_samples_equal_kernel_samples(self, grid16, velocity_only):
+        # each block returns the sample of the frame it starts from, the
+        # bits of a sample with its own kernel call
+        params, fo, init = self.setup(grid16)
+        if velocity_only:
+            params = Params(nu=0.4, nu_r=0.0, alpha=0.5)
+        run = _TangentRun(init, params, fo, 4, dt=0.01, reorth_interval=3, seed=2,
+                          velocity_only=velocity_only)
+        for _ in range(3):
+            expected = _trace_sample(grid16, params, run.U.copy(), run.W.copy(), run.pairs.copy())
+            assert run._advance_block() == expected
+
+    def test_exponents_match_mgs_oracle_run(self, grid32, monkeypatch):
+        params, fo, init = self.setup(grid32)
+        report = lyapunov_spectrum(init, params, fo, count=8, t_span=1.0, dt=0.01, seed=3)
+
+        def oracle(grid, pairs):
+            full = _full_from_half(grid, pairs)
+            V, Z = full[:, :2].copy(), full[:, 2].copy()
+            growth = mgs(grid, V, Z)
+            m = pairs.shape[-1]
+            pairs[:, :2], pairs[:, 2] = V[..., :m], Z[..., :m]
+            return growth
+
+        monkeypatch.setattr(lyapunov, "_mgs", oracle)
+        reference = lyapunov_spectrum(init, params, fo, count=8, t_span=1.0, dt=0.01, seed=3)
+        assert np.max(np.abs(report.exponents / reference.exponents - 1.0)) <= 1e-12
+        assert report.trace.trace == pytest.approx(reference.trace.trace, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_first_frame_orthonormal_within_the_band(self, n):
+        # below n = 14 the seeded pairs reach beyond kcut; the first frame is
+        # taken from their band part, all of which the first step keeps
+        grid = make_grid(n, 2 * np.pi)
+        run = _TangentRun(random_state(grid, 2, 0.05, 0.02), PARAMS, Forcing.zero(grid), 6,
+                          dt=0.01, seed=4)
+        band = run.pairs * grid.half_keep
+        assert np.max(np.abs(gram(grid, band) - np.eye(6))) <= 1e-12
 
 
 class TestKaplanYorke:
