@@ -13,6 +13,13 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
 
 - ``advance`` and ``advance_8_pairs``: one ``_Stepper.advance`` call
   without tangent pairs and with 8 (after two warm-up steps);
+- ``explicit_terms`` and ``explicit_terms_8_pairs``: one
+  ``_explicit_terms`` call of such a stepper, in its workspace, on its
+  own planes and its steady forcing's band columns;
+- ``rfft_pair``: the kernel's transforms of one member, ``_half_to_phys``
+  of 5 band planes and ``_phys_to_half`` of 3 physical planes into
+  workspace buffers, after a copy that restores the spectral input (the
+  inverse transform's first stage overwrites it);
 - ``from_half``: one ``_from_half`` record of a stepped state;
 - ``record``: one record of the default observer set, amortized over a
   stride-1 in-process ``simulate`` as its time minus that of the same
@@ -134,6 +141,43 @@ def _advance(n: int, calls: int, pairs: int) -> dict:
     loop = _Loop(n, pairs)
     count = max(min(10, calls), calls // (1 + pairs // 2))
     return {**_summary(_timed(loop.step, count)), **_traced(loop.step, count)}
+
+
+def _explicit_terms(n: int, calls: int, pairs: int) -> dict:
+    from micropolar.dynamics import _explicit_terms as explicit_terms
+
+    loop = _Loop(n, pairs)
+    stepper = loop.stepper
+    U, W, *VZ = loop.planes
+    VZ = dict(zip("VZ", VZ))
+    f_hat, g_hat = stepper.band_forcing
+
+    def terms():
+        explicit_terms(loop.grid, stepper.params, U, W, f_hat, g_hat, t=loop.t,
+                       work=stepper.work, **VZ)
+
+    count = max(min(10, calls), calls // (1 + pairs // 2))
+    return {**_summary(_timed(terms, count)), **_traced(terms, count)}
+
+
+def _rfft_pair(n: int, calls: int) -> dict:
+    import numpy as np
+
+    from micropolar.dynamics import _Workspace
+    from micropolar.spectral import _half_to_phys, _phys_to_half
+
+    loop = _Loop(n, 0)
+    work = _Workspace(loop.grid, 1)
+    m = loop.grid.kcut + 1
+    U, W = loop.planes
+    spectra = np.stack([U[0], U[1], W, U[0], W])[:, None]
+
+    def pair():
+        np.copyto(work.spec_in, spectra)
+        _half_to_phys(work.spec_in, out=work.phys)
+        _phys_to_half(work.phys[2:], m, out=work.E, scratch=work.rfft_out)
+
+    return {**_summary(_timed(pair, calls)), **_traced(pair, calls)}
 
 
 def _from_half(n: int, calls: int) -> dict:
@@ -284,6 +328,9 @@ def _faults(n: int, calls: int) -> dict:
 LAYERS = (
     ("advance", lambda n, calls: _advance(n, calls, 0), SIZES),
     (f"advance_{PAIRS}_pairs", lambda n, calls: _advance(n, calls, PAIRS), SIZES),
+    ("explicit_terms", lambda n, calls: _explicit_terms(n, calls, 0), SIZES),
+    (f"explicit_terms_{PAIRS}_pairs", lambda n, calls: _explicit_terms(n, calls, PAIRS), SIZES),
+    ("rfft_pair", _rfft_pair, SIZES),
     ("from_half", _from_half, SIZES),
     ("record", _record, SIZES),
     ("nudge", _nudge, (64,)),

@@ -195,8 +195,9 @@ class _Nudging:
     nudged planes and ``reference`` (the reference's current planes, which
     the loop keeps up to date), as the stepper's ``extra``.  It works in
     buffers of the run: the differences, the physical planes (samples,
-    then interpolants), the node values, and the interpolants' band
-    spectra, which the kernel reads; each call overwrites the last one's.
+    then interpolants), the node values, the interpolants' band spectra,
+    which the kernel reads, and for nodes off the lattice the buffers of
+    the phase contraction; each call overwrites the last one's.
     """
 
     def __init__(self, nodes: NodeSet, mu: float, reference: tuple[np.ndarray, np.ndarray]):
@@ -208,6 +209,12 @@ class _Nudging:
         self.values = np.empty((3, nodes.count))
         self.gap = np.empty((3, n, grid.kcut + 1), dtype=np.complex128)
         self.scratch = np.empty((3, n, n // 2 + 1), dtype=np.complex128)
+        self.contraction = None
+        if not nodes.aligned:
+            shapes = ((3, n, n), 2 * 3 * n * (n // 2 - 1), (3, n, nodes.count))
+            full, mirror, product = (np.empty(shape, dtype=np.complex128) for shape in shapes)
+            self.contraction = (full, mirror, product, np.ascontiguousarray(nodes.phases[0].T),
+                                np.empty((3, nodes.count), dtype=np.complex128))
 
     def node_values(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Values of (u1, u2, w) of (U, W) minus the reference at the nodes."""
@@ -216,7 +223,8 @@ class _Nudging:
             self.diff = np.empty((3,) + U.shape[-2:], dtype=np.complex128)
         np.subtract(U, U1, out=self.diff[:2])
         np.subtract(W, W1, out=self.diff[2])
-        return spectral._sample_scalar(self.diff, self.nodes, out=self.values, phys=self.phys)
+        return spectral._sample_scalar(self.diff, self.nodes, out=self.values, phys=self.phys,
+                                       contraction=self.contraction)
 
     def __call__(self, t: float, U: np.ndarray, W: np.ndarray):
         # -mu I_h of the gap, one piecewise-constant interpolant per field,

@@ -233,17 +233,15 @@ def _setup(config: dict):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray], chash: str) -> None:
-    rows = len(columns[0])
+    # every value as "%.17g" of a Python float (the bytes of f"{value:.17g}",
+    # inf, nan and signed zeros included), one %-format per row
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = zip(*(np.asarray(col, dtype=np.float64).tolist() for col in columns))
     with open(path, "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+        fh.writelines(row % v for v in values)
 
 
 def _jsonable(value):

@@ -363,11 +363,21 @@ class _Workspace:
     Buffers of the nonlinear kernel and of one IMEX step for ``members``
     members (the state, then its tangent pairs) on one grid, allocated
     once.  Arrays are component-major, (component, member, n, width), so
-    one component of all members is one contiguous block, and the band
-    tables are stacked to (member, n, kcut + 1): every elementwise
-    operation then runs over equal contiguous shapes, for which numpy
-    needs no iteration buffers.  A buffer lends its bytes to other
-    temporaries while what it holds is spent:
+    one component of all members is one contiguous block, and so are the
+    components that a stage treats alike: the (c1, c2, w) planes, the
+    velocity pair, the products of the physical planes.  Each elementwise
+    stage of a step is then one numpy call over its whole block.  The band
+    tables are stacked the same way, over the components of the stage that
+    reads them and over the members (:meth:`stacked`):
+
+    - ``keep3``: the dealias mask of (c1, c2, w); ``keep`` is its first
+      component.
+    - ``deriv``: (d2, d1), the derivative factors that rot takes of
+      (c1, c2); ``d2`` and ``d1`` are its components.
+    - ``leray``: the stacks (P11, P22) and (P12, P12) of ``_half_leray``.
+
+    (The stepper stacks its CN tables alike.)  A buffer lends its bytes to
+    other temporaries while what it holds is spent:
 
     - ``phys``: the 5 physical planes of each member; the products
       overwrite planes 2..4 as their factors are spent.  Before the
@@ -377,14 +387,18 @@ class _Workspace:
       axis-0 stage runs in place, then the forward transform's last-axis
       stage ``rfft_out``, then the AB2 combination ``ab2``.
     - ``E`` and ``E_prev``: this step's and the last step's explicit
-      terms, swapped after each step; ``E_prev`` is scratch once the AB2
-      combination has read it.
+      terms, swapped after each step.  ``E`` holds the 2 nu_r coupling
+      while the transforms run (their forward stage then writes into
+      ``tmp``); ``E_prev`` is scratch once the AB2 combination has read it.
     - ``out``: the stepper's band planes, which ``U``, ``W``, ``V`` and
-      ``Z`` view in the layout of the stepper's inputs.
-    - ``factors`` (with pairs): the state's 5 physical planes copied over
-      the pairs, (5, pairs, n, n), 5 * pairs * n^2 * 8 bytes (320 KiB for
-      8 pairs at n = 32), refreshed per kernel call, so that the pairs'
-      products run over equal contiguous shapes.
+      ``Z`` view in the layout of the stepper's inputs.  The kernel copies
+      inputs that are not these planes into them, reads its truncated
+      factors from them, and the update overwrites them.
+    - ``factors``: with pairs, the state's 5 physical planes copied over
+      all members, (5, members, n, n), 5 * members * n^2 * 8 bytes (360
+      KiB for 8 pairs at n = 32), refreshed per kernel call, so that the
+      products of the state and of the pairs run in one pass over equal
+      contiguous shapes; without pairs, ``phys`` itself.
     """
 
     def __init__(self, grid: Grid, members: int):
@@ -402,22 +416,26 @@ class _Workspace:
                                          for _ in range(3))
         self.U, self.W = self.out[:2, 0], self.out[2, 0]
         self.V, self.Z = self.out[:2, 1:].swapaxes(0, 1), self.out[2, 1:]
-        self.keep, self.d1, self.d2 = (self.stacked(x) for x in
-                                       (grid.half_keep, grid.half_d1, grid.half_d2))
-        self.leray = tuple(self.stacked(x) for x in grid.half_leray)
-        self.factors = np.empty((5, members - 1, n, n)) if members > 1 else None
+        self.factors = self.phys if members == 1 else np.empty((5, members, n, n))
+        self.keep3 = self.stacked(np.broadcast_to(grid.half_keep, (3, n, m)))
+        self.deriv = self.stacked(np.stack(np.broadcast_arrays(grid.half_d2, grid.half_d1)))
+        self.keep, (self.d2, self.d1) = self.keep3[0], self.deriv
+        p12 = grid.half_leray[1]
+        self.leray = (self.stacked(grid.half_leray[::2]),
+                      self.stacked(np.broadcast_to(p12, (2,) + p12.shape)))
 
-    def stacked(self, table: np.ndarray) -> np.ndarray:
+    def stacked(self, tables: np.ndarray) -> np.ndarray:
         """
-        A band table (broadcastable to (n, kcut + 1)) as a contiguous plane
-        stacked over the members.  numpy buffers a table broadcast over
-        the members only when a plane has at most half its ufunc buffer
-        of elements (``np.getbufsize()``), so only such small planes are
-        copied per member; larger ones are viewed.
+        Band tables (C, n, kcut + 1), one per component of a stage, each
+        plane contiguous, stacked over the members to (C, members, n,
+        kcut + 1).  numpy buffers an operand broadcast over an outer axis
+        only when the contiguous block inside has at most half its ufunc
+        buffer of elements (``np.getbufsize()``), so a stack of such small
+        planes that is not contiguous already is copied; larger ones are
+        viewed.
         """
-        plane = np.ascontiguousarray(np.broadcast_to(table, self.E.shape[-2:]))
-        stack = np.broadcast_to(plane, (self.members,) + plane.shape)
-        if self.members > 1 and 2 * plane.size <= np.getbufsize():
+        stack = np.broadcast_to(tables[:, None], (len(tables), self.members) + tables.shape[1:])
+        if 2 * tables[0].size <= np.getbufsize() and not stack.flags.c_contiguous:
             return stack.copy()
         return stack
 
@@ -453,92 +471,75 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     transforms, all members in one call each way.
 
     Every temporary lives in the workspace ``work`` (a fresh one when
-    omitted), and the terms returned are views of its ``E``.
+    omitted): the inputs are copied into its planes ``out`` unless they
+    are those planes, each elementwise stage is one call over all members
+    (and over the components it treats alike), and the terms returned are
+    views of its ``E``.
     """
     if work is None:
         work = _Workspace(grid, 1 if V is None else 1 + len(V))
     m = grid.kcut + 1
-    keep, d1, d2 = work.keep, work.d1, work.d2
-    spec, phys, tmp, E = work.spec_in, work.phys, work.tmp, work.E
-    pair_u = (None, None) if V is None else (V[:, 0], V[:, 1])
+    spec, phys, tmp, E, out = work.spec_in, work.phys, work.tmp, work.E, work.out
+    d1, d2, deriv, keep3 = work.d1, work.d2, work.deriv, work.keep3
+    for given, own in ((U, work.U), (W, work.W), (V, work.V), (Z, work.Z)):
+        if given is not None and given is not own:
+            np.copyto(own, given[..., :m])
 
-    def truncate(x, y, out):
-        # band columns of the state's plane x and the pairs' planes y,
-        # masked; member 0 is the state, member 1 + j is pair j
-        np.multiply(x[..., :m], keep[0], out=out[0])
-        if y is not None:
-            np.multiply(y[..., :m], keep[1:], out=out[1:])
-
-    # spectral input (c1, c2, rot u, d1 w, d2 w) of every member
-    truncate(U[0], pair_u[0], spec[0])
-    truncate(U[1], pair_u[1], spec[1])
-    truncate(W, Z, spec[3])
-    np.multiply(d2, spec[3], out=spec[4])
-    np.multiply(d1, spec[3], out=spec[3])
-    np.multiply(d1, spec[1], out=spec[2])
-    np.multiply(d2, spec[0], out=tmp[0])
-    np.subtract(spec[2], tmp[0], out=spec[2])
+    # spectral input (c1, c2, rot u, d1 w, d2 w) of every member, from
+    # the truncated (c1, c2, w)
+    np.multiply(out, keep3, out=spec[:3])
+    np.multiply(d2, spec[2], out=spec[4])
+    np.multiply(d1, spec[2], out=spec[3])
+    np.multiply(deriv, spec[:2], out=tmp[:2])
+    np.subtract(tmp[1], tmp[0], out=spec[2])
+    two_nur = 2.0 * params.nu_r
+    if two_nur != 0.0:
+        # the coupling 2 nu_r (d2 w, d1 w, rot u) into E, before the
+        # inverse transform overwrites the spectral input
+        np.multiply(two_nur, spec[4:1:-2], out=E[::2])
+        np.multiply(two_nur, spec[3], out=E[1])
     _half_to_phys(spec, out=phys)
 
     # products into planes 2..4 of each member, each written over factors
-    # it has spent; the pairs' go first, all pairs in one pass, as they
-    # read the state's factors
+    # it has spent.  A member's planes are (X1, X2, rot X, x1, x2), with
+    # (X, x) = (u, w) for the state and (V, Z) for a pair; every member
+    # takes the state's factors F = (u1, u2, rot u, w1, w2) in the same
+    # calls, and the pairs then add their V.grad w and omega_u x V
+    F = work.factors
+    if F is not phys:
+        np.copyto(F, phys[:, :1])
+    pairs = phys[:, 1:]
+    # -(u.grad x [+ V.grad w]) into plane 4
+    np.multiply(F[:2], phys[3:], out=phys[3:])
+    np.add(phys[3], phys[4], out=phys[4])
     if work.members > 1:
-        np.copyto(work.factors, phys[:, :1])
-        u1, u2, rot_u, w1, w2 = work.factors
-        v1, v2, rot_v, z1, z2 = phys[:, 1:]
-        # -(u.grad Z + V.grad w)
-        np.multiply(u1, z1, out=z1)
-        np.multiply(u2, z2, out=z2)
-        np.add(z1, z2, out=z2)
-        np.multiply(v1, w1, out=z1)
-        np.add(z2, z1, out=z2)
-        np.multiply(v2, w2, out=z1)
-        np.add(z2, z1, out=z2)
-        np.negative(z2, out=z2)
-        # -(omega_V x u + omega_u x V)
-        np.multiply(rot_v, u1, out=z1)
-        np.multiply(rot_u, v1, out=v1)
-        np.add(z1, v1, out=z1)
-        np.negative(z1, out=z1)
-        np.multiply(rot_v, u2, out=rot_v)
-        np.multiply(rot_u, v2, out=v2)
-        np.add(rot_v, v2, out=rot_v)
-    u1, u2, rot_u, w1, w2 = phys[:, 0]
-    # -(u.grad w), then -(omega x u) = (omega u2, -omega u1)
-    np.multiply(u1, w1, out=w1)
-    np.multiply(u2, w2, out=w2)
-    np.add(w1, w2, out=w2)
-    np.negative(w2, out=w2)
-    np.multiply(rot_u, u1, out=w1)
-    np.negative(w1, out=w1)
-    np.multiply(rot_u, u2, out=rot_u)
-    # the speeds, in the spent velocity planes
-    np.multiply(u1, u1, out=u1)
-    np.multiply(u2, u2, out=u2)
-    np.add(u1, u2, out=u1)
-    max_speed = math.sqrt(float(u1.max()))
-    _phys_to_half(phys[2:], m, out=E, scratch=work.rfft_out)
-
-    two_nur = 2.0 * params.nu_r
+        np.multiply(pairs[:2], F[3:, 1:], out=F[3:, 1:])
+        np.add(pairs[4], F[3, 1:], out=pairs[4])
+        np.add(pairs[4], F[4, 1:], out=pairs[4])
+    # -(omega_X x u [+ omega_u x V]): omega_X u2 [+ omega_u V2] into plane
+    # 2, -(omega_X u1 [+ omega_u V1]) into plane 3
+    np.multiply(phys[2], F[0], out=phys[3])
+    np.multiply(phys[2], F[1], out=phys[2])
+    if work.members > 1:
+        np.multiply(F[2, 1:], pairs[0], out=pairs[0])
+        np.multiply(F[2, 1:], pairs[1], out=pairs[1])
+        np.add(pairs[3:1:-1], pairs[:2], out=pairs[3:1:-1])
+    np.negative(phys[3:], out=phys[3:])
+    # the speeds, in the state's spent velocity planes
+    speed = phys[:2, 0]
+    np.multiply(speed, speed, out=speed)
+    np.add(speed[0], speed[1], out=speed[0])
+    max_speed = math.sqrt(float(speed[0].max()))
+    # with the coupling in E, the transform goes to the spent planes and
+    # E0 += 2 nu_r d2 w, E1 -= 2 nu_r d1 w, E2 += 2 nu_r rot u
+    fwd = E if two_nur == 0.0 else tmp[:3]
+    _phys_to_half(phys[2:], m, out=fwd, scratch=work.rfft_out)
     if two_nur != 0.0:
-        # the coupling's factors again, from the inputs: the inverse
-        # transform has overwritten the spectral input
-        wh, t1, c1, c2 = tmp
-        truncate(W, Z, wh)
-        np.multiply(d2, wh, out=t1)
-        np.multiply(two_nur, t1, out=t1)
-        np.add(E[0], t1, out=E[0])
-        np.multiply(d1, wh, out=t1)
-        np.multiply(two_nur, t1, out=t1)
-        np.subtract(E[1], t1, out=E[1])
-        truncate(U[0], pair_u[0], c1)
-        truncate(U[1], pair_u[1], c2)
-        np.multiply(d1, c2, out=wh)
-        np.multiply(d2, c1, out=t1)
-        np.subtract(wh, t1, out=wh)
-        np.multiply(two_nur, wh, out=wh)
-        np.add(E[2], wh, out=E[2])
+        np.add(fwd[::2], E[::2], out=E[::2])
+        np.subtract(fwd[1], E[1], out=E[1])
+    # the state's own terms, one plane at a time: with pairs they are
+    # strided within the component block, and numpy would buffer an add of
+    # a contiguous stack into them at small planes
     own = E[:, 0]
     for k, f in enumerate((f_hat[0], f_hat[1], g_hat)):
         np.add(own[k], f[..., :m], out=own[k])
@@ -546,8 +547,8 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         dU, dW = extra(t, U, W)
         for k, d in enumerate((dU[0], dU[1], dW)):
             np.add(own[k], d[..., :m], out=own[k])
-    _half_leray(work.leray, E[0], E[1], E[0], E[1], tmp)
-    np.multiply(E[2], keep, out=E[2])
+    _half_leray(work.leray, E[:2], E[:2], tmp[:2])
+    np.multiply(E[2], work.keep, out=E[2])
     if V is None:
         return E[:2, 0], E[2, 0], max_speed
     return E[:2, 0], E[2, 0], max_speed, E[:2, 1:].swapaxes(0, 1), E[2, 1:]
@@ -591,15 +592,16 @@ class _Stepper:
         self.extra = extra
 
         # u_new = num * u + dt / den * explicit, with den, num = 1 +/- dt/2 * linear;
-        # band-plane tables, complex like the spectra so products need no casting
+        # band-plane tables, complex like the spectra so products need no
+        # casting, one per component of (u1, u2, w)
         m = grid.kcut + 1
         lam = grid.lam[:, :m]
         rv = 0.5 * dt * (params.nu + params.nu_r) * lam
         rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
-        self.num_u = ((1.0 - rv) / (1.0 + rv)).astype(np.complex128)
-        self.dt_den_u = (dt * (1.0 / (1.0 + rv))).astype(np.complex128)
-        self.num_w = ((1.0 - rw) / (1.0 + rw)).astype(np.complex128)
-        self.dt_den_w = (dt * (1.0 / (1.0 + rw))).astype(np.complex128)
+        num_u, num_w = ((1.0 - r) / (1.0 + r) for r in (rv, rw))
+        dt_den_u, dt_den_w = (dt * (1.0 / (1.0 + r)) for r in (rv, rw))
+        self.num = np.stack([num_u, num_u, num_w]).astype(np.complex128)
+        self.dt_den = np.stack([dt_den_u, dt_den_u, dt_den_w]).astype(np.complex128)
         # a steady forcing's band columns, copied once so that the kernel
         # adds contiguous planes; a time-dependent one is evaluated per step
         self.band_forcing = None
@@ -608,7 +610,7 @@ class _Stepper:
                                  np.ascontiguousarray(forcing.g_hat(0.0)[..., :m]))
 
         self.work: _Workspace | None = None
-        self.cn: tuple[np.ndarray, ...] = ()  # the CN tables stacked over the members
+        self.cn: tuple[np.ndarray, ...] = ()  # (num, dt_den) stacked over the members
         self.history = False  # whether work.E_prev holds the last step's terms
 
     def _imex(self) -> None:
@@ -617,21 +619,17 @@ class _Stepper:
         dealiased and zero-mean."""
         work = self.work
         E, prev, A, out = work.E, work.E_prev, work.ab2, work.out
-        num_u, dt_den_u, num_w, dt_den_w = self.cn
+        num, dt_den = self.cn
         terms = E
         if self.history:
             np.multiply(1.5, E, out=A)
             np.multiply(0.5, prev, out=prev)
             np.subtract(A, prev, out=A)
             terms = A
-        for k in (0, 1):
-            np.multiply(num_u, out[k], out=out[k])
-            np.multiply(dt_den_u, terms[k], out=A[k])
-            np.add(out[k], A[k], out=out[k])
-        _half_leray(work.leray, out[0], out[1], out[0], out[1], prev)
-        np.multiply(num_w, out[2], out=out[2])
-        np.multiply(dt_den_w, terms[2], out=A[2])
-        np.add(out[2], A[2], out=out[2])
+        np.multiply(num, out, out=out)
+        np.multiply(dt_den, terms, out=A)
+        np.add(out, A, out=out)
+        _half_leray(work.leray, out[:2], out[:2], prev[:2])
         np.multiply(out[2], work.keep, out=out[2])
 
     def advance(self, U: np.ndarray, W: np.ndarray, t: float,
@@ -647,15 +645,16 @@ class _Stepper:
         call overwrites them: pass them back in (they may also be changed
         in place in between) and copy whatever must outlive the next step.
         """
-        grid, dt, m = self.grid, self.dt, self.grid.kcut + 1
+        grid, dt = self.grid, self.dt
         members = 1 if V is None else 1 + len(V)
         if self.work is None or self.work.members != members:
             self.work = _Workspace(grid, members)
-            self.cn = tuple(self.work.stacked(x) for x in
-                            (self.num_u, self.dt_den_u, self.num_w, self.dt_den_w))
+            self.cn = (self.work.stacked(self.num), self.work.stacked(self.dt_den))
             self.history = False
         work = self.work
         f_hat, g_hat = self.band_forcing or (self.forcing.f_hat(t), self.forcing.g_hat(t))
+        # the kernel copies inputs that are not the stepper's planes into
+        # them; the update then runs in place there
         speed = _explicit_terms(grid, self.params, U, W, f_hat, g_hat,
                                 extra=self.extra, t=t, V=V, Z=Z, work=work)[2]
         if speed > 0:
@@ -665,11 +664,6 @@ class _Stepper:
                     f"dt={dt:.3e} exceeds CFL guard {dt_max:.3e} at t={t:.6g} "
                     f"(max advective speed {speed:.3e})"
                 )
-        # the update runs in place on the stepper's planes; inputs that are
-        # not those planes are copied in first
-        for given, own in ((U, work.U), (W, work.W), (V, work.V), (Z, work.Z)):
-            if given is not None and given is not own:
-                np.copyto(own, given[..., :m])
         self._imex()
         work.E, work.E_prev = work.E_prev, work.E
         self.history = True

@@ -204,15 +204,33 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
 # Benettin co-integration
 # ---------------------------------------------------------------------------
 
-def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: int = 4,
+def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: float | None = None,
                          velocity_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded band-limited tangent pairs as raw arrays (not yet orthonormal)."""
+    """
+    Seeded band-limited tangent pairs as raw arrays (not yet orthonormal),
+    drawn on 0 < |k| <= kmax.  The default radius is 4, or, when the
+    modes of the dealiased band with |k| <= 4 span fewer than ``count``
+    pairs (48 real dimensions per field from n = 14 on), the smallest
+    radius whose band modes span them.  The raw draws do not depend on the
+    radius, so the pairs within |k| <= 4 keep their bits.
+    """
     per = 2 if velocity_only else 3
+    if kmax is None:
+        kmax = _draw_radius(grid, -(-count // (per - 1)))
     s = _random_scalars(grid, np.random.default_rng(seed), kmax, count * per)
     s = s.reshape(count, per, grid.n, grid.n)
     V = np.stack(_leray_arrays(grid, s[:, 0], s[:, 1]), axis=1)
     Z = np.zeros_like(s[:, 0]) if velocity_only else s[:, 2].copy()
     return V, Z
+
+
+def _draw_radius(grid: Grid, modes: int) -> float:
+    """4, or the smallest radius |k| that holds ``modes`` modes of the
+    dealiased band when |k| <= 4 holds fewer (all of them at most)."""
+    radii = np.sort(np.sqrt(grid.k1**2 + grid.k2**2)[grid.dealias_mask & (grid.lam > 0)])
+    if np.count_nonzero(radii <= 4) >= modes:
+        return 4
+    return float(radii[min(modes, len(radii)) - 1])
 
 
 def _band_pairs(grid: Grid, count: int, seed: int, velocity_only: bool = False) -> np.ndarray:

@@ -18,6 +18,7 @@ so Parseval reads ``int_Q f^2 dx = L^2 * sum_k |c_k|^2``.  The mean mode
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,21 +385,45 @@ def _phys_to_half(samples: np.ndarray, width: int, out: np.ndarray | None = None
     return np.fft.fft(half[..., :width], axis=-2, norm="forward", out=out)
 
 
-def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+def _full_from_half(grid: Grid, half: np.ndarray, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
     """Full Hermitian spectrum whose columns k2 = 0..w-1 are ``half``, for any
-    width w = 1..n/2 + 1 (a band plane included); columns k2 = w..n/2 are zero."""
-    full = np.zeros(half.shape[:-1] + (grid.n,), dtype=np.complex128)
-    full[..., : half.shape[-1]] = half
-    return _mirror_half(grid, full, half.shape[-1])
+    width w = 1..n/2 + 1 (a band plane included); columns k2 = w..n/2 are zero.
+    Given ``out`` (..., n, n) and the scratch of :func:`_mirror_half`, it is
+    written there and nothing is allocated."""
+    w = half.shape[-1]
+    full = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128) if out is None else out
+    full[..., :w] = half
+    full[..., w:] = 0.0
+    return _mirror_half(grid, full, w, half, scratch)
 
 
-def _mirror_half(grid: Grid, full: np.ndarray, m: int) -> np.ndarray:
+def _mirror_half(grid: Grid, full: np.ndarray, m: int, half: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Fill, in place, the columns k2 = n-m+1..n-1 of spectra ``full[..., n, n]``
-    from their columns k2 = 1..m-1 (m <= n/2 + 1) by Hermitian symmetry."""
+    from their columns k2 = 1..m-1 (m <= n/2 + 1) by Hermitian symmetry.
+    Given their C-contiguous source ``half`` (..., n, m) and a flat complex
+    ``scratch`` of at least 2 * (j - 1) elements per row, j = min(m, n/2),
+    it allocates nothing."""
     n = grid.n
     # column n - j holds conj(c[-k1, j]) for j = m - 1 .. 1, below n/2
     j = min(m, n // 2)
-    np.conj(full[..., grid.half_conj_rows, j - 1:0:-1], out=full[..., n - j + 1:])
+    mirrored = full[..., n - j + 1:]
+    if scratch is None:
+        np.conj(full[..., grid.half_conj_rows, j - 1:0:-1], out=mirrored)
+        return full
+    # the same values without a temporary: the columns are gathered in
+    # reverse order, then the rows, conjugated and written into place.
+    # take() reads a C-contiguous source as it is and writes out= directly
+    # (mode="clip"), where an elementwise operation on these short strided
+    # rows would make numpy buffer them.
+    shape = half.shape[:-1] + (j - 1,)
+    size = math.prod(shape)
+    cols, rows = scratch[:size].reshape(shape), scratch[size:2 * size].reshape(shape)
+    np.take(half, np.arange(j - 1, 0, -1), axis=-1, out=cols, mode="clip")
+    np.take(cols, grid.half_conj_rows, axis=-2, out=rows, mode="clip")
+    np.conj(rows, out=rows)
+    mirrored[...] = rows
     return full
 
 
@@ -428,24 +453,24 @@ def _leray_arrays(grid: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarra
     return c1 - k1 * dot, c2 - k2 * dot
 
 
-def _half_leray(leray, c1: np.ndarray, c2: np.ndarray, out1: np.ndarray, out2: np.ndarray,
-                tmp) -> None:
+def _half_leray(leray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """
-    Leray projection (out1, out2) of band-plane vector spectra (c1, c2),
-    truncated to the dealiased band with the mean mode zeroed.  ``leray``
-    holds the entries (P11, P12, P22) of ``Grid.half_leray`` and ``tmp``
-    three scratch planes, all of the shape of c1, so that every product is
-    elementwise over equal shapes.  out1 and out2 may be c1 and c2.
+    Leray projection ``out`` of band-plane vector spectra ``c`` = (c1, c2),
+    truncated to the dealiased band with the mean mode zeroed: two
+    products over the component block and one add per component.
+    ``leray`` holds the stacks (P11, P22) and (P12, P12) of the entries of
+    ``Grid.half_leray`` and ``tmp`` two scratch planes, all of the shape
+    of c, so that every operation is elementwise over equal shapes.  out
+    may be c.
     """
-    p11, p12, p22 = leray
-    t0, t1, t2 = tmp[:3]
-    # c1 is spent before out1 is written, and out2 takes p22 c2 elementwise
-    np.multiply(p11, c1, out=t0)
-    np.multiply(p12, c1, out=t1)
-    np.multiply(p12, c2, out=t2)
-    np.add(t0, t2, out=out1)
-    np.multiply(p22, c2, out=out2)
-    np.add(t1, out2, out=out2)
+    diag, off = leray
+    # out = (P11 c1 + P12 c2, P22 c2 + P12 c1).  The cross terms are added
+    # one component at a time: a view of c or tmp in reverse component
+    # order beside forward ones would make numpy buffer small planes.
+    np.multiply(off, c, out=tmp)
+    np.multiply(diag, c, out=out)
+    np.add(out[0], tmp[1], out=out[0])
+    np.add(out[1], tmp[0], out=out[1])
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -737,14 +762,19 @@ def make_node_set(grid: Grid, count: int | None = None, side: int | None = None,
 
 
 def _sample_scalar(half: np.ndarray, nodes: NodeSet, out: np.ndarray | None = None,
-                   phys: np.ndarray | None = None) -> np.ndarray:
+                   phys: np.ndarray | None = None,
+                   contraction: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """
     Values at the nodes of half-plane spectra ``half[..., n, w]`` (any
     width w <= n//2 + 1, missing columns zero), shape (..., N).  Given
     ``out``, the values are written there; given ``phys`` (..., n, n) as
     well, aligned nodes take no other array: the samples go to ``phys``,
     and the inverse transform's axis-0 stage runs in place in ``half``,
-    which it overwrites.
+    which it overwrites.  Other nodes take none given ``contraction``: the
+    buffers of their contraction (full spectra (..., n, n), the mirror
+    scratch of :func:`_full_from_half`, phase products (..., n, N), sums
+    (..., N)) and E1.T as a C-contiguous (n, N) copy, with which numpy
+    need not buffer the products.
     """
     if nodes.aligned:
         samples = _half_to_phys(half, out=phys)
@@ -754,7 +784,10 @@ def _sample_scalar(half: np.ndarray, nodes: NodeSet, out: np.ndarray | None = No
     # sum_ab c_ab E1_ja E2_jb, contracted over the full spectrum (the
     # Nyquist lines sit off the grid here)
     E1, E2 = nodes.phases
-    values = ((_full_from_half(nodes.grid, half) @ E2.T) * E1.T).sum(axis=-2).real
+    full, mirror, product, e1, sums = contraction or (None, None, None, E1.T, None)
+    product = np.matmul(_full_from_half(nodes.grid, half, full, mirror), E2.T, out=product)
+    np.multiply(product, e1, out=product)
+    values = np.sum(product, axis=-2, out=sums).real
     if out is None:
         return values
     np.copyto(out, values)

@@ -9,7 +9,10 @@ integrals of band-limited products use plain grid-mean quadrature
 The advective-form reference for the rotational-form kernel runs on
 complex full-plane FFTs, which the library no longer uses.  The
 re-orthonormalization reference is modified Gram-Schmidt over full
-spectra, the library's loop before it took one QR of band planes.
+spectra, the library's loop before it took one QR of band planes.  The
+IMEX step reference takes the library's kernel and CN/AB2 update one
+band plane of one member at a time, in the library's operation order,
+before each stage ran as one numpy call over its component block.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from micropolar.dynamics import NumericsError, random_state
-from micropolar.spectral import Grid, ScalarField, VectorField
+from micropolar.spectral import Grid, ScalarField, VectorField, _half_to_phys, _phys_to_half
 
 
 def dft_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -164,3 +167,104 @@ def mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
         Z[j] /= nrm
         norms[j] = nrm
     return norms
+
+
+def per_plane_terms(grid: Grid, params, U, W, f_hat, g_hat, extra=None, t: float = 0.0,
+                    V=None, Z=None):
+    """
+    The explicit terms of ``dynamics._explicit_terms`` (EU, EW, max_speed,
+    then EV, EZ given pairs), one band plane of one member at a time: the
+    same operations on the same operands in the same order, so the same
+    bits, with a temporary per operation.
+    """
+    m = grid.kcut + 1
+    keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
+    two_nur = 2.0 * params.nu_r
+    members = [(U[0], U[1], W)]
+    if V is not None:
+        members += [(V[j, 0], V[j, 1], Z[j]) for j in range(len(V))]
+    band = [[x[..., :m] * keep for x in member] for member in members]
+
+    phys = []
+    for c1, c2, w in band:
+        spec = np.stack([c1, c2, d1 * c2 - d2 * c1, d1 * w, d2 * w])
+        phys.append(_half_to_phys(spec))
+    u1, u2, rot_u, w1, w2 = phys[0]
+    products = [(rot_u * u2, -(rot_u * u1), -(u1 * w1 + u2 * w2))]
+    for v1, v2, rot_v, z1, z2 in phys[1:]:
+        products.append((rot_v * u2 + rot_u * v2,
+                         -(rot_v * u1 + rot_u * v1),
+                         -(u1 * z1 + u2 * z2 + v1 * w1 + v2 * w2)))
+    max_speed = math.sqrt(float((u1 * u1 + u2 * u2).max()))
+
+    terms = []
+    for j, ((c1, c2, w), planes) in enumerate(zip(band, products)):
+        E0, E1, E2 = _phys_to_half(np.stack(planes), m)
+        if two_nur != 0.0:
+            E0 = E0 + two_nur * (d2 * w)
+            E1 = E1 - two_nur * (d1 * w)
+            E2 = E2 + two_nur * (d1 * c2 - d2 * c1)
+        if j == 0:
+            E0, E1, E2 = E0 + f_hat[0][..., :m], E1 + f_hat[1][..., :m], E2 + g_hat[..., :m]
+            if extra is not None:
+                dU, dW = extra(t, U, W)
+                E0, E1, E2 = E0 + dU[0][..., :m], E1 + dU[1][..., :m], E2 + dW[..., :m]
+        terms.append((*per_plane_leray(grid, E0, E1), E2 * keep))
+    EU, EW = np.stack(terms[0][:2]), terms[0][2]
+    if V is None:
+        return EU, EW, max_speed
+    EV = np.stack([np.stack(term[:2]) for term in terms[1:]])
+    EZ = np.stack([term[2] for term in terms[1:]])
+    return EU, EW, max_speed, EV, EZ
+
+
+def per_plane_leray(grid: Grid, c1, c2):
+    """Leray projection of band planes (c1, c2) by the entries of
+    ``Grid.half_leray``, in the library's operation order."""
+    p11, p12, p22 = grid.half_leray
+    return p11 * c1 + p12 * c2, p12 * c1 + p22 * c2
+
+
+class PerPlaneStepper:
+    """
+    ``dynamics._Stepper`` (without its CFL and finiteness checks) on
+    :func:`per_plane_terms`: the CN/AB2 update (forward Euler on a first
+    step, or on the first step with a new number of pairs) one band plane
+    at a time.  ``advance`` returns band-plane copies.
+    """
+
+    def __init__(self, grid: Grid, params, forcing, dt: float, extra=None):
+        self.grid, self.params, self.forcing, self.dt, self.extra = grid, params, forcing, dt, extra
+        m = grid.kcut + 1
+        lam = grid.lam[:, :m]
+        rv = 0.5 * dt * (params.nu + params.nu_r) * lam
+        rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
+        self.num_u = ((1.0 - rv) / (1.0 + rv)).astype(np.complex128)
+        self.dt_den_u = (dt * (1.0 / (1.0 + rv))).astype(np.complex128)
+        self.num_w = ((1.0 - rw) / (1.0 + rw)).astype(np.complex128)
+        self.dt_den_w = (dt * (1.0 / (1.0 + rw))).astype(np.complex128)
+        self.prev = None  # the last step's terms, one (3, n, kcut + 1) stack per member
+
+    def advance(self, U, W, t: float, V=None, Z=None):
+        grid, m = self.grid, self.grid.kcut + 1
+        terms = per_plane_terms(grid, self.params, U, W, self.forcing.f_hat(t),
+                                self.forcing.g_hat(t), self.extra, t, V, Z)
+        members = [(U[0], U[1], W)]
+        E = [np.stack([terms[0][0], terms[0][1], terms[1]])]
+        if V is not None:
+            members += [(V[j, 0], V[j, 1], Z[j]) for j in range(len(V))]
+            E += [np.stack([terms[3][j, 0], terms[3][j, 1], terms[4][j]]) for j in range(len(V))]
+        prev = self.prev if self.prev is not None and len(self.prev) == len(E) else None
+        self.prev = E
+        stepped = []
+        for j, (c1, c2, w) in enumerate(members):
+            e = E[j] if prev is None else 1.5 * E[j] - 0.5 * prev[j]
+            c1 = self.num_u * c1[..., :m] + self.dt_den_u * e[0]
+            c2 = self.num_u * c2[..., :m] + self.dt_den_u * e[1]
+            w = self.num_w * w[..., :m] + self.dt_den_w * e[2]
+            stepped.append((*per_plane_leray(grid, c1, c2), w * grid.half_keep))
+        out = [np.stack(stepped[0][:2]), stepped[0][2]]
+        if V is not None:
+            out += [np.stack([np.stack(s[:2]) for s in stepped[1:]]),
+                    np.stack([s[2] for s in stepped[1:]])]
+        return tuple(out)

@@ -203,6 +203,36 @@ class TestNodeSync:
             tracemalloc.stop()
         assert peak < band_plane, f"{peak} bytes above baseline, one band plane is {band_plane}"
 
+    def test_warm_unaligned_nudged_advance_allocates_no_arrays(self, grid64):
+        # 900 nodes sit off the lattice: the phase contraction, the full
+        # spectra it reads and its mirror scratch are buffers of the run too
+        import tracemalloc
+
+        from micropolar.assimilation import _Nudging
+        from micropolar.dynamics import _Stepper, _to_half
+
+        params = Params(0.15, 0.075, 0.15)
+        fo = make_forcing(grid64, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+        nodes = make_node_set(grid64, count=900)
+        assert not nodes.aligned
+        ref, pert = random_state(grid64, 2, 0.15, 0.05), random_state(grid64, 3, 0.15, 0.05)
+        m = grid64.kcut + 1
+        reference = tuple(x[..., :m].copy() for x in _to_half(ref))
+        stepper = _Stepper(grid64, params, fo, 0.01, extra=_Nudging(nodes, 1.0, reference))
+        U, W = (x[..., :m].copy() for x in _to_half(pert))
+        for i in range(3):
+            U, W = stepper.advance(U, W, 0.01 * i)
+        band_plane = grid64.n * m * 16
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for i in range(3, 13):
+                U, W = stepper.advance(U, W, 0.01 * i)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert peak < band_plane, f"{peak} bytes above baseline, one band plane is {band_plane}"
+
     def test_bad_gain_rejected(self, grid32, twin_setup):
         fo, ref, pert = twin_setup
         nodes = make_node_set(grid32, count=16)

@@ -133,6 +133,21 @@ class TestDeterminism:
         other.write_text(json.dumps(changed))
         assert cli.config_hash(original) != cli.config_hash(json.loads(other.read_text()))
 
+    def test_csv_rows_keep_the_per_value_format(self, tmp_path):
+        # one %-format per row gives the bytes of formatting each value on
+        # its own, as f"{float(value):.17g}", for the awkward values too
+        import numpy as np
+
+        t = np.array([0.0, 0.1, 1e300, 2.5e-310])
+        x = np.array([math.inf, -math.inf, math.nan, -0.0])
+        y = np.array([5e-324, -1.0 / 3.0, 0.0, 123456789.0])
+        path = tmp_path / "series.csv"
+        cli.write_csv(path, ["t", "x", "y"], [t, x, y], "abc")
+        rows = "".join(",".join(f"{float(col[i]):.17g}" for col in (t, x, y)) + "\n"
+                       for i in range(len(t)))
+        assert path.read_text() == "# config_hash=abc\nt,x,y\n" + rows
+        assert "-0," in rows and "4.9406564584124654e-324" in rows and "nan" in rows
+
 
 class TestExitCodes:
     def test_bad_json(self, tmp_path):

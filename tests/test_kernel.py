@@ -3,8 +3,9 @@ Guards for the half-plane nonlinear kernel: the stepper's invariants over
 random grids, parameters and states (hypothesis), and the rotational-form
 explicit and tangent terms against the advective form built from the
 complex full-plane reference ``oracles.advect_scalar_arrays``; a reused
-workspace gives the bits of a fresh one, and a warm step allocates no
-arrays.
+workspace gives the bits of a fresh one, a warm step allocates no
+arrays, and the step's stages, each one call over its component block,
+give the bits of the per-plane oracle ``oracles.PerPlaneStepper``.
 """
 
 import tracemalloc
@@ -32,6 +33,7 @@ from micropolar.spectral import (
     _leray_arrays,
     make_grid,
 )
+from oracles import PerPlaneStepper
 from oracles import advect_scalar_arrays as _advect_scalar_arrays
 from oracles import to_phys_array as _to_phys_array
 
@@ -177,6 +179,35 @@ def test_pairs_ride_along_bitwise(n, nu_r):
                                        V=V[j:j + 1], Z=Z[j:j + 1])
         assert EVj[0].tobytes() == EV[j].tobytes()
         assert EZj[0].tobytes() == EZ[j].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 32])
+@pytest.mark.parametrize("nu_r", [0.0, 0.2])
+@pytest.mark.parametrize("pairs", [0, 1, 4])
+@pytest.mark.parametrize("given", ["half", "band"])
+def test_advance_equals_per_plane_oracle(n, nu_r, pairs, given):
+    # the same operations in the same order, so the same bits: the forward
+    # Euler step and 49 AB2 steps, from half planes and then the stepper's
+    # own planes fed back, or from band-plane copies at every step
+    grid = make_grid(n, 2 * np.pi)
+    params = Params(0.1, nu_r, 0.1)
+    forcing = make_forcing(grid, "steady", 0.05, 0.01, mode_hi=4, seed=n)
+    half = n // 2 + 1
+    planes = list(_to_half(random_state(grid, n, 1.0, 0.5, kmax=n)))
+    if pairs:
+        planes += [x[..., :half].copy()
+                   for x in random_tangent_pairs(grid, pairs, seed=n + 1, kmax=n)]
+    stepper = _Stepper(grid, params, forcing, dt=0.01)
+    oracle = PerPlaneStepper(grid, params, forcing, dt=0.01)
+    band = grid.kcut + 1
+    expected = planes
+    for i in range(50):
+        if given == "band":
+            planes = [x[..., :band].copy() for x in planes]
+        planes = stepper.advance(planes[0], planes[1], 0.01 * i, *planes[2:])
+        expected = oracle.advance(expected[0], expected[1], 0.01 * i, *expected[2:])
+        for a, b in zip(planes, expected):
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64), b.view(np.uint64)), i
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])

@@ -370,6 +370,24 @@ class TestSpectrumRun:
             lyapunov_spectrum(init, params, Forcing.zero(grid8), count=25,
                               t_span=0.1, dt=0.01, velocity_only=True)
 
+    @pytest.mark.parametrize("count,velocity_only", [(97, False), (49, True)])
+    def test_count_beyond_the_radius_four_modes(self, grid32, count, velocity_only):
+        # |k| <= 4 holds 48 modes, 96 real dimensions of pairs (48 for
+        # velocity-only pairs): more pairs are drawn on the smallest radius
+        # that holds them instead of losing rank at the first frame, while
+        # fewer keep the radius-4 draws bit for bit
+        params = Params(nu=0.4, nu_r=0.0, alpha=0.5) if velocity_only else PARAMS
+        init = random_state(grid32, 2, 0.05, 0.02)
+        report = lyapunov_spectrum(init, params, Forcing.zero(grid32), count=count,
+                                   t_span=0.2, dt=0.01, seed=31, velocity_only=velocity_only)
+        assert report.exponents.shape == (count,)
+        assert np.all(np.isfinite(report.exponents))
+        fits = count - 1
+        for a, b in zip(random_tangent_pairs(grid32, fits, 5, velocity_only=velocity_only),
+                        random_tangent_pairs(grid32, fits, 5, kmax=4,
+                                             velocity_only=velocity_only)):
+            assert a.tobytes() == b.tobytes()
+
     def test_velocity_only_pairs_keep_zero_microrotation(self, grid16):
         params = Params(nu=0.4, nu_r=0.0, alpha=0.5)
         init = random_state(grid16, 2, 0.05, 0.02)
