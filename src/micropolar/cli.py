@@ -233,15 +233,22 @@ def _setup(config: dict):
 # Output helpers
 # ---------------------------------------------------------------------------
 
+# rows of a CSV converted to Python floats at a time
+_CSV_BLOCK = 1024
+
+
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray], chash: str) -> None:
     # every value as "%.17g" of a Python float (the bytes of f"{value:.17g}",
-    # inf, nan and signed zeros included), one %-format per row
+    # inf, nan and signed zeros included), one %-format per row, the floats
+    # taken from the columns in blocks of rows
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = zip(*(np.asarray(col, dtype=np.float64).tolist() for col in columns))
+    columns = [np.asarray(col, dtype=np.float64) for col in columns]
     with open(path, "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % v for v in values)
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = (col[start:start + _CSV_BLOCK].tolist() for col in columns)
+            fh.writelines(row % values for values in zip(*block))
 
 
 def _jsonable(value):

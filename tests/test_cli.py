@@ -138,9 +138,12 @@ class TestDeterminism:
         # its own, as f"{float(value):.17g}", for the awkward values too
         import numpy as np
 
-        t = np.array([0.0, 0.1, 1e300, 2.5e-310])
-        x = np.array([math.inf, -math.inf, math.nan, -0.0])
-        y = np.array([5e-324, -1.0 / 3.0, 0.0, 123456789.0])
+        # past one block of rows, with the awkward values in the last one
+        rng = np.random.default_rng(0)
+        t, x, y = rng.standard_normal((3, cli._CSV_BLOCK + 4)) * 1e3
+        t[-4:] = [0.0, 0.1, 1e300, 2.5e-310]
+        x[-4:] = [math.inf, -math.inf, math.nan, -0.0]
+        y[-4:] = [5e-324, -1.0 / 3.0, 0.0, 123456789.0]
         path = tmp_path / "series.csv"
         cli.write_csv(path, ["t", "x", "y"], [t, x, y], "abc")
         rows = "".join(",".join(f"{float(col[i]):.17g}" for col in (t, x, y)) + "\n"
