@@ -374,7 +374,8 @@ class _Workspace:
       component.
     - ``deriv``: (d2, d1), the derivative factors that rot takes of
       (c1, c2); ``d2`` and ``d1`` are its components.
-    - ``leray``: the stacks (P11, P22) and (P12, P12) of ``_half_leray``.
+    - ``leray``: (P11, P12, P22), of which ``_half_leray`` takes the
+      (P11, P12) and (P12, P22) blocks.
 
     (The stepper stacks its CN tables alike.)  A buffer lends its bytes to
     other temporaries while what it holds is spent:
@@ -420,19 +421,18 @@ class _Workspace:
         self.keep3 = self.stacked(np.broadcast_to(grid.half_keep, (3, n, m)))
         self.deriv = self.stacked(np.stack(np.broadcast_arrays(grid.half_d2, grid.half_d1)))
         self.keep, (self.d2, self.d1) = self.keep3[0], self.deriv
-        p12 = grid.half_leray[1]
-        self.leray = (self.stacked(grid.half_leray[::2]),
-                      self.stacked(np.broadcast_to(p12, (2,) + p12.shape)))
+        self.leray = self.stacked(grid.half_leray)
 
     def stacked(self, tables: np.ndarray) -> np.ndarray:
         """
         Band tables (C, n, kcut + 1), one per component of a stage, each
         plane contiguous, stacked over the members to (C, members, n,
-        kcut + 1).  numpy buffers an operand broadcast over an outer axis
-        only when the contiguous block inside has at most half its ufunc
-        buffer of elements (``np.getbufsize()``), so a stack of such small
-        planes that is not contiguous already is copied; larger ones are
-        viewed.
+        kcut + 1).  numpy buffers an operand that it cannot step through
+        like the others (one broadcast over an outer axis, or one in
+        reverse order) when the contiguous block inside has at most half
+        its ufunc buffer of elements (``np.getbufsize()``), so a stack of
+        such small planes that is not contiguous already is copied; larger
+        ones are viewed.
         """
         stack = np.broadcast_to(tables[:, None], (len(tables), self.members) + tables.shape[1:])
         if 2 * tables[0].size <= np.getbufsize() and not stack.flags.c_contiguous:

@@ -453,24 +453,22 @@ def _leray_arrays(grid: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarra
     return c1 - k1 * dot, c2 - k2 * dot
 
 
-def _half_leray(leray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+def _half_leray(leray: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """
     Leray projection ``out`` of band-plane vector spectra ``c`` = (c1, c2),
     truncated to the dealiased band with the mean mode zeroed: two
     products over the component block and one add per component.
-    ``leray`` holds the stacks (P11, P22) and (P12, P12) of the entries of
-    ``Grid.half_leray`` and ``tmp`` two scratch planes, all of the shape
-    of c, so that every operation is elementwise over equal shapes.  out
-    may be c.
+    ``leray`` holds the entries (P11, P12, P22) of ``Grid.half_leray``
+    (stacked like c, along a first axis of 3) and ``tmp`` two scratch
+    planes of the shape of c, so that every operation is elementwise over
+    equal shapes.  out may be c.
     """
-    diag, off = leray
-    # out = (P11 c1 + P12 c2, P22 c2 + P12 c1).  The cross terms are added
-    # one component at a time: a view of c or tmp in reverse component
-    # order beside forward ones would make numpy buffer small planes.
-    np.multiply(off, c, out=tmp)
-    np.multiply(diag, c, out=out)
-    np.add(out[0], tmp[1], out=out[0])
-    np.add(out[1], tmp[0], out=out[1])
+    # (P12, P22) c and (P11, P12) c, the second in place (each product
+    # reads its own component of c); out = (P11 c1 + P12 c2, P22 c2 + P12 c1)
+    np.multiply(leray[1:], c, out=tmp)
+    np.multiply(leray[:2], c, out=out)
+    np.add(out[0], out[1], out=out[0])
+    np.add(tmp[1], tmp[0], out=out[1])
 
 
 def leray_project(u: VectorField) -> VectorField:
