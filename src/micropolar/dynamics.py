@@ -385,8 +385,9 @@ class _Workspace:
       inverse transform and after the forward one, its bytes hold the
       band-plane temporaries ``tmp`` and the finiteness mask ``finite``.
     - one spectral scratch: the spectral input ``spec_in``, whose inverse
-      axis-0 stage runs in place, then the forward transform's last-axis
-      stage ``rfft_out``, then the AB2 combination ``ab2``.
+      axis-0 stage runs in place, then, with pairs, the products' factors
+      ``factors``, then the forward transform's last-axis stage
+      ``rfft_out``, then the AB2 combination ``ab2``.
     - ``E`` and ``E_prev``: this step's and the last step's explicit
       terms, swapped after each step.  ``E`` holds the 2 nu_r coupling
       while the transforms run (their forward stage then writes into
@@ -396,17 +397,19 @@ class _Workspace:
       inputs that are not these planes into them, reads its truncated
       factors from them, and the update overwrites them.
     - ``factors``: with pairs, the state's 5 physical planes copied over
-      all members, (5, members, n, n), 5 * members * n^2 * 8 bytes (360
-      KiB for 8 pairs at n = 32), refreshed per kernel call, so that the
-      products of the state and of the pairs run in one pass over equal
-      contiguous shapes; without pairs, ``phys`` itself.
+      all members, (5, members, n, n), refreshed per kernel call in the
+      spectral scratch (which then holds at least 5 n / 2 complex columns
+      per member row), so that the products of the state and of the pairs
+      run in one pass over equal contiguous shapes; without pairs,
+      ``phys`` itself.
     """
 
     def __init__(self, grid: Grid, members: int):
         n, m, h = grid.n, grid.kcut + 1, grid.n // 2 + 1
         self.members = members
         self.phys = np.empty((5, members, n, n))
-        spec = np.empty(members * n * max(5 * m, 3 * h), dtype=np.complex128)
+        width = max(5 * m, 3 * h, 5 * n // 2 if members > 1 else 0)
+        spec = np.empty(members * n * width, dtype=np.complex128)
         self.spec_in = spec[: 5 * members * n * m].reshape(5, members, n, m)
         self.rfft_out = spec[: 3 * members * n * h].reshape(3, members, n, h)
         self.ab2 = spec[: 3 * members * n * m].reshape(3, members, n, m)
@@ -417,7 +420,9 @@ class _Workspace:
                                          for _ in range(3))
         self.U, self.W = self.out[:2, 0], self.out[2, 0]
         self.V, self.Z = self.out[:2, 1:].swapaxes(0, 1), self.out[2, 1:]
-        self.factors = self.phys if members == 1 else np.empty((5, members, n, n))
+        self.factors = self.phys
+        if members > 1:
+            self.factors = spec.view(np.float64)[: 5 * members * n * n].reshape(5, members, n, n)
         self.keep3 = self.stacked(np.broadcast_to(grid.half_keep, (3, n, m)))
         self.deriv = self.stacked(np.stack(np.broadcast_arrays(grid.half_d2, grid.half_d1)))
         self.keep, (self.d2, self.d1) = self.keep3[0], self.deriv
