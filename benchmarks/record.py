@@ -4,6 +4,8 @@ Per-layer performance point of the micropolar solver, written to
 
     python3 benchmarks/record.py --label LABEL [--src PATH] [--out PATH]
 
+    python3 benchmarks/record.py --label LABEL --merge ROUND.json... [--out PATH]
+
 ``--src`` is the ``src`` directory of the tree to measure (default: this
 checkout's).  A point for an earlier commit measures a copy of it, for
 example ``git archive COMMIT | tar -x -C DIR`` and ``--src DIR/src``; a
@@ -49,6 +51,11 @@ Faults follow the allocator's heap layout, so they are an observation,
 not a target.  ``machine`` records nproc (the CPUs this process may run
 on), the Python and numpy versions and the median of 5 runs of the
 perfbench host-speed probe.
+
+A single run's medians move by tens of percent with the load of a shared
+host.  ``--merge`` writes one point from several runs (rounds) of the
+same tree, every number the median over the rounds; record the rounds of
+two trees alternately (A B B A ...) and merge each tree's.
 """
 
 from __future__ import annotations
@@ -358,18 +365,36 @@ def _machine() -> dict:
             "probe_median_s": statistics.median(speed_probe() for _ in range(5))}
 
 
+def _merged(rounds: list):
+    """The rounds' common structure with every number the median over the
+    rounds (a count the same in all of them stays as it is); other values
+    are the first round's."""
+    first = rounds[0]
+    if isinstance(first, dict):
+        return {key: _merged([r[key] for r in rounds]) for key in first}
+    if isinstance(first, (int, float)) and not isinstance(first, bool):
+        return first if all(r == first for r in rounds) else statistics.median(rounds)
+    return first
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--merge", nargs="+", metavar="ROUND",
+                        help="write the median point of these points instead of measuring")
     parser.add_argument("--out", help="output file (default: BENCH_<label>.json at the root)")
     args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
 
-    point = {"label": args.label, "machine": _machine(), "layers": {}}
-    for name, measure, sizes in LAYERS:
-        point["layers"][name] = {str(n): _layer(measure, n, CALLS[n]) for n in sizes}
-        print(name, json.dumps(point["layers"][name]), flush=True)
+    if args.merge:
+        point = _merged([json.loads(Path(f).read_text()) for f in args.merge])
+        point.update(label=args.label, rounds=len(args.merge))
+    else:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+        point = {"label": args.label, "machine": _machine(), "layers": {}}
+        for name, measure, sizes in LAYERS:
+            point["layers"][name] = {str(n): _layer(measure, n, CALLS[n]) for n in sizes}
+            print(name, json.dumps(point["layers"][name]), flush=True)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=1) + "\n")
     print(f"wrote {out}")

@@ -4,7 +4,7 @@ layer runs once at n = 16 with a few calls against the tree under test.
 The recorder writes a layer it cannot run as ``"absent"`` (that is how a
 point for an older commit marks what the commit lacks), so a refactor
 that drops an entry point would otherwise vanish from the next point
-without an error.
+without an error.  Merged rounds keep a point's structure.
 """
 
 import importlib.util
@@ -33,3 +33,14 @@ def test_layer_runs_on_this_tree(name, measure):
     text = json.dumps(result)
     assert '"absent"' not in text, f"layer {name}: {text}"
     assert "median_us" in text or "minflt_per_step" in text, text
+
+
+def test_merge_takes_the_median_of_each_number():
+    rounds = [{"label": "a", "machine": {"nproc": 2, "probe_median_s": p},
+               "layers": {"advance": {"16": {"median_us": t, "calls": 3}},
+                          "nudge": {"16": {"absent": "AttributeError: x"}}}}
+              for p, t in ((0.1, 30.0), (0.3, 10.0), (0.2, 20.0))]
+    merged = RECORD._merged(rounds)
+    assert merged["machine"] == {"nproc": 2, "probe_median_s": 0.2}
+    assert merged["layers"]["advance"]["16"] == {"median_us": 20.0, "calls": 3}
+    assert merged["layers"]["nudge"]["16"] == {"absent": "AttributeError: x"}
