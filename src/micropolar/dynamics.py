@@ -580,8 +580,8 @@ def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, Sc
 class _Stepper:
     """IMEX CN/AB2 integrator core on band planes (columns k2 = 0..kcut of the
     half plane; :func:`_to_half` and :func:`_from_half` convert at the ``State``
-    boundary), with CN factors built once per (grid, params, dt) and one
-    :class:`_Workspace` per member count, so that a step allocates no arrays."""
+    boundary), with one :class:`_Workspace` and its CN tables per member
+    count, so that a step allocates no arrays."""
 
     def __init__(self, grid: Grid, params: Params, forcing: Forcing, dt: float,
                  cfl_limit: float = 0.5, extra: Callable | None = None):
@@ -596,17 +596,7 @@ class _Stepper:
         self.cfl_limit = cfl_limit
         self.extra = extra
 
-        # u_new = num * u + dt / den * explicit, with den, num = 1 +/- dt/2 * linear;
-        # band-plane tables, complex like the spectra so products need no
-        # casting, one per component of (u1, u2, w)
         m = grid.kcut + 1
-        lam = grid.lam[:, :m]
-        rv = 0.5 * dt * (params.nu + params.nu_r) * lam
-        rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
-        num_u, num_w = ((1.0 - r) / (1.0 + r) for r in (rv, rw))
-        dt_den_u, dt_den_w = (dt * (1.0 / (1.0 + r)) for r in (rv, rw))
-        self.num = np.stack([num_u, num_u, num_w]).astype(np.complex128)
-        self.dt_den = np.stack([dt_den_u, dt_den_u, dt_den_w]).astype(np.complex128)
         # a steady forcing's band columns, copied once so that the kernel
         # adds contiguous planes; a time-dependent one is evaluated per step
         self.band_forcing = None
@@ -617,6 +607,21 @@ class _Stepper:
         self.work: _Workspace | None = None
         self.cn: tuple[np.ndarray, ...] = ()  # (num, dt_den) stacked over the members
         self.history = False  # whether work.E_prev holds the last step's terms
+
+    def _cn_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(num, dt_den) of u_new = num * u + dt / den * explicit, with den,
+        num = 1 +/- dt/2 * linear: band-plane tables, complex like the
+        spectra so products need no casting, one per component of (u1, u2,
+        w).  Built with each workspace, whose stacks then hold the only
+        copy."""
+        lam = self.grid.lam[:, :self.grid.kcut + 1]
+        params, dt = self.params, self.dt
+        rv = 0.5 * dt * (params.nu + params.nu_r) * lam
+        rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
+        num_u, num_w = ((1.0 - r) / (1.0 + r) for r in (rv, rw))
+        dt_den_u, dt_den_w = (dt * (1.0 / (1.0 + r)) for r in (rv, rw))
+        return (np.stack([num_u, num_u, num_w]).astype(np.complex128),
+                np.stack([dt_den_u, dt_den_u, dt_den_w]).astype(np.complex128))
 
     def _imex(self) -> None:
         """CN/AB2 update (forward Euler without history) of every member, in
@@ -654,7 +659,7 @@ class _Stepper:
         members = 1 if V is None else 1 + len(V)
         if self.work is None or self.work.members != members:
             self.work = _Workspace(grid, members)
-            self.cn = (self.work.stacked(self.num), self.work.stacked(self.dt_den))
+            self.cn = tuple(self.work.stacked(x) for x in self._cn_tables())
             self.history = False
         work = self.work
         f_hat, g_hat = self.band_forcing or (self.forcing.f_hat(t), self.forcing.g_hat(t))
