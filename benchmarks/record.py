@@ -35,7 +35,11 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   Gram-Schmidt over the full spectra that the block rebuilt for it);
 - ``trace_sample`` (at n = 32 only): one trace sample of 8 pairs at a
   block boundary, as the run takes it (from the tangent terms of the
-  block's first step; before, with its own kernel call).
+  block's first step; before, with its own kernel call);
+- ``setup``: a command's set-up, as ``build`` (``make_grid``,
+  ``make_forcing`` and ``random_state`` of a lattice that nothing else
+  holds) and ``read_checkpoint`` (of such a state, with its grid held,
+  as a resumed run holds its configured grid).
 
 Each layer reports the median and interquartile range of single-call
 times in microseconds, and, from a separate run under ``tracemalloc``
@@ -67,6 +71,7 @@ import platform
 import resource
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -319,6 +324,30 @@ def _trace_sample(n: int, calls: int) -> dict:
     return {**_summary(_timed(sample, count)), **_traced(sample, count)}
 
 
+def _setup_layer(n: int, calls: int) -> dict:
+    from micropolar.dynamics import (Params, make_forcing, random_state, read_checkpoint,
+                                     write_checkpoint)
+    from micropolar.spectral import make_grid
+
+    def build():
+        grid = make_grid(n, 6.283185307179586)
+        make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+        return random_state(grid, 2, 0.15, 0.05)
+
+    count = max(3, calls // 4)
+    result = {"build": {**_summary(_timed(build, count)), **_traced(build, count)}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.ckpt"
+        state = build()
+        write_checkpoint(path, state, Params(0.15, 0.075, 0.15))
+
+        def read():
+            read_checkpoint(path)
+
+        result["read_checkpoint"] = {**_summary(_timed(read, count)), **_traced(read, count)}
+    return result
+
+
 def _faults(n: int, calls: int) -> dict:
     from micropolar.dynamics import simulate
 
@@ -343,6 +372,7 @@ LAYERS = (
     ("nudge", _nudge, (64,)),
     ("reorth", _reorth, (32,)),
     ("trace_sample", _trace_sample, (32,)),
+    ("setup", _setup_layer, SIZES),
     ("simulate_stride10", _faults, SIZES),
 )
 

@@ -30,13 +30,15 @@ from micropolar.spectral import (
     Grid,
     ScalarField,
     VectorField,
+    _check_hermitian,
     _full_from_half,
     _half_leray,
     _half_to_phys,
-    _hermitianized,
+    _hermitianize,
     _leray_arrays,
     _mirror_half,
     _phys_to_half,
+    make_grid,
 )
 
 __all__ = [
@@ -268,11 +270,13 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
         raise ValueError(f"forcing support reaches |k|={kmax} beyond the dealiased band "
                          f"((n-1)//3={grid.kcut}); refine the grid")
 
+    # every law lives on the first mode_hi modes: their weights and signs
+    # are all that is kept of the draws, which span the whole table
     rng = np.random.default_rng(seed)
-    wf = _profile_weights(profile, magnitude_f2, grid.num_modes, mode_lo, mode_hi, rng)
-    signs_f = rng.integers(0, 2, size=grid.num_modes) * 2.0 - 1.0
-    wg = _profile_weights(profile, magnitude_g2, grid.num_modes, mode_lo, mode_hi, rng)
-    signs_g = rng.integers(0, 2, size=grid.num_modes) * 2.0 - 1.0
+    wf = _profile_weights(profile, magnitude_f2, mode_hi, mode_lo, mode_hi, rng)
+    signs_f = rng.integers(0, 2, size=grid.num_modes)[:mode_hi] * 2.0 - 1.0
+    wg = _profile_weights(profile, magnitude_g2, mode_hi, mode_lo, mode_hi, rng)
+    signs_g = rng.integers(0, 2, size=grid.num_modes)[:mode_hi] * 2.0 - 1.0
 
     f_hat = _real_mode_arrays(grid, wf, signs_f, divergence_free=True)
     g_hat = _real_mode_arrays(grid, wg, signs_g, divergence_free=False)[0]
@@ -308,13 +312,18 @@ def _random_scalars(grid: Grid, rng: np.random.Generator, kmax: float,
     """
     ``count`` Hermitian spectra with standard normal real and imaginary
     parts on 0 < |k| <= kmax, symmetrized; each draws its real then its
-    imaginary (n, n) block from ``rng``, in turn.
+    imaginary (n, n) block from ``rng``, in turn.  The spectra are built in
+    place in the array returned, which is C-contiguous.
     """
     n = grid.n
     band = (grid.lam > 0) & (np.sqrt(grid.k1**2 + grid.k2**2) <= kmax)
-    raw = np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                    for _ in range(count)]) * band
-    return _hermitianized(grid, raw)
+    spectra = np.empty((count, n, n), dtype=np.complex128)
+    for plane in spectra:
+        real = rng.standard_normal((n, n))
+        np.add(real, np.multiply(1j, rng.standard_normal((n, n)), out=plane), out=plane)
+    np.multiply(spectra, band, out=spectra)
+    _hermitianize(grid, spectra)
+    return spectra
 
 
 def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: float = 0.05,
@@ -323,26 +332,34 @@ def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: flo
     Seeded random divergence-free initial state band-limited to |k| <= kmax,
     scaled so |u|^2 = energy_u and |omega|^2 = energy_omega (zero gives a
     zero field; a negative or non-finite energy is a ValueError).
+
+    The spectra (u1, u2, omega) are built once, in place: projected, made
+    exactly Hermitian with the mean zeroed (as the field constructors
+    would), scaled and symmetrized again (as a field's rescale would), then
+    wrapped without a second validation.
     """
     if not (0 <= energy_u < math.inf and 0 <= energy_omega < math.inf):
         raise ValueError(f"initial energies must be nonnegative and finite, "
                          f"got ({energy_u}, {energy_omega})")
-    rng = np.random.default_rng(seed)
-    s1, s2, w = _random_scalars(grid, rng, kmax, 3)
-    c1, c2 = _leray_arrays(grid, s1, s2)
-    u = VectorField.from_coeffs(grid, c1, c2)
-    omega = ScalarField(grid, w)
-    nu2 = spectral.norm(u) ** 2
-    nw2 = spectral.norm(omega) ** 2
-    if energy_u > 0 and nu2 > 0:
-        u = u * float(np.sqrt(energy_u / nu2))
-    elif energy_u == 0:
-        u = VectorField.zero(grid)
-    if energy_omega > 0 and nw2 > 0:
-        omega = omega * float(np.sqrt(energy_omega / nw2))
-    elif energy_omega == 0:
-        omega = ScalarField.zero(grid)
-    return State(u, omega, t)
+    spectra = _random_scalars(grid, np.random.default_rng(seed), kmax, 3)
+    velocity, omega = spectra[:2], spectra[2:]
+    _leray_arrays(grid, velocity[0], velocity[1], out=velocity)
+    _hermitianize(grid, spectra)
+    spectra[:, 0, 0] = 0.0
+    for field, energy in ((velocity, energy_u), (omega, energy_omega)):
+        # |field|^2 as spectral.norm(field) ** 2 takes it
+        power = spectral._power(field[0])
+        for c in field[1:]:
+            power += spectral._power(c)
+        sq = float(spectral._norms(grid, power, "L2")) ** 2
+        if energy > 0 and sq > 0:
+            np.multiply(field, float(np.sqrt(energy / sq)), out=field)
+            _hermitianize(grid, field)
+            field[:, 0, 0] = 0.0
+        elif energy == 0:
+            field[...] = 0.0
+    u1, u2, w = (ScalarField._trusted(grid, c) for c in spectra)
+    return State(VectorField(u1, u2), w, t)
 
 
 def shear_state(grid: Grid, amplitude: float = 1.0, t: float = 0.0) -> State:
@@ -688,7 +705,8 @@ def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
     """Whole half planes (U, W) of a state (copies); the time loops narrow
     them to band planes at their first step."""
     m = state.grid.n // 2 + 1
-    return state.u.stacked()[..., :m].copy(), state.omega.coeffs[:, :m].copy()
+    return (np.stack([state.u.u1.coeffs[:, :m], state.u.u2.coeffs[:, :m]]),
+            state.omega.coeffs[:, :m].copy())
 
 
 def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -980,9 +998,13 @@ def read_checkpoint(path) -> tuple[State, Params]:
             problem = "truncated" if size < payload else "has trailing bytes"
             raise ValueError(f"checkpoint file {problem}: {size} payload bytes, "
                              f"n={n} needs {payload}")
-        grid = Grid(n, L)
-        data = np.frombuffer(fh.read(payload), dtype="<f8")
-    blocks = data.astype(np.float64).view(np.complex128).reshape(3, n, n)
-    state = State(VectorField.from_coeffs(grid, blocks[0], blocks[1]),
-                  ScalarField(grid, blocks[2]), t)
-    return state, Params(nu, nu_r, alpha)
+        grid = make_grid(n, L)
+        # read straight into the spectra, which are then validated and
+        # symmetrized in place, one field at a time
+        spectra = np.empty((3, n, n), dtype="<c16")
+        if fh.readinto(spectra) != payload:
+            raise ValueError("checkpoint file truncated")
+    for c in spectra:
+        _check_hermitian(grid, c)
+    u1, u2, w = (ScalarField._trusted(grid, c) for c in spectra)
+    return State(VectorField(u1, u2), w, t), Params(nu, nu_r, alpha)

@@ -241,32 +241,46 @@ def profile_modes_bound(profile: str, constants: Constants, F_tilde: float, grid
     return modes_bound(constants, math.sqrt(strength), "exact_eigenvalues", grid)
 
 
-def _nodes_bound_raw(cst: Constants, F_tilde: float) -> float:
-    e = cst.chat2 + cst.chat3 * F_tilde**4
-    if e > 700.0:
-        raise OverflowError(
-            f"nodes bound overflows float range (exponent {e:.3g}); "
-            f"log10 of the bound is ~{nodes_bound_log10(cst, F_tilde):.3g}"
-        )
-    grow = math.exp(e)
-    t1 = 8.0 * cst.nu_r**2 / cst.alpha - 2.0 * cst.nu_r
-    pre = cst.c1**2 * math.sqrt(cst.c) / (cst.lambda1 * cst.nu) + cst.c1 / cst.alpha
-    t2 = pre * ((5.0 * cst.alpha * cst.k2 + 32.0 * cst.nu_r**2) / (cst.alpha * cst.k1**2 * cst.k2) * F_tilde**2
-                + 16.0 * cst.C * cst.chat1 / (cst.alpha * cst.nu * cst.k1**2 * cst.k2**3) * F_tilde**6 * grow)
-    t3 = 16.0 * cst.c1**4 * cst.chat1 / (cst.lambda1 * cst.alpha * cst.nu * cst.k1 * cst.k2) \
-        * F_tilde**4 * grow
-    return cst.c / (cst.lambda1 * cst.k1) * (t1 + t2 + t3)
+def _nodes_terms(cst: Constants, F_tilde: float) -> tuple[float, ...]:
+    """
+    The one statement of the nodes bound's sufficiency threshold
+        scale * (t1 + pre * (lin + exp1 * g) + exp2 * g),  g = exp(e),
+    as (scale, t1, pre, lin, exp1, exp2, e).  t1 < 0 for nu_r < alpha / 4.
+    """
+    F = float(F_tilde)
+    return (cst.c / (cst.lambda1 * cst.k1),
+            8.0 * cst.nu_r**2 / cst.alpha - 2.0 * cst.nu_r,
+            cst.c1**2 * math.sqrt(cst.c) / (cst.lambda1 * cst.nu) + cst.c1 / cst.alpha,
+            (5.0 * cst.alpha * cst.k2 + 32.0 * cst.nu_r**2) / (cst.alpha * cst.k1**2 * cst.k2) * F**2,
+            16.0 * cst.C * cst.chat1 / (cst.alpha * cst.nu * cst.k1**2 * cst.k2**3) * F**6,
+            16.0 * cst.c1**4 * cst.chat1 / (cst.lambda1 * cst.alpha * cst.nu * cst.k1 * cst.k2) * F**4,
+            cst.chat2 + cst.chat3 * F**4)
 
 
 def nodes_bound(constants: Constants, F_tilde: float) -> int:
     """
     Number of determining nodes: ceiling of the closed-form sufficiency
     threshold, floored at one node and rounded up to the next perfect
-    square so an s x s covering exists.
+    square so an s x s covering exists.  The threshold is the float sum
+    of its terms (:func:`_nodes_terms`) where that is finite, and else
+    10 ** :func:`nodes_bound_log10`; beyond float range it raises
+    ``OverflowError``.
     """
-    value = _nodes_bound_raw(constants, F_tilde)
+    scale, t1, pre, lin, exp1, exp2, e = _nodes_terms(constants, F_tilde)
+    try:
+        grow = math.exp(e)
+        value = scale * (t1 + pre * (lin + exp1 * grow) + exp2 * grow)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        log10 = nodes_bound_log10(constants, F_tilde)
+        try:
+            value = 10.0 ** log10
+        except OverflowError:
+            raise OverflowError(f"nodes bound overflows float range; "
+                                f"log10 of the bound is ~{log10:.3g}") from None
     n_min = max(1, math.ceil(value))
-    side = math.isqrt(n_min - 1) + 1 if math.isqrt(n_min) ** 2 != n_min else math.isqrt(n_min)
+    side = math.isqrt(n_min - 1) + 1
     return side * side
 
 
@@ -280,24 +294,13 @@ def _log_sum_exp(log_terms: list[float]) -> float:
 
 def nodes_bound_log10(constants: Constants, F_tilde: float) -> float:
     """
-    log10 of the nodes bound's raw threshold, finite even when the bound
+    log10 of the nodes bound's threshold, the terms of
+    :func:`_nodes_terms` summed in log space: finite even when the bound
     itself overflows; 0 (the one-node floor) when the threshold is <= 0.
     """
-    cst = constants
-    e = cst.chat2 + cst.chat3 * F_tilde**4
-    pre = cst.c1**2 * math.sqrt(cst.c) / (cst.lambda1 * cst.nu) + cst.c1 / cst.alpha
-    log_terms = []
-    t1 = 8.0 * cst.nu_r**2 / cst.alpha - 2.0 * cst.nu_r
-    if t1 > 0:
-        log_terms.append(math.log(t1))
-    lin = pre * (5.0 * cst.alpha * cst.k2 + 32.0 * cst.nu_r**2) / (cst.alpha * cst.k1**2 * cst.k2) * F_tilde**2
-    if lin > 0:
-        log_terms.append(math.log(lin))
-    if F_tilde > 0:
-        c_exp1 = pre * 16.0 * cst.C * cst.chat1 / (cst.alpha * cst.nu * cst.k1**2 * cst.k2**3) * F_tilde**6
-        c_exp2 = 16.0 * cst.c1**4 * cst.chat1 / (cst.lambda1 * cst.alpha * cst.nu * cst.k1 * cst.k2) * F_tilde**4
-        log_terms.append(math.log(c_exp1) + e)
-        log_terms.append(math.log(c_exp2) + e)
+    scale, t1, pre, lin, exp1, exp2, e = _nodes_terms(constants, F_tilde)
+    log_terms = [math.log(x) for x in (t1, pre * lin) if x > 0]
+    log_terms += [math.log(x) + e for x in (pre * exp1, exp2) if x > 0]
     if not log_terms:
         return 0.0
     log_sum = _log_sum_exp(log_terms)
@@ -306,7 +309,7 @@ def nodes_bound_log10(constants: Constants, F_tilde: float) -> float:
         if log_sum <= math.log(-t1):
             return 0.0
         log_sum += math.log1p(t1 * math.exp(-log_sum))
-    return (log_sum + math.log(cst.c / (cst.lambda1 * cst.k1))) / math.log(10.0)
+    return (log_sum + math.log(scale)) / math.log(10.0)
 
 
 def attractor_bound(constants: Constants, f_l2: float, g_l2: float) -> int:

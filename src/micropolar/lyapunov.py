@@ -131,36 +131,48 @@ def _mgs(grid: Grid, pairs: np.ndarray) -> np.ndarray:
     return growth
 
 
-def _padded_phys(coeffs: np.ndarray, n: int, pad: float) -> np.ndarray:
+def _padded_phys(coeffs: np.ndarray, n: int, pad: float,
+                 buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Samples on a (pad*n)^2 lattice of the Hermitian spectra whose columns
     k2 = 0..w-1 are ``coeffs[..., n, w]`` (band or half planes, or full
-    spectra, of which k2 <= n/2 is read), zero padded into a half plane."""
+    spectra, of which k2 <= n/2 is read), zero padded into a half plane.
+    Given ``buffers`` (the padded half planes and the samples, of the
+    shapes that this call would allocate), it writes into them."""
     m, h = round(pad * n), n // 2
     w = min(coeffs.shape[-1], h + 1)
     c = min(w, h)
     rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
-    fine = np.zeros(coeffs.shape[:-2] + (m, w), dtype=np.complex128)
+    fine, samples = buffers or (np.empty(coeffs.shape[:-2] + (m, w), dtype=np.complex128),
+                                np.empty(coeffs.shape[:-2] + (m, m)))
+    fine[...] = 0.0
     fine[..., rows, :c] = coeffs[..., :c]
     # the Nyquist lines k1, k2 = -n/2 are self-conjugate on the coarse grid only:
     # the real field keeps half of each at -n/2 and the conjugate half at +n/2
     fine[..., h, :c] = fine[..., m - h, :c] = 0.5 * coeffs[..., h, :c]
     if w > h:
         fine[..., -rows % m, h] = 0.5 * np.conj(coeffs[..., h])
-    # given out, the axis-0 stage runs in place in fine
-    return _half_to_phys(fine, out=np.empty(fine.shape[:-1] + (m,)))
+    # the axis-0 stage runs in place in fine
+    return _half_to_phys(fine, out=samples)
 
 
-def _rho_and_h1(grid: Grid, pairs: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+def _rho_and_h1(grid: Grid, pairs: np.ndarray,
+                padded: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float, np.ndarray, float]:
     """
     |rho|_{L2} for rho(x) = sum_j (|v_j|^2 + |z_j|^2), evaluated with exact
     zero-padded quadrature, plus sum_j ||phi_j||_H1^2, per-pair H1 norms
     and the integral of rho, of pairs ``pairs[N, 3, n, w]`` given as band
-    or half planes.
+    or half planes.  The quadrature takes one pair at a time, in the
+    buffers ``padded`` of :func:`_padded_phys` (for one pair) when given;
+    rho sums the squares in order, with the bits of one sum over all pairs.
     """
     # rho^2 of band planes reaches |k_i| <= 4 kcut < 3n/2, so a (3n/2)^2
     # lattice is exact for them; half planes reach n/2 and take (2n)^2
-    fine = _padded_phys(pairs, grid.n, 1.5 if pairs.shape[-1] <= grid.kcut + 1 else 2)
-    rho = np.sum(np.square(fine, out=fine), axis=(0, 1))
+    pad = 1.5 if pairs.shape[-1] <= grid.kcut + 1 else 2
+    rho = np.zeros((round(pad * grid.n),) * 2)
+    for pair in pairs:
+        samples = _padded_phys(pair, grid.n, pad, padded)
+        for plane in np.square(samples, out=samples):
+            rho += plane
     rho_l2 = math.sqrt(grid.area * float(np.mean(rho**2)))
     w = pairs.shape[-1]
     h1_each = grid.area * np.sum(_column_weights(grid, w) * grid.lam[:, :w] * _power(pairs),
@@ -170,7 +182,8 @@ def _rho_and_h1(grid: Grid, pairs: np.ndarray) -> tuple[float, float, np.ndarray
 
 def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                   pairs: np.ndarray, terms: np.ndarray | None = None,
-                  work: _Workspace | None = None) -> dict:
+                  work: _Workspace | None = None,
+                  padded: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
     """
     Trace of the linearized generator on the orthonormal span of band-plane
     ``pairs[N, 3, n, kcut + 1]`` about the base (U, W), half or band planes,
@@ -181,6 +194,7 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     E are the pairs' explicit terms ``terms[3, N, n, kcut + 1]``, which a
     step's kernel call serves, as forcing does not reach them; or else the
     kernel runs in ``work`` (1 + N members, nothing live) or a fresh one.
+    ``padded`` are the quadrature's buffers (see :func:`_padded_phys`).
     """
     if terms is None:
         zero = np.zeros_like(W)
@@ -193,7 +207,7 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     explicit = np.sum(weights * (terms * np.conj(frame)).real)
     diagonal = np.sum((params.nu + params.nu_r) * h1 * (power[0] + power[1])
                       + (params.alpha * h1 + 4.0 * params.nu_r * weights) * power[2])
-    rho_l2, sum_h1, _, _ = _rho_and_h1(grid, pairs)
+    rho_l2, sum_h1, _, _ = _rho_and_h1(grid, pairs, padded)
     w = grid.n // 2 + 1
     base_h1 = math.sqrt(_product_energies(grid, U[..., :w], W[..., :w], grid.lam)[0])
     return {"trace": grid.area * float(explicit - diagonal), "sum_h1_sq": sum_h1,
@@ -207,11 +221,12 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
 def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: float | None = None,
                          velocity_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """
-    Seeded band-limited tangent pairs as raw arrays (not yet orthonormal),
-    drawn on 0 < |k| <= kmax.  The default radius is 4, or, when the
-    modes of the dealiased band with |k| <= 4 span fewer than ``count``
-    pairs (48 real dimensions per field from n = 14 on), the smallest
-    radius whose band modes span them.  The raw draws do not depend on the
+    Seeded band-limited tangent pairs as raw arrays V (count, 2, n, n) and
+    Z (count, n, n), not yet orthonormal, drawn on 0 < |k| <= kmax and
+    built in place in one block, which they view.  The default radius is
+    4, or, when the modes of the dealiased band with |k| <= 4 span fewer
+    than ``count`` pairs (48 real dimensions per field from n = 14 on), the
+    smallest radius whose band modes span them.  The raw draws do not depend on the
     radius, so the pairs within |k| <= 4 keep their bits.
     """
     per = 2 if velocity_only else 3
@@ -219,9 +234,8 @@ def random_tangent_pairs(grid: Grid, count: int, seed: int, kmax: float | None =
         kmax = _draw_radius(grid, -(-count // (per - 1)))
     s = _random_scalars(grid, np.random.default_rng(seed), kmax, count * per)
     s = s.reshape(count, per, grid.n, grid.n)
-    V = np.stack(_leray_arrays(grid, s[:, 0], s[:, 1]), axis=1)
-    Z = np.zeros_like(s[:, 0]) if velocity_only else s[:, 2].copy()
-    return V, Z
+    _leray_arrays(grid, s[:, 0], s[:, 1], out=(s[:, 0], s[:, 1]))
+    return s[:, :2], np.zeros_like(s[:, 0]) if velocity_only else s[:, 2]
 
 
 def _draw_radius(grid: Grid, modes: int) -> float:
@@ -238,7 +252,9 @@ def _band_pairs(grid: Grid, count: int, seed: int, velocity_only: bool = False) 
     (v1, v2, z), not yet orthonormal, masked to the dealiased band (kmax = 4
     reaches beyond kcut below n = 14): a frame holds nothing a step drops."""
     V, Z = random_tangent_pairs(grid, count, seed, velocity_only=velocity_only)
-    return np.concatenate([V, Z[:, None]], axis=1)[..., :grid.kcut + 1] * grid.half_keep
+    m = grid.kcut + 1
+    pairs = np.concatenate([V[..., :m], Z[:, None, :, :m]], axis=1)
+    return np.multiply(pairs, grid.half_keep, out=pairs)
 
 
 class _TangentRun:
@@ -272,6 +288,11 @@ class _TangentRun:
 
         self.pairs = _band_pairs(grid, count, seed, velocity_only)
         self.V, self.Z = self.pairs[:, :2], self.pairs[:, 2]
+        # the trace samples' quadrature buffers: one pair's padded band
+        # planes and their samples on the (3n/2)^2 lattice
+        fine = round(1.5 * grid.n)
+        self.padded = (np.empty((3, fine, grid.kcut + 1), dtype=np.complex128),
+                       np.empty((3, fine, fine)))
         _mgs(grid, self.pairs)
         self.log_sums = np.zeros(count)
 
@@ -290,7 +311,7 @@ class _TangentRun:
                 # this step's terms: the frame's pairs are copied into the
                 # stepper's planes, and left as they were
                 sample = _trace_sample(self.grid, stepper.params, *start, self.pairs,
-                                       terms=stepper.work.E_prev[:, 1:])
+                                       terms=stepper.work.E_prev[:, 1:], padded=self.padded)
             if self.velocity_only:
                 # exact: with nu_r = 0 no velocity term reads Z
                 Z[...] = 0.0
@@ -354,7 +375,8 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
         hist.append(run.log_sums / (run.t - run.t0))
     # the last frame has no next step: its terms come from the kernel
     times.append(run.t)
-    samples.append(_trace_sample(run.grid, params, run.U, run.W, run.pairs, work=run.base.work))
+    samples.append(_trace_sample(run.grid, params, run.U, run.W, run.pairs, work=run.base.work,
+                                 padded=run.padded))
 
     exponents = np.sort(hist[-1])[::-1]
     history = np.asarray(hist)

@@ -19,6 +19,7 @@ so Parseval reads ``int_Q f^2 dx = L^2 * sum_k |c_k|^2``.  The mean mode
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,11 @@ class Grid:
     (1, kcut + 1) to broadcast), the Leray entries (P11, P12, P22) with the
     dealias mask folded in, the mask itself without the mean mode, and the
     row map k1 -> -k1 that rebuilds the full Hermitian spectrum.
+
+    The wavenumber tables ``k1``, ``k2`` (integer) and ``k1_deriv``,
+    ``k2_deriv`` (float, Nyquist lines zeroed) are read-only (n, n) views
+    of their 1-D axes.  Build grids with :func:`make_grid`, which keeps one
+    per lattice.
     """
 
     n: int
@@ -102,7 +108,7 @@ class Grid:
 
         n = self.n
         kax = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        K1, K2 = np.meshgrid(kax, kax, indexing="ij")
+        K1, K2 = (np.broadcast_to(k, (n, n)) for k in (kax[:, None], kax))
         ksq = K1 * K1 + K2 * K2
         factor = (2.0 * np.pi / self.L) ** 2
         lam = factor * ksq.astype(np.float64)
@@ -112,10 +118,10 @@ class Grid:
         kcut = (n - 1) // 3
         dealias = (np.abs(K1) <= kcut) & (np.abs(K2) <= kcut)
 
-        # Enumerate all nonzero modes sorted by (|k|^2, k1, k2).
-        flat = np.arange(n * n)
-        nonzero = flat[ksq.ravel() > 0]
-        order = np.lexsort((K2.ravel()[nonzero], K1.ravel()[nonzero], ksq.ravel()[nonzero]))
+        # Enumerate all nonzero modes sorted by (|k|^2, k1, k2); slot
+        # (i, j) has the flat index i n + j.
+        nonzero = np.flatnonzero(ksq)
+        order = np.lexsort((kax[nonzero % n], kax[nonzero // n], ksq.ravel()[nonzero]))
         table_flat = nonzero[order]
         rank = np.full(n * n, len(table_flat), dtype=np.int64)
         rank[table_flat] = np.arange(len(table_flat))
@@ -133,7 +139,7 @@ class Grid:
         # wavenumbers (they are already outside the dealiased band).
         kd = kax.astype(np.float64)
         kd[n // 2] = 0.0
-        K1d, K2d = np.meshgrid(kd, kd, indexing="ij")
+        K1d, K2d = (np.broadcast_to(k, (n, n)) for k in (kd[:, None], kd))
 
         # Band-plane tables (columns k2 = 0..kcut of the real-transform half
         # plane), stored complex so products with spectra need no casting.
@@ -159,7 +165,7 @@ class Grid:
             ("lam_sq", lam * lam),
             ("dealias_mask", dealias),
             ("eigenvalues", lam.ravel()[table_flat]),
-            ("table_wavevectors", np.stack([K1.ravel()[table_flat], K2.ravel()[table_flat]], axis=1)),
+            ("table_wavevectors", np.stack([kax[table_flat // n], kax[table_flat % n]], axis=1)),
             ("table_flat", table_flat),
             ("mode_rank", rank.reshape(n, n)),
             ("conj_flat", conj_flat),
@@ -194,9 +200,22 @@ class Grid:
         return 1j * (2.0 * np.pi / self.L) * k
 
 
+# The grids alive in this process, one per lattice (n, L); a grid that
+# nothing else holds is dropped from the map and freed.
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def make_grid(n: int, L: float) -> Grid:
-    """Build a grid, rejecting odd or undersized n and nonpositive or infinite L."""
-    return Grid(int(n), float(L))
+    """
+    The grid of the lattice (n, L), rejecting odd or undersized n and
+    nonpositive or infinite L.  Every call for a lattice returns the same
+    grid while any of its callers holds it, so its tables exist once.
+    """
+    key = (int(n), float(L))
+    grid = _GRIDS.get(key)
+    if grid is None:
+        grid = _GRIDS[key] = Grid(*key)
+    return grid
 
 
 def _hermitianized(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -212,18 +231,32 @@ def _hermitianized(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return sym.reshape(coeffs.shape)
 
 
-def _check_hermitian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Validate finiteness and Hermitian symmetry; return the symmetrized copy."""
-    scale = np.max(np.abs(coeffs))
+def _hermitianize(grid: Grid, planes: np.ndarray) -> None:
+    """Replace each spectrum of the C-contiguous stack ``planes[..., n, n]``,
+    in place, by its :func:`_hermitianized` part, with its bits; one plane
+    at a time, so that one plane is the only temporary."""
+    for plane in planes.reshape((-1,) + planes.shape[-2:]):
+        np.copyto(plane, _hermitianized(grid, plane))
+
+
+def _check_hermitian(grid: Grid, coeffs: np.ndarray) -> None:
+    """
+    Validate finiteness and Hermitian symmetry of the spectrum ``coeffs``
+    (n, n), then replace it, in place, by its exact Hermitian part with the
+    mean mode zeroed.  Temporaries: one complex and one real plane.
+    """
+    magnitude = np.abs(coeffs)
+    scale = np.max(magnitude)
     if not np.isfinite(scale):
         raise FieldError("coefficients are not finite")
     sym = _hermitianized(grid, coeffs)
-    dev = np.max(np.abs(coeffs - sym))
+    dev = np.max(np.abs(np.subtract(coeffs, sym, out=coeffs), out=magnitude))
     if dev > HERMITIAN_RTOL * scale:
         raise FieldError(
             f"coefficients are not Hermitian-symmetric (deviation {dev:.3e}, scale {scale:.3e})"
         )
-    return sym
+    np.copyto(coeffs, sym)
+    coeffs[0, 0] = 0.0
 
 
 @dataclass(frozen=True)
@@ -241,11 +274,10 @@ class ScalarField:
 
     def __post_init__(self) -> None:
         n = self.grid.n
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (n, n):
             raise FieldError(f"coefficient array must have shape ({n}, {n}), got {c.shape}")
-        c = _check_hermitian(self.grid, c)
-        c[0, 0] = 0.0
+        _check_hermitian(self.grid, c)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -444,13 +476,30 @@ def transform_to_spectral(samples: np.ndarray, grid: Grid) -> ScalarField:
 # Differential operators and projections
 # ---------------------------------------------------------------------------
 
-def _leray_arrays(grid: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leray_arrays(grid: Grid, c1: np.ndarray, c2: np.ndarray,
+                  out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Leray projection (c1 - k1 dot, c2 - k2 dot), dot = (k1 c1 + k2 c2) / |k|^2
+    (0 at k = 0), of vector spectra (c1, c2) (..., n, n).  Given ``out``
+    (which may be (c1, c2)), the projection is written there; the
+    temporaries are two arrays of the shape of c1.
+    """
     k1 = grid.k1_deriv
     k2 = grid.k2_deriv
-    ksq = k1 * k1 + k2 * k2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dot = np.where(ksq > 0, (k1 * c1 + k2 * c2) / np.where(ksq > 0, ksq, 1.0), 0.0)
-    return c1 - k1 * dot, c2 - k2 * dot
+    # |k|^2, with 1 at k = 0
+    den = k1 * k1
+    den += k2 * k2
+    origin = den == 0
+    den[origin] = 1.0
+    dot = k1 * c1
+    tmp = np.multiply(k2, c2)
+    np.add(dot, tmp, out=dot)
+    np.divide(dot, den, out=dot)
+    np.copyto(dot, 0.0, where=origin)
+    p1, p2 = (None, None) if out is None else out
+    p1 = np.subtract(c1, np.multiply(k1, dot, out=tmp), out=p1)
+    p2 = np.subtract(c2, np.multiply(k2, dot, out=tmp), out=p2)
+    return p1, p2
 
 
 def _half_leray(leray: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from micropolar.dynamics import NumericsError, random_state
-from micropolar.spectral import Grid, ScalarField, VectorField, _half_to_phys, _phys_to_half
+from micropolar.spectral import Grid, ScalarField, VectorField, _half_to_phys, _phys_to_half, norm
 
 
 def dft_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -129,6 +129,52 @@ def laplacian_eigenvalues_bruteforce(n: int, L: float) -> list[float]:
           for k2 in range(-n // 2, n // 2)
           if (k1, k2) != (0, 0)]
     return sorted((2.0 * np.pi / L) ** 2 * (k1**2 + k2**2) for k1, k2 in ks)
+
+
+def nodes_bound_raw(cst, F_tilde: float) -> float:
+    """The nodes bound's sufficiency threshold as the sum of its three
+    terms in float arithmetic (it overflows where the library's log-space
+    form does not)."""
+    grow = math.exp(cst.chat2 + cst.chat3 * F_tilde**4)
+    t1 = 8.0 * cst.nu_r**2 / cst.alpha - 2.0 * cst.nu_r
+    pre = cst.c1**2 * math.sqrt(cst.c) / (cst.lambda1 * cst.nu) + cst.c1 / cst.alpha
+    t2 = pre * ((5.0 * cst.alpha * cst.k2 + 32.0 * cst.nu_r**2) / (cst.alpha * cst.k1**2 * cst.k2) * F_tilde**2
+                + 16.0 * cst.C * cst.chat1 / (cst.alpha * cst.nu * cst.k1**2 * cst.k2**3) * F_tilde**6 * grow)
+    t3 = 16.0 * cst.c1**4 * cst.chat1 / (cst.lambda1 * cst.alpha * cst.nu * cst.k1 * cst.k2) \
+        * F_tilde**4 * grow
+    return cst.c / (cst.lambda1 * cst.k1) * (t1 + t2 + t3)
+
+
+def random_state_by_fields(grid: Grid, seed: int, energy_u: float = 0.1,
+                           energy_omega: float = 0.05, kmax: float = 4) -> tuple:
+    """The (u1, u2, omega) spectra of ``dynamics.random_state`` as the
+    library built them through the validating field constructors: the
+    draws stacked and masked, their Hermitian part, the Leray formula on
+    whole arrays, then each field symmetrized by its constructor and again
+    by its rescale."""
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    band = (grid.lam > 0) & (np.sqrt(grid.k1**2 + grid.k2**2) <= kmax)
+    raw = np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for _ in range(3)]) * band
+    flat = raw.reshape(3, -1)
+    s1, s2, w = ((flat + np.conj(flat[:, grid.conj_flat])) * 0.5).reshape(3, n, n)
+    k1, k2 = grid.k1_deriv, grid.k2_deriv
+    ksq = k1 * k1 + k2 * k2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dot = np.where(ksq > 0, (k1 * s1 + k2 * s2) / np.where(ksq > 0, ksq, 1.0), 0.0)
+    u = VectorField.from_coeffs(grid, s1 - k1 * dot, s2 - k2 * dot)
+    omega = ScalarField(grid, w)
+    nu2, nw2 = norm(u) ** 2, norm(omega) ** 2
+    if energy_u > 0 and nu2 > 0:
+        u = u * float(np.sqrt(energy_u / nu2))
+    elif energy_u == 0:
+        u = VectorField.zero(grid)
+    if energy_omega > 0 and nw2 > 0:
+        omega = omega * float(np.sqrt(energy_omega / nw2))
+    elif energy_omega == 0:
+        omega = ScalarField.zero(grid)
+    return u.u1.coeffs, u.u2.coeffs, omega.coeffs
 
 
 def random_fields(grid: Grid, seed: int, scale: float = 1.0):

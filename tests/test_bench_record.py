@@ -35,6 +35,15 @@ def test_layer_runs_on_this_tree(name, measure):
     assert "median_us" in text or "minflt_per_step" in text, text
 
 
+def test_setup_layer_times_the_builders_and_the_checkpoint_read():
+    sizes = {name: sizes for name, _, sizes in RECORD.LAYERS}
+    assert sizes["setup"] == RECORD.SIZES
+    result = RECORD._layer(dict((n, m) for n, m, _ in RECORD.LAYERS)["setup"], 16, 4)
+    for part in ("build", "read_checkpoint"):
+        assert result[part]["median_us"] > 0
+        assert result[part]["traced_peak_bytes"] > 0
+
+
 def test_merge_takes_the_median_of_each_number():
     rounds = [{"label": "a", "machine": {"nproc": 2, "probe_median_s": p},
                "layers": {"advance": {"16": {"median_us": t, "calls": 3}},

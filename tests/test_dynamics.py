@@ -4,6 +4,8 @@ heat-decay solution, discrete energy decay, forcing profile exactness and
 the checkpoint format.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from micropolar.spectral import (
     make_grid,
     norm,
 )
+from oracles import random_state_by_fields
 
 
 class TestParams:
@@ -574,3 +577,92 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FieldError, match="finite"):
             read_checkpoint(path)
+
+    def test_resumed_state_shares_the_configured_grid(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(path, random_state(make_grid(24, 3.0), 4, 0.1, 0.1), Params(1.0, 0.5, 2.0))
+        grid = make_grid(24, 3.0)
+        state, _ = read_checkpoint(path)
+        assert state.grid is grid
+        assert all(f.grid is grid for f in (state.u.u1, state.u.u2, state.omega))
+
+    def test_non_hermitian_payload_rejected(self, grid16, tmp_path):
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(path, random_state(grid16, 3, 0.1, 0.1), Params(1.0, 0.5, 2.0))
+        raw = bytearray(path.read_bytes())
+        offset = 4 + 4 + 4 + 6 * 8 + 16 * (16 * 16 + 1 * 16 + 1)  # u2 coefficient (1, 1)
+        raw[offset:offset + 8] = np.float64(1.0).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FieldError, match="Hermitian"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_equals_validating_construction(self, n, tmp_path):
+        # a payload Hermitian only to roundoff, with a nonzero mean, reads as
+        # the field constructors would validate and symmetrize it
+        grid = make_grid(n, 2 * np.pi)
+        rng = np.random.default_rng(n)
+        state = random_state(grid, n, 0.3, 0.1, kmax=n)
+        blocks = np.stack([state.u.u1.coeffs, state.u.u2.coeffs, state.omega.coeffs])
+        blocks *= 1 + 1e-12 * rng.standard_normal(blocks.shape)
+        blocks[:, 0, 0] = 0.25
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(path, state, Params(1.0, 0.5, 2.0))
+        header = path.read_bytes()[:4 + 4 + 4 + 6 * 8]
+        path.write_bytes(header + blocks.astype("<c16").tobytes())
+        loaded, _ = read_checkpoint(path)
+        checked = State(VectorField.from_coeffs(grid, blocks[0], blocks[1]),
+                        ScalarField(grid, blocks[2]), state.t)
+        assert _coefficient_bits(loaded) == _coefficient_bits(checked)
+
+
+class TestRandomState:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("energies,kmax", [
+        ((0.1, 0.05), 4), ((1.0, 0.5), 64), ((0.0, 0.05), 3), ((0.1, 0.0), 3), ((0.1, 0.05), 0.5)])
+    def test_equals_validating_construction(self, n, energies, kmax):
+        # signed zeros included: kmax = 0.5 leaves the band empty, so the
+        # fields stay unscaled zeros
+        grid = make_grid(n, 2 * np.pi)
+        state = random_state(grid, n + 3, *energies, kmax=kmax)
+        reference = random_state_by_fields(grid, n + 3, *energies, kmax=kmax)
+        assert _coefficient_bits(state) == [c.view(np.uint64).tobytes() for c in reference]
+        assert not any(c.flags.writeable for c in (state.u.u1.coeffs, state.omega.coeffs))
+
+
+def _traced_peak(call) -> int:
+    """Peak traced bytes of ``call()`` above the level before it; a first
+    call outside the trace fills numpy's and Python's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestSetupMemory:
+    """
+    The set-up builds a state's spectra once, in place: its traced peak
+    stays within 3 states (a state is 3 n^2 complex) at n = 64.  The bound
+    lies between this construction (2.2 states for a random state, 1.7 for
+    a checkpoint) and one through full-size draws, masks and a validated
+    copy per field (4.2 and 6.2, a checkpoint's own grid included).
+    """
+
+    N = 64
+    STATE_BYTES = 3 * N * N * 16
+
+    def test_random_state(self):
+        grid = make_grid(self.N, 2 * np.pi)
+        peak = _traced_peak(lambda: random_state(grid, 5, 0.1, 0.05))
+        assert peak <= 3 * self.STATE_BYTES
+
+    def test_read_checkpoint(self, tmp_path):
+        grid = make_grid(self.N, 2 * np.pi)
+        path = tmp_path / "s.ckpt"
+        write_checkpoint(path, random_state(grid, 5, 0.1, 0.05), Params(1.0, 0.5, 2.0))
+        peak = _traced_peak(lambda: read_checkpoint(path))
+        assert peak <= 3 * self.STATE_BYTES

@@ -29,8 +29,8 @@ from micropolar.estimates import (
     verify_h1_bound,
     verify_time_averages,
 )
-from micropolar.estimates import _nodes_bound_raw
 from micropolar.spectral import make_grid, norm
+from oracles import nodes_bound_raw
 
 
 UNIT = Constants(nu=1.0, nu_r=0.0, alpha=1.0, lambda1=1.0, c1=1.0)
@@ -220,13 +220,21 @@ class TestNodesBound:
         for nu_r in (0.01, 0.05):
             cst = Constants(nu=0.3, nu_r=nu_r, alpha=0.3, lambda1=1.0)
             for F in (0.01, 0.03, 0.05):
-                raw = _nodes_bound_raw(cst, F)
+                raw = nodes_bound_raw(cst, F)
                 assert raw > 0
                 assert nodes_bound_log10(cst, F) == pytest.approx(math.log10(raw), rel=1e-12)
             # a threshold <= 0 reads as the one-node floor, like zero forcing
-            assert _nodes_bound_raw(cst, 1e-3) < 0
+            assert nodes_bound_raw(cst, 1e-3) < 0
             assert nodes_bound_log10(cst, 1e-3) == 0.0
             assert nodes_bound(cst, 1e-3) == 1
+
+    def test_zero_forcing_is_finite_with_a_steep_exponent(self):
+        # F = 0 leaves only the first term: 1 / (0.25 * 0.01) * (8 / 0.01 - 2)
+        # = 319200 nodes, 565^2 = 319225 rounded up; the exponent chat2 = 800
+        # of the other terms (zero here) does not make the bound overflow
+        steep = Constants(nu=0.01, nu_r=1.0, alpha=0.01, lambda1=0.25, c1=0.3)
+        assert steep.chat2 > 700
+        assert nodes_bound(steep, 0.0) == 565**2
 
     def test_overflow_raises_with_log10(self):
         steep = Constants(nu=0.01, nu_r=0.0, alpha=0.01, lambda1=1.0, c1=1.0)

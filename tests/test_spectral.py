@@ -4,6 +4,9 @@ projectors, trilinear forms and nodal machinery, checked against the
 independent oracles in oracles.py.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,32 @@ class TestGrid:
         b = make_grid(16, 2 * np.pi)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.table_wavevectors, b.table_wavevectors)
+
+    def test_one_grid_per_lattice(self):
+        grid = make_grid(24, 2 * np.pi)
+        assert make_grid(24, 2 * np.pi) is grid
+        assert make_grid(np.int64(24), np.float64(2 * np.pi)) is grid
+        assert make_grid(24, 3.0) is not grid
+
+    def test_unheld_grid_is_freed(self):
+        held = weakref.ref(make_grid(26, 1.25))
+        gc.collect()
+        assert held() is None
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_wavenumber_tables_are_views_of_their_axes(self, n):
+        grid = make_grid(n, 2 * np.pi)
+        kax = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+        kd = kax.astype(np.float64)
+        kd[n // 2] = 0.0
+        for axis, tables in ((kax, (grid.k1, grid.k2)), (kd, (grid.k1_deriv, grid.k2_deriv))):
+            for table, expected in zip(tables, np.meshgrid(axis, axis, indexing="ij")):
+                assert table.dtype == expected.dtype and table.shape == (n, n)
+                assert np.array_equal(table, expected)
+                assert not table.flags.writeable
+                # n values in memory, not n^2
+                assert 0 in table.strides
+            assert np.shares_memory(*tables)
 
     @pytest.mark.parametrize("n,L", [(7, 1.0), (6, 1.0), (0, 1.0), (8, 0.0), (8, -2.0)])
     def test_rejects_bad_grid(self, n, L):
