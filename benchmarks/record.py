@@ -6,6 +6,8 @@ Per-layer performance point of the micropolar solver, written to
 
     python3 benchmarks/record.py --label LABEL --merge ROUND.json... [--out PATH]
 
+    python3 benchmarks/record.py --label LABEL --ab OTHER_SRC [--rounds R] [--out PATH]
+
 ``--src`` is the ``src`` directory of the tree to measure (default: this
 checkout's).  A point for an earlier commit measures a copy of it, for
 example ``git archive COMMIT | tar -x -C DIR`` and ``--src DIR/src``; a
@@ -58,8 +60,17 @@ perfbench host-speed probe.
 
 A single run's medians move by tens of percent with the load of a shared
 host.  ``--merge`` writes one point from several runs (rounds) of the
-same tree, every number the median over the rounds; record the rounds of
-two trees alternately (A B B A ...) and merge each tree's.
+same tree, every number the median over the rounds.
+
+``--ab OTHER_SRC`` writes a paired point of this tree (``--src``) against
+another: R rounds (``--rounds``, default 10) of each tree's layers, each
+round a fresh process running this recorder, in alternating order (A B,
+B A, A B, ...).  For each layer and n it holds both trees' medians over
+the rounds (``this`` and ``other``, as ``--merge`` takes them) and, for
+each time, the ratio this / other of the two runs of a round: its
+median, interquartile range and ``wins`` (rounds with a ratio below 1)
+out of ``pairs``.  ``--sizes`` and ``--calls`` narrow any run to some n
+and a fixed number of calls per layer.
 """
 
 from __future__ import annotations
@@ -70,6 +81,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -407,23 +419,69 @@ def _merged(rounds: list):
     return first
 
 
+def _paired(this: list, other: list):
+    """Both trees' rounds of one layer (and n) as ``--ab`` writes them."""
+    first = this[0]
+    if isinstance(first, dict) and all(isinstance(v, dict) for v in first.values()) \
+            and "absent" not in first:
+        return {key: _paired([r[key] for r in this], [r[key] for r in other]) for key in first}
+    pair = {"this": _merged(this), "other": _merged(other)}
+    if isinstance(first, dict) and "median_us" in first and "median_us" in other[0]:
+        ratios = [a["median_us"] / b["median_us"] for a, b in zip(this, other)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        pair["ratio"] = {"median": median, "iqr": q3 - q1,
+                         "wins": sum(r < 1 for r in ratios), "pairs": len(ratios)}
+    return pair
+
+
+def _ab(args) -> dict:
+    """The paired point of ``args.src`` (this) against ``args.ab`` (other)."""
+    srcs = {"this": str(Path(args.src).resolve()), "other": str(Path(args.ab).resolve())}
+    rounds = {"this": [], "other": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(args.rounds):
+            for side in ("this", "other")[:: 1 if i % 2 == 0 else -1]:
+                out = Path(tmp) / f"{side}-{i}.json"
+                command = [sys.executable, __file__, "--label", side, "--src", srcs[side],
+                           "--out", str(out), "--sizes", *map(str, args.sizes)]
+                if args.calls:
+                    command += ["--calls", str(args.calls)]
+                subprocess.run(command, check=True, stdout=subprocess.DEVNULL)
+                rounds[side].append(json.loads(out.read_text()))
+    this, other = rounds["this"], rounds["other"]
+    return {"label": args.label, "ab": {**srcs, "rounds": args.rounds},
+            "machine": _merged([r["machine"] for r in this + other]),
+            "layers": {name: {n: _paired([r["layers"][name][n] for r in this],
+                                         [r["layers"][name][n] for r in other])
+                              for n in this[0]["layers"][name]}
+                       for name in this[0]["layers"]}}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--merge", nargs="+", metavar="ROUND",
                         help="write the median point of these points instead of measuring")
+    parser.add_argument("--ab", metavar="OTHER_SRC",
+                        help="write a paired point of --src against this src directory")
+    parser.add_argument("--rounds", type=int, default=10, help="--ab rounds per tree")
+    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="the n to measure")
+    parser.add_argument("--calls", type=int, help="calls per layer (default: by n)")
     parser.add_argument("--out", help="output file (default: BENCH_<label>.json at the root)")
     args = parser.parse_args()
 
     if args.merge:
         point = _merged([json.loads(Path(f).read_text()) for f in args.merge])
         point.update(label=args.label, rounds=len(args.merge))
+    elif args.ab:
+        point = _ab(args)
     else:
         sys.path.insert(0, str(Path(args.src).resolve()))
         point = {"label": args.label, "machine": _machine(), "layers": {}}
         for name, measure, sizes in LAYERS:
-            point["layers"][name] = {str(n): _layer(measure, n, CALLS[n]) for n in sizes}
+            point["layers"][name] = {str(n): _layer(measure, n, args.calls or CALLS[n])
+                                     for n in sizes if n in args.sizes}
             print(name, json.dumps(point["layers"][name]), flush=True)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=1) + "\n")

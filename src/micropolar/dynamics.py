@@ -36,7 +36,6 @@ from micropolar.spectral import (
     _half_to_phys,
     _hermitianize,
     _leray_arrays,
-    _mirror_half,
     _phys_to_half,
     make_grid,
 )
@@ -117,8 +116,8 @@ class State:
         return cls(VectorField.zero(grid), ScalarField.zero(grid), t)
 
     def energy(self) -> float:
-        """|u|^2 + |omega|^2."""
-        return spectral.norm(self.u) ** 2 + spectral.norm(self.omega) ** 2
+        """|u|^2 + |omega|^2, as the standard records take them."""
+        return sum(_state_sums(self.grid, _half_planes(self))[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +347,7 @@ def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: flo
     spectra[:, 0, 0] = 0.0
     for field, energy in ((velocity, energy_u), (omega, energy_omega)):
         # |field|^2 as spectral.norm(field) ** 2 takes it
-        power = spectral._power(field[0])
-        for c in field[1:]:
-            power += spectral._power(c)
-        sq = float(spectral._norms(grid, power, "L2")) ** 2
+        sq = spectral._spectra_norm(grid, field, "L2") ** 2
         if energy > 0 and sq > 0:
             np.multiply(field, float(np.sqrt(energy / sq)), out=field)
             _hermitianize(grid, field)
@@ -701,29 +697,31 @@ class _Stepper:
         return work.U, work.W, work.V, work.Z
 
 
+def _half_planes(state: State) -> np.ndarray:
+    """Whole half planes (3, n, n//2 + 1) of a state's (u1, u2, omega): a
+    copy."""
+    h = state.grid.n // 2 + 1
+    return np.stack([c.coeffs[:, :h] for c in (state.u.u1, state.u.u2, state.omega)])
+
+
 def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Whole half planes (U, W) of a state (copies); the time loops narrow
-    them to band planes at their first step."""
-    m = state.grid.n // 2 + 1
-    return (np.stack([state.u.u1.coeffs[:, :m], state.u.u2.coeffs[:, :m]]),
-            state.omega.coeffs[:, :m].copy())
+    """Whole half planes (U, W) of a state, views of its :func:`_half_planes`;
+    the time loops narrow them to band planes at their first step."""
+    planes = _half_planes(state)
+    return planes[:2], planes[2]
 
 
 def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
-    Full spectra (K, 3, n, n) of (u1, u2, omega), rebuilt from K records of
-    half or band planes U (K, 2, n, w) and W (K, n, w) of finite states (an
-    initial state, or results that ``advance`` has checked), in one pass
-    over one array: filled, mirrored, made exactly Hermitian and the mean
-    zeroed.  Each record's coefficients equal those of the validating
-    ``ScalarField`` bit for bit, and are copies: they outlive the
-    stepper's next write to its planes.
+    Full spectra (3, n, n) of (u1, u2, omega), rebuilt from half or band
+    planes U (2, n, w) and W (n, w) of a finite state (an initial state, or
+    results that ``advance`` has checked) in one array: filled, mirrored,
+    made exactly Hermitian and the mean zeroed.  The coefficients equal
+    those of the validating ``ScalarField`` bit for bit, and are copies:
+    they outlive the stepper's next write to its planes.
     """
     n, m = grid.n, U.shape[-1]
-    full = np.zeros((len(U), 3, n, n), dtype=np.complex128)
-    full[:, :2, :, :m] = U
-    full[:, 2, :, :m] = W
-    _mirror_half(grid, full, m)
+    full = _full_from_half(grid, np.concatenate([U, W[None]]))
     # The Hermitian part (c_k + conj(c_-k)) * 0.5 of _hermitianized, with its
     # bits (signed zeros included) but no gathered copy of the spectra: a
     # mirrored column holds c_-k = conj(c_k) exactly, so there the sum is
@@ -742,9 +740,9 @@ def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
-    """State of the half or band planes (U, W): :func:`_full_spectra` of
-    one record, wrapped without the constructors' second validation."""
-    u1, u2, w = (ScalarField._trusted(grid, c) for c in _full_spectra(grid, U[None], W[None])[0])
+    """State of the half or band planes (U, W): their :func:`_full_spectra`,
+    wrapped without the constructors' second validation."""
+    u1, u2, w = (ScalarField._trusted(grid, c) for c in _full_spectra(grid, U, W))
     return State(VectorField(u1, u2), w, t)
 
 
@@ -798,18 +796,25 @@ _STANDARD_SET = {
     "f_hm1_sq": ("Hminus1", "f"),
     "g_hm1_sq": ("Hminus1", "g"),
 }
+# The state norms of the set, (L2, H1, DA) x (u, omega), as _state_sums orders them.
+_STATE_NORMS = [name for name, (_, which) in _STANDARD_SET.items() if which in ("u", "omega")]
 
-# Byte budget on the full spectra (3 n^2 complex per record) of one batch of
-# standard records: 21 records at n = 16, 5 at n = 32, one from n = 64 on.
-_RECORD_BATCH_BYTES = 256 * 1024
+def _forcing_norm_sq(forcing: Forcing, t: float, kind: str, which: str) -> float:
+    """Squared ``kind`` norm of the force (``which`` "f") or the moment ("g")
+    at time t, from the forcing's own arrays.  For the exactly Hermitian,
+    zero-mean arrays that the forcing builders make, these are the bits of
+    ``spectral.norm(forcing.f_at(t), kind) ** 2``, without its copies and
+    checks."""
+    spectra = forcing.f_hat(t) if which == "f" else forcing.g_hat(t)[None]
+    return spectral._spectra_norm(forcing.grid, spectra, kind) ** 2
 
 
 def _forcing_sq(kind: str, which: str) -> Callable[[float, Forcing], float]:
     """
-    Squared ``kind`` norm of the force (``which`` "f") or the moment ("g")
-    at time t.  A steady forcing's arrays are read-only, so its norm is
-    taken once and kept, keyed on the forcing's identity; a time-dependent
-    one is evaluated at every call.
+    :func:`_forcing_norm_sq` as a function of (t, forcing).  A steady
+    forcing's arrays are read-only, so its norm is taken once and kept,
+    keyed on the forcing's identity; a time-dependent one is evaluated at
+    every call.
     """
     last = (None, 0.0)
 
@@ -817,71 +822,24 @@ def _forcing_sq(kind: str, which: str) -> Callable[[float, Forcing], float]:
         nonlocal last
         if forcing.steady and last[0] is forcing:
             return last[1]
-        target = forcing.f_at(t) if which == "f" else forcing.g_at(t)
-        value = spectral.norm(target, kind) ** 2
+        value = _forcing_norm_sq(forcing, t, kind, which)
         if forcing.steady:
             last = (forcing, value)
         return value
     return at
 
 
-class _StandardRecords:
-    """
-    The standard observer series of one run.  The forcing norms are taken
-    at each record's time, in order.  The state norms are taken in batches:
-    a record's band planes are copied into a run-owned buffer of ``size``
-    records, and when it fills (and at :meth:`flush`) all its records are
-    evaluated at once.  With one record per batch (n >= 64), or for the
-    initial state's half planes, a record is evaluated from the planes
-    given, without a copy.
-    """
-
-    def __init__(self, grid: Grid, forcing: Forcing):
-        n = grid.n
-        self.grid, self.forcing = grid, forcing
-        self.size = max(1, _RECORD_BATCH_BYTES // (3 * n * n * 16))
-        self.planes = None
-        if self.size > 1:
-            self.planes = np.empty((self.size, 3, n, grid.kcut + 1), dtype=np.complex128)
-        self.pending = 0
-        self.series: dict[str, list[float]] = {name: [] for name in _STANDARD_SET}
-        self.forcing_sq = {name: _forcing_sq(kind, which)
-                           for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
-
-    def add(self, t: float, U: np.ndarray, W: np.ndarray) -> None:
-        for name, at in self.forcing_sq.items():
-            self.series[name].append(at(t, self.forcing))
-        if self.planes is None or U.shape[-1] != self.planes.shape[-1]:
-            self.flush()
-            self._evaluate(U[None], W[None])
-            return
-        self.planes[self.pending, :2] = U
-        self.planes[self.pending, 2] = W
-        self.pending += 1
-        if self.pending == self.size:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.pending:
-            batch = self.planes[: self.pending]
-            self._evaluate(batch[:, :2], batch[:, 2])
-            self.pending = 0
-
-    def _evaluate(self, U: np.ndarray, W: np.ndarray) -> None:
-        """The u and omega norms of K records of planes U (K, 2, n, w) and W
-        (K, n, w): |c|^2 is taken once per field over the K full spectra,
-        and each norm is one weighted sum per record, with the bits of
-        ``spectral.norm(field, kind) ** 2``."""
-        full = _full_spectra(self.grid, U, W)
-        # one component at a time: at most two planes per record beside the spectra
-        u = spectral._power(full[:, 0])
-        u += spectral._power(full[:, 1])
-        fields = {"u": u, "omega": spectral._power(full[:, 2])}
-        del full
-        for name, (kind, which) in _STANDARD_SET.items():
-            if which in fields:
-                roots = spectral._norms(self.grid, fields[which], kind).tolist()
-                self.series[name].extend(root ** 2 for root in roots)
+def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
+    """The one computation of the standard set's state norms, in its order,
+    of (u1, u2, omega) half or band planes (3, n, w): sums of u's and omega's
+    :func:`spectral._half_power` under the L2, H1 and D(A)
+    :func:`spectral._half_weights` (``weights`` when their width fits)."""
+    power = spectral._half_power(grid, planes)
+    width = power.shape[-1]
+    if weights is None or weights.shape[-1] != width:
+        weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
+    np.add(power[0], power[1], out=power[1])
+    return spectral._half_sums(grid, power[1:], weights).ravel().tolist()
 
 
 def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
@@ -890,21 +848,18 @@ def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
     H1 and D(A) norms of u and omega, and the forcing strengths in L2 and
     the dual norm.  The forcing observers of one mapping evaluate a steady
     forcing once; time-dependent forcings are evaluated at every call.
-    ``simulate`` without observers records this set in batches, with the
-    same bits (``spectral.norm`` and the batches share its arithmetic).
+    ``simulate`` without observers records this set from its planes, with
+    the same bits (both go through ``_state_sums``).
     """
-    def state_sq(kind, which):
-        def fn(state: State, forcing: Forcing) -> float:
-            target = state.u if which == "u" else state.omega
-            return spectral.norm(target, kind) ** 2
-        return fn
+    def state_sq(index):
+        return lambda state, forcing: _state_sums(state.grid, _half_planes(state))[index]
 
     def forcing_sq(kind, which):
         at = _forcing_sq(kind, which)
         return lambda state, forcing: at(state.t, forcing)
 
-    return {name: (forcing_sq if which in "fg" else state_sq)(kind, which)
-            for name, (kind, which) in _STANDARD_SET.items()}
+    return {name: state_sq(_STATE_NORMS.index(name)) if name in _STATE_NORMS
+            else forcing_sq(kind, which) for name, (kind, which) in _STANDARD_SET.items()}
 
 
 def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt: float,
@@ -918,8 +873,8 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
     Each observer of a mapping is called at its record's time, in time
     order, with one validated, read-only ``State``.  Without observers the
     :func:`standard_observers` set is recorded, equal bit for bit, but
-    evaluated in batches of records (see ``_StandardRecords``) without
-    building a ``State`` per record.
+    taken from the stepper's planes (see ``_state_sums``) without building
+    a ``State`` per record.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -927,33 +882,43 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
     nsteps = _whole_steps(t_end, dt)
 
     stepper = _Stepper(grid, params, forcing, dt, cfl_limit)
-    U, W = _to_half(initial)
+    planes = _half_planes(initial)
+    U, W = planes[:2], planes[2]
     t0 = initial.t
 
     times: list[float] = []
     if observers is None:
-        standard = _StandardRecords(grid, forcing)
-        series, record_planes = standard.series, standard.add
+        # the forcing norms at each record's time, the state norms from its planes
+        series = {name: [] for name in _STANDARD_SET}
+        forcing_sq = {name: _forcing_sq(kind, which)
+                      for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
+        weights = spectral._half_weights(grid, grid.kcut + 1, None, grid.lam, grid.lam_sq)
+
+        def record_planes(t: float, planes: np.ndarray) -> None:
+            for name, at in forcing_sq.items():
+                series[name].append(at(t, forcing))
+            for name, value in zip(_STATE_NORMS, _state_sums(grid, planes, weights)):
+                series[name].append(value)
     else:
         series = {name: [] for name in observers}
 
-        def record_planes(t: float, U: np.ndarray, W: np.ndarray) -> None:
-            state = _from_half(grid, U, W, t)
+        def record_planes(t: float, planes: np.ndarray) -> None:
+            state = _from_half(grid, planes[:2], planes[2], t)
             for name, fn in observers.items():
                 series[name].append(float(fn(state, forcing)))
 
-    def record(t: float, U: np.ndarray, W: np.ndarray) -> None:
+    def record(t: float, planes: np.ndarray) -> None:
         times.append(t)
-        record_planes(t, U, W)
+        record_planes(t, planes)
 
-    record(t0, U, W)
+    record(t0, planes)
     for i in range(nsteps):
         t = t0 + i * dt
         U, W = stepper.advance(U, W, t)
+        # the stepper's planes (3, n, kcut + 1), of which U and W are views
+        planes = stepper.work.out[:, 0]
         if (i + 1) % stride == 0 or i + 1 == nsteps:
-            record(t0 + (i + 1) * dt, U, W)
-    if observers is None:
-        standard.flush()
+            record(t0 + (i + 1) * dt, planes)
 
     return SimulationResult(np.asarray(times), {k: np.asarray(v) for k, v in series.items()},
                             _from_half(grid, U, W, t0 + nsteps * dt), dt=dt)

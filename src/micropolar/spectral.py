@@ -600,14 +600,6 @@ def _apply_mask(field, mask: np.ndarray):
 _NORM_WEIGHTS = {"L2": None, "H1": "lam", "Hminus1": "inv_lam", "DA": "lam_sq"}
 
 
-def _norm_weight(grid: Grid, kind: str) -> np.ndarray | None:
-    try:
-        table = _NORM_WEIGHTS[kind]
-    except KeyError:
-        raise ValueError(f"unknown norm kind {kind!r}; expected one of {sorted(_NORM_WEIGHTS)}") from None
-    return None if table is None else getattr(grid, table)
-
-
 def _power(spectra: np.ndarray) -> np.ndarray:
     """|c|^2 of spectra, as a new float array.  A vector's power is its
     components' summed, the first plus the second."""
@@ -615,16 +607,18 @@ def _power(spectra: np.ndarray) -> np.ndarray:
     return np.square(power, out=power)
 
 
-def _norms(grid: Grid, power: np.ndarray, kind: str) -> np.ndarray:
-    """
-    Norms sqrt(|Q| sum_k w_k p_k) of a batch of powers ``power[..., n, n]``
-    (from :func:`_power`), one per leading index: each plane is summed
-    alone, in the order of ``np.sum`` over that plane.
-    """
-    w = _norm_weight(grid, kind)
-    weighted = power if w is None else w * power
-    sums = np.add.reduce(weighted.reshape(weighted.shape[:-2] + (-1,)), axis=-1)
-    return np.sqrt(grid.area * sums)
+def _spectra_norm(grid: Grid, spectra, kind: str) -> float:
+    """Norm sqrt(|Q| sum_k w_k |c_k|^2), the arithmetic of :func:`norm`, of
+    the field whose components have the full spectra ``spectra`` (n, n):
+    their |c|^2 summed in order, weighted, then summed over the plane."""
+    if kind not in _NORM_WEIGHTS:
+        raise ValueError(f"unknown norm kind {kind!r}; expected one of {sorted(_NORM_WEIGHTS)}")
+    power = _power(spectra[0])
+    for c in spectra[1:]:
+        power += _power(c)
+    if _NORM_WEIGHTS[kind] is not None:
+        power *= getattr(grid, _NORM_WEIGHTS[kind])
+    return float(np.sqrt(grid.area * np.add.reduce(power.reshape(-1))))
 
 
 def _column_weights(grid: Grid, width: int) -> np.ndarray:
@@ -633,9 +627,7 @@ def _column_weights(grid: Grid, width: int) -> np.ndarray:
     images, twice for the others.  Weighted sums over half or band planes
     are the full spectra's sums."""
     weights = np.full(width, 2.0)
-    weights[0] = 1.0
-    if width > grid.n // 2:
-        weights[grid.n // 2] = 1.0
+    weights[0:width:grid.n // 2] = 1.0
     return weights
 
 
@@ -654,21 +646,60 @@ def norm(field, kind: str = "L2") -> float:
     the dual norm, ``DA`` the |A .| graph norm; all carry the Parseval
     factor |Q|.
     """
-    if isinstance(field, VectorField):
-        power = _power(field.u1.coeffs) + _power(field.u2.coeffs)
-    else:
-        power = _power(field.coeffs)
-    return float(_norms(field.grid, power, kind))
+    vector = isinstance(field, VectorField)
+    spectra = (field.u1.coeffs, field.u2.coeffs) if vector else (field.coeffs,)
+    return _spectra_norm(field.grid, spectra, kind)
+
+
+def _half_power(grid: Grid, planes: np.ndarray) -> np.ndarray:
+    """|c|^2 of half or band planes ``planes[..., n, w]`` of zero-mean fields.
+    Whole half planes zero beyond the band are taken as band planes, and the
+    columns that are their own mirror image (k2 = 0, and n/2) from their
+    exact Hermitian part, as a validated field holds them: planes and the
+    ``State`` rebuilt from them give the same power, laid out alike."""
+    m = grid.kcut + 1
+    if planes.shape[-1] > m and not planes[..., m:].any():
+        planes = planes[..., :m]
+    n, w = planes.shape[-2:]
+    power = np.abs(planes)
+    edge = planes[..., 0:w:n // 2]
+    sym = edge.take(grid.half_conj_rows, axis=-2)
+    np.conj(sym, out=sym)
+    sym += edge
+    sym *= 0.5
+    np.abs(sym, out=power[..., 0:w:n // 2])
+    return np.square(power, out=power)
+
+
+def _half_weights(grid: Grid, width: int, *tables: np.ndarray | None) -> np.ndarray:
+    """Weights (K, n, width) of half-plane power: the columns k2 < width of
+    each conjugate-closed full-plane table (``grid.lam``, a mode mask; None
+    for 1) times their :func:`_column_weights`."""
+    cw = _column_weights(grid, width)
+    return np.stack([np.broadcast_to(cw, (grid.n, width)) if table is None
+                     else cw * table[:, :width] for table in tables])
+
+
+def _half_sums(grid: Grid, power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Energies area * sum weight * power, (K, F), of :func:`_half_power`
+    planes (F, n, w) under ``weights`` (K, n, w): one pairwise sum per
+    product plane, so that its bits do not depend on the other planes."""
+    products = weights[:, None] * power
+    sums = np.add.reduce(products.reshape(products.shape[:2] + (-1,)), axis=-1)
+    sums *= grid.area
+    return sums
 
 
 def _product_energies(grid: Grid, dU: np.ndarray, dW: np.ndarray,
-                      *weights: np.ndarray) -> list[float]:
-    """Energies area * sum weight |c|^2 over the full spectra of half planes
-    (dU, dW), one per ``weight``, a full-plane table (a mode mask or
-    ``grid.lam``); the spectra and |c|^2 are formed once for all."""
-    full = _full_from_half(grid, np.concatenate([dU, dW[None]]))
-    density = np.abs(full[0]) ** 2 + np.abs(full[1]) ** 2 + np.abs(full[2]) ** 2
-    return [float(grid.area * np.sum(density * weight)) for weight in weights]
+                      *tables: np.ndarray) -> list[float]:
+    """Energies area * sum table |c|^2 of the fields of half or band planes
+    (dU, dW), one per full-plane ``table`` (a mode mask or ``grid.lam``),
+    summed over the half planes; |c|^2 is formed once for all."""
+    power = _half_power(grid, np.concatenate([dU, dW[None]]))
+    density = np.add(power[0], power[1], out=power[:1])
+    density += power[2]
+    weights = _half_weights(grid, density.shape[-1], *tables)
+    return _half_sums(grid, density, weights)[:, 0].tolist()
 
 
 def inner(f, g) -> float:

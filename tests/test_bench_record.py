@@ -53,3 +53,23 @@ def test_merge_takes_the_median_of_each_number():
     assert merged["machine"] == {"nproc": 2, "probe_median_s": 0.2}
     assert merged["layers"]["advance"]["16"] == {"median_us": 20.0, "calls": 3}
     assert merged["layers"]["nudge"]["16"] == {"absent": "AttributeError: x"}
+
+
+def test_ab_writes_paired_ratios(tmp_path):
+    # two rounds of each tree at n = 16 (here the same tree on both sides)
+    import subprocess
+    import sys
+
+    src, out = RECORDER.parent.parent / "src", tmp_path / "ab.json"
+    subprocess.run([sys.executable, str(RECORDER), "--label", "ab", "--ab", str(src),
+                    "--rounds", "2", "--sizes", "16", "--calls", "3", "--out", str(out)],
+                   check=True, stdout=subprocess.DEVNULL)
+    point = json.loads(out.read_text())
+    assert point["ab"]["rounds"] == 2 and point["ab"]["this"] == point["ab"]["other"]
+    record = point["layers"]["record"]["16"]
+    for side in ("this", "other"):
+        assert record[side]["median_us"] > 0 and record[side]["traced_peak_bytes"] > 0
+    ratio = record["ratio"]
+    assert ratio["pairs"] == 2 and 0 <= ratio["wins"] <= 2 and ratio["median"] > 0
+    assert point["layers"]["setup"]["16"]["build"]["ratio"]["pairs"] == 2
+    assert set(point["layers"]["nudge"]) == set()  # measured at n = 64 only

@@ -4,6 +4,7 @@ heat-decay solution, discrete energy decay, forcing profile exactness and
 the checkpoint format.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from micropolar.dynamics import (
     Params,
     State,
     _from_half,
+    _half_planes,
     _Stepper,
     _to_half,
     forcing_with_decaying_gap,
@@ -221,15 +223,18 @@ class TestRecordPath:
         assert observers["f_l2_sq"](state, fo1) != observers["f_l2_sq"](state, fo2)
 
     def test_steady_forcing_norms_evaluated_once(self, grid16, monkeypatch):
+        import micropolar.dynamics as dynamics
+
         fo = make_forcing(grid16, "steady", 0.01, 0.002, mode_hi=4, seed=2)
         calls = []
-        for name in ("f_at", "g_at"):
-            original = getattr(fo, name)
-            monkeypatch.setattr(fo, name, lambda t, _o=original, _n=name: calls.append(_n) or _o(t))
+        original = dynamics._forcing_norm_sq
+        monkeypatch.setattr(dynamics, "_forcing_norm_sq",
+                            lambda forcing, t, kind, which: calls.append((which, kind))
+                            or original(forcing, t, kind, which))
         res = simulate(random_state(grid16, 4, 0.1, 0.05), Params(0.3, 0.1, 0.3), fo,
                        t_end=0.1, dt=0.01, stride=1)
         assert len(res.times) == 11
-        assert sorted(calls) == ["f_at", "f_at", "g_at", "g_at"]
+        assert sorted(calls) == sorted(_FORCING_OBSERVERS.values())
         for name, (which, kind) in _FORCING_OBSERVERS.items():
             assert np.all(res.series[name] == _forcing_norm_sq(fo, which, kind, 0.0)), name
 
@@ -240,7 +245,7 @@ def _series_bits(result):
 
 
 class TestStandardBatches:
-    """The default observer set is evaluated in batches of records; its
+    """The default observer set is taken from the stepper's planes; its
     series must equal the per-State observers' bit for bit."""
 
     @staticmethod
@@ -251,8 +256,7 @@ class TestStandardBatches:
         gap = make_forcing(grid, "steady", 0.04, 0.01, mode_hi=4, seed=3)
         return forcing_with_decaying_gap(base, gap.f_at(0), gap.g_at(0), decay_rate=2.0)
 
-    # 23 and 47 steps: multiples of no stride and of no batch size
-    # (21 records at n = 16, 5 at n = 32, 1 at n = 128)
+    # 23 and 47 steps: multiples of no stride
     @pytest.mark.parametrize("n,steps", [(16, 47), (32, 47), (128, 23)])
     @pytest.mark.parametrize("stride", [1, 3, 10])
     @pytest.mark.parametrize("kind", ["steady", "decaying_gap"])
@@ -298,24 +302,22 @@ class TestStandardBatches:
     def test_default_builds_no_state_per_record(self, grid16, monkeypatch):
         import micropolar.dynamics as dynamics
 
-        states, batches = [], []
-        from_half, full_spectra = dynamics._from_half, dynamics._full_spectra
+        states = []
+        from_half = dynamics._from_half
         monkeypatch.setattr(dynamics, "_from_half",
                             lambda *a: states.append(a[-1]) or from_half(*a))
-        monkeypatch.setattr(dynamics, "_full_spectra",
-                            lambda grid, U, W: batches.append(len(U)) or full_spectra(grid, U, W))
         forcing = self._forcing(grid16, "steady")
         res = simulate(random_state(grid16, 2, 0.15, 0.05), Params(0.15, 0.075, 0.15), forcing,
                        0.47, 0.01, stride=1)
         assert len(res.times) == 48
         assert states == [res.final_state.t]  # only the final state
-        # the initial half planes alone, then 47 band records in batches of 21
-        assert batches == [1, 21, 21, 5, 1]
 
     def test_one_record_batches_hold_one_record(self, grid64):
-        # from n = 64 on a batch is one record, taken from the stepper's
-        # planes: the run peaks at most one record's full spectra and their
-        # power above its bare steps, and holds no buffer of records
+        # records are taken from the stepper's planes: above its bare steps
+        # and final state, the run peaks at one record's power planes (the
+        # power of (u1, u2, omega), its products with the L2, H1 and D(A)
+        # weights and the weights: 12 band planes of floats) and 2 KiB per
+        # record for the series, below one state's full spectra
         import tracemalloc
 
         params = Params(0.15, 0.075, 0.15)
@@ -337,10 +339,12 @@ class TestStandardBatches:
             U, W = _to_half(initial)
             for i in range(8):
                 U, W = stepper.advance(U, W, 0.01 * i)
+            _from_half(grid64, U, W, 0.08)
 
         recorded = peak(lambda: simulate(initial, params, forcing, 0.08, 0.01, stride=1))
-        record = 3 * grid64.n ** 2 * (16 + 8)
-        assert recorded - peak(bare) <= record
+        bound = 12 * grid64.n * (grid64.kcut + 1) * 8 + 9 * 2048
+        assert recorded - peak(bare) <= bound
+        assert bound < 3 * grid64.n ** 2 * 16
 
 
 def _validated_from_half(grid, U, W, t):
@@ -373,21 +377,24 @@ class TestFromHalf:
             U, W = stepper.advance(U, W, 0.005 * i)
 
     def test_batch_records_equal_validating_construction(self, grid16):
-        # each record of a batch gets the validating constructor's bits, also
-        # where column k2 = 0 is Hermitian only to roundoff
-        from micropolar.dynamics import _full_spectra
+        # one record whose column k2 = 0 is Hermitian only to roundoff: the
+        # State gets the validating constructor's bits, and the norms taken
+        # from the planes equal those of the State's observers bit for bit
+        from micropolar.dynamics import _state_sums
 
         rng = np.random.default_rng(7)
         m = grid16.kcut + 1
-        states = [random_state(grid16, seed, 0.5, 0.2) for seed in range(3)]
-        U = np.stack([s.u.stacked()[..., :m] for s in states])
-        W = np.stack([s.omega.coeffs[:, :m] for s in states])
-        U[..., 0] *= 1 + 1e-12 * rng.standard_normal(U[..., 0].shape)
-        W[..., 0] *= 1 + 1e-12 * rng.standard_normal(W[..., 0].shape)
-        full = _full_spectra(grid16, U, W)
-        for k in range(len(states)):
-            checked = _validated_from_half(grid16, U[k], W[k], 0.0)
-            assert [c.view(np.uint64).tobytes() for c in full[k]] == _coefficient_bits(checked)
+        state = random_state(grid16, 1, 0.5, 0.2)
+        planes = np.stack([c.coeffs[:, :m] for c in (state.u.u1, state.u.u2, state.omega)])
+        planes[..., 0] *= 1 + 1e-12 * rng.standard_normal(planes[..., 0].shape)
+        U, W = planes[:2], planes[2]
+        recorded = _from_half(grid16, U, W, 0.0)
+        assert _coefficient_bits(recorded) == _coefficient_bits(
+            _validated_from_half(grid16, U, W, 0.0))
+        observed = [fn(recorded, Forcing.zero(grid16)) for fn in standard_observers().values()]
+        values = _state_sums(grid16, planes)
+        assert np.asarray(values).view(np.uint64).tobytes() \
+            == np.asarray(observed[:len(values)]).view(np.uint64).tobytes()
 
     def test_record_outlives_the_stepper_buffers(self, grid16):
         params = Params(0.1, 0.05, 0.1)
@@ -400,6 +407,80 @@ class TestFromHalf:
         assert U2 is U and W2 is W  # the stepper's own planes, overwritten in place
         assert _coefficient_bits(recorded) == bits
         assert not recorded.u.u1.coeffs.flags.writeable
+
+
+def _relative(got, expected):
+    return np.max(np.abs(np.asarray(got) - expected) / np.abs(expected))
+
+
+class TestRecordNorms:
+    """The record path's norms, summed over half or band planes, against
+    the full spectrum's (``spectral.norm`` of the rebuilt ``State``),
+    within the roundoff budget of 1e-15 relative."""
+
+    BUDGET = 1e-15
+
+    @staticmethod
+    def _inputs(grid):
+        # a band plane of a stepped state, and a whole half plane with its
+        # Nyquist column (kmax = n fills every mode)
+        params = Params(0.15, 0.075, 0.15)
+        forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+        stepper = _Stepper(grid, params, forcing, dt=0.01)
+        U, W = _to_half(random_state(grid, 2, 0.15, 0.05))
+        for i in range(20):
+            U, W = stepper.advance(U, W, 0.01 * i)
+        whole = random_state(grid, 3, 1.0, 0.5, kmax=grid.n)
+        return [np.concatenate([U, W[None]]), _half_planes(whole)]
+
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    def test_state_norms_match_full_spectra(self, n):
+        from micropolar.dynamics import _state_sums
+
+        grid = make_grid(n, 2 * np.pi)
+        band, whole = self._inputs(grid)
+        assert band.shape[-1] == grid.kcut + 1 and whole.shape[-1] == n // 2 + 1
+        assert np.any(whole[..., n // 2] != 0)
+        for planes in (band, whole):
+            state = _from_half(grid, planes[:2], planes[2], 0.0)
+            expected = [norm(field, kind) ** 2 for kind in ("L2", "H1", "DA")
+                        for field in (state.u, state.omega)]
+            assert _relative(_state_sums(grid, planes), expected) <= self.BUDGET
+
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    def test_twin_energies_sum_to_the_total(self, n):
+        from micropolar.spectral import _product_energies, mode_mask
+
+        grid = make_grid(n, 2 * np.pi)
+        mask_P = mode_mask(grid, 30)
+        for planes in self._inputs(grid):
+            state = _from_half(grid, planes[:2], planes[2], 0.0)
+            total = norm(state.u) ** 2 + norm(state.omega) ** 2
+            delta_P, delta_Q = _product_energies(grid, planes[:2], planes[2], mask_P, ~mask_P)
+            assert 0 < delta_P < total and 0 < delta_Q < total
+            assert _relative(delta_P + delta_Q, total) <= self.BUDGET
+            h1 = norm(state.u, "H1") ** 2 + norm(state.omega, "H1") ** 2
+            assert _relative(_product_energies(grid, planes[:2], planes[2], grid.lam), h1) \
+                <= self.BUDGET
+
+
+class TestTemporalOrder:
+    def test_cn_ab2_is_second_order(self, grid16):
+        # successive differences of the final state at t = 1 as dt halves:
+        # CN/AB2 (Ascher-Ruuth-Wetton 1995) shrinks them fourfold
+        import time
+
+        start = time.perf_counter()
+        params = Params(0.15, 0.075, 0.15)
+        forcing = make_forcing(grid16, "two_scale", 0.5, 0.1, mode_lo=4, mode_hi=9, seed=5)
+        initial = random_state(grid16, 31, 0.15, 0.05)
+        finals = [simulate(initial, params, forcing, 1.0, 0.02 / 2 ** k, stride=10 ** 6).final_state
+                  for k in range(5)]
+        gaps = [math.sqrt(norm(a.u - b.u) ** 2 + norm(a.omega - b.omega) ** 2)
+                for a, b in zip(finals, finals[1:])]
+        orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+        assert len(orders) == 3 and min(orders) >= 1.9, orders
+        assert time.perf_counter() - start < 5.0
 
 
 class TestForcingProfiles:
