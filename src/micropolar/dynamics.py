@@ -831,15 +831,15 @@ def _forcing_sq(kind: str, which: str) -> Callable[[float, Forcing], float]:
 
 def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
     """The one computation of the standard set's state norms, in its order,
-    of (u1, u2, omega) half or band planes (3, n, w): sums of u's and omega's
-    :func:`spectral._half_power` under the L2, H1 and D(A)
+    of (u1, u2, omega) half or band planes (3, n, w): sums of u's and
+    omega's :func:`spectral._half_power` under the L2, H1 and D(A)
     :func:`spectral._half_weights` (``weights`` when their width fits)."""
     power = spectral._half_power(grid, planes)
     width = power.shape[-1]
     if weights is None or weights.shape[-1] != width:
         weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
     np.add(power[0], power[1], out=power[1])
-    return spectral._half_sums(grid, power[1:], weights).ravel().tolist()
+    return spectral._half_sums(power[1:], weights).ravel().tolist()
 
 
 def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:

@@ -652,11 +652,14 @@ def norm(field, kind: str = "L2") -> float:
 
 
 def _half_power(grid: Grid, planes: np.ndarray) -> np.ndarray:
-    """|c|^2 of half or band planes ``planes[..., n, w]`` of zero-mean fields.
-    Whole half planes zero beyond the band are taken as band planes, and the
-    columns that are their own mirror image (k2 = 0, and n/2) from their
-    exact Hermitian part, as a validated field holds them: planes and the
-    ``State`` rebuilt from them give the same power, laid out alike."""
+    """
+    |c|^2 of half or band planes ``planes[..., n, w]`` of zero-mean fields,
+    as the full spectra of the validated fields hold them: the columns that
+    are their own mirror image (k2 = 0, and n/2) from their exact Hermitian
+    part.  Whole half planes that are zero beyond the band are taken as
+    band planes, so that planes and the ``State`` rebuilt from them give
+    the same power, laid out alike.
+    """
     m = grid.kcut + 1
     if planes.shape[-1] > m and not planes[..., m:].any():
         planes = planes[..., :m]
@@ -674,32 +677,31 @@ def _half_power(grid: Grid, planes: np.ndarray) -> np.ndarray:
 def _half_weights(grid: Grid, width: int, *tables: np.ndarray | None) -> np.ndarray:
     """Weights (K, n, width) of half-plane power: the columns k2 < width of
     each conjugate-closed full-plane table (``grid.lam``, a mode mask; None
-    for 1) times their :func:`_column_weights`."""
-    cw = _column_weights(grid, width)
+    for 1) times their :func:`_column_weights` and |Q|."""
+    cw = grid.area * _column_weights(grid, width)
     return np.stack([np.broadcast_to(cw, (grid.n, width)) if table is None
                      else cw * table[:, :width] for table in tables])
 
 
-def _half_sums(grid: Grid, power: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Energies area * sum weight * power, (K, F), of :func:`_half_power`
-    planes (F, n, w) under ``weights`` (K, n, w): one pairwise sum per
-    product plane, so that its bits do not depend on the other planes."""
+def _half_sums(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Energies sum weight * power, (K, F), of half-plane power (F, n, w)
+    under :func:`_half_weights` (K, n, w): one pairwise sum per product
+    plane, so that its bits do not depend on the other planes."""
     products = weights[:, None] * power
-    sums = np.add.reduce(products.reshape(products.shape[:2] + (-1,)), axis=-1)
-    sums *= grid.area
-    return sums
+    return np.add.reduce(products.reshape(products.shape[:2] + (-1,)), axis=-1)
 
 
 def _product_energies(grid: Grid, dU: np.ndarray, dW: np.ndarray,
                       *tables: np.ndarray) -> list[float]:
     """Energies area * sum table |c|^2 of the fields of half or band planes
     (dU, dW), one per full-plane ``table`` (a mode mask or ``grid.lam``),
-    summed over the half planes; |c|^2 is formed once for all."""
-    power = _half_power(grid, np.concatenate([dU, dW[None]]))
+    summed over the half planes as given (as the full spectra rebuilt from
+    them hold them); |c|^2 is formed once for all."""
+    power = _power(np.concatenate([dU, dW[None]]))
     density = np.add(power[0], power[1], out=power[:1])
     density += power[2]
     weights = _half_weights(grid, density.shape[-1], *tables)
-    return _half_sums(grid, density, weights)[:, 0].tolist()
+    return _half_sums(density, weights)[:, 0].tolist()
 
 
 def inner(f, g) -> float:

@@ -17,7 +17,7 @@ from micropolar.assimilation import (
 )
 from micropolar.dynamics import Forcing, Params, State, make_forcing, random_state, simulate
 from micropolar.estimates import Constants, compute_constants
-from micropolar.spectral import _half_power, _half_weights, make_node_set
+from micropolar.spectral import _half_weights, _power, make_node_set
 
 
 PARAMS = Params(nu=0.25, nu_r=0.1, alpha=0.25)
@@ -26,9 +26,9 @@ PARAMS = Params(nu=0.25, nu_r=0.1, alpha=0.25)
 def separate_energy(grid, dU, dW, weight):
     """One weighted energy of half planes with its own |c|^2, as each twin
     series would take it alone."""
-    power = _half_power(grid, np.concatenate([dU, dW[None]]))
+    power = _power(np.concatenate([dU, dW[None]]))
     density = power[0] + power[1] + power[2]
-    return grid.area * float(np.sum(density * _half_weights(grid, density.shape[-1], weight)[0]))
+    return float(np.sum(density * _half_weights(grid, density.shape[-1], weight)[0]))
 
 
 @pytest.fixture(scope="module")
