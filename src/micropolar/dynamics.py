@@ -830,15 +830,32 @@ def _forcing_sq(kind: str, which: str) -> Callable[[float, Forcing], float]:
 
 
 def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
-    """The one computation of the standard set's state norms, in its order,
-    of (u1, u2, omega) half or band planes (3, n, w): sums of u's and
-    omega's :func:`spectral._half_power` under the L2, H1 and D(A)
-    :func:`spectral._half_weights` (``weights`` when their width fits)."""
-    power = spectral._half_power(grid, planes)
-    width = power.shape[-1]
+    """
+    The one computation of the standard set's state norms, in its order,
+    of the (u1, u2, omega) half or band planes ``planes`` (3, n, w) of a
+    zero-mean state: |c|^2 of u and omega under the L2, H1 and D(A)
+    :func:`spectral._half_weights` (``weights`` when their width fits).
+    The power is taken as the full spectra of the ``State`` rebuilt from
+    the planes hold it, and laid out as theirs, so that the two give the
+    same bits: the columns that are their own mirror image (k2 = 0, and
+    n/2) from their exact Hermitian part, and whole half planes that are
+    zero beyond the band as band planes.
+    """
+    m = grid.kcut + 1
+    if planes.shape[-1] > m and not planes[..., m:].any():
+        planes = planes[..., :m]
+    n, width = planes.shape[-2:]
+    power = np.abs(planes)
+    edge = planes[..., 0:width:n // 2]
+    sym = edge.take(grid.half_conj_rows, axis=-2)
+    np.conj(sym, out=sym)
+    sym += edge
+    sym *= 0.5
+    np.abs(sym, out=power[..., 0:width:n // 2])
+    np.square(power, out=power)
+    np.add(power[0], power[1], out=power[1])
     if weights is None or weights.shape[-1] != width:
         weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
-    np.add(power[0], power[1], out=power[1])
     return spectral._half_sums(power[1:], weights).ravel().tolist()
 
 

@@ -651,29 +651,6 @@ def norm(field, kind: str = "L2") -> float:
     return _spectra_norm(field.grid, spectra, kind)
 
 
-def _half_power(grid: Grid, planes: np.ndarray) -> np.ndarray:
-    """
-    |c|^2 of half or band planes ``planes[..., n, w]`` of zero-mean fields,
-    as the full spectra of the validated fields hold them: the columns that
-    are their own mirror image (k2 = 0, and n/2) from their exact Hermitian
-    part.  Whole half planes that are zero beyond the band are taken as
-    band planes, so that planes and the ``State`` rebuilt from them give
-    the same power, laid out alike.
-    """
-    m = grid.kcut + 1
-    if planes.shape[-1] > m and not planes[..., m:].any():
-        planes = planes[..., :m]
-    n, w = planes.shape[-2:]
-    power = np.abs(planes)
-    edge = planes[..., 0:w:n // 2]
-    sym = edge.take(grid.half_conj_rows, axis=-2)
-    np.conj(sym, out=sym)
-    sym += edge
-    sym *= 0.5
-    np.abs(sym, out=power[..., 0:w:n // 2])
-    return np.square(power, out=power)
-
-
 def _half_weights(grid: Grid, width: int, *tables: np.ndarray | None) -> np.ndarray:
     """Weights (K, n, width) of half-plane power: the columns k2 < width of
     each conjugate-closed full-plane table (``grid.lam``, a mode mask; None
