@@ -36,6 +36,7 @@ from micropolar.spectral import (
     _half_to_phys,
     _hermitianize,
     _leray_arrays,
+    _mirror_half,
     _phys_to_half,
     make_grid,
 )
@@ -721,7 +722,10 @@ def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     they outlive the stepper's next write to its planes.
     """
     n, m = grid.n, U.shape[-1]
-    full = _full_from_half(grid, np.concatenate([U, W[None]]))
+    full = np.zeros((3, n, n), dtype=np.complex128)
+    full[:2, :, :m] = U
+    full[2, :, :m] = W
+    _mirror_half(grid, full, m)
     # The Hermitian part (c_k + conj(c_-k)) * 0.5 of _hermitianized, with its
     # bits (signed zeros included) but no gathered copy of the spectra: a
     # mirrored column holds c_-k = conj(c_k) exactly, so there the sum is
