@@ -65,7 +65,8 @@ same tree, every number the median over the rounds.
 ``--ab OTHER_SRC`` writes a paired point of this tree (``--src``) against
 another: R rounds (``--rounds``, default 10) of each tree's layers, each
 round a fresh process running this recorder, in alternating order (A B,
-B A, A B, ...).  For each layer and n it holds both trees' medians over
+B A, A B, ...); ``ab`` names each tree by the directory of its checkout.
+For each layer and n it holds both trees' medians over
 the rounds (``this`` and ``other``, as ``--merge`` takes them) and, for
 each time, the ratio this / other of the two runs of a round: its
 median, interquartile range and ``wins`` (rounds with a ratio below 1)
@@ -436,20 +437,22 @@ def _paired(this: list, other: list):
 
 def _ab(args) -> dict:
     """The paired point of ``args.src`` (this) against ``args.ab`` (other)."""
-    srcs = {"this": str(Path(args.src).resolve()), "other": str(Path(args.ab).resolve())}
+    srcs = {"this": Path(args.src).resolve(), "other": Path(args.ab).resolve()}
     rounds = {"this": [], "other": []}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.rounds):
             for side in ("this", "other")[:: 1 if i % 2 == 0 else -1]:
                 out = Path(tmp) / f"{side}-{i}.json"
-                command = [sys.executable, __file__, "--label", side, "--src", srcs[side],
+                command = [sys.executable, __file__, "--label", side, "--src", str(srcs[side]),
                            "--out", str(out), "--sizes", *map(str, args.sizes)]
                 if args.calls:
                     command += ["--calls", str(args.calls)]
                 subprocess.run(command, check=True, stdout=subprocess.DEVNULL)
                 rounds[side].append(json.loads(out.read_text()))
     this, other = rounds["this"], rounds["other"]
-    return {"label": args.label, "ab": {**srcs, "rounds": args.rounds},
+    # each tree by the name of the checkout that holds its src
+    trees = {side: src.parent.name for side, src in srcs.items()}
+    return {"label": args.label, "ab": {**trees, "rounds": args.rounds},
             "machine": _merged([r["machine"] for r in this + other]),
             "layers": {name: {n: _paired([r["layers"][name][n] for r in this],
                                          [r["layers"][name][n] for r in other])

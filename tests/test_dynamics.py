@@ -342,7 +342,7 @@ class TestStandardBatches:
             _from_half(grid64, U, W, 0.08)
 
         recorded = peak(lambda: simulate(initial, params, forcing, 0.08, 0.01, stride=1))
-        bound = 12 * grid64.n * (grid64.kcut + 1) * 8 + 9 * 2048
+        bound = 12 * grid64.n * (grid64.kcut + 1) * 8 + (8 + 1) * 2048
         assert recorded - peak(bare) <= bound
         assert bound < 3 * grid64.n ** 2 * 16
 
