@@ -8,6 +8,8 @@ Per-layer performance point of the micropolar solver, written to
 
     python3 benchmarks/record.py --label LABEL --ab OTHER_SRC [--rounds R] [--out PATH]
 
+    python3 benchmarks/record.py ... --e2e SECONDS
+
 ``--src`` is the ``src`` directory of the tree to measure (default: this
 checkout's).  A point for an earlier commit measures a copy of it, for
 example ``git archive COMMIT | tar -x -C DIR`` and ``--src DIR/src``; a
@@ -42,6 +44,12 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   ``make_forcing`` and ``random_state`` of a lattice that nothing else
   holds) and ``read_checkpoint`` (of such a state, with its grid held,
   as a resumed run holds its configured grid).
+- ``command_rss`` (at n = 32, 64, 128 and 256): the peak RSS
+  (``ru_maxrss``, MiB) and wall time of fresh ``python -m micropolar.cli``
+  processes on perfbench's workload configs for seed 5 (``RSS_COMMANDS``):
+  ``simulate`` and ``verify-estimates`` (resumed from its checkpoint) at
+  n = 64, 128 and 256, ``sync-modes`` at n = 64 and ``lyapunov`` at
+  n = 32; the median and all values of up to 3 runs each.
 
 Each layer reports the median and interquartile range of single-call
 times in microseconds, and, from a separate run under ``tracemalloc``
@@ -71,7 +79,18 @@ the rounds (``this`` and ``other``, as ``--merge`` takes them) and, for
 each time, the ratio this / other of the two runs of a round: its
 median, interquartile range and ``wins`` (rounds with a ratio below 1)
 out of ``pairs``.  ``--sizes`` and ``--calls`` narrow any run to some n
-and a fixed number of calls per layer.
+and a fixed number of calls per layer.  Paired, ``command_rss`` also
+holds per command ``rss_difference_mib``, the difference this - other of
+each round's peak RSS: its median, interquartile range and ``wins``
+(rounds where this is lower).
+
+``--e2e SECONDS`` adds ``e2e``: the end-to-end lines of
+``perfbench/run.py --trace 0 --seconds SECONDS`` on ``large-n`` and
+``small-n`` (each line's metrics, counts and unscaled samples), run by
+each tree's own perfbench from a temporary copy, ``--rounds`` rounds on
+seeds 0, 1, ..., the trees alternating as above; with ``--ab``, ``pairs``
+holds each metric's ratio this / other with its wins (see ``_e2e``).  A
+tree without perfbench is recorded as absent.
 """
 
 from __future__ import annotations
@@ -80,7 +99,9 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -96,8 +117,12 @@ CALLS = {16: 400, 32: 200, 64: 100, 128: 40, 256: 15}
 PAIRS = 8
 
 
+def _quartiles(samples: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(samples, n=4)) if len(samples) > 1 else (samples[0],) * 3
+
+
 def _summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4)
+    q1, median, q3 = _quartiles(samples)
     return {"median_us": median * 1e6, "iqr_us": (q3 - q1) * 1e6, "calls": len(samples)}
 
 
@@ -373,6 +398,69 @@ def _faults(n: int, calls: int) -> dict:
     return {"minflt_per_step": (after - before) / steps, "steps": steps}
 
 
+# The commands of the command_rss layer at each n, on perfbench's workload
+# configs for RSS_SEED (simulate and verify-estimates those of its
+# sim-n128 part at that n); at any other n, simulate and verify-estimates
+# on the shortened (--smoke) configs.
+RSS_COMMANDS = {32: ("lyapunov",), 64: ("simulate", "verify-estimates", "sync-modes"),
+                128: ("simulate", "verify-estimates"), 256: ("simulate", "verify-estimates")}
+RSS_SEED = 5
+
+
+# Linux starts the ru_maxrss of an exec'd child at the high-water mark of
+# the memory image it was spawned from, which for this process is the peak
+# of the layers measured before; so a fresh interpreter that imports
+# nothing heavy spawns each command and reports the command's figures.
+_LAUNCHER = """
+import json, os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), time.perf_counter() - start,
+                  usage.ru_maxrss / 1024.0]))
+"""
+
+
+def _spawn(argv: list[str], env: dict, cwd: str) -> tuple[float, float]:
+    """Run argv to completion; (wall seconds, peak RSS MiB from wait4)."""
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True).stdout
+    code, wall, rss = json.loads(out)
+    if code != 0:
+        raise RuntimeError(f"{argv} failed with exit code {code}")
+    return wall, rss
+
+
+def _command_rss(n: int, calls: int) -> dict:
+    """Peak RSS (``ru_maxrss``) and wall time of fresh ``python -m
+    micropolar.cli`` processes of the measured tree, each command run
+    ``calls // 5`` times (at least 1, at most 3)."""
+    import micropolar
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from harness import child_env
+    from workloads import LYAP_N32, SIM_N128, TWIN_N64
+
+    env = child_env(Path(micropolar.__file__).resolve().parents[2])
+    parts = (SIM_N128, TWIN_N64, LYAP_N32)
+    commands = {command.subcommand: command for part in parts for command in part.commands}
+    configs = {name: cfg for part in parts
+               for name, cfg in part.build(RSS_SEED, n not in RSS_COMMANDS).items()}
+    for name in ("sim.json", "verify.json"):
+        configs[name]["grid"]["n"] = n
+    runs = max(1, min(3, calls // 5))
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in configs.items():
+            (Path(tmp) / name).write_text(json.dumps(cfg))
+        for name in RSS_COMMANDS.get(n, ("simulate", "verify-estimates")):
+            argv = [sys.executable, "-m", "micropolar.cli", *commands[name].argv()]
+            walls, rss = zip(*(_spawn(argv, env, tmp) for _ in range(runs)))
+            result[name] = {**_summary(list(walls)), "peak_rss_mib": statistics.median(rss),
+                            "peak_rss_all_mib": sorted(rss)}
+    return result
+
+
 # name, measure(n, calls) and the sizes it runs at
 LAYERS = (
     ("advance", lambda n, calls: _advance(n, calls, 0), SIZES),
@@ -387,6 +475,7 @@ LAYERS = (
     ("trace_sample", _trace_sample, (32,)),
     ("setup", _setup_layer, SIZES),
     ("simulate_stride10", _faults, SIZES),
+    ("command_rss", _command_rss, tuple(RSS_COMMANDS)),
 )
 
 
@@ -429,9 +518,14 @@ def _paired(this: list, other: list):
     pair = {"this": _merged(this), "other": _merged(other)}
     if isinstance(first, dict) and "median_us" in first and "median_us" in other[0]:
         ratios = [a["median_us"] / b["median_us"] for a, b in zip(this, other)]
-        q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        q1, median, q3 = _quartiles(ratios)
         pair["ratio"] = {"median": median, "iqr": q3 - q1,
                          "wins": sum(r < 1 for r in ratios), "pairs": len(ratios)}
+    if isinstance(first, dict) and "peak_rss_mib" in first and "peak_rss_mib" in other[0]:
+        lower = [a["peak_rss_mib"] - b["peak_rss_mib"] for a, b in zip(this, other)]
+        q1, median, q3 = _quartiles(lower)
+        pair["rss_difference_mib"] = {"median": median, "iqr": q3 - q1,
+                                      "wins": sum(d < 0 for d in lower), "pairs": len(lower)}
     return pair
 
 
@@ -460,6 +554,76 @@ def _ab(args) -> dict:
                        for name in this[0]["layers"]}}
 
 
+E2E_WORKLOADS = ("large-n", "small-n")
+# "#   NAME: median M n=K ... [v1 v2 ...]", a line of unscaled samples
+_SAMPLES = re.compile(r"^#   (\S+): median \S+ n=\d+.*\[(.*)\]$")
+
+
+def _e2e_line(copy: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
+    """One ``perfbench/run.py --trace 0`` run in ``copy``: its result
+    line's metrics and counts, and the unscaled samples it prints."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+    lines = subprocess.run(command, cwd=copy, capture_output=True, text=True,
+                           check=True).stdout.splitlines()
+    result = json.loads(lines[-1])
+    samples = {match[1]: [float(v) for v in match[2].split()]
+               for match in map(_SAMPLES.match, lines) if match}
+    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "samples": samples}
+
+
+def _e2e(trees: dict[str, Path], seconds: float, rounds: int, smoke: bool = False) -> dict:
+    """
+    The end-to-end lines of each tree (a checkout): ``rounds`` rounds of
+    its own ``perfbench/run.py --trace 0`` on each of E2E_WORKLOADS, round
+    i on seed i, the trees alternating within a round as ``--ab`` does.
+    Each tree's ``src``, ``perfbench`` and ``BENCHMARK.json`` run from a
+    temporary copy, so the tree is only read; a tree without them is
+    recorded as absent.  With two trees, ``pairs`` holds per metric the
+    ratio this / other of each round: its median, IQR and ``wins``
+    (rounds where this is better, in the direction BENCHMARK.json gives).
+    """
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    point = {workload: {} for workload in E2E_WORKLOADS}
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {}
+        for side, tree in trees.items():
+            parts = ("src", "perfbench", "BENCHMARK.json")
+            if not all((tree / part).exists() for part in parts) \
+                    or not (tree / "perfbench" / "run.py").is_file():
+                for workload in E2E_WORKLOADS:
+                    point[workload][side] = {"absent": f"{tree} holds no perfbench/run.py"}
+                continue
+            copies[side] = Path(tmp) / side
+            for part in parts[:2]:
+                shutil.copytree(tree / part, copies[side] / part,
+                                ignore=shutil.ignore_patterns("__pycache__", ".perfbench-work"))
+            shutil.copy(tree / parts[2], copies[side])
+            for workload in E2E_WORKLOADS:
+                point[workload][side] = []
+        for i in range(rounds):
+            for workload in E2E_WORKLOADS:
+                for side in list(copies)[:: 1 if i % 2 == 0 else -1]:
+                    point[workload][side].append(
+                        _e2e_line(copies[side], workload, i, seconds, smoke))
+    if len(copies) == 2:
+        for lines in point.values():
+            this, other = lines["this"], lines["other"]
+            lines["pairs"] = {}
+            for name in this[0]["metrics"]:
+                ratios = [a["metrics"][name] / b["metrics"][name] for a, b in zip(this, other)]
+                q1, median, q3 = _quartiles(ratios)
+                wins = sum(r < 1 if better.get(name, "lower") == "lower" else r > 1
+                           for r in ratios)
+                lines["pairs"][name] = {"median": median, "iqr": q3 - q1, "wins": wins,
+                                        "pairs": len(ratios)}
+    return point
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
@@ -471,6 +635,8 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=10, help="--ab rounds per tree")
     parser.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="the n to measure")
     parser.add_argument("--calls", type=int, help="calls per layer (default: by n)")
+    parser.add_argument("--e2e", type=float, metavar="SECONDS",
+                        help="also record perfbench's end-to-end lines, SECONDS per run")
     parser.add_argument("--out", help="output file (default: BENCH_<label>.json at the root)")
     args = parser.parse_args()
 
@@ -486,6 +652,11 @@ def main() -> int:
             point["layers"][name] = {str(n): _layer(measure, n, args.calls or CALLS[n])
                                      for n in sizes if n in args.sizes}
             print(name, json.dumps(point["layers"][name]), flush=True)
+    if args.e2e is not None:
+        trees = {"this": Path(args.src).resolve().parent}
+        if args.ab:
+            trees["other"] = Path(args.ab).resolve().parent
+        point["e2e"] = _e2e(trees, args.e2e, args.rounds)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=1) + "\n")
     print(f"wrote {out}")

@@ -31,12 +31,13 @@ from micropolar.dynamics import (
     Forcing,
     NumericsError,
     Params,
+    SimulationResult,
     State,
+    _simulate,
     _whole_steps,
     make_forcing,
     random_state,
     read_checkpoint,
-    simulate,
     write_checkpoint,
 )
 from micropolar.estimates import compute_constants, force_strength
@@ -225,8 +226,16 @@ def build_integrator(config: dict) -> dict:
 
 def _setup(config: dict):
     grid = build_grid(config)
-    return (grid, build_params(config), build_forcing(config, grid),
-            build_initial(config, grid), build_integrator(config))
+    return grid, build_params(config), build_forcing(config, grid), build_integrator(config)
+
+
+def _simulated(config: dict, grid: Grid, params: Params, forcing: Forcing, t_end: float,
+               dt: float, stride: int) -> SimulationResult:
+    """The run of the configured initial state, which the time loop builds
+    and drops before its first step: a State built here would stay alive
+    beside the loop's workspace for the whole run."""
+    return _simulate(lambda: build_initial(config, grid), params, forcing, t_end, dt,
+                     stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +291,11 @@ def _summary(chash: str, **fields) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: dict, out: Path, strict: bool) -> int:
-    _, params, forcing, initial, integ = _setup(config)
+    grid, params, forcing, integ = _setup(config)
     chash = config_hash(config)
 
-    result = simulate(initial, params, forcing, integ["t_end"], integ["dt"],
-                      stride=integ["stride"])
+    result = _simulated(config, grid, params, forcing, integ["t_end"], integ["dt"],
+                        integ["stride"])
     names = sorted(result.series)
     write_csv(out / "series.csv", ["t"] + names,
               [result.times] + [result.series[n] for n in names], chash)
@@ -301,12 +310,12 @@ def cmd_simulate(config: dict, out: Path, strict: bool) -> int:
 
 
 def cmd_verify_estimates(config: dict, out: Path, strict: bool) -> int:
-    grid, params, forcing, initial, integ = _setup(config)
+    grid, params, forcing, integ = _setup(config)
     constants = build_constants(config, params, grid)
     chash = config_hash(config)
 
-    result = simulate(initial, params, forcing, integ["t_end"], integ["dt"],
-                      stride=integ["stride"])
+    result = _simulated(config, grid, params, forcing, integ["t_end"], integ["dt"],
+                        integ["stride"])
     strength = force_strength(forcing, grid, window=result.times)
 
     reports = [estimates.verify_energy_inequality(result, constants)]
@@ -383,12 +392,14 @@ def cmd_bounds(config: dict, out: Path, strict: bool) -> int:
 
 
 def _twin_setup(config: dict):
-    grid, params, forcing, reference, integ = _setup(config)
+    grid, params, forcing, integ = _setup(config)
     spinup = _get(config, "experiment.spinup")
     _steps(spinup, integ["dt"], "experiment.spinup")
     if spinup > 0:
-        reference = simulate(reference, params, forcing, spinup, integ["dt"],
-                             stride=10**9).final_state
+        reference = _simulated(config, grid, params, forcing, spinup, integ["dt"],
+                               10**9).final_state
+    else:
+        reference = build_initial(config, grid)
     perturbed = random_state(grid, _get(config, "experiment.perturb_seed"),
                              energy_u=_get(config, "experiment.perturb_energy_u"),
                              energy_omega=_get(config, "experiment.perturb_energy_omega"),
@@ -444,7 +455,7 @@ def cmd_sync_nodes(config: dict, out: Path, strict: bool) -> int:
 
 
 def cmd_lyapunov(config: dict, out: Path, strict: bool) -> int:
-    grid, params, forcing, initial, integ = _setup(config)
+    grid, params, forcing, integ = _setup(config)
     constants = build_constants(config, params, grid)
     chash = config_hash(config)
     count, reorth, seed, spinup = (_get(config, f"experiment.{key}")
@@ -454,8 +465,10 @@ def cmd_lyapunov(config: dict, out: Path, strict: bool) -> int:
            "integrator.t_end (in blocks of dt x experiment.reorth_interval)")
 
     if spinup > 0:
-        initial = simulate(initial, params, forcing, spinup, integ["dt"],
-                           stride=10**9).final_state
+        initial = _simulated(config, grid, params, forcing, spinup, integ["dt"],
+                             10**9).final_state
+    else:
+        initial = build_initial(config, grid)
     with _config_errors("experiment.count: "):  # the band bounds the count of pairs
         report = lyapunov.lyapunov_spectrum(initial, params, forcing, count,
                                             integ["t_end"], integ["dt"],

@@ -129,41 +129,62 @@ class Forcing:
     """
     External force f (divergence-free vector) and moment g (scalar).
 
-    Steady forcings carry fixed coefficient arrays; time-dependent ones are
-    built from callables returning raw coefficient arrays.
+    A steady forcing holds its spectra once.  Given as coefficient arrays,
+    it keeps them, f and g stacked and read-only.  Built by a writer
+    ``write(width)`` of the columns k2 < width of the (f1, f2, g) spectra
+    (:func:`make_forcing`, :meth:`zero`), it keeps only their half planes,
+    and ``f_hat`` and ``g_hat`` write the full spectra anew at each call,
+    with the writer's bits.  Either way the time loops read the half planes
+    ``half`` (3, n, n//2 + 1).  Time-dependent forcings are built from
+    callables returning raw coefficient arrays.
     """
 
     def __init__(self, grid: Grid, f_hat, g_hat, steady: bool = True,
                  profile: str | None = None, meta: dict | None = None):
         self.grid = grid
-        if steady:
-            f_hat = np.asarray(f_hat, dtype=np.complex128)
-            g_hat = np.asarray(g_hat, dtype=np.complex128)
-            f_hat.setflags(write=False)
-            g_hat.setflags(write=False)
-        self._f_hat = f_hat
-        self._g_hat = g_hat
         self.steady = steady
         self.profile = profile
         self.meta = dict(meta or {})
+        if steady:
+            spectra = np.concatenate([np.asarray(f_hat, dtype=np.complex128),
+                                      np.asarray(g_hat, dtype=np.complex128)[None]])
+            spectra.setflags(write=False)
+            self._hold(lambda width: spectra[..., :width])
+        else:
+            self._f_hat = f_hat
+            self._g_hat = g_hat
+
+    @classmethod
+    def _written(cls, grid: Grid, write: Callable[[int], np.ndarray],
+                 profile: str | None = None, meta: dict | None = None) -> "Forcing":
+        """Steady forcing of the spectra that ``write`` writes."""
+        forcing = cls.__new__(cls)
+        forcing.grid, forcing.steady, forcing.profile = grid, True, profile
+        forcing.meta = dict(meta or {})
+        forcing._hold(write)
+        return forcing
+
+    def _hold(self, write: Callable[[int], np.ndarray]) -> None:
+        self._write = write
+        self.half = write(self.grid.n // 2 + 1)
+        self.half.setflags(write=False)
 
     @classmethod
     def zero(cls, grid: Grid) -> "Forcing":
-        shape = (grid.n, grid.n)
-        return cls(grid, np.zeros((2,) + shape, dtype=np.complex128),
-                   np.zeros(shape, dtype=np.complex128), steady=True, profile="zero")
+        return cls._written(grid, lambda width: np.zeros((3, grid.n, width), dtype=np.complex128),
+                            profile="zero")
 
     @classmethod
     def from_fields(cls, f: VectorField, g: ScalarField, profile: str | None = None) -> "Forcing":
         if f.grid != g.grid:
             raise FieldError("force and moment live on different grids")
-        return cls(f.grid, f.stacked(), g.coeffs.copy(), steady=True, profile=profile)
+        return cls(f.grid, f.stacked(), g.coeffs, steady=True, profile=profile)
 
     def f_hat(self, t: float) -> np.ndarray:
-        return self._f_hat if self.steady else self._f_hat(t)
+        return self._write(self.grid.n)[:2] if self.steady else self._f_hat(t)
 
     def g_hat(self, t: float) -> np.ndarray:
-        return self._g_hat if self.steady else self._g_hat(t)
+        return self._write(self.grid.n)[2] if self.steady else self._g_hat(t)
 
     def f_at(self, t: float) -> VectorField:
         arr = self.f_hat(t)
@@ -207,18 +228,21 @@ def _profile_weights(profile: str, total: float, num_modes: int,
 
 
 def _real_mode_arrays(grid: Grid, weights: np.ndarray, signs: np.ndarray,
-                      divergence_free: bool) -> np.ndarray:
+                      out: np.ndarray) -> np.ndarray:
     """
-    Assemble spectra with L2 energy weights[j] in the j-th enumerated mode.
+    Write into the zeroed spectra ``out`` (C, n, width) the columns
+    k2 < width of spectra with L2 energy weights[j] in the j-th enumerated
+    mode: of a divergence-free vector for C = 2, of a scalar for C = 1.
+    Each slot is written by the same operations at any width, so half
+    planes (width n//2 + 1) hold the bits of the full spectra's columns.
 
     Each conjugate pair {k, -k} carries two real modes; the earlier table
     entry maps to the cosine mode, the later to the sine mode, both built on
     the canonical representative (k1 > 0, or k1 = 0 and k2 > 0).  For
     divergence-free vector modes the polarization is (-k2, k1)/|k|.
     """
-    n = grid.n
-    shape = (2, n, n) if divergence_free else (1, n, n)
-    out = np.zeros(shape, dtype=np.complex128)
+    n, width = grid.n, out.shape[-1]
+    divergence_free = len(out) == 2
     area = grid.area
     for j, m in enumerate(weights):
         if m == 0:
@@ -229,16 +253,14 @@ def _real_mode_arrays(grid: Grid, weights: np.ndarray, signs: np.ndarray,
         amp = signs[j] * np.sqrt(m / (2.0 * area))
         # cosine mode: c(k_c) = amp / sqrt(2)... folded into coefficient below
         coeff = amp if is_cos else -1j * amp
-        ip, jp = canonical[0] % n, canonical[1] % n
-        im, jm = (-canonical[0]) % n, (-canonical[1]) % n
+        slots = (((canonical[0] % n, canonical[1] % n), coeff),
+                 (((-canonical[0]) % n, (-canonical[1]) % n), np.conj(coeff)))
         if divergence_free:
             kn = np.hypot(k1, k2)
             pol = np.array([-canonical[1], canonical[0]]) / kn
-            out[:, ip, jp] += coeff * pol
-            out[:, im, jm] += np.conj(coeff) * pol
-        else:
-            out[0, ip, jp] += coeff
-            out[0, im, jm] += np.conj(coeff)
+        for (i, jj), value in slots:
+            if jj < width:
+                out[:, i, jj] += value * pol if divergence_free else value
     return out
 
 
@@ -252,7 +274,9 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
     ``mode_hi`` = N is used by uniform/linear profiles).  Signs of the mode
     amplitudes are drawn from a seeded generator; per-mode magnitudes are
     reproduced exactly.  Profile ``"zero"``, or two zero magnitudes, gives
-    the zero forcing once the arguments have passed the same checks.
+    the zero forcing once the arguments have passed the same checks.  The
+    forcing holds the half planes of its spectra; the full ones are written
+    only when ``f_hat`` or ``g_hat`` asks for them.
     """
     if profile != "zero" and profile not in FORCING_PROFILES:
         raise ValueError(f"unknown forcing profile {profile!r}; "
@@ -278,11 +302,15 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
     wg = _profile_weights(profile, magnitude_g2, mode_hi, mode_lo, mode_hi, rng)
     signs_g = rng.integers(0, 2, size=grid.num_modes)[:mode_hi] * 2.0 - 1.0
 
-    f_hat = _real_mode_arrays(grid, wf, signs_f, divergence_free=True)
-    g_hat = _real_mode_arrays(grid, wg, signs_g, divergence_free=False)[0]
+    def write(width: int) -> np.ndarray:
+        spectra = np.zeros((3, grid.n, width), dtype=np.complex128)
+        _real_mode_arrays(grid, wf, signs_f, spectra[:2])
+        _real_mode_arrays(grid, wg, signs_g, spectra[2:])
+        return spectra
+
     meta = {"mode_lo": mode_lo, "mode_hi": mode_hi, "seed": seed,
             "magnitude_f2": magnitude_f2, "magnitude_g2": magnitude_g2}
-    return Forcing(grid, f_hat, g_hat, steady=True, profile=profile, meta=meta)
+    return Forcing._written(grid, write, profile=profile, meta=meta)
 
 
 def forcing_with_decaying_gap(base: Forcing, gap_f: VectorField, gap_g: ScalarField,
@@ -292,12 +320,17 @@ def forcing_with_decaying_gap(base: Forcing, gap_f: VectorField, gap_g: ScalarFi
         raise FieldError("forcing gap lives on a different grid")
     gf = gap_f.stacked()
     gg = gap_g.coeffs.copy()
+    base_f, base_g = base.f_hat, base.g_hat
+    if base.steady:
+        # the base's full spectra, written once rather than at every step
+        spectra = base._write(base.grid.n)
+        base_f, base_g = (lambda t: spectra[:2]), (lambda t: spectra[2])
 
     def f_hat(t: float) -> np.ndarray:
-        return base.f_hat(t) + np.exp(-decay_rate * t) * gf
+        return base_f(t) + np.exp(-decay_rate * t) * gf
 
     def g_hat(t: float) -> np.ndarray:
-        return base.g_hat(t) + np.exp(-decay_rate * t) * gg
+        return base_g(t) + np.exp(-decay_rate * t) * gg
 
     return Forcing(base.grid, f_hat, g_hat, steady=False,
                    profile=base.profile, meta={**base.meta, "decaying_gap": decay_rate})
@@ -611,12 +644,13 @@ class _Stepper:
         self.extra = extra
 
         m = grid.kcut + 1
-        # a steady forcing's band columns, copied once so that the kernel
-        # adds contiguous planes; a time-dependent one is evaluated per step
+        # a steady forcing's band columns, copied once from its half planes
+        # so that the kernel adds contiguous planes; a time-dependent one is
+        # evaluated per step
         self.band_forcing = None
         if forcing.steady:
-            self.band_forcing = (np.ascontiguousarray(forcing.f_hat(0.0)[..., :m]),
-                                 np.ascontiguousarray(forcing.g_hat(0.0)[..., :m]))
+            band = np.ascontiguousarray(forcing.half[..., :m])
+            self.band_forcing = (band[:2], band[2])
 
         self.work: _Workspace | None = None
         self.cn: tuple[np.ndarray, ...] = ()  # (num, dt_den) stacked over the members
@@ -816,7 +850,7 @@ def _forcing_norm_sq(forcing: Forcing, t: float, kind: str, which: str) -> float
 def _forcing_sq(kind: str, which: str) -> Callable[[float, Forcing], float]:
     """
     :func:`_forcing_norm_sq` as a function of (t, forcing).  A steady
-    forcing's arrays are read-only, so its norm is taken once and kept,
+    forcing does not change, so its norm is taken once and kept,
     keyed on the forcing's identity; a time-dependent one is evaluated at
     every call.
     """
@@ -895,17 +929,33 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
     order, with one validated, read-only ``State``.  Without observers the
     :func:`standard_observers` set is recorded, equal bit for bit, but
     taken from the stepper's planes (see ``_state_sums``) without building
-    a ``State`` per record.
+    a ``State`` per record.  The loop is :func:`_simulate`.
+    """
+    return _simulate(lambda: initial, params, forcing, t_end, dt, observers, stride, cfl_limit)
+
+
+def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_end: float,
+              dt: float, observers: Mapping[str, Callable[[State, Forcing], float]] | None = None,
+              stride: int = 1, cfl_limit: float = 0.5) -> SimulationResult:
+    """
+    The time loop of :func:`simulate`, from the state that ``initial()``
+    builds.  A run's peak memory is its workspace plus band planes: full
+    spectra exist before the first step and after the last, never beside
+    the workspace.  So the loop keeps only the half planes of the initial
+    ``State`` (which is freed here when only ``initial`` made it: a
+    caller's frame holds what it passes for the whole call), narrows them
+    to band planes after the first record, drops those after the first
+    step, and releases the stepper (its workspace, CN tables and band
+    forcing) before it builds the final ``State`` from a copy of the last
+    planes.  Observers of a mapping get a ``State`` per record.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    grid = initial.grid
     nsteps = _whole_steps(t_end, dt)
-
+    state = initial()
+    grid, t0, planes = state.grid, state.t, _half_planes(state)
+    del state
     stepper = _Stepper(grid, params, forcing, dt, cfl_limit)
-    planes = _half_planes(initial)
-    U, W = planes[:2], planes[2]
-    t0 = initial.t
 
     times: list[float] = []
     if observers is None:
@@ -933,6 +983,10 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
         record_planes(t, planes)
 
     record(t0, planes)
+    if nsteps:
+        # the first step reads only the band columns of the initial planes
+        planes = planes[..., :grid.kcut + 1].copy()
+    U, W = planes[:2], planes[2]
     for i in range(nsteps):
         t = t0 + i * dt
         U, W = stepper.advance(U, W, t)
@@ -941,8 +995,10 @@ def simulate(initial: State, params: Params, forcing: Forcing, t_end: float, dt:
         if (i + 1) % stride == 0 or i + 1 == nsteps:
             record(t0 + (i + 1) * dt, planes)
 
+    final = planes.copy()
+    del stepper, planes, U, W
     return SimulationResult(np.asarray(times), {k: np.asarray(v) for k, v in series.items()},
-                            _from_half(grid, U, W, t0 + nsteps * dt), dt=dt)
+                            _from_half(grid, final[:2], final[2], t0 + nsteps * dt), dt=dt)
 
 
 # ---------------------------------------------------------------------------

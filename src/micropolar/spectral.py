@@ -18,6 +18,7 @@ so Parseval reads ``int_Q f^2 dx = L^2 * sum_k |c_k|^2``.  The mean mode
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -79,7 +80,8 @@ class Grid:
     in ``eigenvalues`` sorted ascending, ties broken by lexicographic
     (k1, k2) order.  ``mode_rank[i, j]`` gives the position of grid slot
     (i, j) in that enumeration (the zero mode gets a sentinel rank equal
-    to the table length).  ``lam``, ``inv_lam`` and ``lam_sq`` are the
+    to the table length); it is built when first read, as only the
+    Galerkin masks read it.  ``lam``, ``inv_lam`` and ``lam_sq`` are the
     H1, H^-1 and D(A) norm weights per grid slot.
 
     ``dealias_mask`` keeps |k1|, |k2| <= ``kcut`` = (n - 1) // 3, the
@@ -123,8 +125,6 @@ class Grid:
         nonzero = np.flatnonzero(ksq)
         order = np.lexsort((kax[nonzero % n], kax[nonzero // n], ksq.ravel()[nonzero]))
         table_flat = nonzero[order]
-        rank = np.full(n * n, len(table_flat), dtype=np.int64)
-        rank[table_flat] = np.arange(len(table_flat))
 
         # Flat index of the conjugate slot -k of each slot k.
         idx = np.arange(n)
@@ -166,8 +166,6 @@ class Grid:
             ("dealias_mask", dealias),
             ("eigenvalues", lam.ravel()[table_flat]),
             ("table_wavevectors", np.stack([kax[table_flat // n], kax[table_flat % n]], axis=1)),
-            ("table_flat", table_flat),
-            ("mode_rank", rank.reshape(n, n)),
             ("conj_flat", conj_flat),
             ("half_keep", keep.astype(np.complex128)),
             ("half_d1", deriv * kd[:, None]),
@@ -178,6 +176,16 @@ class Grid:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "kcut", kcut)
+
+    @functools.cached_property
+    def mode_rank(self) -> np.ndarray:
+        """Rank of each grid slot in the eigenvalue enumeration (read-only)."""
+        n = self.n
+        rank = np.full(n * n, self.num_modes, dtype=np.int64)
+        rank[(self.table_wavevectors % n) @ np.array([n, 1])] = np.arange(self.num_modes)
+        rank = rank.reshape(n, n)
+        rank.setflags(write=False)
+        return rank
 
     @property
     def lambda1(self) -> float:

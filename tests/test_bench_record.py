@@ -73,3 +73,51 @@ def test_ab_writes_paired_ratios(tmp_path):
     assert ratio["pairs"] == 2 and 0 <= ratio["wins"] <= 2 and ratio["median"] > 0
     assert point["layers"]["setup"]["16"]["build"]["ratio"]["pairs"] == 2
     assert set(point["layers"]["nudge"]) == set()  # measured at n = 64 only
+
+
+def test_command_rss_records_fresh_cli_processes():
+    # the commands of the layer, and at n = 16 (not in the table) the
+    # shortened simulate and resumed verify-estimates
+    assert RECORD.RSS_COMMANDS == {32: ("lyapunov",),
+                                   64: ("simulate", "verify-estimates", "sync-modes"),
+                                   128: ("simulate", "verify-estimates"),
+                                   256: ("simulate", "verify-estimates")}
+    sizes = {name: sizes for name, _, sizes in RECORD.LAYERS}
+    assert sizes["command_rss"] == (32, 64, 128, 256)
+    # a command's figure is its own, not the peak of the process that
+    # measures it, here raised by 96 MiB of ballast
+    import numpy as np
+
+    ballast = np.ones(96 * 2 ** 20 // 8)
+    result = RECORD._layer(RECORD._command_rss, 16, 3)
+    assert set(result) == {"simulate", "verify-estimates"}
+    for command in result.values():
+        assert command["calls"] == 1 and command["median_us"] > 0
+        assert 10 < command["peak_rss_mib"] == command["peak_rss_all_mib"][0] < ballast.nbytes / 2 ** 20
+
+
+def test_ab_pairs_the_peak_rss():
+    this = [{"median_us": 2.0, "peak_rss_mib": 40.0}, {"median_us": 2.0, "peak_rss_mib": 41.5}]
+    other = [{"median_us": 1.0, "peak_rss_mib": 42.0}, {"median_us": 4.0, "peak_rss_mib": 41.0}]
+    pair = RECORD._paired(this, other)
+    rss = pair["rss_difference_mib"]
+    assert (rss["median"], rss["wins"], rss["pairs"]) == (-0.75, 1, 2) and rss["iqr"] > 0
+    assert pair["ratio"]["wins"] == 1
+
+
+def test_e2e_records_each_trees_perfbench_lines(tmp_path):
+    # one round of perfbench's shortened (--smoke) configs on this tree; a
+    # tree without perfbench/ is recorded as absent
+    root = RECORDER.parent.parent
+    (tmp_path / "src").mkdir()
+    point = RECORD._e2e({"this": root, "other": tmp_path}, 0, 1, smoke=True)
+    assert set(point) == {"large-n", "small-n"}
+    for lines in point.values():
+        assert lines["other"] == {"absent": f"{tmp_path} holds no perfbench/run.py"}
+        assert "pairs" not in lines
+        (line,) = lines["this"]
+        assert line["seed"] == 0 and line["correct"] and line["failed"] == 0
+        assert set(line["metrics"]) == {"wall_s", "steps_per_s", "setup_s", "peak_rss_mib"}
+        for name in line["metrics"]:
+            assert len(line["samples"][name]) == 1 and line["samples"][name][0] > 0
+    assert not (root / ".perfbench-work").exists()

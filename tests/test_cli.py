@@ -10,6 +10,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -395,3 +396,84 @@ def test_mutated_config_exits_cleanly(cmd, mutations):
         path.write_text(json.dumps(_mutated(mutations)))
         assert main([cmd, "--config", str(path), "--out", str(Path(tmp) / "out")]) in {
             EXIT_OK, EXIT_CONFIG, EXIT_NUMERICS, EXIT_VIOLATION}
+
+
+class TestMemoryRule:
+    """A run's peak memory is its workspace plus band planes: full spectra
+    exist before the first step and after the last, never beside the
+    stepper's workspace."""
+
+    def test_simulate_holds_no_full_spectra_beside_the_workspace(self, tmp_path, monkeypatch):
+        import tracemalloc
+        import weakref
+
+        from micropolar import dynamics
+        from micropolar.spectral import make_grid
+
+        # held here, so that the run's grid tables are not traced
+        grid = make_grid(64, 6.283185307179586)
+        config = {
+            "grid": {"n": grid.n, "L": grid.L},
+            "params": {"nu": 0.15, "nu_r": 0.075, "alpha": 0.15},
+            "forcing": {"profile": "two_scale", "magnitude_f2": 0.008, "magnitude_g2": 0.002,
+                        "mode_lo": 9, "mode_hi": 25, "seed": 5},
+            "initial": {"seed": 5, "energy_u": 0.15, "energy_omega": 0.05},
+            "integrator": {"dt": 0.01, "t_end": 0.1, "stride": 5},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+
+        built, marks = [], {}
+        build_initial, advance = cli.build_initial, dynamics._Stepper.advance
+        from_half = dynamics._from_half
+
+        def build(*args):
+            state = build_initial(*args)
+            built.append(weakref.ref(state))
+            return state
+
+        def step(self, *args):
+            if marks:
+                return advance(self, *args)
+            marks["alive"] = [ref() is not None for ref in built]
+            marks["entered"] = tracemalloc.get_traced_memory()[0]
+            result = advance(self, *args)
+            marks["stepped"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return result
+
+        def final(*args):
+            marks["final"] = tracemalloc.get_traced_memory()[0]
+            return from_half(*args)
+
+        monkeypatch.setattr(cli, "build_initial", build)
+        monkeypatch.setattr(dynamics._Stepper, "advance", step)
+        monkeypatch.setattr(dynamics, "_from_half", final)
+        tracemalloc.start()
+        try:
+            assert run("simulate", path, tmp_path / "out") == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        # the initial State is gone before the first step
+        assert marks["alive"] == [False]
+        # the final State is built once the stepper is gone: below the level
+        # on entering the first step (set-up and the initial band planes),
+        # with the copy of the last planes in place of the initial ones
+        band = grid.n * (grid.kcut + 1) * 16
+        assert marks["final"] <= marks["entered"]
+        # From the end of the first step on, the run holds what it held on
+        # entering that step and the workspace that the step allocated.  It
+        # adds at most: a record's power of (u1, u2, omega) and its six
+        # weighted products (1.5 and 3 band planes of complex size) and
+        # numpy's iteration buffers of the products' broadcast (at most
+        # np.getbufsize() elements of 8 bytes for each of its 3 operands),
+        # while the initial planes (3 band planes) are gone; the copy of the
+        # last planes (3) in their place; then, with the stepper released,
+        # the final State and the outputs, within what the stepper held.
+        # Plus 1 band plane for the series and Python's small objects.
+        workspace = marks["stepped"] - marks["entered"]
+        records = (1.5 + 3 - 3) * band + 3 * np.getbufsize() * 8
+        assert peak <= marks["entered"] + workspace + records + band, \
+            (peak - marks["stepped"]) / band

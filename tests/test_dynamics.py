@@ -483,6 +483,54 @@ class TestTemporalOrder:
         assert time.perf_counter() - start < 5.0
 
 
+class TestSpatialConvergence:
+    def test_error_falls_spectrally_in_n(self):
+        # The |k| <= 5 initial data and forcing of n = 16, embedded at
+        # n = 16, 24, 32, 48 and 96 and run to t = 2 with one dt: the
+        # relative error of the |k| <= 5 modes against n = 96 read 1.51e-3,
+        # 1.26e-4, 7.93e-7 and 1.12e-10, and each bound below is 3x that.
+        # Spectral convergence (Canuto et al., Spectral Methods, 2006): the
+        # error falls faster than any power of n, so the apparent order
+        # log(e_a / e_b) / log(n_b / n_a) grows (6.1, 17.6, 21.9).
+        import time
+
+        start = time.perf_counter()
+        base = make_grid(16, 2 * np.pi)
+        params = Params(0.02, 0.01, 0.02)
+        forcing = make_forcing(base, "two_scale", 0.5, 0.1, mode_lo=4, mode_hi=9, seed=5)
+        initial = random_state(base, 31, 0.15, 0.05, kmax=5)
+        k = np.fft.fftfreq(16, 1 / 16).astype(int)
+
+        def low_modes(n):
+            grid = make_grid(n, 2 * np.pi)
+            slots = np.ix_(k % n, k % n)
+
+            def embed(c):
+                out = np.zeros((n, n), dtype=np.complex128)
+                out[slots] = c
+                return out
+
+            state = State(VectorField.from_coeffs(grid, embed(initial.u.u1.coeffs),
+                                                  embed(initial.u.u2.coeffs)),
+                          ScalarField(grid, embed(initial.omega.coeffs)))
+            fo = Forcing(grid, np.stack([embed(c) for c in forcing.f_hat(0.0)]),
+                         embed(forcing.g_hat(0.0)))
+            final = simulate(state, params, fo, 2.0, 0.01, stride=10 ** 6).final_state
+            kept = np.ix_(k[np.abs(k) <= 5] % n, k[np.abs(k) <= 5] % n)
+            return np.stack([c.coeffs[kept] for c in (final.u.u1, final.u.u2, final.omega)])
+
+        sizes = (16, 24, 32, 48)
+        reference = low_modes(96)
+        errors = [np.linalg.norm(low_modes(n) - reference) / np.linalg.norm(reference)
+                  for n in sizes]
+        assert all(e <= bound for e, bound in zip(errors, (4.5e-3, 3.8e-4, 2.4e-6, 3.4e-10))), \
+            errors
+        orders = [math.log(a / b) / math.log(nb / na)
+                  for a, b, na, nb in zip(errors, errors[1:], sizes, sizes[1:])]
+        assert orders == sorted(orders) and orders[0] > 4, orders
+        assert time.perf_counter() - start < 3.0
+
+
 class TestForcingProfiles:
     def _mode_energies(self, grid, field_f, field_g, count):
         """Per-entry energies in the real eigenmode basis."""
@@ -576,6 +624,24 @@ class TestForcingProfiles:
         make_forcing(grid, "uniform_N", 1.0, mode_hi=first)
         with pytest.raises(ValueError, match="dealiased band"):
             make_forcing(grid, "uniform_N", 1.0, mode_hi=first + 1)
+
+    @pytest.mark.parametrize("profile", ["two_scale", "band", "steady", "uniform_N", "zero"])
+    def test_full_spectra_written_on_request(self, grid16, profile):
+        # f_hat and g_hat write the full spectra anew, with the bits of the
+        # half planes in their columns k2 <= n/2 and Hermitian elsewhere
+        fo = make_forcing(grid16, profile, 0.01, 0.002, mode_lo=2, mode_hi=9, seed=4)
+        full = np.concatenate([fo.f_hat(0.0), fo.g_hat(0.0)[None]])
+        h = grid16.n // 2 + 1
+        assert np.array_equal(full[..., :h].view(np.uint64), fo.half.view(np.uint64))
+        assert np.array_equal(full, _full_from_half(grid16, fo.half))
+        assert fo.f_hat(1.0) is not fo.f_hat(1.0) and not fo.half.flags.writeable
+
+    def test_given_spectra_are_kept(self, grid16):
+        f = random_state(grid16, 3, 0.1, 0.05)
+        fo = Forcing.from_fields(f.u, f.omega)
+        assert np.array_equal(fo.f_hat(0.0).view(np.uint64), f.u.stacked().view(np.uint64))
+        assert np.array_equal(fo.g_hat(0.0).view(np.uint64), f.omega.coeffs.view(np.uint64))
+        assert np.shares_memory(fo.half, fo.g_hat(0.0)) and not fo.g_hat(0.0).flags.writeable
 
     def test_decaying_gap_forcing(self, grid16):
         base = make_forcing(grid16, "steady", 0.01, 0.0, mode_hi=4, seed=2)
@@ -740,6 +806,19 @@ class TestSetupMemory:
         grid = make_grid(self.N, 2 * np.pi)
         peak = _traced_peak(lambda: random_state(grid, 5, 0.1, 0.05))
         assert peak <= 3 * self.STATE_BYTES
+
+    @pytest.mark.parametrize("profile", ["two_scale", "steady", "zero"])
+    def test_make_forcing_holds_its_half_planes(self, profile):
+        # the forcing keeps the half planes of (f1, f2, g) and builds no
+        # full spectrum on the way; 8 KiB cover its seeded generator, mode
+        # data and objects
+        grid = make_grid(self.N, 2 * np.pi)
+        kept = []
+        peak = _traced_peak(lambda: kept.append(
+            make_forcing(grid, profile, 0.01, 0.002, mode_lo=4, mode_hi=9, seed=5)))
+        half = 3 * self.N * (self.N // 2 + 1) * 16
+        assert kept[0].half.nbytes == half
+        assert peak <= half + 8192 < self.STATE_BYTES
 
     def test_read_checkpoint(self, tmp_path):
         grid = make_grid(self.N, 2 * np.pi)

@@ -51,3 +51,29 @@ def test_json_deviation_per_value():
 ], ids=["bool", "zero-base", "comment", "header", "binary", "missing"])
 def test_other_differences_read_infinite(name, change, parent):
     assert deviation(name, change, parent)[0] == math.inf
+
+
+report = _tool()._report
+
+
+def test_csv_report_lists_every_differing_column():
+    # two columns move (one only in the text of a zero), one keeps its bytes
+    parent = b"# config_hash=abc\nt,u,f\n0,2.0,0.5\n1,-4.0,0.25\n2,0,1\n"
+    change = b"# config_hash=abc\nt,u,f\n0,2.0000000002,0.5\n1,-4.0,0.25\n2,-0,1\n"
+    change = change.replace(b"t,u,f\n0,", b"t,u,f\n0.0,")
+    lines = report("series.csv", change, parent)
+    assert lines[0] == "  differs: series.csv (largest normalized deviation 5.00e-11, column u)"
+    assert lines[1:] == ["    column t: 0.00e+00", "    column u: 5.00e-11",
+                         "    the other 1 columns are byte-identical: f"]
+
+
+def test_csv_report_without_identical_columns():
+    parent = b"t,x\n0,1\n"
+    change = b"t,x\n1,2\n"
+    assert report("a.csv", change, parent)[1:] == [
+        "    column t: inf", "    column x: 1.00e+00", "    the other 0 columns are byte-identical"]
+
+
+def test_csv_report_of_a_changed_header_stops_at_the_file():
+    assert report("a.csv", b"t,x\n0,1\n", b"t,y\n0,1\n") == [
+        "  differs: a.csv (largest normalized deviation inf, shape or header)"]

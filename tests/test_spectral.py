@@ -110,6 +110,18 @@ class TestGrid:
                 assert 0 in table.strides
             assert np.shares_memory(*tables)
 
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_mode_rank_is_built_when_a_mask_asks(self, n):
+        # the rank of each slot in the enumeration, the zero mode last
+        grid = make_grid(n, 1.5)
+        assert "mode_rank" not in vars(grid) and not hasattr(grid, "table_flat")
+        mode_mask(grid, 3)
+        rank = vars(grid)["mode_rank"]
+        assert rank is grid.mode_rank and not rank.flags.writeable
+        for j, (k1, k2) in enumerate(grid.table_wavevectors):
+            assert rank[k1 % n, k2 % n] == j
+        assert rank[0, 0] == grid.num_modes
+
     @pytest.mark.parametrize("n,L", [(7, 1.0), (6, 1.0), (0, 1.0), (8, 0.0), (8, -2.0)])
     def test_rejects_bad_grid(self, n, L):
         with pytest.raises(ValueError):

@@ -20,8 +20,10 @@ file it also prints the largest normalized deviation and where it is:
 over the CSV columns, max|a - b| / max|b| of each column; over the JSON
 numbers, |a - b| / |b| of each value (a zero b counts a difference as
 infinite).  Any other difference, in a string, a structure or a binary
-file, reads as infinite.  So a change that moves bits on purpose can
-state its budget from one command.
+file, reads as infinite.  For a differing CSV file it then lists every
+column whose text differs, with its deviation, and names the columns that
+are byte-identical.  So a change that moves bits on purpose can state its
+budget, and which columns it keeps, from one command.
 """
 
 from __future__ import annotations
@@ -68,25 +70,51 @@ def _files(workdir: Path) -> dict[str, bytes]:
             for p in sorted(workdir.rglob("*")) if p.is_file()}
 
 
-def _csv_deviation(a: bytes, b: bytes) -> tuple[float, str]:
-    """Over the columns of two CSV files whose ``#`` comment lines agree."""
+def _csv_columns(a: bytes, b: bytes) -> tuple[list[tuple[str, float]], list[str]]:
+    """
+    (differing, identical) over the columns of two CSV files: each column
+    whose fields differ as text, with its normalized deviation
+    max|a - b| / max|b| (infinite when it is not numeric), and the names
+    of the columns that are byte-identical.  Raises ValueError naming what
+    differs when the ``#`` comment lines, the shape or the header do.
+    """
     lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
     if [x for x in lines_a if x.startswith("#")] != [x for x in lines_b if x.startswith("#")]:
-        return math.inf, "comment lines"
+        raise ValueError("comment lines")
     rows_a = list(csv.reader(x for x in lines_a if not x.startswith("#")))
     rows_b = list(csv.reader(x for x in lines_b if not x.startswith("#")))
     if len(rows_a) != len(rows_b) or not rows_b or rows_a[0] != rows_b[0]:
-        return math.inf, "shape or header"
-    worst = (0.0, "")
+        raise ValueError("shape or header")
+    differing, identical = [], []
     for col, name in enumerate(rows_b[0]):
         try:
-            xa = [float(row[col]) for row in rows_a[1:]]
-            xb = [float(row[col]) for row in rows_b[1:]]
-        except (ValueError, IndexError):
-            return math.inf, f"column {name}"
-        diff = max((abs(x - y) for x, y in zip(xa, xb)), default=0.0)
+            texts_a = [row[col] for row in rows_a[1:]]
+            texts_b = [row[col] for row in rows_b[1:]]
+        except IndexError:
+            differing.append((name, math.inf))
+            continue
+        if texts_a == texts_b:
+            identical.append(name)
+            continue
+        try:
+            xa, xb = [float(x) for x in texts_a], [float(x) for x in texts_b]
+        except ValueError:
+            differing.append((name, math.inf))
+            continue
+        diff = max(abs(x - y) for x, y in zip(xa, xb))
         scale = max((abs(y) for y in xb), default=0.0)
-        dev = 0.0 if diff == 0 else (diff / scale if scale > 0 else math.inf)
+        differing.append((name, 0.0 if diff == 0 else (diff / scale if scale > 0 else math.inf)))
+    return differing, identical
+
+
+def _csv_deviation(a: bytes, b: bytes) -> tuple[float, str]:
+    """Over the columns of two CSV files whose ``#`` comment lines agree."""
+    try:
+        differing, _ = _csv_columns(a, b)
+    except ValueError as err:
+        return math.inf, str(err)
+    worst = (0.0, "")
+    for name, dev in differing:
         if not dev <= worst[0]:
             worst = (dev, f"column {name}")
     return worst
@@ -127,6 +155,24 @@ def _deviation(name: str, a: bytes | None, b: bytes | None) -> tuple[float, str]
     return math.inf, "bytes"
 
 
+def _report(name: str, a: bytes | None, b: bytes | None) -> list[str]:
+    """The lines printed for a file that differs, ``a`` the change's and
+    ``b`` the parent's: its largest normalized deviation and, for a CSV
+    file, every column that differs with its deviation and whether the
+    other columns are byte-identical."""
+    dev, where = _deviation(name, a, b)
+    lines = [f"  differs: {name} (largest normalized deviation {dev:.2e}, {where})"]
+    if name.endswith(".csv") and a is not None and b is not None:
+        try:
+            differing, identical = _csv_columns(a, b)
+        except (ValueError, UnicodeDecodeError, csv.Error):
+            return lines
+        lines += [f"    column {column}: {dev:.2e}" for column, dev in differing]
+        lines.append(f"    the other {len(identical)} columns are byte-identical"
+                     + (f": {', '.join(identical)}" if identical else ""))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0].strip())
     parser.add_argument("parent", type=Path, metavar="PARENT_SRC")
@@ -160,9 +206,8 @@ def main(argv: list[str] | None = None) -> int:
                     if name == "exit codes":
                         print(f"  differs: {name}")
                         continue
-                    dev, where = _deviation(name, files["change"].get(name),
-                                            files["parent"].get(name))
-                    print(f"  differs: {name} (largest normalized deviation {dev:.2e}, {where})")
+                    print("\n".join(_report(name, files["change"].get(name),
+                                             files["parent"].get(name))))
     print(f"{compared} files compared, {differing} differences")
     return 1 if differing else 0
 
