@@ -24,8 +24,9 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   own planes and its steady forcing's band columns;
 - ``rfft_pair``: the kernel's transforms of one member, ``_half_to_phys``
   of 5 band planes and ``_phys_to_half`` of 3 physical planes into
-  workspace buffers, after a copy that restores the spectral input (the
-  inverse transform's first stage overwrites it);
+  workspace buffers (the inverse transform's stage too, where the
+  workspace has one), after a copy that restores the spectral input (the
+  inverse transform's first stage overwrites it above n = 32);
 - ``from_half``: one ``_from_half`` record of a stepped state;
 - ``record``: one record of the default observer set, amortized over a
   stride-1 in-process ``simulate`` as its time minus that of the same
@@ -221,10 +222,12 @@ def _rfft_pair(n: int, calls: int) -> dict:
     m = loop.grid.kcut + 1
     U, W = loop.planes
     spectra = np.stack([U[0], U[1], W, U[0], W])[:, None]
+    # as the kernel passes it, where the workspace has one
+    stage = {} if getattr(work, "stage", None) is None else {"stage": work.stage}
 
     def pair():
         np.copyto(work.spec_in, spectra)
-        _half_to_phys(work.spec_in, out=work.phys)
+        _half_to_phys(work.spec_in, out=work.phys, **stage)
         _phys_to_half(work.phys[2:], m, out=work.E, scratch=work.rfft_out)
 
     return {**_summary(_timed(pair, calls)), **_traced(pair, calls)}

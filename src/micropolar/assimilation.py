@@ -196,8 +196,10 @@ class _Nudging:
     the loop keeps up to date), as the stepper's ``extra``.  It works in
     buffers of the run: the differences, the physical planes (samples,
     then interpolants), the node values, the interpolants' band spectra,
-    which the kernel reads, and for nodes off the lattice the buffers of
-    the phase contraction; each call overwrites the last one's.
+    which the kernel reads, for nodes on the lattice the inverse
+    transform's stage where it is a dense DFT product, and for nodes off
+    the lattice the buffers of the phase contraction; each call overwrites
+    the last one's.
     """
 
     def __init__(self, nodes: NodeSet, mu: float, reference: tuple[np.ndarray, np.ndarray]):
@@ -205,6 +207,7 @@ class _Nudging:
         n = grid.n
         self.nodes, self.mu, self.reference = nodes, mu, reference
         self.diff = np.empty((3, n, 0), dtype=np.complex128)  # sized by the planes given
+        self.stage = None
         self.phys = np.empty((3, n, n))
         self.values = np.empty((3, nodes.count))
         self.gap = np.empty((3, n, grid.kcut + 1), dtype=np.complex128)
@@ -221,10 +224,12 @@ class _Nudging:
         U1, W1 = self.reference
         if self.diff.shape[-1] != U.shape[-1]:
             self.diff = np.empty((3,) + U.shape[-2:], dtype=np.complex128)
+            if self.nodes.aligned and spectral._dense_dft(self.nodes.grid.n):
+                self.stage = np.empty_like(self.diff)
         np.subtract(U, U1, out=self.diff[:2])
         np.subtract(W, W1, out=self.diff[2])
         return spectral._sample_scalar(self.diff, self.nodes, out=self.values, phys=self.phys,
-                                       contraction=self.contraction)
+                                       contraction=self.contraction, stage=self.stage)
 
     def __call__(self, t: float, U: np.ndarray, W: np.ndarray):
         # -mu I_h of the gap, one piecewise-constant interpolant per field,

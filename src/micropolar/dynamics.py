@@ -432,9 +432,12 @@ class _Workspace:
       inverse transform and after the forward one, its bytes hold the
       band-plane temporaries ``tmp`` and the finiteness mask ``finite``.
     - one spectral scratch: the spectral input ``spec_in``, whose inverse
-      axis-0 stage runs in place, then, with pairs, the products' factors
-      ``factors``, then the forward transform's last-axis stage
-      ``rfft_out``, then the AB2 combination ``ab2``.
+      axis-0 stage runs in place (on lattices that take pocketfft stages)
+      or goes to ``stage`` after it (on those that take dense DFT
+      products, ``spectral._dense_dft``; else ``stage`` is None), then,
+      with pairs, the products' factors ``factors``, then the forward
+      transform's last-axis stage ``rfft_out``, then the AB2 combination
+      ``ab2``.
     - ``E`` and ``E_prev``: this step's and the last step's explicit
       terms, swapped after each step.  ``E`` holds the 2 nu_r coupling
       while the transforms run (their forward stage then writes into
@@ -455,9 +458,12 @@ class _Workspace:
         n, m, h = grid.n, grid.kcut + 1, grid.n // 2 + 1
         self.members = members
         self.phys = np.empty((5, members, n, n))
-        width = max(5 * m, 3 * h, 5 * n // 2 if members > 1 else 0)
+        dense = spectral._dense_dft(n)
+        width = max(10 * m if dense else 5 * m, 3 * h, 5 * n // 2 if members > 1 else 0)
         spec = np.empty(members * n * width, dtype=np.complex128)
         self.spec_in = spec[: 5 * members * n * m].reshape(5, members, n, m)
+        self.stage = spec[5 * members * n * m: 10 * members * n * m].reshape(
+            5, members, n, m) if dense else None
         self.rfft_out = spec[: 3 * members * n * h].reshape(3, members, n, h)
         self.ab2 = spec[: 3 * members * n * m].reshape(3, members, n, m)
         spent = self.phys.reshape(-1)
@@ -547,10 +553,10 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     two_nur = 2.0 * params.nu_r
     if two_nur != 0.0:
         # the coupling 2 nu_r (d2 w, d1 w, rot u) into E, before the
-        # inverse transform overwrites the spectral input
+        # inverse transform's pocketfft stages overwrite the spectral input
         np.multiply(two_nur, spec[4:1:-2], out=E[::2])
         np.multiply(two_nur, spec[3], out=E[1])
-    _half_to_phys(spec, out=phys)
+    _half_to_phys(spec, out=phys, stage=work.stage)
 
     # products into planes 2..4 of each member, each written over factors
     # it has spent.  A member's planes are (X1, X2, rot X, x1, x2), with
@@ -872,7 +878,8 @@ def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = Non
     The one computation of the standard set's state norms, in its order,
     of the (u1, u2, omega) half or band planes ``planes`` (3, n, w) of a
     zero-mean state: |c|^2 of u and omega under the L2, H1 and D(A)
-    :func:`spectral._half_weights` (``weights`` when their width fits).
+    :func:`spectral._half_weights` (``weights``, the :func:`_state_weights`
+    of a run, when their width fits).
     The power is taken as the full spectra of the ``State`` rebuilt from
     the planes hold it, and laid out as theirs, so that the two give the
     same bits: the columns that are their own mirror image (k2 = 0, and
@@ -893,8 +900,20 @@ def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = Non
     np.square(power, out=power)
     np.add(power[0], power[1], out=power[1])
     if weights is None or weights.shape[-1] != width:
-        weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
+        weights = _state_weights(grid, width)
     return spectral._half_sums(power[1:], weights).ravel().tolist()
+
+
+def _state_weights(grid: Grid, width: int) -> np.ndarray:
+    """The L2, H1 and D(A) :func:`spectral._half_weights` of width ``width``,
+    (3, n, width), as ``_half_sums`` takes them for the power of u and of
+    omega: stacked to (3, 2, n, width) where the planes are small enough
+    that numpy would buffer their broadcast (at most half its ufunc buffer
+    of elements, as ``_Workspace.stacked`` reads it)."""
+    weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
+    if 2 * weights[0].size <= np.getbufsize():
+        return np.repeat(weights[:, None], 2, axis=1)
+    return weights
 
 
 def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
@@ -963,7 +982,7 @@ def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_
         series = {name: [] for name in _STANDARD_SET}
         forcing_sq = {name: _forcing_sq(kind, which)
                       for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
-        weights = spectral._half_weights(grid, grid.kcut + 1, None, grid.lam, grid.lam_sq)
+        weights = _state_weights(grid, grid.kcut + 1)
 
         def record_planes(t: float, planes: np.ndarray) -> None:
             for name, at in forcing_sq.items():

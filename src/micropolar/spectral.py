@@ -399,28 +399,118 @@ def _same_grid(*fields) -> Grid:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _half_to_phys(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+# Lattices of at most this many points per side take their transforms as
+# dense DFT products.  A pocketfft call costs 10-15 us whatever its size,
+# which dominates at small n, while the products' work grows as n^3.  On a
+# shared 2-core host the kernel's transform pair took 0.54x (n = 16) and
+# 0.56x (n = 32) pocketfft's time (BENCH_dense-dft.json, rfft_pair), and
+# 0.7-1.05x at n = 64, a gain too small to give up pocketfft's bits there.
+_DENSE_DFT_MAX_N = 32
+
+
+def _dense_dft(n: int) -> bool:
+    """Whether the transform helpers take an n x n lattice as dense DFT
+    products (else as pocketfft stages)."""
+    return n <= _DENSE_DFT_MAX_N
+
+
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(2 pi i j / n), j = 0..n-1: exact at the quarter angles, and the
+    entries j and n - j exact conjugates."""
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    roots[0] = 1.0
+    if n % 2 == 0:
+        roots[n // 2] = -1.0
+    if n % 4 == 0:
+        roots[n // 4], roots[3 * n // 4] = 1j, -1j
+    roots[n // 2 + 1:] = np.conj(roots[1:(n + 1) // 2][::-1])
+    return roots
+
+
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.cache
+def _dft_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-0 tables (n, n), read-only: the inverse exp(2 pi i a k / n) and
+    the forward exp(-2 pi i k a / n) / n, as ``norm="forward"`` scales."""
+    inverse = _unit_roots(n)[np.outer(np.arange(n), np.arange(n)) % n]
+    return _read_only(inverse, np.conj(inverse) / n)
+
+
+@functools.cache
+def _dft_columns(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Last-axis tables of the columns k2 = 0..width-1 against the interleaved
+    (re, im) view of complex planes, read-only: the inverse (2 width, n)
+    holds Re and -Im of irfft's terms c exp(2 pi i k2 b / n), weighted 1 at
+    k2 = 0 and (for even n) n/2, whose imaginary parts it ignores as irfft
+    does, and 2 elsewhere; the forward (n, 2 width) holds rfft's
+    (cos, -sin) / n.
+    """
+    phase = _unit_roots(n)[np.outer(np.arange(width), np.arange(n)) % n]
+    # the columns that are their own mirror image: k2 = 0, and n/2 for even n
+    own = [0, n // 2] if n % 2 == 0 and width > n // 2 else [0]
+    weights = np.full((width, 1), 2.0)
+    weights[own] = 1.0
+    inverse = np.stack([weights * phase.real, -weights * phase.imag], axis=1)
+    inverse[own, 1] = 0.0
+    forward = np.stack([phase.real.T, -phase.imag.T], axis=-1) / n
+    return _read_only(inverse.reshape(2 * width, n), forward.reshape(n, 2 * width))
+
+
+def _half_to_phys(half: np.ndarray, out: np.ndarray | None = None,
+                  stage: np.ndarray | None = None) -> np.ndarray:
     """
     Real samples on an n x n lattice from the leading columns k2 = 0..w-1
     of half-plane spectra (last two axes (n, w), w <= n//2 + 1); the
-    missing columns are zero.  The stages of ``irfft2(half, s=(n, n))``,
-    with its bits: the axis-0 ``ifft`` on the w given columns only, then
-    the last-axis ``irfft``, which zero-pads the rest.  Given ``out``, the
-    samples are written there and the axis-0 stage runs in place in
-    ``half``, which it overwrites.
+    missing columns are zero.  Given ``out``, the samples are written there.
+
+    Up to n = ``_DENSE_DFT_MAX_N``, two dense products with the tables of
+    :func:`_dft_rows` and :func:`_dft_columns`, one plane at a time: the
+    complex axis-0 product into ``stage`` (of the shape of ``half``; a new
+    array when omitted), then the real product of its (re, im) view.  The
+    results are within roundoff of ``irfft2(half, s=(n, n))``, and the
+    bits do not depend on how many planes one call takes.
+
+    Above, the stages of ``irfft2(half, s=(n, n))``, with its bits: the
+    axis-0 ``ifft`` on the w given columns only, then the last-axis
+    ``irfft``, which zero-pads the rest.  Given ``out``, the axis-0 stage
+    runs in place in ``half``, which it overwrites.
     """
-    n = half.shape[-2]
+    n, width = half.shape[-2:]
+    if _dense_dft(n):
+        stage = np.matmul(_dft_rows(n)[0], half, out=stage)
+        return np.matmul(stage.view(np.float64), _dft_columns(n, width)[0], out=out)
     stage = np.fft.ifft(half, axis=-2, norm="forward", out=None if out is None else half)
     return np.fft.irfft(stage, n=n, axis=-1, norm="forward", out=out)
 
 
 def _phys_to_half(samples: np.ndarray, width: int, out: np.ndarray | None = None,
                   scratch: np.ndarray | None = None) -> np.ndarray:
-    """Columns k2 = 0..width-1 of the half-plane spectra of real samples
-    (last two axes (n, n)): the bits of ``rfft2(samples)[..., :width]``,
-    with the axis-0 stage run on those columns only.  The last-axis stage
-    writes the whole half plane into ``scratch`` and the result goes to
-    ``out``, when they are given."""
+    """
+    Columns k2 = 0..width-1 of the half-plane spectra of real samples
+    (last two axes (n, n)), written to ``out`` when given.  The last-axis
+    stage goes to the leading columns of ``scratch`` (..., n, n//2 + 1)
+    when given; its columns k2 = 0 and n/2 are exactly real, as rfft's are.
+
+    Up to n = ``_DENSE_DFT_MAX_N``, two dense products, one plane at a
+    time: the real product with the forward table of :func:`_dft_columns`
+    into the (re, im) view of the stage's columns, then the complex axis-0
+    product; within roundoff of ``rfft2(samples)[..., :width]``.  Above,
+    the bits of ``rfft2(samples)[..., :width]``, with the axis-0 stage run
+    on those columns only (the last-axis ``rfft`` writes the whole half
+    plane into ``scratch``).
+    """
+    n = samples.shape[-1]
+    if _dense_dft(n):
+        half = (np.empty(samples.shape[:-1] + (width,), dtype=np.complex128) if scratch is None
+                else scratch[..., :width])
+        np.matmul(samples, _dft_columns(n, width)[1], out=half.view(np.float64))
+        return np.matmul(_dft_rows(n)[1], half, out=out)
     half = np.fft.rfft(samples, axis=-1, norm="forward", out=scratch)
     return np.fft.fft(half[..., :width], axis=-2, norm="forward", out=out)
 
@@ -670,9 +760,15 @@ def _half_weights(grid: Grid, width: int, *tables: np.ndarray | None) -> np.ndar
 
 def _half_sums(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Energies sum weight * power, (K, F), of half-plane power (F, n, w)
-    under :func:`_half_weights` (K, n, w): one pairwise sum per product
-    plane, so that its bits do not depend on the other planes."""
-    products = weights[:, None] * power
+    under :func:`_half_weights` (K, n, w), or those stacked for each power
+    plane (K, F, n, w): one pairwise sum per product plane, so that its
+    bits do not depend on the other planes.  The products are taken one
+    weight at a time, as numpy would buffer a broadcast of the power over
+    the weights at small planes; stacked weights spare it the broadcast
+    of the weights over the power."""
+    products = np.empty(weights.shape[:1] + power.shape)
+    for weight, product in zip(weights, products):
+        np.multiply(weight, power, out=product)
     return np.add.reduce(products.reshape(products.shape[:2] + (-1,)), axis=-1)
 
 
@@ -828,21 +924,24 @@ def make_node_set(grid: Grid, count: int | None = None, side: int | None = None,
 
 def _sample_scalar(half: np.ndarray, nodes: NodeSet, out: np.ndarray | None = None,
                    phys: np.ndarray | None = None,
-                   contraction: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                   contraction: tuple[np.ndarray, ...] | None = None,
+                   stage: np.ndarray | None = None) -> np.ndarray:
     """
     Values at the nodes of half-plane spectra ``half[..., n, w]`` (any
     width w <= n//2 + 1, missing columns zero), shape (..., N).  Given
     ``out``, the values are written there; given ``phys`` (..., n, n) as
     well, aligned nodes take no other array: the samples go to ``phys``,
     and the inverse transform's axis-0 stage runs in place in ``half``,
-    which it overwrites.  Other nodes take none given ``contraction``: the
+    which it overwrites, or, on lattices that take dense DFT products,
+    goes to ``stage`` (of the shape of ``half``), which is then needed
+    too.  Other nodes take none given ``contraction``: the
     buffers of their contraction (full spectra (..., n, n), the mirror
     scratch of :func:`_full_from_half`, phase products (..., n, N), sums
     (..., N)) and E1.T as a C-contiguous (n, N) copy, with which numpy
     need not buffer the products.
     """
     if nodes.aligned:
-        samples = _half_to_phys(half, out=phys)
+        samples = _half_to_phys(half, out=phys, stage=stage)
         flat = samples.reshape(samples.shape[:-2] + (-1,))
         # mode="clip": out= is written directly, not through a checked copy
         return np.take(flat, nodes.flat_indices, axis=-1, out=out, mode="clip")

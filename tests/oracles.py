@@ -12,7 +12,9 @@ re-orthonormalization reference is modified Gram-Schmidt over full
 spectra, the library's loop before it took one QR of band planes.  The
 IMEX step reference takes the library's kernel and CN/AB2 update one
 band plane of one member at a time, in the library's operation order,
-before each stage ran as one numpy call over its component block.
+before each stage ran as one numpy call over its component block.  The
+dense DFT references take the transform helpers' two products one plane
+at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import math
 import numpy as np
 
 from micropolar.dynamics import NumericsError, random_state
-from micropolar.spectral import Grid, ScalarField, VectorField, _half_to_phys, _phys_to_half, norm
+from micropolar.spectral import (Grid, ScalarField, VectorField, _dft_columns, _dft_rows,
+                                 _half_to_phys, _phys_to_half, norm)
 
 
 def dft_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -68,6 +71,26 @@ def advect_scalar_arrays(grid: Grid, u_phys: np.ndarray, c: np.ndarray) -> np.nd
     out *= grid.dealias_mask
     out[0, 0] = 0.0
     return out
+
+
+def per_plane_half_to_phys(half: np.ndarray) -> np.ndarray:
+    """The dense inverse transform of ``spectral._half_to_phys`` (n <= 32),
+    one (n, w) plane at a time: the axis-0 product with the inverse row
+    table, then its (re, im) view times the inverse column table."""
+    n, w = half.shape[-2:]
+    rows, columns = _dft_rows(n)[0], _dft_columns(n, w)[0]
+    planes = [(rows @ plane).view(np.float64) @ columns for plane in half.reshape(-1, n, w)]
+    return np.stack(planes).reshape(half.shape[:-1] + (n,))
+
+
+def per_plane_phys_to_half(samples: np.ndarray, width: int) -> np.ndarray:
+    """The dense forward transform of ``spectral._phys_to_half`` (n <= 32),
+    one (n, n) plane at a time: the plane times the forward column table,
+    viewed complex, then the axis-0 product with the forward row table."""
+    n = samples.shape[-1]
+    columns, rows = _dft_columns(n, width)[1], _dft_rows(n)[1]
+    planes = [rows @ (plane @ columns).view(np.complex128) for plane in samples.reshape(-1, n, n)]
+    return np.stack(planes).reshape(samples.shape[:-1] + (width,))
 
 
 def quadrature_inner(grid: Grid, p: np.ndarray, q: np.ndarray) -> float:

@@ -166,6 +166,15 @@ class TestNodeSync:
     def test_warm_nudged_advance_allocates_no_arrays(self, grid64, monkeypatch):
         # the nudging term works in buffers of the run: after warm-up a
         # nudged step stays under one band plane above the traced baseline
+        self._assert_warm_nudged_advance_allocates_no_arrays(grid64, 1024, monkeypatch)
+
+    def test_warm_dense_nudged_advance_allocates_no_arrays(self, grid32, monkeypatch):
+        # n = 32 samples aligned nodes through a dense DFT product, whose
+        # stage is a buffer of the run too
+        self._assert_warm_nudged_advance_allocates_no_arrays(grid32, 256, monkeypatch)
+
+    @staticmethod
+    def _assert_warm_nudged_advance_allocates_no_arrays(grid, count, monkeypatch):
         import tracemalloc
 
         from micropolar.dynamics import _Stepper, _to_half
@@ -180,19 +189,19 @@ class TestNodeSync:
 
         monkeypatch.setattr(_Stepper, "__init__", catch)
         params = Params(0.15, 0.075, 0.15)
-        fo = make_forcing(grid64, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
-        nodes = make_node_set(grid64, count=1024)
+        fo = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+        nodes = make_node_set(grid, count=count)
         assert nodes.aligned
-        ref, pert = random_state(grid64, 2, 0.15, 0.05), random_state(grid64, 3, 0.15, 0.05)
+        ref, pert = random_state(grid, 2, 0.15, 0.05), random_state(grid, 3, 0.15, 0.05)
         run_node_sync(SyncConfig(params, ref, pert, fo, fo, t_end=0.03, dt=0.01), nodes, mu=1.0)
         monkeypatch.undo()
         # the caught term keeps nudging toward the run's last reference planes
-        stepper = _Stepper(grid64, params, fo, 0.01, extra=caught[0])
-        m = grid64.kcut + 1
+        stepper = _Stepper(grid, params, fo, 0.01, extra=caught[0])
+        m = grid.kcut + 1
         U, W = (x[..., :m].copy() for x in _to_half(pert))
         for i in range(3):
             U, W = stepper.advance(U, W, 0.01 * i)
-        band_plane = grid64.n * m * 16
+        band_plane = grid.n * m * 16
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]

@@ -466,14 +466,12 @@ class TestMemoryRule:
         # From the end of the first step on, the run holds what it held on
         # entering that step and the workspace that the step allocated.  It
         # adds at most: a record's power of (u1, u2, omega) and its six
-        # weighted products (1.5 and 3 band planes of complex size) and
-        # numpy's iteration buffers of the products' broadcast (at most
-        # np.getbufsize() elements of 8 bytes for each of its 3 operands),
-        # while the initial planes (3 band planes) are gone; the copy of the
-        # last planes (3) in their place; then, with the stepper released,
-        # the final State and the outputs, within what the stepper held.
-        # Plus 1 band plane for the series and Python's small objects.
+        # weighted products (1.5 and 3 band planes of complex size), while
+        # the initial planes (3 band planes) are gone; the copy of the last
+        # planes (3) in their place; then, with the stepper released, the
+        # final State and the outputs, within what the stepper held.  Plus
+        # 1 band plane for the series and Python's small objects.
         workspace = marks["stepped"] - marks["entered"]
-        records = (1.5 + 3 - 3) * band + 3 * np.getbufsize() * 8
+        records = (1.5 + 3 - 3) * band
         assert peak <= marks["entered"] + workspace + records + band, \
             (peak - marks["stepped"]) / band

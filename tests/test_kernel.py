@@ -265,9 +265,11 @@ def test_reused_workspace_equals_fresh(pairs, nu_r, with_extra):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def _assert_warm_advance_allocates_no_arrays(grid, pairs):
+def _assert_warm_advance_allocates_no_arrays(grid, pairs, iterators=0):
     # after two warm-up steps every temporary lives in the stepper's
     # workspace: 20 steps stay under one band plane above the baseline
+    # (plus ``iterators`` bytes, where the step's fixed overhead is not
+    # small against a band plane)
     params = Params(0.15, 0.075, 0.15)
     forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
     stepper = _Stepper(grid, params, forcing, dt=0.01)
@@ -287,7 +289,8 @@ def _assert_warm_advance_allocates_no_arrays(grid, pairs):
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert peak < band_plane, f"{peak} bytes above baseline, one band plane is {band_plane}"
+    assert peak < band_plane + iterators, \
+        f"{peak} bytes above baseline, one band plane is {band_plane}"
 
 
 @pytest.mark.parametrize("pairs", [0, 4])
@@ -299,6 +302,17 @@ def test_warm_advance_with_8_pairs_allocates_no_arrays(grid32):
     # planes this small would make numpy buffer a broadcast of the state's
     # factors over the pairs: the workspace stacks them instead
     _assert_warm_advance_allocates_no_arrays(grid32, 8)
+
+
+def test_warm_dense_advance_allocates_no_arrays(grid16):
+    # n = 16 takes its transforms as dense DFT products: the product
+    # between the inverse transform's two stages lives in the workspace too.
+    # A step's two reductions (the largest speed, the finiteness check)
+    # hold about 1 KiB of numpy iterator each, whatever n: a warm step
+    # peaks at 1.9-2.2 KiB at n = 16 and 32 on either transform path,
+    # above one band plane at n = 16 (1.5 KiB).  The smallest array that
+    # the dense transforms could take per call is 3 band planes.
+    _assert_warm_advance_allocates_no_arrays(grid16, 0, iterators=2048)
 
 
 def test_new_pair_count_restarts_the_history(grid16):

@@ -41,6 +41,8 @@ from oracles import (
     dft_physical,
     dft_spectral,
     laplacian_eigenvalues_bruteforce,
+    per_plane_half_to_phys,
+    per_plane_phys_to_half,
     phase_sum_sample,
     quadrature_inner,
     random_fields,
@@ -206,9 +208,19 @@ class TestTransforms:
 BAND_NS = [8, 12, 16, 32, 64]
 
 
+def _dense_bound(n: int, x: np.ndarray) -> float:
+    """Roundoff bound of a dense DFT product against pocketfft's transform,
+    fixed from the dtype: 8 n eps max|x| of the input x."""
+    return 8 * n * np.finfo(np.float64).eps * float(np.max(np.abs(x)))
+
+
 class TestBandPlanes:
     """The transforms and the rebuild at any width: band planes (columns
-    k2 = 0..kcut) give the bits of the zero-padded half plane."""
+    k2 = 0..kcut) give the bits of the zero-padded half plane.  Lattices up
+    to n = 32 take the transforms as dense DFT products: their bits are
+    the per-plane products', within roundoff of numpy's, and they treat
+    the columns k2 = 0 and n/2 as rfft and irfft do; above, the bits are
+    pocketfft's."""
 
     @pytest.mark.parametrize("n", BAND_NS)
     def test_half_to_phys_of_band_plane(self, n):
@@ -216,9 +228,29 @@ class TestBandPlanes:
         from micropolar.spectral import _half_to_phys
 
         grid = make_grid(n, 2 * np.pi)
-        half = _random_scalars(grid, np.random.default_rng(n), grid.kcut, 3)[..., : n // 2 + 1]
-        reference = np.fft.irfft2(half, axes=(-2, -1), norm="forward")
-        assert _half_to_phys(half[..., : grid.kcut + 1]).tobytes() == reference.tobytes()
+        if n > 32:
+            half = _random_scalars(grid, np.random.default_rng(n), grid.kcut, 3)[..., : n // 2 + 1]
+            reference = np.fft.irfft2(half, axes=(-2, -1), norm="forward")
+            assert _half_to_phys(half[..., : grid.kcut + 1]).tobytes() == reference.tobytes()
+            return
+        rng = np.random.default_rng(n)
+        for width in range(1, n // 2 + 2):
+            # planes that are not Hermitian: irfft2 reads only the real
+            # parts of the axis-0 stage's columns k2 = 0 and n/2
+            half = rng.standard_normal((3, n, width)) + 1j * rng.standard_normal((3, n, width))
+            samples = _half_to_phys(half)
+            assert samples.tobytes() == per_plane_half_to_phys(half).tobytes()
+            padded = np.zeros((3, n, n // 2 + 1), dtype=np.complex128)
+            padded[..., :width] = half
+            reference = np.fft.irfft2(padded, s=(n, n), norm="forward")
+            assert np.max(np.abs(samples - reference)) <= _dense_bound(n, half)
+            # a plane with row k1 = 0 alone is its own axis-0 stage: the
+            # imaginary parts of its columns 0 and n/2 are ignored exactly
+            row = np.zeros((n, width), dtype=np.complex128)
+            row[0] = half[0, 0]
+            real = row.copy()
+            real[0, 0:width:n // 2] = real[0, 0:width:n // 2].real
+            assert _half_to_phys(row).tobytes() == _half_to_phys(real).tobytes()
 
     @pytest.mark.parametrize("n", BAND_NS)
     def test_phys_to_half_at_every_width(self, n):
@@ -227,7 +259,15 @@ class TestBandPlanes:
         x = np.random.default_rng(n).standard_normal((3, n, n))
         full = np.fft.rfft2(x, axes=(-2, -1), norm="forward")
         for width in range(1, n // 2 + 2):
-            assert _phys_to_half(x, width).tobytes() == full[..., :width].tobytes()
+            if n > 32:
+                assert _phys_to_half(x, width).tobytes() == full[..., :width].tobytes()
+                continue
+            scratch = np.full((3, n, n // 2 + 1), np.nan, dtype=np.complex128)
+            half = _phys_to_half(x, width, scratch=scratch)
+            assert half.tobytes() == per_plane_phys_to_half(x, width).tobytes()
+            assert np.max(np.abs(half - full[..., :width])) <= _dense_bound(n, x)
+            # the last-axis stage's columns k2 = 0 and n/2 are exactly real
+            assert np.all(scratch[..., 0:width:n // 2].imag == 0)
 
     @pytest.mark.parametrize("n", BAND_NS)
     def test_full_from_half_at_every_width(self, n):
