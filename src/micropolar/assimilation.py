@@ -65,6 +65,8 @@ class SyncConfig:
             raise ValueError("twin states must share one grid")
         if self.t_end <= 0 or self.dt <= 0:
             raise ValueError("t_end and dt must be positive")
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride!r}")
 
 
 @dataclass
@@ -364,17 +366,21 @@ def fit_decay_rate(times: Sequence[float], values: Sequence[float],
                    transient_fraction: float = 0.2) -> tuple[float, float]:
     """
     Least-squares slope of log(values) against time over the post-transient
-    segment; returns (rate, R^2).  Requires at least 10 samples and strictly
+    segment, the samples after the first ``transient_fraction`` (in [0, 1))
+    of them; returns (rate, R^2).  Requires at least 10 samples and strictly
     positive values in the fitted segment.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if len(t) != len(v):
         raise ValueError("times and values must have equal length")
-    if len(v) < 10:
-        raise ValueError(f"need at least 10 samples to fit a decay rate, got {len(v)}")
+    if not 0 <= transient_fraction < 1:
+        raise ValueError(f"transient_fraction must lie in [0, 1), got {transient_fraction!r}")
     start = int(transient_fraction * len(v))
     t, v = t[start:], v[start:]
+    if len(v) < 10:
+        raise ValueError(f"need at least 10 samples in the fitted segment to fit a decay "
+                         f"rate, got {len(v)}")
     if np.any(v <= 0):
         raise ValueError("nonpositive entries in the fitted segment")
     logv = np.log(v)

@@ -357,8 +357,8 @@ def cmd_bounds(config: dict, out: Path, strict: bool) -> int:
         g_l2 = 0.0
     else:
         strength = force_strength(forcing, grid)
-        f_l2 = spectral.norm(forcing.f_at(0.0))
-        g_l2 = spectral.norm(forcing.g_at(0.0))
+        f_l2 = forcing.norm("f")
+        g_l2 = forcing.norm("g")
 
     payload: dict = {
         "F_tilde": strength.F_tilde,

@@ -32,11 +32,11 @@ from micropolar.spectral import (
     VectorField,
     _check_hermitian,
     _full_from_half,
+    _full_spectra,
     _half_leray,
     _half_to_phys,
     _hermitianize,
     _leray_arrays,
-    _mirror_half,
     _phys_to_half,
     make_grid,
 )
@@ -129,14 +129,13 @@ class Forcing:
     """
     External force f (divergence-free vector) and moment g (scalar).
 
-    A steady forcing holds its spectra once.  Given as coefficient arrays,
-    it keeps them, f and g stacked and read-only.  Built by a writer
-    ``write(width)`` of the columns k2 < width of the (f1, f2, g) spectra
-    (:func:`make_forcing`, :meth:`zero`), it keeps only their half planes,
-    and ``f_hat`` and ``g_hat`` write the full spectra anew at each call,
-    with the writer's bits.  Either way the time loops read the half planes
-    ``half`` (3, n, n//2 + 1).  Time-dependent forcings are built from
-    callables returning raw coefficient arrays.
+    A steady forcing holds only the half planes ``half`` (3, n, n//2 + 1)
+    of its (f1, f2, g) spectra, read-only: the time loops read them, and
+    ``f_hat`` and ``g_hat`` mirror them into new full spectra at each call.
+    Given as coefficient arrays (2, n, n) and (n, n), the spectra must be
+    finite and Hermitian under the ``ScalarField`` rule; the half columns of
+    their exact Hermitian part, the mean zeroed, are kept.  Time-dependent
+    forcings are built from callables returning raw coefficient arrays.
     """
 
     def __init__(self, grid: Grid, f_hat, g_hat, steady: bool = True,
@@ -145,46 +144,50 @@ class Forcing:
         self.steady = steady
         self.profile = profile
         self.meta = dict(meta or {})
+        self._norms: dict[tuple[str, str], float] = {}
         if steady:
-            spectra = np.concatenate([np.asarray(f_hat, dtype=np.complex128),
-                                      np.asarray(g_hat, dtype=np.complex128)[None]])
-            spectra.setflags(write=False)
-            self._hold(lambda width: spectra[..., :width])
+            n = grid.n
+            f, g = np.asarray(f_hat), np.asarray(g_hat)
+            if f.shape != (2, n, n) or g.shape != (n, n):
+                raise FieldError(f"forcing spectra must have shapes (2, {n}, {n}) and "
+                                 f"({n}, {n}), got {f.shape} and {g.shape}")
+            spectra = np.concatenate([f, g[None]], dtype=np.complex128)
+            for c in spectra:
+                _check_hermitian(grid, c)
+            self.half = spectra[..., :n // 2 + 1].copy()
+            self.half.setflags(write=False)
         else:
             self._f_hat = f_hat
             self._g_hat = g_hat
 
     @classmethod
-    def _written(cls, grid: Grid, write: Callable[[int], np.ndarray],
-                 profile: str | None = None, meta: dict | None = None) -> "Forcing":
-        """Steady forcing of the spectra that ``write`` writes."""
-        forcing = cls.__new__(cls)
-        forcing.grid, forcing.steady, forcing.profile = grid, True, profile
-        forcing.meta = dict(meta or {})
-        forcing._hold(write)
+    def _of_half(cls, grid: Grid, half: np.ndarray, profile: str | None = None,
+                 meta: dict | None = None) -> "Forcing":
+        """Steady forcing that holds ``half``, the half planes of exactly
+        Hermitian, zero-mean spectra, as they are: not copied, made read-only."""
+        forcing = cls(grid, None, None, steady=False, profile=profile, meta=meta)
+        forcing.steady, forcing.half = True, half
+        half.setflags(write=False)
         return forcing
-
-    def _hold(self, write: Callable[[int], np.ndarray]) -> None:
-        self._write = write
-        self.half = write(self.grid.n // 2 + 1)
-        self.half.setflags(write=False)
 
     @classmethod
     def zero(cls, grid: Grid) -> "Forcing":
-        return cls._written(grid, lambda width: np.zeros((3, grid.n, width), dtype=np.complex128),
+        return cls._of_half(grid, np.zeros((3, grid.n, grid.n // 2 + 1), dtype=np.complex128),
                             profile="zero")
 
     @classmethod
     def from_fields(cls, f: VectorField, g: ScalarField, profile: str | None = None) -> "Forcing":
         if f.grid != g.grid:
             raise FieldError("force and moment live on different grids")
-        return cls(f.grid, f.stacked(), g.coeffs, steady=True, profile=profile)
+        h = f.grid.n // 2 + 1
+        return cls._of_half(f.grid, np.stack([c.coeffs[:, :h] for c in (f.u1, f.u2, g)]),
+                            profile=profile)
 
     def f_hat(self, t: float) -> np.ndarray:
-        return self._write(self.grid.n)[:2] if self.steady else self._f_hat(t)
+        return _full_from_half(self.grid, self.half[:2]) if self.steady else self._f_hat(t)
 
     def g_hat(self, t: float) -> np.ndarray:
-        return self._write(self.grid.n)[2] if self.steady else self._g_hat(t)
+        return _full_from_half(self.grid, self.half[2]) if self.steady else self._g_hat(t)
 
     def f_at(self, t: float) -> VectorField:
         arr = self.f_hat(t)
@@ -192,6 +195,24 @@ class Forcing:
 
     def g_at(self, t: float) -> ScalarField:
         return ScalarField(self.grid, self.g_hat(t))
+
+    def norm(self, which: str, kind: str = "L2", t: float = 0.0) -> float:
+        """
+        ``spectral.norm(self.f_at(t), kind)`` for ``which`` "f", of
+        ``self.g_at(t)`` for "g", with its bits.  A steady forcing takes each
+        norm once, from its mirrored half planes (exactly Hermitian and
+        zero-mean, so the fields' validation would not change them), and
+        keeps it; a time-dependent one goes through the fields at each call.
+        """
+        value = self._norms.get((which, kind))
+        if value is None:
+            if which not in ("f", "g"):
+                raise ValueError(f"which must be 'f' or 'g', got {which!r}")
+            if not self.steady:
+                return spectral.norm(self.f_at(t) if which == "f" else self.g_at(t), kind)
+            spectra = self.f_hat(t) if which == "f" else self.g_hat(t)[None]
+            value = self._norms[which, kind] = spectral._spectra_norm(self.grid, spectra, kind)
+        return value
 
 
 def _profile_weights(profile: str, total: float, num_modes: int,
@@ -230,11 +251,11 @@ def _profile_weights(profile: str, total: float, num_modes: int,
 def _real_mode_arrays(grid: Grid, weights: np.ndarray, signs: np.ndarray,
                       out: np.ndarray) -> np.ndarray:
     """
-    Write into the zeroed spectra ``out`` (C, n, width) the columns
+    Write into the zeroed half planes ``out`` (C, n, width) the columns
     k2 < width of spectra with L2 energy weights[j] in the j-th enumerated
     mode: of a divergence-free vector for C = 2, of a scalar for C = 1.
-    Each slot is written by the same operations at any width, so half
-    planes (width n//2 + 1) hold the bits of the full spectra's columns.
+    A pair {k, -k} in column k2 = 0 gets both slots, so that column is
+    exactly Hermitian, as :meth:`Forcing.norm` requires.
 
     Each conjugate pair {k, -k} carries two real modes; the earlier table
     entry maps to the cosine mode, the later to the sine mode, both built on
@@ -275,8 +296,7 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
     amplitudes are drawn from a seeded generator; per-mode magnitudes are
     reproduced exactly.  Profile ``"zero"``, or two zero magnitudes, gives
     the zero forcing once the arguments have passed the same checks.  The
-    forcing holds the half planes of its spectra; the full ones are written
-    only when ``f_hat`` or ``g_hat`` asks for them.
+    half planes of its spectra are written once and handed to the forcing.
     """
     if profile != "zero" and profile not in FORCING_PROFILES:
         raise ValueError(f"unknown forcing profile {profile!r}; "
@@ -302,15 +322,12 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
     wg = _profile_weights(profile, magnitude_g2, mode_hi, mode_lo, mode_hi, rng)
     signs_g = rng.integers(0, 2, size=grid.num_modes)[:mode_hi] * 2.0 - 1.0
 
-    def write(width: int) -> np.ndarray:
-        spectra = np.zeros((3, grid.n, width), dtype=np.complex128)
-        _real_mode_arrays(grid, wf, signs_f, spectra[:2])
-        _real_mode_arrays(grid, wg, signs_g, spectra[2:])
-        return spectra
-
+    half = np.zeros((3, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    _real_mode_arrays(grid, wf, signs_f, half[:2])
+    _real_mode_arrays(grid, wg, signs_g, half[2:])
     meta = {"mode_lo": mode_lo, "mode_hi": mode_hi, "seed": seed,
             "magnitude_f2": magnitude_f2, "magnitude_g2": magnitude_g2}
-    return Forcing._written(grid, write, profile=profile, meta=meta)
+    return Forcing._of_half(grid, half, profile=profile, meta=meta)
 
 
 def forcing_with_decaying_gap(base: Forcing, gap_f: VectorField, gap_g: ScalarField,
@@ -322,9 +339,9 @@ def forcing_with_decaying_gap(base: Forcing, gap_f: VectorField, gap_g: ScalarFi
     gg = gap_g.coeffs.copy()
     base_f, base_g = base.f_hat, base.g_hat
     if base.steady:
-        # the base's full spectra, written once rather than at every step
-        spectra = base._write(base.grid.n)
-        base_f, base_g = (lambda t: spectra[:2]), (lambda t: spectra[2])
+        # the base's full spectra, mirrored once rather than at every step
+        f0, g0 = base.f_hat(0.0), base.g_hat(0.0)
+        base_f, base_g = (lambda t: f0), (lambda t: g0)
 
     def f_hat(t: float) -> np.ndarray:
         return base_f(t) + np.exp(-decay_rate * t) * gf
@@ -752,37 +769,6 @@ def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
     return planes[:2], planes[2]
 
 
-def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """
-    Full spectra (3, n, n) of (u1, u2, omega), rebuilt from half or band
-    planes U (2, n, w) and W (n, w) of a finite state (an initial state, or
-    results that ``advance`` has checked) in one array: filled, mirrored,
-    made exactly Hermitian and the mean zeroed.  The coefficients equal
-    those of the validating ``ScalarField`` bit for bit, and are copies:
-    they outlive the stepper's next write to its planes.
-    """
-    n, m = grid.n, U.shape[-1]
-    full = np.zeros((3, n, n), dtype=np.complex128)
-    full[:2, :, :m] = U
-    full[2, :, :m] = W
-    _mirror_half(grid, full, m)
-    # The Hermitian part (c_k + conj(c_-k)) * 0.5 of _hermitianized, with its
-    # bits (signed zeros included) but no gathered copy of the spectra: a
-    # mirrored column holds c_-k = conj(c_k) exactly, so there the sum is
-    # c_k + c_k.  Only the columns that are their own mirror image, k2 = 0
-    # (and n/2 when a whole half plane is given), gather c_-k.
-    own = [0] if m <= n // 2 else [0, n // 2]
-    edge = full[..., own]
-    edge_sym = np.conj(edge[..., grid.half_conj_rows, :])
-    edge_sym += edge
-    edge_sym *= 0.5
-    np.add(full, full, out=full)
-    np.multiply(full, 0.5, out=full)
-    full[..., own] = edge_sym
-    full[..., 0, 0] = 0.0
-    return full
-
-
 def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
     """State of the half or band planes (U, W): their :func:`_full_spectra`,
     wrapped without the constructors' second validation."""
@@ -843,35 +829,6 @@ _STANDARD_SET = {
 # The state norms of the set, (L2, H1, DA) x (u, omega), as _state_sums orders them.
 _STATE_NORMS = [name for name, (_, which) in _STANDARD_SET.items() if which in ("u", "omega")]
 
-def _forcing_norm_sq(forcing: Forcing, t: float, kind: str, which: str) -> float:
-    """Squared ``kind`` norm of the force (``which`` "f") or the moment ("g")
-    at time t, from the forcing's own arrays.  For the exactly Hermitian,
-    zero-mean arrays that the forcing builders make, these are the bits of
-    ``spectral.norm(forcing.f_at(t), kind) ** 2``, without its copies and
-    checks."""
-    spectra = forcing.f_hat(t) if which == "f" else forcing.g_hat(t)[None]
-    return spectral._spectra_norm(forcing.grid, spectra, kind) ** 2
-
-
-def _forcing_sq(kind: str, which: str) -> Callable[[float, Forcing], float]:
-    """
-    :func:`_forcing_norm_sq` as a function of (t, forcing).  A steady
-    forcing does not change, so its norm is taken once and kept,
-    keyed on the forcing's identity; a time-dependent one is evaluated at
-    every call.
-    """
-    last = (None, 0.0)
-
-    def at(t: float, forcing: Forcing) -> float:
-        nonlocal last
-        if forcing.steady and last[0] is forcing:
-            return last[1]
-        value = _forcing_norm_sq(forcing, t, kind, which)
-        if forcing.steady:
-            last = (forcing, value)
-        return value
-    return at
-
 
 def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
     """
@@ -891,12 +848,7 @@ def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = Non
         planes = planes[..., :m]
     n, width = planes.shape[-2:]
     power = np.abs(planes)
-    edge = planes[..., 0:width:n // 2]
-    sym = edge.take(grid.half_conj_rows, axis=-2)
-    np.conj(sym, out=sym)
-    sym += edge
-    sym *= 0.5
-    np.abs(sym, out=power[..., 0:width:n // 2])
+    np.abs(spectral._self_mirror_part(grid, planes), out=power[..., 0:width:n // 2])
     np.square(power, out=power)
     np.add(power[0], power[1], out=power[1])
     if weights is None or weights.shape[-1] != width:
@@ -920,8 +872,8 @@ def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
     """
     Observer set consumed by the a-priori inequality verifiers: squared L2,
     H1 and D(A) norms of u and omega, and the forcing strengths in L2 and
-    the dual norm.  The forcing observers of one mapping evaluate a steady
-    forcing once; time-dependent forcings are evaluated at every call.
+    the dual norm.  The forcing observers read :meth:`Forcing.norm`, which
+    evaluates a steady forcing once and a time-dependent one at every call.
     ``simulate`` without observers records this set from its planes, with
     the same bits (both go through ``_state_sums``).
     """
@@ -929,8 +881,7 @@ def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
         return lambda state, forcing: _state_sums(state.grid, _half_planes(state))[index]
 
     def forcing_sq(kind, which):
-        at = _forcing_sq(kind, which)
-        return lambda state, forcing: at(state.t, forcing)
+        return lambda state, forcing: forcing.norm(which, kind, state.t) ** 2
 
     return {name: state_sq(_STATE_NORMS.index(name)) if name in _STATE_NORMS
             else forcing_sq(kind, which) for name, (kind, which) in _STANDARD_SET.items()}
@@ -970,6 +921,8 @@ def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride!r}")
     nsteps = _whole_steps(t_end, dt)
     state = initial()
     grid, t0, planes = state.grid, state.t, _half_planes(state)
@@ -980,13 +933,13 @@ def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_
     if observers is None:
         # the forcing norms at each record's time, the state norms from its planes
         series = {name: [] for name in _STANDARD_SET}
-        forcing_sq = {name: _forcing_sq(kind, which)
-                      for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
+        forcing_norms = {name: (which, kind)
+                         for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
         weights = _state_weights(grid, grid.kcut + 1)
 
         def record_planes(t: float, planes: np.ndarray) -> None:
-            for name, at in forcing_sq.items():
-                series[name].append(at(t, forcing))
+            for name, (which, kind) in forcing_norms.items():
+                series[name].append(forcing.norm(which, kind, t) ** 2)
             for name, value in zip(_STATE_NORMS, _state_sums(grid, planes, weights)):
                 series[name].append(value)
     else:

@@ -21,7 +21,6 @@ import numpy as np
 
 from micropolar.dynamics import Forcing, SimulationResult, _profile_weights
 from micropolar.spectral import Grid
-from micropolar import spectral
 
 __all__ = [
     "LADYZHENSKAYA_C1",
@@ -162,11 +161,9 @@ def force_strength(forcing: Forcing, grid: Grid,
     best_l2 = 0.0
     best_hm1 = 0.0
     for t in times:
-        f = forcing.f_at(t)
-        g = forcing.g_at(t)
-        best_l2 = max(best_l2, spectral.norm(f) ** 2 + spectral.norm(g) ** 2)
-        best_hm1 = max(best_hm1,
-                       spectral.norm(f, "Hminus1") ** 2 + spectral.norm(g, "Hminus1") ** 2)
+        best_l2 = max(best_l2, forcing.norm("f", "L2", t) ** 2 + forcing.norm("g", "L2", t) ** 2)
+        best_hm1 = max(best_hm1, forcing.norm("f", "Hminus1", t) ** 2
+                       + forcing.norm("g", "Hminus1", t) ** 2)
     return ForceStrength(math.sqrt(best_l2), math.sqrt(best_hm1))
 
 

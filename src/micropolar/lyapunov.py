@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from micropolar import spectral
 from micropolar.dynamics import (Forcing, NumericsError, Params, State, _explicit_terms,
                                  _random_scalars, _Stepper, _to_half, _whole_steps,
                                  _Workspace)
@@ -151,7 +150,9 @@ def _padded_phys(coeffs: np.ndarray, n: int, pad: float,
     fine[..., h, :c] = fine[..., m - h, :c] = 0.5 * coeffs[..., h, :c]
     if w > h:
         fine[..., -rows % m, h] = 0.5 * np.conj(coeffs[..., h])
-    # the axis-0 stage runs in place in fine
+    # above spectral._DENSE_DFT_MAX_N padded points the axis-0 stage runs in
+    # place in fine; on padded lattices of at most that many (n <= 21) the
+    # dense product allocates its stage
     return _half_to_phys(fine, out=samples)
 
 
@@ -408,8 +409,8 @@ def lyapunov_spectrum(initial: State, params: Params, forcing: Forcing, count: i
         from micropolar.estimates import attractor_bound
 
         c0_fit = float(np.max(trace.rho_l2**2 / np.maximum(trace.sum_h1_sq, 1e-300)))
-        f_l2 = spectral.norm(forcing.f_at(initial.t))
-        g_l2 = spectral.norm(forcing.g_at(initial.t))
+        f_l2 = forcing.norm("f", "L2", initial.t)
+        g_l2 = forcing.norm("g", "L2", initial.t)
         G2 = f_l2**2 + g_l2**2
         report.kappa1 = constants.k1 / (2.0 * c0_fit * initial.grid.area)
         report.kappa2 = c0_fit * G2 / (constants.k1**2 * constants.k2)

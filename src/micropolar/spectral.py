@@ -557,6 +557,45 @@ def _mirror_half(grid: Grid, full: np.ndarray, m: int, half: np.ndarray | None =
     return full
 
 
+def _self_mirror_part(grid: Grid, planes: np.ndarray) -> np.ndarray:
+    """Exact Hermitian part (c_k + conj(c_-k)) * 0.5, as :func:`_hermitianized`
+    takes it, of the columns of half or band planes ``planes[..., n, w]``
+    that are their own mirror image: k2 = 0, and n/2 when w reaches it.  A
+    new array (..., n, 1 or 2), the columns ``planes[..., 0:w:n//2]``."""
+    n, width = planes.shape[-2:]
+    edge = planes[..., 0:width:n // 2]
+    sym = edge.take(grid.half_conj_rows, axis=-2)
+    np.conj(sym, out=sym)
+    sym += edge
+    sym *= 0.5
+    return sym
+
+
+def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """
+    Full spectra (3, n, n) of (u1, u2, omega), rebuilt from half or band
+    planes U (2, n, w) and W (n, w) of a finite state in one array: filled,
+    mirrored, made exactly Hermitian and the mean zeroed.  The coefficients
+    equal those of the validating ``ScalarField`` bit for bit, and are
+    copies of the planes.
+    """
+    n, m = grid.n, U.shape[-1]
+    full = np.zeros((3, n, n), dtype=np.complex128)
+    full[:2, :, :m] = U
+    full[2, :, :m] = W
+    _mirror_half(grid, full, m)
+    # The Hermitian part of _hermitianized, with its bits (signed zeros
+    # included) but no gathered copy of the spectra: a mirrored column holds
+    # c_-k = conj(c_k) exactly, so there the sum is c_k + c_k.  Only the
+    # columns that are their own mirror image gather c_-k.
+    own = _self_mirror_part(grid, full[..., :m])
+    np.add(full, full, out=full)
+    np.multiply(full, 0.5, out=full)
+    full[..., 0:m:n // 2] = own
+    full[..., 0, 0] = 0.0
+    return full
+
+
 def transform_to_physical(field: ScalarField) -> np.ndarray:
     """Evaluate the field on the n x n collocation lattice x_ab = (a, b) L / n."""
     return _half_to_phys(field.coeffs[:, : field.grid.n // 2 + 1])

@@ -56,6 +56,13 @@ class TestModeSync:
         assert np.all(report.series["delta_Q"] == 0.0)
         assert np.all(report.series["delta_P"] == 0.0)
 
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_rejected(self, twin_setup, stride):
+        # 0 used to divide by zero after the set-up, -2 to record every second step
+        fo, ref, pert = twin_setup
+        with pytest.raises(ValueError, match="stride"):
+            make_config(fo, ref, pert, stride=stride)
+
     def test_full_spectrum_synchronizes_immediately(self, grid32, twin_setup):
         fo, ref, pert = twin_setup
         cfg = make_config(fo, ref, pert, t_end=0.5)
@@ -312,6 +319,23 @@ class TestFitDecayRate:
     def test_too_short(self):
         with pytest.raises(ValueError, match="10 samples"):
             fit_decay_rate([0, 1, 2], [1.0, 0.5, 0.25])
+
+    def test_too_short_after_the_transient(self):
+        # 0.95 of 12 samples leaves one point, which used to fit with R^2 = 1
+        t = np.linspace(0, 5, 12)
+        with pytest.raises(ValueError, match="10 samples"):
+            fit_decay_rate(t, np.exp(-t), transient_fraction=0.95)
+        # half of 20 leaves exactly 10
+        t = np.linspace(0, 5, 20)
+        rate, _ = fit_decay_rate(t, np.exp(-t), transient_fraction=0.5)
+        assert rate == pytest.approx(-1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("fraction", [1.0, -0.1, 1.5, float("nan")])
+    def test_transient_fraction_outside_unit_interval(self, fraction):
+        # 1.0 used to fit an empty segment and return (0.0, 1.0)
+        t = np.linspace(0, 5, 10)
+        with pytest.raises(ValueError, match="transient_fraction"):
+            fit_decay_rate(t, np.exp(-t), transient_fraction=fraction)
 
     def test_nonpositive_rejected(self):
         t = np.linspace(0, 5, 20)

@@ -166,6 +166,22 @@ class TestSimulate:
         assert len(res.times) == 11
         assert set(standard_observers()) <= set(res.series)
 
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_rejected(self, grid16, stride):
+        # rejected before the initial state is built: 0 used to divide by
+        # zero after the set-up, -2 to record every second step
+        from micropolar.dynamics import _simulate
+
+        built = []
+        init = random_state(grid16, 2, 0.1, 0.1)
+        with pytest.raises(ValueError, match="stride"):
+            _simulate(lambda: built.append(init) or init, Params(1.0, 0.0, 1.0),
+                      Forcing.zero(grid16), t_end=0.05, dt=0.01, stride=stride)
+        assert built == []
+        with pytest.raises(ValueError, match="stride"):
+            simulate(init, Params(1.0, 0.0, 1.0), Forcing.zero(grid16), t_end=0.05, dt=0.01,
+                     stride=stride)
+
     def test_custom_observer(self, grid16):
         init = random_state(grid16, 2, 0.1, 0.1)
         res = simulate(init, Params(1.0, 0.0, 1.0), Forcing.zero(grid16), t_end=0.1,
@@ -223,18 +239,19 @@ class TestRecordPath:
         assert observers["f_l2_sq"](state, fo1) != observers["f_l2_sq"](state, fo2)
 
     def test_steady_forcing_norms_evaluated_once(self, grid16, monkeypatch):
-        import micropolar.dynamics as dynamics
-
+        # each of the four forcing norms evaluates the forcing once, over
+        # the 11 records: f twice (L2, Hminus1), g twice
         fo = make_forcing(grid16, "steady", 0.01, 0.002, mode_hi=4, seed=2)
         calls = []
-        original = dynamics._forcing_norm_sq
-        monkeypatch.setattr(dynamics, "_forcing_norm_sq",
-                            lambda forcing, t, kind, which: calls.append((which, kind))
-                            or original(forcing, t, kind, which))
+        for which in ("f", "g"):
+            original = getattr(Forcing, f"{which}_hat")
+            monkeypatch.setattr(Forcing, f"{which}_hat",
+                                lambda self, t, which=which, original=original:
+                                calls.append(which) or original(self, t))
         res = simulate(random_state(grid16, 4, 0.1, 0.05), Params(0.3, 0.1, 0.3), fo,
                        t_end=0.1, dt=0.01, stride=1)
         assert len(res.times) == 11
-        assert sorted(calls) == sorted(_FORCING_OBSERVERS.values())
+        assert sorted(calls) == sorted(which for which, _ in _FORCING_OBSERVERS.values())
         for name, (which, kind) in _FORCING_OBSERVERS.items():
             assert np.all(res.series[name] == _forcing_norm_sq(fo, which, kind, 0.0)), name
 
@@ -637,11 +654,57 @@ class TestForcingProfiles:
         assert fo.f_hat(1.0) is not fo.f_hat(1.0) and not fo.half.flags.writeable
 
     def test_given_spectra_are_kept(self, grid16):
+        # the half columns of the given spectra are kept bit for bit; the
+        # full spectra are mirrored from them, equal to the given ones (the
+        # signs of zero imaginary parts may differ)
         f = random_state(grid16, 3, 0.1, 0.05)
         fo = Forcing.from_fields(f.u, f.omega)
-        assert np.array_equal(fo.f_hat(0.0).view(np.uint64), f.u.stacked().view(np.uint64))
-        assert np.array_equal(fo.g_hat(0.0).view(np.uint64), f.omega.coeffs.view(np.uint64))
-        assert np.shares_memory(fo.half, fo.g_hat(0.0)) and not fo.g_hat(0.0).flags.writeable
+        h = grid16.n // 2 + 1
+        given = np.concatenate([f.u.stacked(), f.omega.coeffs[None]])
+        assert np.array_equal(fo.half.view(np.uint64), given[..., :h].view(np.uint64))
+        mirrored = _full_from_half(grid16, fo.half)
+        assert np.array_equal(fo.f_hat(0.0).view(np.uint64), mirrored[:2].view(np.uint64))
+        assert np.array_equal(fo.g_hat(0.0).view(np.uint64), mirrored[2].view(np.uint64))
+        assert np.array_equal(fo.f_hat(0.0), f.u.stacked())
+        assert np.array_equal(fo.g_hat(0.0), f.omega.coeffs)
+
+    def test_given_arrays_of_wrong_shape_rejected(self, grid16):
+        f = random_state(grid16, 3, 0.1, 0.05)
+        g = f.omega.coeffs
+        with pytest.raises(FieldError, match="shapes"):
+            Forcing(grid16, np.stack([g, g, g]), g)
+        with pytest.raises(FieldError, match="shapes"):
+            Forcing(grid16, f.u.stacked(), g[:, :9])
+
+    def test_nonfinite_given_arrays_rejected(self, grid16):
+        f = random_state(grid16, 3, 0.1, 0.05)
+        g = f.omega.coeffs.copy()
+        g[2, 3] = np.nan
+        with pytest.raises(FieldError, match="finite"):
+            Forcing(grid16, f.u.stacked(), g)
+
+    def test_non_hermitian_given_arrays_rejected(self, grid16):
+        f = random_state(grid16, 3, 0.1, 0.05)
+        spectra = f.u.stacked()
+        spectra[1, 2, 3] += 1e-3 * np.max(np.abs(spectra))
+        with pytest.raises(FieldError, match="Hermitian"):
+            Forcing(grid16, spectra, f.omega.coeffs)
+
+    def test_given_arrays_recorded_as_their_fields(self, grid16):
+        # arrays Hermitian to roundoff are kept as their exact Hermitian
+        # part: the run integrates and records the same forcing
+        rng = np.random.default_rng(5)
+        f = random_state(grid16, 3, 0.1, 0.05)
+        spectra = np.concatenate([f.u.stacked(), f.omega.coeffs[None]])
+        spectra *= 1 + 1e-12 * rng.standard_normal(spectra.shape)
+        fo = Forcing(grid16, spectra[:2], spectra[2])
+        h = grid16.n // 2 + 1
+        fields = np.concatenate([fo.f_at(0.0).stacked(), fo.g_at(0.0).coeffs[None]])
+        assert np.array_equal(fo.half, fields[..., :h])
+        res = simulate(random_state(grid16, 4, 0.1, 0.05), Params(0.3, 0.1, 0.3), fo,
+                       t_end=0.02, dt=0.01)
+        for name, (which, kind) in _FORCING_OBSERVERS.items():
+            assert np.all(res.series[name] == _forcing_norm_sq(fo, which, kind, 0.0)), name
 
     def test_decaying_gap_forcing(self, grid16):
         base = make_forcing(grid16, "steady", 0.01, 0.0, mode_hi=4, seed=2)
