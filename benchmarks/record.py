@@ -45,12 +45,13 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   ``make_forcing`` and ``random_state`` of a lattice that nothing else
   holds) and ``read_checkpoint`` (of such a state, with its grid held,
   as a resumed run holds its configured grid).
-- ``command_rss`` (at n = 32, 64, 128 and 256): the peak RSS
+- ``command_rss`` (at n = 16, 32, 64, 128 and 256): the peak RSS
   (``ru_maxrss``, MiB) and wall time of fresh ``python -m micropolar.cli``
   processes on perfbench's workload configs for seed 5 (``RSS_COMMANDS``):
-  ``simulate`` and ``verify-estimates`` (resumed from its checkpoint) at
-  n = 64, 128 and 256, ``sync-modes`` at n = 64 and ``lyapunov`` at
-  n = 32; the median and all values of up to 3 runs each.
+  ``simulate`` at n = 16 (the ``dense-n16`` part's, small-n's first
+  command), ``simulate`` and ``verify-estimates`` (resumed from its
+  checkpoint) at n = 64, 128 and 256, ``sync-modes`` at n = 64 and
+  ``lyapunov`` at n = 32; the median and all values of up to 3 runs each.
 
 Each layer reports the median and interquartile range of single-call
 times in microseconds, and, from a separate run under ``tracemalloc``
@@ -402,10 +403,12 @@ def _faults(n: int, calls: int) -> dict:
 
 
 # The commands of the command_rss layer at each n, on perfbench's workload
-# configs for RSS_SEED (simulate and verify-estimates those of its
-# sim-n128 part at that n); at any other n, simulate and verify-estimates
-# on the shortened (--smoke) configs.
-RSS_COMMANDS = {32: ("lyapunov",), 64: ("simulate", "verify-estimates", "sync-modes"),
+# configs for RSS_SEED (simulate that of its dense-n16 part at n = 16,
+# simulate and verify-estimates those of its sim-n128 part at that n
+# above); at any other n, simulate and verify-estimates of sim-n128 on the
+# shortened (--smoke) configs.
+RSS_COMMANDS = {16: ("simulate",), 32: ("lyapunov",),
+                64: ("simulate", "verify-estimates", "sync-modes"),
                 128: ("simulate", "verify-estimates"), 256: ("simulate", "verify-estimates")}
 RSS_SEED = 5
 
@@ -442,15 +445,17 @@ def _command_rss(n: int, calls: int) -> dict:
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from harness import child_env
-    from workloads import LYAP_N32, SIM_N128, TWIN_N64
+    from workloads import DENSE_N16, LYAP_N32, SIM_N128, TWIN_N64
 
     env = child_env(Path(micropolar.__file__).resolve().parents[2])
-    parts = (SIM_N128, TWIN_N64, LYAP_N32)
+    sim = DENSE_N16 if n == 16 else SIM_N128
+    parts = (sim, TWIN_N64, LYAP_N32)
     commands = {command.subcommand: command for part in parts for command in part.commands}
     configs = {name: cfg for part in parts
                for name, cfg in part.build(RSS_SEED, n not in RSS_COMMANDS).items()}
-    for name in ("sim.json", "verify.json"):
-        configs[name]["grid"]["n"] = n
+    if sim is SIM_N128:
+        for name in ("sim.json", "verify.json"):
+            configs[name]["grid"]["n"] = n
     runs = max(1, min(3, calls // 5))
     result = {}
     with tempfile.TemporaryDirectory() as tmp:

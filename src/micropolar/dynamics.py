@@ -385,8 +385,7 @@ def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: flo
 
     The spectra (u1, u2, omega) are built once, in place: projected, made
     exactly Hermitian with the mean zeroed (as the field constructors
-    would), scaled and symmetrized again (as a field's rescale would), then
-    wrapped without a second validation.
+    would), scaled, then wrapped without a second validation.
     """
     if not (0 <= energy_u < math.inf and 0 <= energy_omega < math.inf):
         raise ValueError(f"initial energies must be nonnegative and finite, "
@@ -401,8 +400,6 @@ def random_state(grid: Grid, seed: int, energy_u: float = 0.1, energy_omega: flo
         sq = spectral._spectra_norm(grid, field, "L2") ** 2
         if energy > 0 and sq > 0:
             np.multiply(field, float(np.sqrt(energy / sq)), out=field)
-            _hermitianize(grid, field)
-            field[:, 0, 0] = 0.0
         elif energy == 0:
             field[...] = 0.0
     u1, u2, w = (ScalarField._trusted(grid, c) for c in spectra)
@@ -697,7 +694,7 @@ class _Stepper:
     def _imex(self) -> None:
         """CN/AB2 update (forward Euler without history) of every member, in
         place in ``work.out``, from the terms in ``work.E``: projected,
-        dealiased and zero-mean."""
+        dealiased, zero-mean and exactly Hermitian in column k2 = 0."""
         work = self.work
         E, prev, A, out = work.E, work.E_prev, work.ab2, work.out
         num, dt_den = self.cn
@@ -712,6 +709,7 @@ class _Stepper:
         np.add(out, A, out=out)
         _half_leray(work.leray, out[:2], out[:2], prev[:2])
         np.multiply(out[2], work.keep, out=out[2])
+        spectral._mirror_own_column(out, A.reshape(-1))
 
     def advance(self, U: np.ndarray, W: np.ndarray, t: float,
                 V: np.ndarray | None = None, Z: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
@@ -720,7 +718,8 @@ class _Stepper:
         planes.  Tangent pairs (V, Z) ride along under the dynamics
         linearized about (U, W), with the same AB2 history; then
         (U, W, V, Z) is returned.  A change of the number of pairs
-        restarts that history with forward Euler.
+        restarts that history with forward Euler.  The planes returned are
+        exactly Hermitian in column k2 = 0, which no record has to repair.
 
         The returned planes are the stepper's own buffers, and the next
         call overwrites them: pass them back in (they may also be changed
@@ -770,8 +769,8 @@ def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
-    """State of the half or band planes (U, W): their :func:`_full_spectra`,
-    wrapped without the constructors' second validation."""
+    """State of the half or band planes (U, W) of a time loop or a ``State``:
+    their :func:`_full_spectra`, wrapped without a second validation."""
     u1, u2, w = (ScalarField._trusted(grid, c) for c in _full_spectra(grid, U, W))
     return State(VectorField(u1, u2), w, t)
 
@@ -837,18 +836,15 @@ def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = Non
     zero-mean state: |c|^2 of u and omega under the L2, H1 and D(A)
     :func:`spectral._half_weights` (``weights``, the :func:`_state_weights`
     of a run, when their width fits).
-    The power is taken as the full spectra of the ``State`` rebuilt from
-    the planes hold it, and laid out as theirs, so that the two give the
-    same bits: the columns that are their own mirror image (k2 = 0, and
-    n/2) from their exact Hermitian part, and whole half planes that are
-    zero beyond the band as band planes.
+    Planes of a time loop or a ``State``, exactly Hermitian in column
+    k2 = 0 (and n/2), hold the power of its full spectra; whole half planes
+    zero beyond the band are laid out as band planes, for the same bits.
     """
     m = grid.kcut + 1
     if planes.shape[-1] > m and not planes[..., m:].any():
         planes = planes[..., :m]
-    n, width = planes.shape[-2:]
+    width = planes.shape[-1]
     power = np.abs(planes)
-    np.abs(spectral._self_mirror_part(grid, planes), out=power[..., 0:width:n // 2])
     np.square(power, out=power)
     np.add(power[0], power[1], out=power[1])
     if weights is None or weights.shape[-1] != width:

@@ -557,41 +557,44 @@ def _mirror_half(grid: Grid, full: np.ndarray, m: int, half: np.ndarray | None =
     return full
 
 
-def _self_mirror_part(grid: Grid, planes: np.ndarray) -> np.ndarray:
-    """Exact Hermitian part (c_k + conj(c_-k)) * 0.5, as :func:`_hermitianized`
-    takes it, of the columns of half or band planes ``planes[..., n, w]``
-    that are their own mirror image: k2 = 0, and n/2 when w reaches it.  A
-    new array (..., n, 1 or 2), the columns ``planes[..., 0:w:n//2]``."""
-    n, width = planes.shape[-2:]
-    edge = planes[..., 0:width:n // 2]
-    sym = edge.take(grid.half_conj_rows, axis=-2)
-    np.conj(sym, out=sym)
-    sym += edge
-    sym *= 0.5
-    return sym
+@functools.cache
+def _own_rows(n: int, width: int) -> np.ndarray:
+    """Flat indices of the rows n/2-1..1 of column k2 = 0 in a plane (n, width);
+    writeable, as np.take copies a read-only index array at every call."""
+    return np.arange(n // 2 - 1, 0, -1) * width
+
+
+def _mirror_own_column(planes: np.ndarray, scratch: np.ndarray) -> None:
+    """Make column k2 = 0 of C-contiguous planes ``planes[..., n, w]`` exactly
+    Hermitian, in place: rows n/2+1..n-1 := conj(rows n/2-1..1), rows 0 and
+    n/2 := +0, with no array allocated: as in :func:`_mirror_half`, the rows
+    are conjugated in a flat complex ``scratch``, n/2 - 1 elements a plane."""
+    n, w = planes.shape[-2:]
+    flat = planes.reshape(-1, n * w)
+    rows = scratch[:len(flat) * (n // 2 - 1)].reshape(len(flat), -1)
+    np.take(flat, _own_rows(n, w), axis=1, out=rows, mode="clip")
+    np.conj(rows, out=rows)
+    planes[..., n // 2 + 1:, 0] = rows.reshape(planes.shape[:-2] + (-1,))
+    planes[..., 0:n:n // 2, 0] = 0.0
 
 
 def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     Full spectra (3, n, n) of (u1, u2, omega), rebuilt from half or band
     planes U (2, n, w) and W (n, w) of a finite state in one array: filled,
-    mirrored, made exactly Hermitian and the mean zeroed.  The coefficients
-    equal those of the validating ``ScalarField`` bit for bit, and are
-    copies of the planes.
+    mirrored and the mean zeroed.  From planes exactly Hermitian in column
+    k2 = 0 (and n/2), as a time loop's and a ``State``'s are, they equal
+    the validating ``ScalarField``'s bit for bit, and are copies.
     """
     n, m = grid.n, U.shape[-1]
     full = np.zeros((3, n, n), dtype=np.complex128)
     full[:2, :, :m] = U
     full[2, :, :m] = W
     _mirror_half(grid, full, m)
-    # The Hermitian part of _hermitianized, with its bits (signed zeros
-    # included) but no gathered copy of the spectra: a mirrored column holds
-    # c_-k = conj(c_k) exactly, so there the sum is c_k + c_k.  Only the
-    # columns that are their own mirror image gather c_-k.
-    own = _self_mirror_part(grid, full[..., :m])
+    # _hermitianized's (c_k + conj(c_-k)) * 0.5, with its bits (signed zeros
+    # included), as c_k + c_k: every conj(c_-k) is c_k exactly
     np.add(full, full, out=full)
     np.multiply(full, 0.5, out=full)
-    full[..., 0:m:n // 2] = own
     full[..., 0, 0] = 0.0
     return full
 
@@ -815,8 +818,8 @@ def _product_energies(grid: Grid, dU: np.ndarray, dW: np.ndarray,
                       *tables: np.ndarray) -> list[float]:
     """Energies area * sum table |c|^2 of the fields of half or band planes
     (dU, dW), one per full-plane ``table`` (a mode mask or ``grid.lam``),
-    summed over the half planes as given (as the full spectra rebuilt from
-    them hold them); |c|^2 is formed once for all."""
+    the full spectra's sums for planes exactly Hermitian in column k2 = 0,
+    as the time loops' are; |c|^2 is formed once for all."""
     power = _power(np.concatenate([dU, dW[None]]))
     density = np.add(power[0], power[1], out=power[:1])
     density += power[2]

@@ -294,12 +294,22 @@ def per_plane_leray(grid: Grid, c1, c2):
     return p11 * c1 + p12 * c2, p12 * c1 + p22 * c2
 
 
+def mirror_own_column(plane: np.ndarray) -> None:
+    """Column k2 = 0 of one band plane (n, w) made exactly Hermitian in
+    place, as ``spectral._mirror_own_column`` makes it: rows n/2+1..n-1
+    the conjugates of rows n/2-1..1, rows 0 and n/2 +0."""
+    n = plane.shape[0]
+    plane[n // 2 + 1:, 0] = np.conj(plane[n // 2 - 1:0:-1, 0])
+    plane[0, 0] = plane[n // 2, 0] = 0.0
+
+
 class PerPlaneStepper:
     """
     ``dynamics._Stepper`` (without its CFL and finiteness checks) on
     :func:`per_plane_terms`: the CN/AB2 update (forward Euler on a first
     step, or on the first step with a new number of pairs) one band plane
-    at a time.  ``advance`` returns band-plane copies.
+    at a time, each plane's column k2 = 0 then mirrored.  ``advance``
+    returns band-plane copies.
     """
 
     def __init__(self, grid: Grid, params, forcing, dt: float, extra=None):
@@ -332,6 +342,8 @@ class PerPlaneStepper:
             c2 = self.num_u * c2[..., :m] + self.dt_den_u * e[1]
             w = self.num_w * w[..., :m] + self.dt_den_w * e[2]
             stepped.append((*per_plane_leray(grid, c1, c2), w * grid.half_keep))
+            for plane in stepped[-1]:
+                mirror_own_column(plane)
         out = [np.stack(stepped[0][:2]), stepped[0][2]]
         if V is not None:
             out += [np.stack([np.stack(s[:2]) for s in stepped[1:]]),

@@ -76,24 +76,27 @@ def test_ab_writes_paired_ratios(tmp_path):
 
 
 def test_command_rss_records_fresh_cli_processes():
-    # the commands of the layer, and at n = 16 (not in the table) the
-    # shortened simulate and resumed verify-estimates
-    assert RECORD.RSS_COMMANDS == {32: ("lyapunov",),
+    # the commands of the layer (at n = 16 the dense-n16 part's simulate),
+    # and at n = 24 (not in the table) the shortened simulate and resumed
+    # verify-estimates
+    assert RECORD.RSS_COMMANDS == {16: ("simulate",), 32: ("lyapunov",),
                                    64: ("simulate", "verify-estimates", "sync-modes"),
                                    128: ("simulate", "verify-estimates"),
                                    256: ("simulate", "verify-estimates")}
     sizes = {name: sizes for name, _, sizes in RECORD.LAYERS}
-    assert sizes["command_rss"] == (32, 64, 128, 256)
+    assert sizes["command_rss"] == (16, 32, 64, 128, 256)
     # a command's figure is its own, not the peak of the process that
     # measures it, here raised by 96 MiB of ballast
     import numpy as np
 
     ballast = np.ones(96 * 2 ** 20 // 8)
-    result = RECORD._layer(RECORD._command_rss, 16, 3)
-    assert set(result) == {"simulate", "verify-estimates"}
-    for command in result.values():
-        assert command["calls"] == 1 and command["median_us"] > 0
-        assert 10 < command["peak_rss_mib"] == command["peak_rss_all_mib"][0] < ballast.nbytes / 2 ** 20
+    for n, expected in ((16, {"simulate"}), (24, {"simulate", "verify-estimates"})):
+        result = RECORD._layer(RECORD._command_rss, n, 3)
+        assert set(result) == expected
+        for command in result.values():
+            assert command["calls"] == 1 and command["median_us"] > 0
+            assert 10 < command["peak_rss_mib"] == command["peak_rss_all_mib"][0] \
+                < ballast.nbytes / 2 ** 20
 
 
 def test_ab_pairs_the_peak_rss():

@@ -393,25 +393,30 @@ class TestFromHalf:
             assert fast.t == checked.t
             U, W = stepper.advance(U, W, 0.005 * i)
 
-    def test_batch_records_equal_validating_construction(self, grid16):
-        # one record whose column k2 = 0 is Hermitian only to roundoff: the
-        # State gets the validating constructor's bits, and the norms taken
-        # from the planes equal those of the State's observers bit for bit
+    def test_batch_records_equal_validating_construction(self):
+        # one record of a stepper's band planes, on either transform path:
+        # the State gets the validating constructor's bits, and the norms
+        # taken from the planes equal those of the State's observers bit
+        # for bit
         from micropolar.dynamics import _state_sums
 
-        rng = np.random.default_rng(7)
-        m = grid16.kcut + 1
-        state = random_state(grid16, 1, 0.5, 0.2)
-        planes = np.stack([c.coeffs[:, :m] for c in (state.u.u1, state.u.u2, state.omega)])
-        planes[..., 0] *= 1 + 1e-12 * rng.standard_normal(planes[..., 0].shape)
-        U, W = planes[:2], planes[2]
-        recorded = _from_half(grid16, U, W, 0.0)
-        assert _coefficient_bits(recorded) == _coefficient_bits(
-            _validated_from_half(grid16, U, W, 0.0))
-        observed = [fn(recorded, Forcing.zero(grid16)) for fn in standard_observers().values()]
-        values = _state_sums(grid16, planes)
-        assert np.asarray(values).view(np.uint64).tobytes() \
-            == np.asarray(observed[:len(values)]).view(np.uint64).tobytes()
+        for n in (16, 64, 128):
+            grid = make_grid(n, 2 * np.pi)
+            params = Params(0.15, 0.075, 0.15)
+            forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25,
+                                   seed=1)
+            stepper = _Stepper(grid, params, forcing, dt=0.01)
+            U, W = _to_half(random_state(grid, 1, 0.5, 0.2))
+            for i in range(10):
+                U, W = stepper.advance(U, W, 0.01 * i)
+            planes = stepper.work.out[:, 0]
+            recorded = _from_half(grid, U, W, 0.1)
+            assert _coefficient_bits(recorded) == _coefficient_bits(
+                _validated_from_half(grid, U, W, 0.1)), n
+            observed = [fn(recorded, Forcing.zero(grid)) for fn in standard_observers().values()]
+            values = _state_sums(grid, planes)
+            assert np.asarray(values).view(np.uint64).tobytes() \
+                == np.asarray(observed[:len(values)]).view(np.uint64).tobytes(), n
 
     def test_record_outlives_the_stepper_buffers(self, grid16):
         params = Params(0.1, 0.05, 0.1)

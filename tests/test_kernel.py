@@ -5,7 +5,8 @@ explicit and tangent terms against the advective form built from the
 complex full-plane reference ``oracles.advect_scalar_arrays``; a reused
 workspace gives the bits of a fresh one, a warm step allocates no
 arrays, and the step's stages, each one call over its component block,
-give the bits of the per-plane oracle ``oracles.PerPlaneStepper``.
+give the bits of the per-plane oracle ``oracles.PerPlaneStepper``.  The
+planes of every time loop keep column k2 = 0 exactly Hermitian.
 """
 
 import tracemalloc
@@ -25,13 +26,14 @@ from micropolar.dynamics import (
     make_forcing,
     random_state,
 )
-from micropolar.lyapunov import random_tangent_pairs
+from micropolar.lyapunov import lyapunov_spectrum, random_tangent_pairs
 from micropolar.spectral import (
     ScalarField,
     VectorField,
     _full_from_half,
     _leray_arrays,
     make_grid,
+    make_node_set,
 )
 from oracles import PerPlaneStepper
 from oracles import advect_scalar_arrays as _advect_scalar_arrays
@@ -327,3 +329,64 @@ def test_new_pair_count_restarts_the_history(grid16):
     fresh = _Stepper(grid16, params, forcing, dt=0.01).advance(U, W, 0.01, V, Z)
     for a, b in zip(riding, fresh):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_time_loops_keep_column_zero_exactly_hermitian(n, monkeypatch):
+    # column k2 = 0 equals, as values, the conjugate of its rows -k1 in
+    # every plane that a time loop hands on over 40 steps, on either
+    # transform path: the records of simulate (whose States then get the
+    # validating constructor's bits), both twins' followers (after slaving,
+    # and nudged) and the Benettin run's state and pairs
+    import micropolar.assimilation as assimilation
+    import micropolar.dynamics as dynamics
+    import micropolar.lyapunov as lyapunov
+    from micropolar.assimilation import SyncConfig, run_mode_sync, run_node_sync
+
+    grid = make_grid(n, 2 * np.pi)
+    params = Params(0.15, 0.075, 0.15)
+    forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+    reference, perturbed = random_state(grid, 2, 0.15, 0.05), random_state(grid, 3, 0.15, 0.05)
+    mirror_rows = (-np.arange(n)) % n
+    checked = []
+
+    def check(*planes):
+        for X in planes:
+            column = X[..., 0]
+            assert np.array_equal(column, np.conj(column[..., mirror_rows]))
+        checked.append(len(planes))
+
+    class CheckedStepper(_Stepper):
+        # the planes each step returns, and without pairs the planes it is
+        # given: a twin's follower as its loop left them
+        def advance(self, U, W, t, V=None, Z=None):
+            if V is None:
+                check(U, W)
+            planes = super().advance(U, W, t, V, Z)
+            check(*planes)
+            return planes
+
+    state_sums = dynamics._state_sums
+
+    def recorded(grid, planes, weights=None):
+        check(planes)
+        full = _full_from_half(grid, planes)
+        fast = dynamics._from_half(grid, planes[:2], planes[2], 0.0)
+        validated = (*VectorField.from_coeffs(grid, full[0], full[1]).stacked(),
+                     ScalarField(grid, full[2]).coeffs)
+        for a, b in zip((fast.u.u1.coeffs, fast.u.u2.coeffs, fast.omega.coeffs), validated):
+            assert a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes()
+        return state_sums(grid, planes, weights)
+
+    monkeypatch.setattr(dynamics, "_state_sums", recorded)
+    monkeypatch.setattr(assimilation, "_Stepper", CheckedStepper)
+    monkeypatch.setattr(lyapunov, "_Stepper", CheckedStepper)
+
+    dynamics.simulate(reference, params, forcing, 0.4, 0.01)
+    assert len(checked) == 41
+    config = SyncConfig(params, reference, perturbed, forcing, forcing, t_end=0.4, dt=0.01)
+    run_mode_sync(config, 20)
+    run_node_sync(config, make_node_set(grid, count=16), mu=5.0)
+    assert len(checked) == 41 + 2 * 4 * 40
+    lyapunov_spectrum(reference, params, forcing, 4, t_span=0.4, dt=0.01)
+    assert len(checked) == 41 + 2 * 4 * 40 + 40
