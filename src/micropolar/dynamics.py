@@ -33,7 +33,6 @@ from micropolar.spectral import (
     _check_hermitian,
     _full_from_half,
     _full_spectra,
-    _half_leray,
     _half_to_phys,
     _hermitianize,
     _leray_arrays,
@@ -145,6 +144,7 @@ class Forcing:
         self.profile = profile
         self.meta = dict(meta or {})
         self._norms: dict[tuple[str, str], float] = {}
+        self._fields: dict[str, tuple[float, VectorField | ScalarField]] = {}
         if steady:
             n = grid.n
             f, g = np.asarray(f_hat), np.asarray(g_hat)
@@ -202,14 +202,17 @@ class Forcing:
         ``self.g_at(t)`` for "g", with its bits.  A steady forcing takes each
         norm once, from its mirrored half planes (exactly Hermitian and
         zero-mean, so the fields' validation would not change them), and
-        keeps it; a time-dependent one goes through the fields at each call.
+        keeps it; a time-dependent one goes through the fields, and keeps
+        the last time's f and g, so that a record's norms build each once.
         """
         value = self._norms.get((which, kind))
         if value is None:
             if which not in ("f", "g"):
                 raise ValueError(f"which must be 'f' or 'g', got {which!r}")
             if not self.steady:
-                return spectral.norm(self.f_at(t) if which == "f" else self.g_at(t), kind)
+                if self._fields.get(which, (None,))[0] != t:
+                    self._fields[which] = (t, self.f_at(t) if which == "f" else self.g_at(t))
+                return spectral.norm(self._fields[which][1], kind)
             spectra = self.f_hat(t) if which == "f" else self.g_hat(t)[None]
             value = self._norms[which, kind] = spectral._spectra_norm(self.grid, spectra, kind)
         return value
@@ -452,7 +455,7 @@ class _Workspace:
       with pairs, the products' factors ``factors``, then the forward
       transform's last-axis stage ``rfft_out``, then the AB2 combination
       ``ab2``.
-    - ``E`` and ``E_prev``: this step's and the last step's explicit
+    - ``E`` and ``E_prev``: this step's and the last step's raw explicit
       terms, swapped after each step.  ``E`` holds the 2 nu_r coupling
       while the transforms run (their forward stage then writes into
       ``tmp``); ``E_prev`` is scratch once the AB2 combination has read it.
@@ -481,7 +484,7 @@ class _Workspace:
         self.rfft_out = spec[: 3 * members * n * h].reshape(3, members, n, h)
         self.ab2 = spec[: 3 * members * n * m].reshape(3, members, n, m)
         spent = self.phys.reshape(-1)
-        self.tmp = spent.view(np.complex128)[: 4 * members * n * m].reshape(4, members, n, m)
+        self.tmp = spent.view(np.complex128)[: 3 * members * n * m].reshape(3, members, n, m)
         self.finite = spent.view(np.bool_)[: 6 * members * n * m].reshape(3, members, n, 2 * m)
         self.E, self.E_prev, self.out = (np.empty((3, members, n, m), dtype=np.complex128)
                                          for _ in range(3))
@@ -519,13 +522,14 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                     work: _Workspace | None = None):
     """
     Explicitly treated part of the RHS: advection, 2 nu_r rot coupling and
-    forcing.  Returns (EU, EW, max_speed); EU is Leray-projected, both are
-    dealiased and zero-mean band planes (last axis kcut + 1).
+    forcing.  Returns (EU, EW, max_speed), band planes (last axis
+    kcut + 1) of the raw terms, neither projected nor dealiased nor
+    zero-mean: :meth:`_Stepper._imex` projects the step's update.
 
     Given tangent pairs ``V`` (N, 2, ...) and ``Z`` (N, ...), it also
     returns their terms (EV, EZ), the same part of the dynamics linearized
     about (u, w):
-        E_V = Leray[-(omega_V x u + omega_u x V) + 2 nu_r rot Z]
+        E_V = -(omega_V x u + omega_u x V) + 2 nu_r rot Z
         E_Z = -(u.grad)Z - (V.grad)w + 2 nu_r rot V
     with omega_X = rot X and omega x X = (-omega X2, omega X1).  Forcing and
     ``extra`` act on the state only.
@@ -539,8 +543,9 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     grad(|u|^2/2) is removed by the projection.  The inputs are truncated
     to the band first, so this also holds for a state that is not
     dealiased.  The state and each pair take 5 inverse (u1, u2, omega,
-    d1 w, d2 w) and 3 forward (omega u2, -omega u1, -u.grad w) real
-    transforms, all members in one call each way.
+    d1 w, d2 w) and 3 forward (omega u2, omega u1, u.grad w) real
+    transforms, all members in one call each way, the last two negated
+    in the spectral combination.
 
     Every temporary lives in the workspace ``work`` (a fresh one when
     omitted): the inputs are copied into its planes ``out`` unless they
@@ -566,10 +571,10 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     np.subtract(tmp[1], tmp[0], out=spec[2])
     two_nur = 2.0 * params.nu_r
     if two_nur != 0.0:
-        # the coupling 2 nu_r (d2 w, d1 w, rot u) into E, before the
+        # the coupling 2 nu_r (d2 w, -d1 w, rot u) into E, before the
         # inverse transform's pocketfft stages overwrite the spectral input
         np.multiply(two_nur, spec[4:1:-2], out=E[::2])
-        np.multiply(two_nur, spec[3], out=E[1])
+        np.multiply(-two_nur, spec[3], out=E[1])
     _half_to_phys(spec, out=phys, stage=work.stage)
 
     # products into planes 2..4 of each member, each written over factors
@@ -581,34 +586,36 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     if F is not phys:
         np.copyto(F, phys[:, :1])
     pairs = phys[:, 1:]
-    # -(u.grad x [+ V.grad w]) into plane 4
+    # u.grad x [+ V.grad w] into plane 4
     np.multiply(F[:2], phys[3:], out=phys[3:])
     np.add(phys[3], phys[4], out=phys[4])
     if work.members > 1:
         np.multiply(pairs[:2], F[3:, 1:], out=F[3:, 1:])
         np.add(pairs[4], F[3, 1:], out=pairs[4])
         np.add(pairs[4], F[4, 1:], out=pairs[4])
-    # -(omega_X x u [+ omega_u x V]): omega_X u2 [+ omega_u V2] into plane
-    # 2, -(omega_X u1 [+ omega_u V1]) into plane 3
+    # omega_X u2 [+ omega_u V2] into plane 2, omega_X u1 [+ omega_u V1]
+    # into plane 3: -(omega_X x u [+ omega_u x V]) is (plane 2, -plane 3)
     np.multiply(phys[2], F[0], out=phys[3])
     np.multiply(phys[2], F[1], out=phys[2])
     if work.members > 1:
         np.multiply(F[2, 1:], pairs[0], out=pairs[0])
         np.multiply(F[2, 1:], pairs[1], out=pairs[1])
         np.add(pairs[3:1:-1], pairs[:2], out=pairs[3:1:-1])
-    np.negative(phys[3:], out=phys[3:])
     # the speeds, in the state's spent velocity planes
     speed = phys[:2, 0]
     np.multiply(speed, speed, out=speed)
     np.add(speed[0], speed[1], out=speed[0])
     max_speed = math.sqrt(float(speed[0].max()))
     # with the coupling in E, the transform goes to the spent planes and
-    # E0 += 2 nu_r d2 w, E1 -= 2 nu_r d1 w, E2 += 2 nu_r rot u
+    # E0 += F(plane 2), E1 -= F(plane 3), E2 -= F(plane 4); without, it
+    # goes to E and the last two are negated
     fwd = E if two_nur == 0.0 else tmp[:3]
     _phys_to_half(phys[2:], m, out=fwd, scratch=work.rfft_out)
-    if two_nur != 0.0:
-        np.add(fwd[::2], E[::2], out=E[::2])
-        np.subtract(fwd[1], E[1], out=E[1])
+    if two_nur == 0.0:
+        np.negative(E[1:], out=E[1:])
+    else:
+        np.add(fwd[0], E[0], out=E[0])
+        np.subtract(E[1:], fwd[1:], out=E[1:])
     # the state's own terms, one plane at a time: with pairs they are
     # strided within the component block, and numpy would buffer an add of
     # a contiguous stack into them at small planes
@@ -619,8 +626,6 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         dU, dW = extra(t, U, W)
         for k, d in enumerate((dU[0], dU[1], dW)):
             np.add(own[k], d[..., :m], out=own[k])
-    _half_leray(work.leray, E[:2], E[:2], tmp[:2])
-    np.multiply(E[2], work.keep, out=E[2])
     if V is None:
         return E[:2, 0], E[2, 0], max_speed
     return E[:2, 0], E[2, 0], max_speed, E[:2, 1:].swapaxes(0, 1), E[2, 1:]
@@ -638,10 +643,21 @@ def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, Sc
     W = state.omega.coeffs
     EU, EW, _ = _explicit_terms(grid, params, U, W,
                                 forcing.f_hat(state.t), forcing.g_hat(state.t), t=state.t)
+    terms = _projected_terms(grid, EU, EW)
     visc = (params.nu + params.nu_r) * grid.lam
-    du = _full_from_half(grid, EU) - visc * U
-    dw = _full_from_half(grid, EW) - (params.alpha * grid.lam + 4.0 * params.nu_r) * W
+    du = terms[:2] - visc * U
+    dw = terms[2] - (params.alpha * grid.lam + 4.0 * params.nu_r) * W
     return VectorField.from_coeffs(grid, du[0], du[1]), ScalarField(grid, dw)
+
+
+def _projected_terms(grid: Grid, EU: np.ndarray, EW: np.ndarray) -> np.ndarray:
+    """Full spectra (3, n, n) of the raw band-plane terms (EU, EW) of
+    :func:`_explicit_terms`, dealiased with the mean zeroed and EU
+    Leray-projected: what a step's one projection makes of them, for the
+    public right-hand sides."""
+    terms = _full_from_half(grid, np.stack([EU[0], EU[1], EW]) * grid.half_keep)
+    _leray_arrays(grid, terms[0], terms[1], out=terms[:2])
+    return terms
 
 
 class _Stepper:
@@ -693,8 +709,10 @@ class _Stepper:
 
     def _imex(self) -> None:
         """CN/AB2 update (forward Euler without history) of every member, in
-        place in ``work.out``, from the terms in ``work.E``: projected,
-        dealiased, zero-mean and exactly Hermitian in column k2 = 0."""
+        place in ``work.out``, from the raw terms in ``work.E``, then the
+        step's one projection (the CN tables of u1 and u2 are equal, so the
+        projected update is the update from projected terms): the planes
+        leave dealiased, zero-mean and exactly Hermitian in column k2 = 0."""
         work = self.work
         E, prev, A, out = work.E, work.E_prev, work.ab2, work.out
         num, dt_den = self.cn
@@ -707,7 +725,7 @@ class _Stepper:
         np.multiply(num, out, out=out)
         np.multiply(dt_den, terms, out=A)
         np.add(out, A, out=out)
-        _half_leray(work.leray, out[:2], out[:2], prev[:2])
+        spectral._half_leray(work.leray, out[:2], out[:2], prev[:2])
         np.multiply(out[2], work.keep, out=out[2])
         spectral._mirror_own_column(out, A.reshape(-1))
 
@@ -834,8 +852,9 @@ def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = Non
     The one computation of the standard set's state norms, in its order,
     of the (u1, u2, omega) half or band planes ``planes`` (3, n, w) of a
     zero-mean state: |c|^2 of u and omega under the L2, H1 and D(A)
-    :func:`spectral._half_weights` (``weights``, the :func:`_state_weights`
-    of a run, when their width fits).
+    :func:`spectral._half_weights` (``weights``, a run's, when their width
+    fits), one BLAS product of the weights (3, n w) with the power planes
+    of (u1, u2, omega), whose sums for u1 and u2 are then added.
     Planes of a time loop or a ``State``, exactly Hermitian in column
     k2 = 0 (and n/2), hold the power of its full spectra; whole half planes
     zero beyond the band are laid out as band planes, for the same bits.
@@ -846,22 +865,11 @@ def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = Non
     width = planes.shape[-1]
     power = np.abs(planes)
     np.square(power, out=power)
-    np.add(power[0], power[1], out=power[1])
     if weights is None or weights.shape[-1] != width:
-        weights = _state_weights(grid, width)
-    return spectral._half_sums(power[1:], weights).ravel().tolist()
-
-
-def _state_weights(grid: Grid, width: int) -> np.ndarray:
-    """The L2, H1 and D(A) :func:`spectral._half_weights` of width ``width``,
-    (3, n, width), as ``_half_sums`` takes them for the power of u and of
-    omega: stacked to (3, 2, n, width) where the planes are small enough
-    that numpy would buffer their broadcast (at most half its ufunc buffer
-    of elements, as ``_Workspace.stacked`` reads it)."""
-    weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
-    if 2 * weights[0].size <= np.getbufsize():
-        return np.repeat(weights[:, None], 2, axis=1)
-    return weights
+        weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
+    sums = weights.reshape(3, -1) @ power.reshape(3, -1).T
+    np.add(sums[:, 0], sums[:, 1], out=sums[:, 1])
+    return sums[:, 1:].ravel().tolist()
 
 
 def standard_observers() -> dict[str, Callable[[State, Forcing], float]]:
@@ -931,7 +939,7 @@ def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_
         series = {name: [] for name in _STANDARD_SET}
         forcing_norms = {name: (which, kind)
                          for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
-        weights = _state_weights(grid, grid.kcut + 1)
+        weights = spectral._half_weights(grid, grid.kcut + 1, None, grid.lam, grid.lam_sq)
 
         def record_planes(t: float, planes: np.ndarray) -> None:
             for name, (which, kind) in forcing_norms.items():

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from micropolar.dynamics import (Forcing, NumericsError, Params, State, _explicit_terms,
-                                 _random_scalars, _Stepper, _to_half, _whole_steps,
-                                 _Workspace)
+                                 _projected_terms, _random_scalars, _Stepper, _to_half,
+                                 _whole_steps, _Workspace)
 from micropolar.estimates import Constants
 from micropolar.spectral import (FieldError, Grid, ScalarField, VectorField, _column_weights,
-                                 _full_from_half, _half_to_phys, _leray_arrays, _power,
-                                 _product_energies, _real_weights)
+                                 _half_to_phys, _leray_arrays, _power, _product_energies,
+                                 _real_weights)
 
 __all__ = [
     "LyapunovReport",
@@ -92,9 +92,10 @@ def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
     W = base.omega.coeffs
     zero = np.zeros_like(W)
     *_, EV, EZ = _explicit_terms(grid, params, base.u.stacked(), W, zero, zero, V=Vb, Z=Zb)
+    terms = _projected_terms(grid, EV[0], EZ[0])
     visc = (params.nu + params.nu_r) * grid.lam
-    dV = _full_from_half(grid, EV[0]) - visc * Vb[0]
-    dZ = _full_from_half(grid, EZ[0]) - (params.alpha * grid.lam + 4.0 * params.nu_r) * Zb[0]
+    dV = terms[:2] - visc * Vb[0]
+    dZ = terms[2] - (params.alpha * grid.lam + 4.0 * params.nu_r) * Zb[0]
     return VectorField.from_coeffs(grid, dV[0], dV[1]), ScalarField(grid, dZ)
 
 

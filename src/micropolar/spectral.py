@@ -800,31 +800,19 @@ def _half_weights(grid: Grid, width: int, *tables: np.ndarray | None) -> np.ndar
                      else cw * table[:, :width] for table in tables])
 
 
-def _half_sums(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Energies sum weight * power, (K, F), of half-plane power (F, n, w)
-    under :func:`_half_weights` (K, n, w), or those stacked for each power
-    plane (K, F, n, w): one pairwise sum per product plane, so that its
-    bits do not depend on the other planes.  The products are taken one
-    weight at a time, as numpy would buffer a broadcast of the power over
-    the weights at small planes; stacked weights spare it the broadcast
-    of the weights over the power."""
-    products = np.empty(weights.shape[:1] + power.shape)
-    for weight, product in zip(weights, products):
-        np.multiply(weight, power, out=product)
-    return np.add.reduce(products.reshape(products.shape[:2] + (-1,)), axis=-1)
-
-
 def _product_energies(grid: Grid, dU: np.ndarray, dW: np.ndarray,
                       *tables: np.ndarray) -> list[float]:
     """Energies area * sum table |c|^2 of the fields of half or band planes
     (dU, dW), one per full-plane ``table`` (a mode mask or ``grid.lam``),
     the full spectra's sums for planes exactly Hermitian in column k2 = 0,
-    as the time loops' are; |c|^2 is formed once for all."""
+    as the time loops' are: one BLAS product of the weights (K, n w) with
+    the power planes of (u1, u2, omega), whose sums are then added.  (With
+    one summed plane, one table would take a dot product, which BLAS
+    splits over its threads on long planes: its bits would vary with them.)"""
     power = _power(np.concatenate([dU, dW[None]]))
-    density = np.add(power[0], power[1], out=power[:1])
-    density += power[2]
-    weights = _half_weights(grid, density.shape[-1], *tables)
-    return _half_sums(density, weights)[:, 0].tolist()
+    weights = _half_weights(grid, power.shape[-1], *tables)
+    sums = weights.reshape(len(tables), -1) @ power.reshape(3, -1).T
+    return sums.sum(axis=1).tolist()
 
 
 def inner(f, g) -> float:

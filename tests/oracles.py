@@ -241,10 +241,12 @@ def mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def per_plane_terms(grid: Grid, params, U, W, f_hat, g_hat, extra=None, t: float = 0.0,
                     V=None, Z=None):
     """
-    The explicit terms of ``dynamics._explicit_terms`` (EU, EW, max_speed,
-    then EV, EZ given pairs), one band plane of one member at a time: the
-    same operations on the same operands in the same order, so the same
-    bits, with a temporary per operation.
+    The raw explicit terms of ``dynamics._explicit_terms`` (EU, EW,
+    max_speed, then EV, EZ given pairs), one band plane of one member at a
+    time: the same operations on the same operands in the same order, so
+    the same bits, with a temporary per operation.  Like the kernel, it
+    transforms (omega u2, omega u1, u.grad w) and takes the signs of the
+    last two in the spectral combination.
     """
     m = grid.kcut + 1
     keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
@@ -259,11 +261,11 @@ def per_plane_terms(grid: Grid, params, U, W, f_hat, g_hat, extra=None, t: float
         spec = np.stack([c1, c2, d1 * c2 - d2 * c1, d1 * w, d2 * w])
         phys.append(_half_to_phys(spec))
     u1, u2, rot_u, w1, w2 = phys[0]
-    products = [(rot_u * u2, -(rot_u * u1), -(u1 * w1 + u2 * w2))]
+    products = [(rot_u * u2, rot_u * u1, u1 * w1 + u2 * w2)]
     for v1, v2, rot_v, z1, z2 in phys[1:]:
         products.append((rot_v * u2 + rot_u * v2,
-                         -(rot_v * u1 + rot_u * v1),
-                         -(u1 * z1 + u2 * z2 + v1 * w1 + v2 * w2)))
+                         rot_v * u1 + rot_u * v1,
+                         u1 * z1 + u2 * z2 + v1 * w1 + v2 * w2))
     max_speed = math.sqrt(float((u1 * u1 + u2 * u2).max()))
 
     terms = []
@@ -271,14 +273,16 @@ def per_plane_terms(grid: Grid, params, U, W, f_hat, g_hat, extra=None, t: float
         E0, E1, E2 = _phys_to_half(np.stack(planes), m)
         if two_nur != 0.0:
             E0 = E0 + two_nur * (d2 * w)
-            E1 = E1 - two_nur * (d1 * w)
-            E2 = E2 + two_nur * (d1 * c2 - d2 * c1)
+            E1 = -two_nur * (d1 * w) - E1
+            E2 = two_nur * (d1 * c2 - d2 * c1) - E2
+        else:
+            E1, E2 = -E1, -E2
         if j == 0:
             E0, E1, E2 = E0 + f_hat[0][..., :m], E1 + f_hat[1][..., :m], E2 + g_hat[..., :m]
             if extra is not None:
                 dU, dW = extra(t, U, W)
                 E0, E1, E2 = E0 + dU[0][..., :m], E1 + dU[1][..., :m], E2 + dW[..., :m]
-        terms.append((*per_plane_leray(grid, E0, E1), E2 * keep))
+        terms.append((E0, E1, E2))
     EU, EW = np.stack(terms[0][:2]), terms[0][2]
     if V is None:
         return EU, EW, max_speed

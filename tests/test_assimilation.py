@@ -23,12 +23,13 @@ from micropolar.spectral import _half_weights, _power, make_node_set
 PARAMS = Params(nu=0.25, nu_r=0.1, alpha=0.25)
 
 
-def separate_energy(grid, dU, dW, weight):
-    """One weighted energy of half planes with its own |c|^2, as each twin
-    series would take it alone."""
+def separate_energies(grid, dU, dW, *tables):
+    """The weighted energies of half planes, one per table, with their own
+    |c|^2 of (u1, u2, omega): one BLAS product of the tables' weights with
+    the three power planes, whose sums are added."""
     power = _power(np.concatenate([dU, dW[None]]))
-    density = power[0] + power[1] + power[2]
-    return float(np.sum(density * _half_weights(grid, density.shape[-1], weight)[0]))
+    weights = _half_weights(grid, power.shape[-1], *tables).reshape(len(tables), -1)
+    return (weights @ power.reshape(3, -1).T).sum(axis=1).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +77,9 @@ class TestModeSync:
         assert report.meta["effective_m"] >= 30
 
     def test_series_equal_separate_energies(self, grid32, twin_setup, monkeypatch):
-        # delta_P and delta_Q come from one |c|^2 per record, with the bits
-        # of one energy evaluation each
+        # delta_P and delta_Q come from one |c|^2 and one product per record,
+        # with the bits of that product of both tables (a BLAS product's
+        # bits depend on the rows it holds, so not of one table alone)
         from micropolar import assimilation
 
         fo, ref, pert = twin_setup
@@ -85,7 +87,7 @@ class TestModeSync:
         separate = []
 
         def spy(grid, dU, dW, *weights):
-            separate.append([separate_energy(grid, dU, dW, w) for w in weights])
+            separate.append(separate_energies(grid, dU, dW, *weights))
             return shared(grid, dU, dW, *weights)
 
         monkeypatch.setattr(assimilation, "_product_energies", spy)

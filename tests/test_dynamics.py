@@ -227,6 +227,29 @@ class TestRecordPath:
             assert np.array_equal(column, expected), name
             assert len(np.unique(column)) == len(column), name
 
+    def test_time_dependent_forcing_built_once_per_record(self, grid16):
+        # a record's four forcing norms build f and g once each (the norms
+        # keep the last time's fields), with the bits of spectral.norm of
+        # f_at(t) and g_at(t); the stepper evaluates both once per step
+        base = make_forcing(grid16, "steady", 0.01, 0.002, mode_hi=4, seed=2)
+        gap = make_forcing(grid16, "steady", 0.04, 0.01, mode_hi=4, seed=3)
+        fo = forcing_with_decaying_gap(base, gap.f_at(0), gap.g_at(0), decay_rate=2.0)
+        calls = {"f": [], "g": []}
+        for which in calls:
+            built = getattr(fo, f"_{which}_hat")
+            setattr(fo, f"_{which}_hat",
+                    lambda t, which=which, built=built: calls[which].append(t) or built(t))
+        res = simulate(random_state(grid16, 4, 0.1, 0.05), Params(0.3, 0.1, 0.3), fo,
+                       t_end=0.2, dt=0.01, stride=3)
+        steps = [0.01 * i for i in range(20)]
+        assert len(res.times) == 8
+        for which in calls:
+            assert sorted(calls[which]) == sorted(steps + list(res.times)), which
+        for name, (which, kind) in _FORCING_OBSERVERS.items():
+            expected = [_forcing_norm_sq(fo, which, kind, t) for t in res.times]
+            assert res.series[name].view(np.uint64).tobytes() \
+                == np.asarray(expected).view(np.uint64).tobytes(), name
+
     def test_one_mapping_serves_two_steady_forcings(self, grid16):
         fo1 = make_forcing(grid16, "steady", 0.01, 0.002, mode_hi=4, seed=2)
         fo2 = make_forcing(grid16, "steady", 0.04, 0.01, mode_hi=5, seed=3)

@@ -6,7 +6,9 @@ complex full-plane reference ``oracles.advect_scalar_arrays``; a reused
 workspace gives the bits of a fresh one, a warm step allocates no
 arrays, and the step's stages, each one call over its component block,
 give the bits of the per-plane oracle ``oracles.PerPlaneStepper``.  The
-planes of every time loop keep column k2 = 0 exactly Hermitian.
+planes of every time loop keep column k2 = 0 exactly Hermitian.  The
+kernel's terms are raw: a step projects its update once, and the public
+right-hand sides project their own terms.
 """
 
 import tracemalloc
@@ -19,14 +21,17 @@ from hypothesis import strategies as st
 from micropolar.dynamics import (
     Forcing,
     Params,
+    State,
     _explicit_terms,
+    _random_scalars,
     _Stepper,
     _to_half,
     _Workspace,
     make_forcing,
     random_state,
+    rhs,
 )
-from micropolar.lyapunov import lyapunov_spectrum, random_tangent_pairs
+from micropolar.lyapunov import lyapunov_spectrum, random_tangent_pairs, tangent_rhs
 from micropolar.spectral import (
     ScalarField,
     VectorField,
@@ -103,6 +108,16 @@ def _advective_reference(grid, params, U, W, f_hat, g_hat):
     return EU, EW, np.max(np.abs(adv_u)), np.max(np.abs(adv_w))
 
 
+def _projected(grid, EU, EW):
+    """Full spectra of the kernel's raw band-plane terms as a step projects
+    them: dealiased, the mean zeroed, EU Leray-projected."""
+    mask = grid.dealias_mask
+    EU, EW = _full_from_half(grid, EU) * mask, _full_from_half(grid, EW) * mask
+    EU = np.stack(_leray_arrays(grid, EU[0], EU[1]))
+    EU[:, 0, 0] = EW[0, 0] = 0.0
+    return EU, EW
+
+
 @pytest.mark.parametrize("n", [12, 16, 32, 64])
 @pytest.mark.parametrize("nu_r", [0.0, 0.2])
 @pytest.mark.parametrize("kmax", [4, 64])
@@ -113,10 +128,10 @@ def test_explicit_terms_match_advective_form(n, nu_r, kmax):
     state = random_state(grid, 5, 1.0, 0.5, kmax=kmax)
     U, W = state.u.stacked(), state.omega.coeffs
     f_hat, g_hat = forcing.f_hat(0.0), forcing.g_hat(0.0)
-    EU, EW, _ = _explicit_terms(grid, params, U, W, f_hat, g_hat)
+    EU, EW = _projected(grid, *_explicit_terms(grid, params, U, W, f_hat, g_hat)[:2])
     ref_u, ref_w, scale_u, scale_w = _advective_reference(grid, params, U, W, f_hat, g_hat)
-    assert np.max(np.abs(_full_from_half(grid, EU) - ref_u)) <= ROUNDOFF * scale_u
-    assert np.max(np.abs(_full_from_half(grid, EW) - ref_w)) <= ROUNDOFF * scale_w
+    assert np.max(np.abs(EU - ref_u)) <= ROUNDOFF * scale_u
+    assert np.max(np.abs(EW - ref_w)) <= ROUNDOFF * scale_w
 
 
 @pytest.mark.parametrize("nu_r,velocity_only", [(0.0, True), (0.0, False), (0.2, False)])
@@ -133,6 +148,7 @@ def test_tangent_terms_match_advective_form(grid32, nu_r, velocity_only):
     u_phys = _to_phys_array(U * mask).real
     two_nur = 2.0 * params.nu_r
     for j in range(V.shape[0]):
+        EVj, EZj = _projected(grid32, EV[j], EZ[j])
         Vj, Zj = V[j] * mask, Z[j] * mask
         v_phys = _to_phys_array(Vj).real
         # -(u.grad)V - (V.grad)u, then the coupling, projected
@@ -143,13 +159,13 @@ def test_tangent_terms_match_advective_form(grid32, nu_r, velocity_only):
             ref_v = ref_v + two_nur * np.stack([d2 * Zj, -(d1 * Zj)])
         ref_v = np.stack(_leray_arrays(grid32, ref_v[0] * mask, ref_v[1] * mask))
         ref_v[:, 0, 0] = 0.0
-        assert np.max(np.abs(_full_from_half(grid32, EV[j]) - ref_v)) \
+        assert np.max(np.abs(EVj - ref_v)) \
             <= ROUNDOFF * np.max(np.abs(adv))
         adv_z = (_advect_scalar_arrays(grid32, u_phys, Zj)
                  + _advect_scalar_arrays(grid32, v_phys, W * mask))
         ref_z = (-adv_z + two_nur * (d1 * Vj[1] - d2 * Vj[0])) * mask
         ref_z[0, 0] = 0.0
-        assert np.max(np.abs(_full_from_half(grid32, EZ[j]) - ref_z)) \
+        assert np.max(np.abs(EZj - ref_z)) \
             <= ROUNDOFF * np.max(np.abs(adv_z))
 
 
@@ -210,6 +226,54 @@ def test_advance_equals_per_plane_oracle(n, nu_r, pairs, given):
         expected = oracle.advance(expected[0], expected[1], 0.01 * i, *expected[2:])
         for a, b in zip(planes, expected):
             assert np.array_equal(np.ascontiguousarray(a).view(np.uint64), b.view(np.uint64)), i
+
+
+def _assert_projected(grid, velocity, scalar):
+    # band or full spectra: divergence-free to 1e-14 of their scale, and
+    # zero outside the dealiased band and at k = 0
+    w = velocity.shape[-1]
+    keep = grid.dealias_mask[:, :w] & (grid.lam[:, :w] > 0)
+    for c in (*velocity, scalar):
+        assert np.all(c[~keep] == 0)
+    full = _full_from_half(grid, velocity) if w < grid.n else velocity
+    assert VectorField.from_coeffs(grid, full[0], full[1]).max_divergence() <= 1e-14
+
+
+@pytest.mark.parametrize("pairs", [0, 2])
+def test_step_and_rhs_project_raw_terms(grid16, pairs):
+    # inputs that are not divergence-free, reach beyond the 2/3 band and
+    # (the stepper's half planes) carry a mean: the kernel leaves its terms
+    # raw, so the step's one projection, in _Stepper._imex, is what removes
+    # all three from the planes that advance returns; rhs and tangent_rhs
+    # return projected, dealiased terms of their own
+    grid, h = grid16, grid16.n // 2 + 1
+    params = Params(0.1, 0.2, 0.1)
+    forcing = make_forcing(grid, "steady", 0.05, 0.01, mode_hi=4, seed=1)
+    spectra = 0.01 * _random_scalars(grid, np.random.default_rng(pairs), grid.n, 3 + 3 * pairs)
+    fields = [(VectorField.from_coeffs(grid, c1, c2), ScalarField(grid, w))
+              for c1, c2, w in spectra.reshape(-1, 3, grid.n, grid.n)]
+    planes = spectra[..., :h].copy()
+    planes[:, 0, 0] = 0.5
+    members = planes.reshape(-1, 3, grid.n, h)
+    assert fields[0][0].max_divergence() > 0.1
+    assert np.all(members[..., 0, 0] != 0) and np.any(members[..., ~grid.dealias_mask[:, :h]])
+    given = [members[0, :2], members[0, 2]]
+    if pairs:
+        given += [members[1:, :2], members[1:, 2]]
+    stepped = _Stepper(grid, params, forcing, dt=0.01).advance(given[0], given[1], 0.0, *given[2:])
+    _assert_projected(grid, stepped[0], stepped[1])
+    for j in range(pairs):
+        _assert_projected(grid, stepped[2][j], stepped[3][j])
+
+    state = State(*fields[0])
+    U, W = state.u.stacked(), state.omega.coeffs
+    du, dw = rhs(state, params, forcing)
+    _assert_projected(grid, du.stacked() + (params.nu + params.nu_r) * grid.lam * U,
+                      dw.coeffs + (params.alpha * grid.lam + 4.0 * params.nu_r) * W)
+    for V, Z in fields[1:]:
+        dv, dz = tangent_rhs(state, (V, Z), params)
+        _assert_projected(grid, dv.stacked() + (params.nu + params.nu_r) * grid.lam * V.stacked(),
+                          dz.coeffs + (params.alpha * grid.lam + 4.0 * params.nu_r) * Z.coeffs)
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
