@@ -590,11 +590,8 @@ def _e2e(trees: dict[str, Path], seconds: float, rounds: int, smoke: bool = Fals
     i on seed i, the trees alternating within a round as ``--ab`` does.
     Each tree's ``src``, ``perfbench`` and ``BENCHMARK.json`` run from a
     temporary copy, so the tree is only read; a tree without them is
-    recorded as absent.  The copies are ``<tmp>/a`` and ``<tmp>/b``, paths
-    of equal length: a command's peak RSS moves with the length of the
-    path it runs from (by a constant 0.25 MiB between copies named
-    ``this`` and ``other``).  With two trees, ``pairs`` holds per metric
-    the ratio this / other of each round: its median, IQR and ``wins``
+    recorded as absent.  With two trees, ``pairs`` holds per metric the
+    ratio this / other of each round: its median, IQR and ``wins``
     (rounds where this is better, in the direction BENCHMARK.json gives).
     """
     better = {m["name"]: m["better"]
@@ -602,14 +599,14 @@ def _e2e(trees: dict[str, Path], seconds: float, rounds: int, smoke: bool = Fals
     point = {workload: {} for workload in E2E_WORKLOADS}
     with tempfile.TemporaryDirectory() as tmp:
         copies = {}
-        for name, (side, tree) in zip("ab", trees.items()):
+        for side, tree in trees.items():
             parts = ("src", "perfbench", "BENCHMARK.json")
             if not all((tree / part).exists() for part in parts) \
                     or not (tree / "perfbench" / "run.py").is_file():
                 for workload in E2E_WORKLOADS:
                     point[workload][side] = {"absent": f"{tree} holds no perfbench/run.py"}
                 continue
-            copies[side] = Path(tmp) / name
+            copies[side] = Path(tmp) / side
             for part in parts[:2]:
                 shutil.copytree(tree / part, copies[side] / part,
                                 ignore=shutil.ignore_patterns("__pycache__", ".perfbench-work"))

@@ -808,7 +808,9 @@ def _product_energies(grid: Grid, dU: np.ndarray, dW: np.ndarray,
     as the time loops' are: one BLAS product of the weights (K, n w) with
     the power planes of (u1, u2, omega), whose sums are then added.  (With
     one summed plane, one table would take a dot product, which BLAS
-    splits over its threads on long planes: its bits would vary with them.)"""
+    splits over its threads on long planes: its bits would vary with them.
+    One table takes a matrix-vector product, whose bits do not:
+    tests/test_blas_threads.py checks it at n = 128.)"""
     power = _power(np.concatenate([dU, dW[None]]))
     weights = _half_weights(grid, power.shape[-1], *tables)
     sums = weights.reshape(len(tables), -1) @ power.reshape(3, -1).T

@@ -23,13 +23,12 @@ from micropolar.spectral import _half_weights, _power, make_node_set
 PARAMS = Params(nu=0.25, nu_r=0.1, alpha=0.25)
 
 
-def separate_energies(grid, dU, dW, *tables):
-    """The weighted energies of half planes, one per table, with their own
-    |c|^2 of (u1, u2, omega): one BLAS product of the tables' weights with
-    the three power planes, whose sums are added."""
+def separate_energy(grid, dU, dW, weight):
+    """One weighted energy of half planes with its own |c|^2 and a pairwise
+    sum, as each twin series would take it alone."""
     power = _power(np.concatenate([dU, dW[None]]))
-    weights = _half_weights(grid, power.shape[-1], *tables).reshape(len(tables), -1)
-    return (weights @ power.reshape(3, -1).T).sum(axis=1).tolist()
+    density = power[0] + power[1] + power[2]
+    return float(np.sum(density * _half_weights(grid, density.shape[-1], weight)[0]))
 
 
 @pytest.fixture(scope="module")
@@ -78,22 +77,24 @@ class TestModeSync:
 
     def test_series_equal_separate_energies(self, grid32, twin_setup, monkeypatch):
         # delta_P and delta_Q come from one |c|^2 and one product per record,
-        # with the bits of that product of both tables (a BLAS product's
-        # bits depend on the rows it holds, so not of one table alone)
+        # with that call's bits, and match each energy taken alone within
+        # the roundoff budget of the record norms (1e-15 relative)
         from micropolar import assimilation
 
         fo, ref, pert = twin_setup
         shared = assimilation._product_energies
-        separate = []
+        returned, separate = [], []
 
         def spy(grid, dU, dW, *weights):
-            separate.append(separate_energies(grid, dU, dW, *weights))
-            return shared(grid, dU, dW, *weights)
+            separate.append([separate_energy(grid, dU, dW, w) for w in weights])
+            returned.append(shared(grid, dU, dW, *weights))
+            return returned[-1]
 
         monkeypatch.setattr(assimilation, "_product_energies", spy)
         report = run_mode_sync(make_config(fo, ref, pert, t_end=0.5, stride=3), 40)
-        expected = np.asarray(separate)
-        assert expected.shape == (len(report.times), 2) and np.all(expected[1:, 1] > 0)
+        expected, alone = np.asarray(returned), np.asarray(separate)
+        assert expected.shape == (len(report.times), 2) and np.all(alone[1:, 1] > 0)
+        assert np.all(np.abs(expected - alone) <= 1e-15 * alone)
         for k, name in enumerate(("delta_P", "delta_Q")):
             got = np.ascontiguousarray(report.series[name])
             assert np.array_equal(got.view(np.uint64), expected[:, k].view(np.uint64))

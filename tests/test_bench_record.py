@@ -108,24 +108,6 @@ def test_ab_pairs_the_peak_rss():
     assert pair["ratio"]["wins"] == 1
 
 
-def test_e2e_runs_both_trees_from_paths_of_equal_length(tmp_path, monkeypatch):
-    # a command's peak RSS moves with the length of the path it runs from,
-    # so the two copies differ in name only, not in length
-    root = RECORDER.parent.parent
-    copies = []
-
-    def line(copy, workload, seed, seconds, smoke):
-        copies.append(copy)
-        return {"metrics": {"wall_s": 1.0}}
-
-    monkeypatch.setattr(RECORD, "_e2e_line", line)
-    point = RECORD._e2e({"this": root, "other": root}, 0, 1)
-    assert point["small-n"]["pairs"]["wall_s"]["median"] == 1.0
-    this, other = copies[:2]
-    assert this != other and len(str(this)) == len(str(other))
-    assert set(copies) == {this, other} and len(copies) == 2 * len(RECORD.E2E_WORKLOADS)
-
-
 def test_e2e_records_each_trees_perfbench_lines(tmp_path):
     # one round of perfbench's shortened (--smoke) configs on this tree; a
     # tree without perfbench/ is recorded as absent
