@@ -50,8 +50,10 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   processes on perfbench's workload configs for seed 5 (``RSS_COMMANDS``):
   ``simulate`` at n = 16 (the ``dense-n16`` part's, small-n's first
   command), ``simulate`` and ``verify-estimates`` (resumed from its
-  checkpoint) at n = 64, 128 and 256, ``sync-modes`` at n = 64 and
-  ``lyapunov`` at n = 32; the median and all values of up to 3 runs each.
+  checkpoint) at n = 64, 128 and 256, ``bounds`` at n = 128,
+  ``sync-modes`` and ``sync-nodes`` at n = 64 and ``lyapunov`` at n = 32
+  (so every command of ``large-n`` shows its peak at its own n); the
+  median and all values of up to 3 runs each.
 
 Each layer reports the median and interquartile range of single-call
 times in microseconds, and, from a separate run under ``tracemalloc``
@@ -408,8 +410,9 @@ def _faults(n: int, calls: int) -> dict:
 # above); at any other n, simulate and verify-estimates of sim-n128 on the
 # shortened (--smoke) configs.
 RSS_COMMANDS = {16: ("simulate",), 32: ("lyapunov",),
-                64: ("simulate", "verify-estimates", "sync-modes"),
-                128: ("simulate", "verify-estimates"), 256: ("simulate", "verify-estimates")}
+                64: ("simulate", "verify-estimates", "sync-modes", "sync-nodes"),
+                128: ("simulate", "verify-estimates", "bounds"),
+                256: ("simulate", "verify-estimates")}
 RSS_SEED = 5
 
 

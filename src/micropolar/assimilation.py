@@ -160,12 +160,13 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     U1, W1 = _to_half(config.reference)
     U2, W2 = _to_half(config.perturbed)
 
+    # conjugate-closed, so its columns k2 >= 0 carry it: one copy per plane width
+    masks = {w: np.ascontiguousarray(mask_P[:, :w]) for w in (grid.n // 2 + 1, grid.kcut + 1)}
+
     def slave() -> None:
-        # the mask is conjugate-closed, so its columns k2 >= 0 carry it; after
-        # the first step both states are band planes, zero beyond the band
-        P = mask_P[:, : U2.shape[-1]]
-        U2[:, P] = U1[:, P]
-        W2[P] = W1[P]
+        P = masks[U2.shape[-1]]
+        np.copyto(U2, U1, where=P)
+        np.copyto(W2, W1, where=P)
 
     slave()
     nsteps = _whole_steps(config.t_end, config.dt)

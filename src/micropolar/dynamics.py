@@ -268,10 +268,10 @@ def _real_mode_arrays(grid: Grid, weights: np.ndarray, signs: np.ndarray,
     n, width = grid.n, out.shape[-1]
     divergence_free = len(out) == 2
     area = grid.area
-    for j, m in enumerate(weights):
+    for j, (m, k) in enumerate(zip(weights, grid.table_rows(len(weights)))):
         if m == 0:
             continue
-        k1, k2 = (int(v) for v in grid.table_wavevectors[j])
+        k1, k2 = (int(v) for v in k)
         canonical = (k1, k2) if (k1 > 0 or (k1 == 0 and k2 > 0)) else (-k1, -k2)
         is_cos = (k1, k2) != canonical
         amp = signs[j] * np.sqrt(m / (2.0 * area))
@@ -312,7 +312,7 @@ def make_forcing(grid: Grid, profile: str, magnitude_f2: float, magnitude_g2: fl
                          f"got ({mode_lo}, {mode_hi})")
     if profile == "zero" or (magnitude_f2 == 0 and magnitude_g2 == 0):
         return Forcing.zero(grid)
-    kmax = int(np.max(np.abs(grid.table_wavevectors[:mode_hi])))
+    kmax = int(np.max(np.abs(grid.table_rows(mode_hi))))
     if kmax > grid.kcut:
         raise ValueError(f"forcing support reaches |k|={kmax} beyond the dealiased band "
                          f"((n-1)//3={grid.kcut}); refine the grid")
@@ -510,9 +510,14 @@ class _Workspace:
         ones are viewed.
         """
         stack = np.broadcast_to(tables[:, None], (len(tables), self.members) + tables.shape[1:])
-        if 2 * tables[0].size <= np.getbufsize() and not stack.flags.c_contiguous:
+        if _buffered(tables[0]) and not stack.flags.c_contiguous:
             return stack.copy()
         return stack
+
+
+def _buffered(plane: np.ndarray) -> bool:
+    """Whether numpy buffers a strided operand of ``plane``'s size (see _Workspace.stacked)."""
+    return 2 * plane.size <= np.getbufsize()
 
 
 def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
@@ -679,13 +684,13 @@ class _Stepper:
         self.cfl_limit = cfl_limit
         self.extra = extra
 
-        m = grid.kcut + 1
-        # a steady forcing's band columns, copied once from its half planes
-        # so that the kernel adds contiguous planes; a time-dependent one is
-        # evaluated per step
+        # a steady forcing's band columns, in place or, where numpy would buffer
+        # them (_buffered), copied once; a time-dependent one is evaluated per step
         self.band_forcing = None
         if forcing.steady:
-            band = np.ascontiguousarray(forcing.half[..., :m])
+            band = forcing.half[..., :grid.kcut + 1]
+            if _buffered(band[0]):
+                band = band.copy()
             self.band_forcing = (band[:2], band[2])
 
         self.work: _Workspace | None = None
@@ -696,16 +701,17 @@ class _Stepper:
         """(num, dt_den) of u_new = num * u + dt / den * explicit, with den,
         num = 1 +/- dt/2 * linear: band-plane tables, complex like the
         spectra so products need no casting, one per component of (u1, u2,
-        w).  Built with each workspace, whose stacks then hold the only
-        copy."""
+        w), each written in place into its complex stack.  Built with each
+        workspace, whose stacks then hold the only copy."""
         lam = self.grid.lam[:, :self.grid.kcut + 1]
         params, dt = self.params, self.dt
         rv = 0.5 * dt * (params.nu + params.nu_r) * lam
         rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
-        num_u, num_w = ((1.0 - r) / (1.0 + r) for r in (rv, rw))
-        dt_den_u, dt_den_w = (dt * (1.0 / (1.0 + r)) for r in (rv, rw))
-        return (np.stack([num_u, num_u, num_w]).astype(np.complex128),
-                np.stack([dt_den_u, dt_den_u, dt_den_w]).astype(np.complex128))
+        num, dt_den = (np.empty((3,) + lam.shape, dtype=np.complex128) for _ in range(2))
+        for k, r in enumerate((rv, rv, rw)):
+            num[k] = (1.0 - r) / (1.0 + r)
+            dt_den[k] = dt * (1.0 / (1.0 + r))
+        return num, dt_den
 
     def _imex(self) -> None:
         """CN/AB2 update (forward Euler without history) of every member, in

@@ -61,6 +61,13 @@ class FieldError(ValueError):
     """Raised when a field violates its structural invariants."""
 
 
+def _computed(build):
+    """A full-lattice :class:`Grid` table, computed when read: a new read-only array each time."""
+    def read(self):
+        return _read_only(build(self))[0]
+    return property(read, doc=build.__doc__)
+
+
 @dataclass(frozen=True)
 class Grid:
     """
@@ -78,11 +85,11 @@ class Grid:
     The Laplacian eigenvalues lambda(k) = (2*pi/L)^2 |k|^2 over all
     nonzero integer wavevectors representable on the grid are enumerated
     in ``eigenvalues`` sorted ascending, ties broken by lexicographic
-    (k1, k2) order.  ``mode_rank[i, j]`` gives the position of grid slot
-    (i, j) in that enumeration (the zero mode gets a sentinel rank equal
-    to the table length); it is built when first read, as only the
-    Galerkin masks read it.  ``lam``, ``inv_lam`` and ``lam_sq`` are the
-    H1, H^-1 and D(A) norm weights per grid slot.
+    (k1, k2) order, with their wavevectors in ``table_wavevectors``.
+    ``mode_rank[i, j]`` gives the position of grid slot (i, j) in that
+    enumeration (the zero mode gets a sentinel rank equal to the table
+    length).  ``lam``, ``inv_lam`` and ``lam_sq`` are the H1, H^-1 and
+    D(A) norm weights per grid slot.
 
     ``dealias_mask`` keeps |k1|, |k2| <= ``kcut`` = (n - 1) // 3, the
     largest cutoff for which quadratic products alias only outside the
@@ -93,10 +100,13 @@ class Grid:
     dealias mask folded in, the mask itself without the mean mode, and the
     row map k1 -> -k1 that rebuilds the full Hermitian spectrum.
 
+    A grid stores its 1-D wavenumber axes, the ``half_*`` tables and
+    ``mode_order``, the flat slot i n + j of each enumerated mode (int32).
     The wavenumber tables ``k1``, ``k2`` (integer) and ``k1_deriv``,
     ``k2_deriv`` (float, Nyquist lines zeroed) are read-only (n, n) views
-    of their 1-D axes.  Build grids with :func:`make_grid`, which keeps one
-    per lattice.
+    of their axes.  The other full-lattice tables are computed when read,
+    as new read-only arrays; no step of a time loop reads them.  Build
+    grids with :func:`make_grid`, which keeps one per lattice.
     """
 
     n: int
@@ -112,9 +122,6 @@ class Grid:
         kax = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
         K1, K2 = (np.broadcast_to(k, (n, n)) for k in (kax[:, None], kax))
         ksq = K1 * K1 + K2 * K2
-        factor = (2.0 * np.pi / self.L) ** 2
-        lam = factor * ksq.astype(np.float64)
-
         # 2/3 rule: products of two fields with |k_i| <= kcut alias onto
         # wavenumbers k -/+ n, which stay outside the band iff 3 kcut < n.
         kcut = (n - 1) // 3
@@ -124,15 +131,6 @@ class Grid:
         # (i, j) has the flat index i n + j.
         nonzero = np.flatnonzero(ksq)
         order = np.lexsort((kax[nonzero % n], kax[nonzero // n], ksq.ravel()[nonzero]))
-        table_flat = nonzero[order]
-
-        # Flat index of the conjugate slot -k of each slot k.
-        idx = np.arange(n)
-        conj_axis = (-idx) % n
-        conj_flat = (conj_axis[:, None] * n + conj_axis[None, :]).ravel()
-
-        inv_lam = np.zeros_like(lam)
-        inv_lam[ksq > 0] = 1.0 / lam[ksq > 0]
 
         # Nyquist lines carry self-conjugate modes for which odd derivatives
         # of real fields are not representable; zero them in the derivative
@@ -160,37 +158,70 @@ class Grid:
             ("k2", K2),
             ("k1_deriv", K1d),
             ("k2_deriv", K2d),
-            ("lam", lam),
-            ("inv_lam", inv_lam),
-            ("lam_sq", lam * lam),
-            ("dealias_mask", dealias),
-            ("eigenvalues", lam.ravel()[table_flat]),
-            ("table_wavevectors", np.stack([kax[table_flat // n], kax[table_flat % n]], axis=1)),
-            ("conj_flat", conj_flat),
+            ("mode_order", nonzero[order].astype(np.int32)),
             ("half_keep", keep.astype(np.complex128)),
             ("half_d1", deriv * kd[:, None]),
             ("half_d2", deriv * kd[None, :m]),
             ("half_leray", leray_h.astype(np.complex128)),
-            ("half_conj_rows", conj_axis),
+            ("half_conj_rows", (-np.arange(n)) % n),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "kcut", kcut)
 
-    @functools.cached_property
+    @_computed
+    def lam(self) -> np.ndarray:
+        """Laplacian eigenvalue lambda(k) per grid slot (the H1 weight)."""
+        k1, k2 = self.k1[:, :1], self.k2[:1]
+        return self.lambda1 * (k1 * k1 + k2 * k2).astype(np.float64)
+
+    @_computed
+    def inv_lam(self) -> np.ndarray:
+        """1 / lambda(k) per grid slot, 0 at k = 0 (the H^-1 weight)."""
+        lam = self.lam
+        return np.divide(1.0, lam, out=np.zeros_like(lam), where=(self.k1 != 0) | (self.k2 != 0))
+
+    @_computed
+    def lam_sq(self) -> np.ndarray:
+        """lambda(k)^2 per grid slot (the D(A) weight)."""
+        return np.square(self.lam)
+
+    @_computed
+    def dealias_mask(self) -> np.ndarray:
+        """|k1|, |k2| <= kcut per grid slot."""
+        band = np.abs(self.k1[:, 0]) <= self.kcut
+        return band[:, None] & band
+
+    @_computed
+    def conj_flat(self) -> np.ndarray:
+        """Flat index of the conjugate slot -k of each slot k, shape (n^2,)."""
+        return (self.half_conj_rows[:, None] * self.n + self.half_conj_rows).ravel()
+
+    def table_rows(self, stop: int | None = None) -> np.ndarray:
+        """(k1, k2) of the enumerated modes 0..stop-1 (all n^2 - 1 of them by
+        default), shape (stop, 2): the head of the enumeration alone builds
+        no whole-lattice table."""
+        flat, kax = self.mode_order[:stop], self.k1[:, 0]
+        return np.stack([kax[flat // self.n], kax[flat % self.n]], axis=1)
+
+    table_wavevectors = _computed(table_rows)
+
+    @_computed
+    def eigenvalues(self) -> np.ndarray:
+        """lambda(k) of each enumerated mode, ascending, shape (n^2 - 1,)."""
+        return self.lam.ravel()[self.mode_order]
+
+    @_computed
     def mode_rank(self) -> np.ndarray:
-        """Rank of each grid slot in the eigenvalue enumeration (read-only)."""
-        n = self.n
-        rank = np.full(n * n, self.num_modes, dtype=np.int64)
-        rank[(self.table_wavevectors % n) @ np.array([n, 1])] = np.arange(self.num_modes)
-        rank = rank.reshape(n, n)
-        rank.setflags(write=False)
-        return rank
+        """Rank of each grid slot in the eigenvalue enumeration, shape (n, n)."""
+        rank = np.full(self.n * self.n, self.num_modes, dtype=np.int64)
+        rank[self.mode_order] = np.arange(self.num_modes)
+        return rank.reshape(self.n, self.n)
 
     @property
     def lambda1(self) -> float:
         """Smallest Laplacian eigenvalue (2*pi/L)^2."""
-        return float(self.eigenvalues[0])
+        return (2.0 * np.pi / self.L) ** 2
 
     @property
     def area(self) -> float:
@@ -200,7 +231,7 @@ class Grid:
     @property
     def num_modes(self) -> int:
         """Number of enumerated nonzero modes (n^2 - 1)."""
-        return len(self.eigenvalues)
+        return len(self.mode_order)
 
     def deriv_factor(self, axis: int) -> np.ndarray:
         """Spectral derivative multiplier i*(2*pi/L)*k_axis (Nyquist lines zeroed)."""
@@ -228,15 +259,17 @@ def make_grid(n: int, L: float) -> Grid:
 
 def _hermitianized(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Exact Hermitian part (c_k + conj(c_-k)) / 2 of spectra ``coeffs[..., n, n]``."""
-    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
-    # take() returns a C-ordered gather (the fancy-index gather of a batch is
-    # not), and working in place on it spares a batch two large temporaries;
-    # both run several times faster, with the same bits
-    sym = np.take(flat, grid.conj_flat, axis=-1)
+    # c_-k in one new C-ordered array, worked on in place: on each axis slot 0
+    # stays and the others reverse, four slice copies with no n^2 index
+    sym = np.empty_like(coeffs, order="C")
+    sym[..., :1, :1] = coeffs[..., :1, :1]
+    sym[..., :1, 1:] = coeffs[..., :1, :0:-1]
+    sym[..., 1:, :1] = coeffs[..., :0:-1, :1]
+    sym[..., 1:, 1:] = coeffs[..., :0:-1, :0:-1]
     np.conj(sym, out=sym)
-    sym += flat
+    sym += coeffs
     sym *= 0.5
-    return sym.reshape(coeffs.shape)
+    return sym
 
 
 def _hermitianize(grid: Grid, planes: np.ndarray) -> None:

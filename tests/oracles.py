@@ -14,7 +14,10 @@ IMEX step reference takes the library's kernel and CN/AB2 update one
 band plane of one member at a time, in the library's operation order,
 before each stage ran as one numpy call over its component block.  The
 dense DFT references take the transform helpers' two products one plane
-at a time.
+at a time.  The grid-table reference builds every full-lattice table at
+once, by the formulas with which the grid stored them; the mode-sync
+reference runs the library's twin loop with its slaving step as boolean
+fancy indexing.
 """
 
 from __future__ import annotations
@@ -152,6 +155,65 @@ def laplacian_eigenvalues_bruteforce(n: int, L: float) -> list[float]:
           for k2 in range(-n // 2, n // 2)
           if (k1, k2) != (0, 0)]
     return sorted((2.0 * np.pi / L) ** 2 * (k1**2 + k2**2) for k1, k2 in ks)
+
+
+def grid_tables(n: int, L: float) -> dict[str, np.ndarray]:
+    """The full-lattice tables of ``Grid(n, L)`` by the formulas with which
+    the grid once stored them all, built together from (n, n) wavenumber
+    tables: the reference bits of the tables it now computes when read."""
+    kax = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    K1, K2 = (np.broadcast_to(k, (n, n)) for k in (kax[:, None], kax))
+    ksq = K1 * K1 + K2 * K2
+    lam = (2.0 * np.pi / L) ** 2 * ksq.astype(np.float64)
+    kcut = (n - 1) // 3
+    dealias = (np.abs(K1) <= kcut) & (np.abs(K2) <= kcut)
+    nonzero = np.flatnonzero(ksq)
+    order = np.lexsort((kax[nonzero % n], kax[nonzero // n], ksq.ravel()[nonzero]))
+    table_flat = nonzero[order]
+    conj_axis = (-np.arange(n)) % n
+    inv_lam = np.zeros_like(lam)
+    inv_lam[ksq > 0] = 1.0 / lam[ksq > 0]
+    wavevectors = np.stack([kax[table_flat // n], kax[table_flat % n]], axis=1)
+    rank = np.full(n * n, len(table_flat), dtype=np.int64)
+    rank[(wavevectors % n) @ np.array([n, 1])] = np.arange(len(table_flat))
+    return {"lam": lam, "inv_lam": inv_lam, "lam_sq": lam * lam, "dealias_mask": dealias,
+            "eigenvalues": lam.ravel()[table_flat], "table_wavevectors": wavevectors,
+            "conj_flat": (conj_axis[:, None] * n + conj_axis[None, :]).ravel(),
+            "mode_rank": rank.reshape(n, n)}
+
+
+def mode_sync_by_fancy_index(config, m: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """``assimilation.run_mode_sync``'s loop with its slaving step written
+    as boolean fancy indexing of the mask's columns at every step: the
+    (delta_P, delta_Q) of each record and the final planes (U2, W2) of the
+    slaved twin."""
+    from micropolar.assimilation import _whole_steps
+    from micropolar.dynamics import _Stepper, _to_half
+    from micropolar.spectral import _product_energies, mode_mask
+
+    grid = config.reference.grid
+    mask_P = mode_mask(grid, m)
+    s1 = _Stepper(grid, config.params, config.forcing1, config.dt)
+    s2 = _Stepper(grid, config.params, config.forcing2, config.dt)
+    U1, W1 = _to_half(config.reference)
+    U2, W2 = _to_half(config.perturbed)
+
+    def slave():
+        P = mask_P[:, : U2.shape[-1]]
+        U2[:, P] = U1[:, P]
+        W2[P] = W1[P]
+
+    slave()
+    nsteps = _whole_steps(config.t_end, config.dt)
+    deltas = [_product_energies(grid, U1 - U2, W1 - W2, mask_P, ~mask_P)]
+    for i in range(nsteps):
+        t = config.reference.t + i * config.dt
+        U1, W1 = s1.advance(U1, W1, t)
+        U2, W2 = s2.advance(U2, W2, t)
+        slave()
+        if (i + 1) % config.stride == 0 or i + 1 == nsteps:
+            deltas.append(_product_energies(grid, U1 - U2, W1 - W2, mask_P, ~mask_P))
+    return deltas, U2.copy(), W2.copy()
 
 
 def nodes_bound_raw(cst, F_tilde: float) -> float:

@@ -18,6 +18,7 @@ from micropolar.assimilation import (
 from micropolar.dynamics import Forcing, Params, State, make_forcing, random_state, simulate
 from micropolar.estimates import Constants, compute_constants
 from micropolar.spectral import _half_weights, _power, make_node_set
+from oracles import mode_sync_by_fancy_index as oracle_mode_sync
 
 
 PARAMS = Params(nu=0.25, nu_r=0.1, alpha=0.25)
@@ -55,6 +56,33 @@ class TestModeSync:
         report = run_mode_sync(cfg, 4)
         assert np.all(report.series["delta_Q"] == 0.0)
         assert np.all(report.series["delta_P"] == 0.0)
+
+    @pytest.mark.parametrize("m", [0, 12, 300, 1023])
+    def test_series_and_planes_equal_fancy_index_slaving(self, twin_setup, monkeypatch, m):
+        # the slaving step copies under a mask of each plane width; its
+        # series and the slaved twin's last planes have the bits of boolean
+        # fancy indexing at every step
+        from micropolar import dynamics
+
+        fo, ref, pert = twin_setup
+        cfg = make_config(fo, ref, pert, t_end=0.3, stride=4)
+        last = {}
+        advance = dynamics._Stepper.advance
+
+        def keep(self, *args):
+            # the planes returned stay the stepper's own, slaved in place
+            last[id(self)] = result = advance(self, *args)
+            return result
+
+        monkeypatch.setattr(dynamics._Stepper, "advance", keep)
+        report = run_mode_sync(cfg, m)
+        monkeypatch.undo()
+        deltas, U2, W2 = oracle_mode_sync(cfg, m)
+        delta_P, delta_Q = np.asarray(deltas).T
+        assert report.series["delta_P"].tobytes() == delta_P.tobytes()
+        assert report.series["delta_Q"].tobytes() == delta_Q.tobytes()
+        U, W = list(last.values())[1]
+        assert U.tobytes() == U2.tobytes() and W.tobytes() == W2.tobytes()
 
     @pytest.mark.parametrize("stride", [0, -2])
     def test_stride_below_one_rejected(self, twin_setup, stride):

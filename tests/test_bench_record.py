@@ -76,12 +76,14 @@ def test_ab_writes_paired_ratios(tmp_path):
 
 
 def test_command_rss_records_fresh_cli_processes():
-    # the commands of the layer (at n = 16 the dense-n16 part's simulate),
-    # and at n = 24 (not in the table) the shortened simulate and resumed
-    # verify-estimates
+    # the commands of the layer (at n = 16 the dense-n16 part's simulate;
+    # every large-n command at its own n, bounds at 128 and the twins at
+    # 64), and at n = 24 (not in the table) the shortened simulate and
+    # resumed verify-estimates
     assert RECORD.RSS_COMMANDS == {16: ("simulate",), 32: ("lyapunov",),
-                                   64: ("simulate", "verify-estimates", "sync-modes"),
-                                   128: ("simulate", "verify-estimates"),
+                                   64: ("simulate", "verify-estimates", "sync-modes",
+                                        "sync-nodes"),
+                                   128: ("simulate", "verify-estimates", "bounds"),
                                    256: ("simulate", "verify-estimates")}
     sizes = {name: sizes for name, _, sizes in RECORD.LAYERS}
     assert sizes["command_rss"] == (16, 32, 64, 128, 256)

@@ -40,6 +40,7 @@ from micropolar.spectral import (
 from oracles import (
     dft_physical,
     dft_spectral,
+    grid_tables,
     laplacian_eigenvalues_bruteforce,
     per_plane_half_to_phys,
     per_plane_phys_to_half,
@@ -113,16 +114,58 @@ class TestGrid:
             assert np.shares_memory(*tables)
 
     @pytest.mark.parametrize("n", [8, 10, 16])
-    def test_mode_rank_is_built_when_a_mask_asks(self, n):
-        # the rank of each slot in the enumeration, the zero mode last
+    def test_mode_rank_is_computed_when_read(self, n):
+        # the rank of each slot in the enumeration, the zero mode last; a
+        # mask that reads it leaves no table on the grid
         grid = make_grid(n, 1.5)
-        assert "mode_rank" not in vars(grid) and not hasattr(grid, "table_flat")
         mode_mask(grid, 3)
-        rank = vars(grid)["mode_rank"]
-        assert rank is grid.mode_rank and not rank.flags.writeable
+        rank = grid.mode_rank
+        assert "mode_rank" not in vars(grid) and rank is not grid.mode_rank
+        assert not rank.flags.writeable
         for j, (k1, k2) in enumerate(grid.table_wavevectors):
             assert rank[k1 % n, k2 % n] == j
         assert rank[0, 0] == grid.num_modes
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 32, 64, 128])
+    def test_computed_tables_match_the_stored_formulas(self, n):
+        # every full-lattice table has the name, shape, dtype and bits that
+        # the grid stored when it built them all at once; each read is a
+        # new read-only array, and the grid keeps none of them
+        L = 1.5 if n == 12 else 2 * np.pi
+        grid = make_grid(n, L)
+        expected = grid_tables(n, L)
+        for name, table in expected.items():
+            read = getattr(grid, name)
+            assert read.dtype == table.dtype and read.shape == table.shape, name
+            assert read.tobytes() == table.tobytes(), name
+            assert not read.flags.writeable and read is not getattr(grid, name), name
+            assert name not in vars(grid)
+        assert grid.num_modes == n * n - 1
+        assert grid.lambda1 == float(expected["eigenvalues"][0])
+        for stop in (1, 9, grid.num_modes):
+            assert np.array_equal(grid.table_rows(stop), expected["table_wavevectors"][:stop])
+
+    def test_grid_stores_band_tables_and_axes_only(self):
+        # make_grid(128) owns its band tables, its two wavenumber axes and
+        # one int32 per enumerated mode; every (n, n) table that it stores
+        # is a broadcast view of an axis
+        n = 128
+        grid = make_grid(n, 2 * np.pi)
+        owners = {}
+        for name, value in vars(grid).items():
+            if isinstance(value, np.ndarray):
+                if value.shape[-2:] == (n, n):
+                    assert 0 in value.strides, name
+                while value.base is not None:
+                    value = value.base
+                owners[id(value)] = value
+        owned = sum(array.nbytes for array in owners.values())
+        band = sum(value.nbytes for name, value in vars(grid).items() if name.startswith("half_"))
+        axes = 2 * n * 8
+        assert grid.mode_order.dtype == np.int32
+        assert owned <= band + axes + 4 * grid.num_modes
+        # far below the full-lattice tables that it computes when read
+        assert owned < sum(table.nbytes for table in grid_tables(n, 2 * np.pi).values()) / 2
 
     @pytest.mark.parametrize("n,L", [(7, 1.0), (6, 1.0), (0, 1.0), (8, 0.0), (8, -2.0)])
     def test_rejects_bad_grid(self, n, L):
