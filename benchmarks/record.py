@@ -21,12 +21,14 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   without tangent pairs and with 8 (after two warm-up steps);
 - ``explicit_terms`` and ``explicit_terms_8_pairs``: one
   ``_explicit_terms`` call of such a stepper, in its workspace, on its
-  own planes and its steady forcing's band columns;
+  own planes and its steady forcing's block (band columns, in trees whose
+  time loops carry band planes);
 - ``rfft_pair``: the kernel's transforms of one member, ``_half_to_phys``
-  of 5 band planes and ``_phys_to_half`` of 3 physical planes into
-  workspace buffers (the inverse transform's stage too, where the
-  workspace has one), after a copy that restores the spectral input (the
-  inverse transform's first stage overwrites it above n = 32);
+  of 5 dealiased blocks (band planes in such trees) and ``_phys_to_half``
+  of 3 physical planes into workspace buffers (the transforms' stages
+  too, where the workspace has them), after a copy that restores the
+  spectral input (the inverse transform overwrites it: its output or,
+  for band planes above n = 32, its first stage);
 - ``from_half``: one ``_from_half`` record of a stepped state;
 - ``record``: one record of the default observer set, amortized over a
   stride-1 in-process ``simulate`` as its time minus that of the same
@@ -36,7 +38,8 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   (``unaligned``), taken from a short twin run;
 - ``reorth`` (at n = 32 only): one re-orthonormalization of 8 and of 64
   tangent pairs, ``lyapunov._mgs`` on the frame of a Benettin run after
-  one block (a Householder QR of band planes; before, modified
+  one block (a Householder QR of dealiased blocks, or of band planes in
+  trees that carry those; before those, modified
   Gram-Schmidt over the full spectra that the block rebuilt for it);
 - ``trace_sample`` (at n = 32 only): one trace sample of 8 pairs at a
   block boundary, as the run takes it (from the tangent terms of the
@@ -204,7 +207,7 @@ def _explicit_terms(n: int, calls: int, pairs: int) -> dict:
     stepper = loop.stepper
     U, W, *VZ = loop.planes
     VZ = dict(zip("VZ", VZ))
-    f_hat, g_hat = stepper.band_forcing
+    f_hat, g_hat = getattr(stepper, "forcing_block", None) or stepper.band_forcing
 
     def terms():
         explicit_terms(loop.grid, stepper.params, U, W, f_hat, g_hat, t=loop.t,
@@ -222,16 +225,21 @@ def _rfft_pair(n: int, calls: int) -> dict:
 
     loop = _Loop(n, 0)
     work = _Workspace(loop.grid, 1)
-    m = loop.grid.kcut + 1
     U, W = loop.planes
     spectra = np.stack([U[0], U[1], W, U[0], W])[:, None]
-    # as the kernel passes it, where the workspace has one
-    stage = {} if getattr(work, "stage", None) is None else {"stage": work.stage}
+    # as the kernel passes them: blocks with the lattice size and both
+    # stages, band planes with the width and the inverse stage where the
+    # workspace has one
+    if work.spec_in.shape[-2] == n:
+        inverse = {} if getattr(work, "stage", None) is None else {"stage": work.stage}
+        width, forward = (loop.grid.kcut + 1,), {}
+    else:
+        inverse, width, forward = {"stage": work.stage, "n": n}, (), {"stage": work.fwd_stage}
 
     def pair():
         np.copyto(work.spec_in, spectra)
-        _half_to_phys(work.spec_in, out=work.phys, **stage)
-        _phys_to_half(work.phys[2:], m, out=work.E, scratch=work.rfft_out)
+        _half_to_phys(work.spec_in, out=work.phys, **inverse)
+        _phys_to_half(work.phys[2:], *width, out=work.E, scratch=work.rfft_out, **forward)
 
     return {**_summary(_timed(pair, calls)), **_traced(pair, calls)}
 
@@ -287,7 +295,8 @@ def _record(n: int, calls: int) -> dict:
 
 def _nudge(n: int, calls: int) -> dict:
     """The nudging term as ``run_node_sync`` hands it to its stepper: caught
-    from a three-step twin run, then called on band planes."""
+    from a three-step twin run, then called on the planes that the loop
+    carries (dealiased blocks, or band planes in trees that carry those)."""
     from micropolar.assimilation import SyncConfig, run_node_sync
     from micropolar.dynamics import _Stepper, _to_half, random_state
     from micropolar.spectral import make_node_set

@@ -160,11 +160,10 @@ def run_mode_sync(config: SyncConfig, m: int) -> SyncReport:
     U1, W1 = _to_half(config.reference)
     U2, W2 = _to_half(config.perturbed)
 
-    # conjugate-closed, so its columns k2 >= 0 carry it: one copy per plane width
-    masks = {w: np.ascontiguousarray(mask_P[:, :w]) for w in (grid.n // 2 + 1, grid.kcut + 1)}
+    # conjugate-closed, so its columns k2 >= 0 carry it: its block
+    P = spectral._block(grid, mask_P)
 
     def slave() -> None:
-        P = masks[U2.shape[-1]]
         np.copyto(U2, U1, where=P)
         np.copyto(W2, W1, where=P)
 
@@ -195,25 +194,24 @@ def default_nudging_gain(constants: Constants, node_count: int) -> float:
 class _Nudging:
     """
     The nudging term of a node twin, -mu I_h of the gap between the
-    nudged planes and ``reference`` (the reference's current planes, which
+    nudged blocks and ``reference`` (the reference's current blocks, which
     the loop keeps up to date), as the stepper's ``extra``.  It works in
     buffers of the run: the differences, the physical planes (samples,
-    then interpolants), the node values, the interpolants' band spectra,
-    which the kernel reads, for nodes on the lattice the inverse
-    transform's stage where it is a dense DFT product, and for nodes off
-    the lattice the buffers of the phase contraction; each call overwrites
-    the last one's.
+    then interpolants), the node values, the interpolants' blocks, which
+    the kernel reads, the transforms' axis-0 stages (n, kcut + 1), and for
+    nodes off the lattice the buffers of the phase contraction; each call
+    overwrites the last one's.
     """
 
     def __init__(self, nodes: NodeSet, mu: float, reference: tuple[np.ndarray, np.ndarray]):
         grid = nodes.grid
-        n = grid.n
+        n, m = grid.n, grid.kcut + 1
         self.nodes, self.mu, self.reference = nodes, mu, reference
-        self.diff = np.empty((3, n, 0), dtype=np.complex128)  # sized by the planes given
-        self.stage = None
+        self.diff, self.gap = (np.empty((3, 2 * grid.kcut + 1, m), dtype=np.complex128)
+                               for _ in range(2))
+        self.stage = np.empty((3, n, m), dtype=np.complex128)
         self.phys = np.empty((3, n, n))
         self.values = np.empty((3, nodes.count))
-        self.gap = np.empty((3, n, grid.kcut + 1), dtype=np.complex128)
         self.scratch = np.empty((3, n, n // 2 + 1), dtype=np.complex128)
         self.contraction = None
         if not nodes.aligned:
@@ -223,12 +221,9 @@ class _Nudging:
                                 np.empty((3, nodes.count), dtype=np.complex128))
 
     def node_values(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Values of (u1, u2, w) of (U, W) minus the reference at the nodes."""
+        """Values of (u1, u2, w) of the blocks (U, W) minus the reference at
+        the nodes."""
         U1, W1 = self.reference
-        if self.diff.shape[-1] != U.shape[-1]:
-            self.diff = np.empty((3,) + U.shape[-2:], dtype=np.complex128)
-            if self.nodes.aligned and spectral._dense_dft(self.nodes.grid.n):
-                self.stage = np.empty_like(self.diff)
         np.subtract(U, U1, out=self.diff[:2])
         np.subtract(W, W1, out=self.diff[2])
         return spectral._sample_scalar(self.diff, self.nodes, out=self.values, phys=self.phys,
@@ -236,10 +231,10 @@ class _Nudging:
 
     def __call__(self, t: float, U: np.ndarray, W: np.ndarray):
         # -mu I_h of the gap, one piecewise-constant interpolant per field,
-        # in the band columns that the kernel reads
-        gap = spectral._interpolant_scalar(self.node_values(U, W), self.nodes,
-                                           self.gap.shape[-1], out=self.gap,
-                                           phys=self.phys, scratch=self.scratch)
+        # in the block that the kernel reads
+        gap = spectral._interpolant_scalar(self.node_values(U, W), self.nodes, block=True,
+                                           out=self.gap, phys=self.phys,
+                                           scratch=self.scratch, stage=self.stage)
         np.multiply(-self.mu, gap, out=gap)
         return gap[:2], gap[2]
 

@@ -199,9 +199,11 @@ def build_initial(config: dict, grid: Grid) -> State:
     path = _get(config, "initial.checkpoint")
     if path is not None:
         try:
-            state, _ = read_checkpoint(path)
+            # the time loops carry the dealiased blocks of a zero-mean,
+            # divergence-free state: another state would change unreported
+            state, _ = read_checkpoint(path, resumable=True)
         except (OSError, ValueError) as err:
-            raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
+            raise ConfigError(f"initial.checkpoint: cannot resume from {path}: {err}") from err
         if state.grid != grid:
             raise ConfigError("checkpoint grid does not match the configured grid")
         return state

@@ -426,16 +426,17 @@ class _Workspace:
     """
     Buffers of the nonlinear kernel and of one IMEX step for ``members``
     members (the state, then its tangent pairs) on one grid, allocated
-    once.  Arrays are component-major, (component, member, n, width), so
-    one component of all members is one contiguous block, and so are the
-    components that a stage treats alike: the (c1, c2, w) planes, the
+    once.  Spectral arrays are dealiased blocks (2 kcut + 1, kcut + 1),
+    rows k1 = 0..kcut then -kcut..-1 and columns k2 = 0..kcut, the modes
+    that the 2/3 rule keeps; only the transforms' axis-0 stages have n
+    rows.  Arrays are component-major, (component, member, rows, width),
+    so one component of all members is one contiguous block, and so are
+    the components that a stage treats alike: the (c1, c2, w) planes, the
     velocity pair, the products of the physical planes.  Each elementwise
-    stage of a step is then one numpy call over its whole block.  The band
-    tables are stacked the same way, over the components of the stage that
-    reads them and over the members (:meth:`stacked`):
+    stage of a step is then one numpy call over its whole block.  The
+    block tables are stacked the same way, over the components of the
+    stage that reads them and over the members (:meth:`stacked`):
 
-    - ``keep3``: the dealias mask of (c1, c2, w); ``keep`` is its first
-      component.
     - ``deriv``: (d2, d1), the derivative factors that rot takes of
       (c1, c2); ``d2`` and ``d1`` are its components.
     - ``leray``: (P11, P12, P22), of which ``_half_leray`` takes the
@@ -446,23 +447,29 @@ class _Workspace:
 
     - ``phys``: the 5 physical planes of each member; the products
       overwrite planes 2..4 as their factors are spent.  Before the
-      inverse transform and after the forward one, its bytes hold the
-      band-plane temporaries ``tmp`` and the finiteness mask ``finite``.
-    - one spectral scratch: the spectral input ``spec_in``, whose inverse
-      axis-0 stage runs in place (on lattices that take pocketfft stages)
-      or goes to ``stage`` after it (on those that take dense DFT
-      products, ``spectral._dense_dft``; else ``stage`` is None), then,
-      with pairs, the products' factors ``factors``, then the forward
-      transform's last-axis stage ``rfft_out``, then the AB2 combination
-      ``ab2``.
+      inverse transform its bytes hold the block temporaries ``tmp`` and,
+      after them, the spectral input ``spec_in`` (whose mean slots of
+      (c1, c2, w) ``means`` views); after the forward
+      transform's last-axis stage, ``tmp`` and, after it, that transform's
+      axis-0 stage ``fwd_stage`` (..., n, kcut + 1), which it reads on
+      lattices that take pocketfft stages; after the step, the finiteness
+      mask ``finite``.  (``tmp`` and ``spec_in`` take 16 (2 kcut + 1)
+      (kcut + 1) floats a member, ``tmp`` and ``fwd_stage`` 6 (2 kcut + 1
+      + n) (kcut + 1), both within the 5 n^2 of ``phys``.)
+    - one spectral scratch: the inverse transform's axis-0 stage
+      ``stage`` (5, members, n, kcut + 1), into which a block is scattered
+      for pocketfft or which the dense DFT product writes
+      (``spectral._dense_dft``), then, with pairs, the products' factors
+      ``factors``, then the forward transform's last-axis stage
+      ``rfft_out``, then the AB2 combination ``ab2``.
     - ``E`` and ``E_prev``: this step's and the last step's raw explicit
       terms, swapped after each step.  ``E`` holds the 2 nu_r coupling
       while the transforms run (their forward stage then writes into
       ``tmp``); ``E_prev`` is scratch once the AB2 combination has read it.
-    - ``out``: the stepper's band planes, which ``U``, ``W``, ``V`` and
-      ``Z`` view in the layout of the stepper's inputs.  The kernel copies
-      inputs that are not these planes into them, reads its truncated
-      factors from them, and the update overwrites them.
+    - ``out``: the stepper's blocks, which ``U``, ``W``, ``V`` and ``Z``
+      view in the layout of the stepper's inputs.  The kernel copies
+      inputs that are not these planes into them, reads its factors from
+      them, and the update overwrites them.
     - ``factors``: with pairs, the state's 5 physical planes copied over
       all members, (5, members, n, n), refreshed per kernel call in the
       spectral scratch (which then holds at least 5 n / 2 complex columns
@@ -473,41 +480,42 @@ class _Workspace:
 
     def __init__(self, grid: Grid, members: int):
         n, m, h = grid.n, grid.kcut + 1, grid.n // 2 + 1
+        r = 2 * grid.kcut + 1
         self.members = members
         self.phys = np.empty((5, members, n, n))
-        dense = spectral._dense_dft(n)
-        width = max(10 * m if dense else 5 * m, 3 * h, 5 * n // 2 if members > 1 else 0)
+        width = max(5 * m, 3 * h, 5 * n // 2 if members > 1 else 0)
         spec = np.empty(members * n * width, dtype=np.complex128)
-        self.spec_in = spec[: 5 * members * n * m].reshape(5, members, n, m)
-        self.stage = spec[5 * members * n * m: 10 * members * n * m].reshape(
-            5, members, n, m) if dense else None
+        self.stage = spec[: 5 * members * n * m].reshape(5, members, n, m)
         self.rfft_out = spec[: 3 * members * n * h].reshape(3, members, n, h)
-        self.ab2 = spec[: 3 * members * n * m].reshape(3, members, n, m)
-        spent = self.phys.reshape(-1)
-        self.tmp = spent.view(np.complex128)[: 3 * members * n * m].reshape(3, members, n, m)
-        self.finite = spent.view(np.bool_)[: 6 * members * n * m].reshape(3, members, n, 2 * m)
-        self.E, self.E_prev, self.out = (np.empty((3, members, n, m), dtype=np.complex128)
+        self.ab2 = spec[: 3 * members * r * m].reshape(3, members, r, m)
+        spent, block = self.phys.reshape(-1), members * r * m
+        self.tmp = spent.view(np.complex128)[: 3 * block].reshape(3, members, r, m)
+        self.spec_in = spent.view(np.complex128)[3 * block: 8 * block].reshape(5, members, r, m)
+        self.means = self.spec_in[:3, :, 0, 0]
+        self.fwd_stage = spent.view(np.complex128)[3 * block: 3 * block + 3 * members * n * m] \
+            .reshape(3, members, n, m)
+        self.finite = spent.view(np.bool_)[: 6 * block].reshape(3, members, r, 2 * m)
+        self.E, self.E_prev, self.out = (np.empty((3, members, r, m), dtype=np.complex128)
                                          for _ in range(3))
         self.U, self.W = self.out[:2, 0], self.out[2, 0]
         self.V, self.Z = self.out[:2, 1:].swapaxes(0, 1), self.out[2, 1:]
         self.factors = self.phys
         if members > 1:
             self.factors = spec.view(np.float64)[: 5 * members * n * n].reshape(5, members, n, n)
-        self.keep3 = self.stacked(np.broadcast_to(grid.half_keep, (3, n, m)))
-        self.deriv = self.stacked(np.stack(np.broadcast_arrays(grid.half_d2, grid.half_d1)))
-        self.keep, (self.d2, self.d1) = self.keep3[0], self.deriv
-        self.leray = self.stacked(grid.half_leray)
+        self.deriv = self.stacked(np.stack(np.broadcast_arrays(grid.block_d2, grid.block_d1)))
+        self.d2, self.d1 = self.deriv
+        self.leray = self.stacked(grid.block_leray)
 
     def stacked(self, tables: np.ndarray) -> np.ndarray:
         """
-        Band tables (C, n, kcut + 1), one per component of a stage, each
-        plane contiguous, stacked over the members to (C, members, n,
-        kcut + 1).  numpy buffers an operand that it cannot step through
-        like the others (one broadcast over an outer axis, or one in
-        reverse order) when the contiguous block inside has at most half
-        its ufunc buffer of elements (``np.getbufsize()``), so a stack of
-        such small planes that is not contiguous already is copied; larger
-        ones are viewed.
+        Block tables (C, 2 kcut + 1, kcut + 1), one per component of a
+        stage, each plane contiguous, stacked over the members to (C,
+        members, 2 kcut + 1, kcut + 1).  numpy buffers an operand that it
+        cannot step through like the others (one broadcast over an outer
+        axis, or one in reverse order) when the contiguous block inside has
+        at most half its ufunc buffer of elements (``np.getbufsize()``), so
+        a stack of such small planes that is not contiguous already is
+        copied; larger ones are viewed.
         """
         stack = np.broadcast_to(tables[:, None], (len(tables), self.members) + tables.shape[1:])
         if _buffered(tables[0]) and not stack.flags.c_contiguous:
@@ -527,8 +535,8 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                     work: _Workspace | None = None):
     """
     Explicitly treated part of the RHS: advection, 2 nu_r rot coupling and
-    forcing.  Returns (EU, EW, max_speed), band planes (last axis
-    kcut + 1) of the raw terms, neither projected nor dealiased nor
+    forcing.  Returns (EU, EW, max_speed), dealiased blocks (last two axes
+    (2 kcut + 1, kcut + 1)) of the raw terms, neither projected nor
     zero-mean: :meth:`_Stepper._imex` projects the step's update.
 
     Given tangent pairs ``V`` (N, 2, ...) and ``Z`` (N, ...), it also
@@ -540,15 +548,15 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     ``extra`` act on the state only.
 
     ``U``, ``W``, ``V``, ``Z``, ``f_hat``, ``g_hat`` and what
-    ``extra(t, U, W)`` returns are band planes, half planes or full
-    spectra: only the columns k2 = 0..kcut are read.
+    ``extra(t, U, W)`` returns are dealiased blocks, half planes or full
+    spectra: only their blocks are read.
 
     Advection uses the rotational form P[(u.grad)u] = P[omega x u] with
     omega = rot u, exact in the dealiased band because the gradient part
-    grad(|u|^2/2) is removed by the projection.  The inputs are truncated
-    to the band first, so this also holds for a state that is not
-    dealiased.  The state and each pair take 5 inverse (u1, u2, omega,
-    d1 w, d2 w) and 3 forward (omega u2, omega u1, u.grad w) real
+    grad(|u|^2/2) is removed by the projection.  Only the blocks of the
+    inputs are read, with the mean zeroed, so this also holds for a state
+    that is not dealiased.  The state and each pair take 5 inverse (u1,
+    u2, omega, d1 w, d2 w) and 3 forward (omega u2, omega u1, u.grad w) real
     transforms, all members in one call each way, the last two negated
     in the spectral combination.
 
@@ -560,16 +568,16 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     """
     if work is None:
         work = _Workspace(grid, 1 if V is None else 1 + len(V))
-    m = grid.kcut + 1
     spec, phys, tmp, E, out = work.spec_in, work.phys, work.tmp, work.E, work.out
-    d1, d2, deriv, keep3 = work.d1, work.d2, work.deriv, work.keep3
+    d1, d2, deriv = work.d1, work.d2, work.deriv
     for given, own in ((U, work.U), (W, work.W), (V, work.V), (Z, work.Z)):
         if given is not None and given is not own:
-            np.copyto(own, given[..., :m])
+            spectral._block(grid, given, out=own)
 
     # spectral input (c1, c2, rot u, d1 w, d2 w) of every member, from
-    # the truncated (c1, c2, w)
-    np.multiply(out, keep3, out=spec[:3])
+    # (c1, c2, w) with the mean zeroed
+    spec[:3] = out
+    work.means.fill(0.0)
     np.multiply(d2, spec[2], out=spec[4])
     np.multiply(d1, spec[2], out=spec[3])
     np.multiply(deriv, spec[:2], out=tmp[:2])
@@ -580,7 +588,7 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
         # inverse transform's pocketfft stages overwrite the spectral input
         np.multiply(two_nur, spec[4:1:-2], out=E[::2])
         np.multiply(-two_nur, spec[3], out=E[1])
-    _half_to_phys(spec, out=phys, stage=work.stage)
+    _half_to_phys(spec, out=phys, stage=work.stage, n=grid.n)
 
     # products into planes 2..4 of each member, each written over factors
     # it has spent.  A member's planes are (X1, X2, rot X, x1, x2), with
@@ -615,7 +623,7 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     # E0 += F(plane 2), E1 -= F(plane 3), E2 -= F(plane 4); without, it
     # goes to E and the last two are negated
     fwd = E if two_nur == 0.0 else tmp[:3]
-    _phys_to_half(phys[2:], m, out=fwd, scratch=work.rfft_out)
+    _phys_to_half(phys[2:], out=fwd, scratch=work.rfft_out, stage=work.fwd_stage)
     if two_nur == 0.0:
         np.negative(E[1:], out=E[1:])
     else:
@@ -626,11 +634,11 @@ def _explicit_terms(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
     # a contiguous stack into them at small planes
     own = E[:, 0]
     for k, f in enumerate((f_hat[0], f_hat[1], g_hat)):
-        np.add(own[k], f[..., :m], out=own[k])
+        np.add(own[k], spectral._block(grid, f), out=own[k])
     if extra is not None:
         dU, dW = extra(t, U, W)
         for k, d in enumerate((dU[0], dU[1], dW)):
-            np.add(own[k], d[..., :m], out=own[k])
+            np.add(own[k], spectral._block(grid, d), out=own[k])
     if V is None:
         return E[:2, 0], E[2, 0], max_speed
     return E[:2, 0], E[2, 0], max_speed, E[:2, 1:].swapaxes(0, 1), E[2, 1:]
@@ -656,20 +664,22 @@ def rhs(state: State, params: Params, forcing: Forcing) -> tuple[VectorField, Sc
 
 
 def _projected_terms(grid: Grid, EU: np.ndarray, EW: np.ndarray) -> np.ndarray:
-    """Full spectra (3, n, n) of the raw band-plane terms (EU, EW) of
-    :func:`_explicit_terms`, dealiased with the mean zeroed and EU
-    Leray-projected: what a step's one projection makes of them, for the
-    public right-hand sides."""
-    terms = _full_from_half(grid, np.stack([EU[0], EU[1], EW]) * grid.half_keep)
+    """Full spectra (3, n, n) of the raw block terms (EU, EW) of
+    :func:`_explicit_terms`, with the mean zeroed and EU Leray-projected:
+    what a step's one projection makes of them, for the public right-hand
+    sides."""
+    terms = np.stack([EU[0], EU[1], EW])
+    terms[:, 0, 0] = 0.0
+    terms = _full_from_half(grid, terms)
     _leray_arrays(grid, terms[0], terms[1], out=terms[:2])
     return terms
 
 
 class _Stepper:
-    """IMEX CN/AB2 integrator core on band planes (columns k2 = 0..kcut of the
-    half plane; :func:`_to_half` and :func:`_from_half` convert at the ``State``
-    boundary), with one :class:`_Workspace` and its CN tables per member
-    count, so that a step allocates no arrays."""
+    """IMEX CN/AB2 integrator core on dealiased blocks (the modes |k1|, |k2|
+    <= kcut of the half plane; :func:`_to_half` and :func:`_from_half`
+    convert at the ``State`` boundary), with one :class:`_Workspace` and
+    its CN tables per member count, so that a step allocates no arrays."""
 
     def __init__(self, grid: Grid, params: Params, forcing: Forcing, dt: float,
                  cfl_limit: float = 0.5, extra: Callable | None = None):
@@ -684,14 +694,12 @@ class _Stepper:
         self.cfl_limit = cfl_limit
         self.extra = extra
 
-        # a steady forcing's band columns, in place or, where numpy would buffer
-        # them (_buffered), copied once; a time-dependent one is evaluated per step
-        self.band_forcing = None
+        # a steady forcing's block, taken once; a time-dependent one is
+        # evaluated per step
+        self.forcing_block = None
         if forcing.steady:
-            band = forcing.half[..., :grid.kcut + 1]
-            if _buffered(band[0]):
-                band = band.copy()
-            self.band_forcing = (band[:2], band[2])
+            block = spectral._block(grid, forcing.half)
+            self.forcing_block = (block[:2], block[2])
 
         self.work: _Workspace | None = None
         self.cn: tuple[np.ndarray, ...] = ()  # (num, dt_den) stacked over the members
@@ -699,11 +707,11 @@ class _Stepper:
 
     def _cn_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(num, dt_den) of u_new = num * u + dt / den * explicit, with den,
-        num = 1 +/- dt/2 * linear: band-plane tables, complex like the
+        num = 1 +/- dt/2 * linear: block tables, complex like the
         spectra so products need no casting, one per component of (u1, u2,
         w), each written in place into its complex stack.  Built with each
         workspace, whose stacks then hold the only copy."""
-        lam = self.grid.lam[:, :self.grid.kcut + 1]
+        lam = spectral._block(self.grid, self.grid.lam)
         params, dt = self.params, self.dt
         rv = 0.5 * dt * (params.nu + params.nu_r) * lam
         rw = 0.5 * dt * (params.alpha * lam + 4.0 * params.nu_r)
@@ -717,8 +725,8 @@ class _Stepper:
         """CN/AB2 update (forward Euler without history) of every member, in
         place in ``work.out``, from the raw terms in ``work.E``, then the
         step's one projection (the CN tables of u1 and u2 are equal, so the
-        projected update is the update from projected terms): the planes
-        leave dealiased, zero-mean and exactly Hermitian in column k2 = 0."""
+        projected update is the update from projected terms): the blocks
+        leave zero-mean and exactly Hermitian in column k2 = 0."""
         work = self.work
         E, prev, A, out = work.E, work.E_prev, work.ab2, work.out
         num, dt_den = self.cn
@@ -732,14 +740,14 @@ class _Stepper:
         np.multiply(dt_den, terms, out=A)
         np.add(out, A, out=out)
         spectral._half_leray(work.leray, out[:2], out[:2], prev[:2])
-        np.multiply(out[2], work.keep, out=out[2])
         spectral._mirror_own_column(out, A.reshape(-1))
 
     def advance(self, U: np.ndarray, W: np.ndarray, t: float,
                 V: np.ndarray | None = None, Z: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """
-        One step from band or half planes (U, W) at time t; returns band
-        planes.  Tangent pairs (V, Z) ride along under the dynamics
+        One step from dealiased blocks, half planes or full spectra (U, W)
+        at time t; returns blocks (..., 2 kcut + 1, kcut + 1).  Tangent
+        pairs (V, Z) ride along under the dynamics
         linearized about (U, W), with the same AB2 history; then
         (U, W, V, Z) is returned.  A change of the number of pairs
         restarts that history with forward Euler.  The planes returned are
@@ -756,7 +764,7 @@ class _Stepper:
             self.cn = tuple(self.work.stacked(x) for x in self._cn_tables())
             self.history = False
         work = self.work
-        f_hat, g_hat = self.band_forcing or (self.forcing.f_hat(t), self.forcing.g_hat(t))
+        f_hat, g_hat = self.forcing_block or (self.forcing.f_hat(t), self.forcing.g_hat(t))
         # the kernel copies inputs that are not the stepper's planes into
         # them; the update then runs in place there
         speed = _explicit_terms(grid, self.params, U, W, f_hat, g_hat,
@@ -786,15 +794,19 @@ def _half_planes(state: State) -> np.ndarray:
 
 
 def _to_half(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Whole half planes (U, W) of a state, views of its :func:`_half_planes`;
-    the time loops narrow them to band planes at their first step."""
-    planes = _half_planes(state)
+    """The dealiased blocks (U, W) of a state, the planes a time loop
+    carries: views of one new (3, 2 kcut + 1, kcut + 1) array."""
+    grid = state.grid
+    planes = np.empty((3, 2 * grid.kcut + 1, grid.kcut + 1), dtype=np.complex128)
+    for plane, field in zip(planes, (state.u.u1, state.u.u2, state.omega)):
+        spectral._block(grid, field.coeffs, out=plane)
     return planes[:2], planes[2]
 
 
 def _from_half(grid: Grid, U: np.ndarray, W: np.ndarray, t: float) -> State:
-    """State of the half or band planes (U, W) of a time loop or a ``State``:
-    their :func:`_full_spectra`, wrapped without a second validation."""
+    """State of the blocks (U, W) of a time loop, or the half planes of a
+    ``State``: their :func:`_full_spectra`, wrapped without a second
+    validation."""
     u1, u2, w = (ScalarField._trusted(grid, c) for c in _full_spectra(grid, U, W))
     return State(VectorField(u1, u2), w, t)
 
@@ -856,23 +868,24 @@ _STATE_NORMS = [name for name, (_, which) in _STANDARD_SET.items() if which in (
 def _state_sums(grid: Grid, planes: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
     """
     The one computation of the standard set's state norms, in its order,
-    of the (u1, u2, omega) half or band planes ``planes`` (3, n, w) of a
-    zero-mean state: |c|^2 of u and omega under the L2, H1 and D(A)
-    :func:`spectral._half_weights` (``weights``, a run's, when their width
-    fits), one BLAS product of the weights (3, n w) with the power planes
-    of (u1, u2, omega), whose sums for u1 and u2 are then added.
-    Planes of a time loop or a ``State``, exactly Hermitian in column
-    k2 = 0 (and n/2), hold the power of its full spectra; whole half planes
-    zero beyond the band are laid out as band planes, for the same bits.
+    of the (u1, u2, omega) dealiased blocks or half planes ``planes`` (3,
+    rows, w) of a zero-mean state: |c|^2 of u and omega under the L2, H1
+    and D(A) :func:`spectral._half_weights` (``weights``, a run's, when
+    their shape fits), one BLAS product of the weights (3, rows w) with
+    the power planes of (u1, u2, omega), whose sums for u1 and u2 are then
+    added.  Planes of a time loop or a ``State``, exactly Hermitian in
+    column k2 = 0 (and n/2), hold the power of its full spectra; whole
+    half planes zero beyond the band are taken as their blocks, for the
+    same bits.
     """
-    m = grid.kcut + 1
-    if planes.shape[-1] > m and not planes[..., m:].any():
-        planes = planes[..., :m]
-    width = planes.shape[-1]
+    n, kcut = grid.n, grid.kcut
+    if planes.shape[-2] == n and not (planes[..., kcut + 1:].any()
+                                      or planes[..., kcut + 1:n - kcut, :].any()):
+        planes = spectral._block(grid, planes)
     power = np.abs(planes)
     np.square(power, out=power)
-    if weights is None or weights.shape[-1] != width:
-        weights = spectral._half_weights(grid, width, None, grid.lam, grid.lam_sq)
+    if weights is None or weights.shape[-2:] != planes.shape[-2:]:
+        weights = spectral._half_weights(grid, planes.shape[-2:], None, grid.lam, grid.lam_sq)
     sums = weights.reshape(3, -1) @ power.reshape(3, -1).T
     np.add(sums[:, 0], sums[:, 1], out=sums[:, 1])
     return sums[:, 1:].ravel().tolist()
@@ -919,15 +932,15 @@ def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_
               stride: int = 1, cfl_limit: float = 0.5) -> SimulationResult:
     """
     The time loop of :func:`simulate`, from the state that ``initial()``
-    builds.  A run's peak memory is its workspace plus band planes: full
+    builds.  A run's peak memory is its workspace plus blocks: full
     spectra exist before the first step and after the last, never beside
     the workspace.  So the loop keeps only the half planes of the initial
     ``State`` (which is freed here when only ``initial`` made it: a
     caller's frame holds what it passes for the whole call), narrows them
-    to band planes after the first record, drops those after the first
-    step, and releases the stepper (its workspace, CN tables and band
-    forcing) before it builds the final ``State`` from a copy of the last
-    planes.  Observers of a mapping get a ``State`` per record.
+    to their dealiased blocks after the first record, drops those after
+    the first step, and releases the stepper (its workspace, CN tables and
+    forcing block) before it builds the final ``State`` from a copy of the
+    last blocks.  Observers of a mapping get a ``State`` per record.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -945,7 +958,8 @@ def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_
         series = {name: [] for name in _STANDARD_SET}
         forcing_norms = {name: (which, kind)
                          for name, (kind, which) in _STANDARD_SET.items() if which in "fg"}
-        weights = spectral._half_weights(grid, grid.kcut + 1, None, grid.lam, grid.lam_sq)
+        weights = spectral._half_weights(grid, (2 * grid.kcut + 1, grid.kcut + 1),
+                                         None, grid.lam, grid.lam_sq)
 
         def record_planes(t: float, planes: np.ndarray) -> None:
             for name, (which, kind) in forcing_norms.items():
@@ -966,13 +980,13 @@ def _simulate(initial: Callable[[], State], params: Params, forcing: Forcing, t_
 
     record(t0, planes)
     if nsteps:
-        # the first step reads only the band columns of the initial planes
-        planes = planes[..., :grid.kcut + 1].copy()
+        # the first step reads only the block of the initial planes
+        planes = spectral._block(grid, planes)
     U, W = planes[:2], planes[2]
     for i in range(nsteps):
         t = t0 + i * dt
         U, W = stepper.advance(U, W, t)
-        # the stepper's planes (3, n, kcut + 1), of which U and W are views
+        # the stepper's blocks (3, 2 kcut + 1, kcut + 1), of which U and W are views
         planes = stepper.work.out[:, 0]
         if (i + 1) % stride == 0 or i + 1 == nsteps:
             record(t0 + (i + 1) * dt, planes)
@@ -1005,8 +1019,15 @@ def write_checkpoint(path, state: State, params: Params) -> None:
             fh.write(arr.view(np.float64).astype("<f8", copy=False).tobytes())
 
 
-def read_checkpoint(path) -> tuple[State, Params]:
-    """Read a checkpoint written by :func:`write_checkpoint`."""
+def read_checkpoint(path, resumable: bool = False) -> tuple[State, Params]:
+    """
+    Read a checkpoint written by :func:`write_checkpoint`.  With
+    ``resumable``, a state that a time loop would change at its first step
+    without a trace raises ValueError: a nonzero mean (which the fields
+    zero), a mode outside the dealiased band (which the loop's blocks
+    drop), or a velocity that is not divergence-free to 1e-10 (which the
+    step projects).
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -1028,7 +1049,18 @@ def read_checkpoint(path) -> tuple[State, Params]:
         spectra = np.empty((3, n, n), dtype="<c16")
         if fh.readinto(spectra) != payload:
             raise ValueError("checkpoint file truncated")
+    means = spectra[:, 0, 0].copy()
+    outside = resumable and bool(spectra[:, ~grid.dealias_mask].any())
     for c in spectra:
         _check_hermitian(grid, c)
     u1, u2, w = (ScalarField._trusted(grid, c) for c in spectra)
-    return State(VectorField(u1, u2), w, t), Params(nu, nu_r, alpha)
+    state = State(VectorField(u1, u2), w, t)
+    if resumable:
+        if means.any():
+            raise ValueError(f"nonzero mean mode {means.tolist()} in (u1, u2, omega)")
+        if outside:
+            raise ValueError(f"modes outside the dealiased band |k1|, |k2| <= {grid.kcut}")
+        if not state.u.is_divergence_free(1e-10):
+            raise ValueError(f"velocity is not divergence-free (relative divergence "
+                             f"{state.u.max_divergence():.3e} > 1e-10)")
+    return state, Params(nu, nu_r, alpha)

@@ -3,7 +3,7 @@ Tangent-linear dynamics, Lyapunov spectra and attractor-dimension
 diagnostics.
 
 Perturbation pairs (V, Z) evolve under the dynamics linearized about a
-co-integrated base trajectory, as band planes, re-orthonormalized
+co-integrated base trajectory, as dealiased blocks, re-orthonormalized
 periodically by one QR in the product L2 inner product (Benettin's
 method).  The trace of the linearized generator restricted to the evolving
 span is sampled at each re-orthonormalization and feeds the volume-element bound
@@ -23,9 +23,9 @@ from micropolar.dynamics import (Forcing, NumericsError, Params, State, _explici
                                  _projected_terms, _random_scalars, _Stepper, _to_half,
                                  _whole_steps, _Workspace)
 from micropolar.estimates import Constants
-from micropolar.spectral import (FieldError, Grid, ScalarField, VectorField, _column_weights,
-                                 _half_to_phys, _leray_arrays, _power, _product_energies,
-                                 _real_weights)
+from micropolar.spectral import (FieldError, Grid, ScalarField, VectorField, _block,
+                                 _column_weights, _half_to_phys, _leray_arrays, _power,
+                                 _product_energies, _real_weights, _slots, _unblock)
 
 __all__ = [
     "LyapunovReport",
@@ -76,6 +76,10 @@ class LyapunovReport:
 # Tangent right-hand side
 # ---------------------------------------------------------------------------
 
+# (f_hat, g_hat) of no forcing, zeros that broadcast over any plane: the
+# tangent terms take none
+_UNFORCED = (np.zeros((2, 1, 1)), np.zeros((1, 1)))
+
 def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
                 params: Params) -> tuple[VectorField, ScalarField]:
     """
@@ -90,8 +94,7 @@ def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
     Vb = V.stacked()[None]
     Zb = Z.coeffs[None]
     W = base.omega.coeffs
-    zero = np.zeros_like(W)
-    *_, EV, EZ = _explicit_terms(grid, params, base.u.stacked(), W, zero, zero, V=Vb, Z=Zb)
+    *_, EV, EZ = _explicit_terms(grid, params, base.u.stacked(), W, *_UNFORCED, V=Vb, Z=Zb)
     terms = _projected_terms(grid, EV[0], EZ[0])
     visc = (params.nu + params.nu_r) * grid.lam
     dV = terms[:2] - visc * Vb[0]
@@ -105,10 +108,11 @@ def tangent_rhs(base: State, perturbation: tuple[VectorField, ScalarField],
 
 def _mgs(grid: Grid, pairs: np.ndarray) -> np.ndarray:
     """
-    Re-orthonormalizes, in place, band-plane tangent pairs ``pairs[N, 3, n,
-    kcut + 1]`` (v1, v2, z) in the product L2 inner product, by one
-    Householder QR of their weighted real views (Benettin's method needs
-    some QR), and returns the growth factors |R_jj|.  A residual of at most
+    Re-orthonormalizes, in place, the dealiased blocks of tangent pairs
+    ``pairs[N, 3, 2 kcut + 1, kcut + 1]`` (v1, v2, z) in the product L2
+    inner product, by one Householder QR of their weighted real views
+    (Benettin's method needs some QR), and returns the growth factors
+    |R_jj|.  A residual of at most
     1e-14 of its vector's norm is rank loss.  (The name is that of the
     Gram-Schmidt loop this replaced, under which perfbench times it.)
     """
@@ -127,23 +131,27 @@ def _mgs(grid: Grid, pairs: np.ndarray) -> np.ndarray:
                            f"residual {growth[j]:.3e} of {before[j]:.3e})")
     np.divide((q * np.sign(np.diagonal(r))).T.reshape(real.shape), weights, out=real)
     # the reflections leave roundoff in Q's rows at k = 0, zero in the frame
-    np.multiply(pairs, grid.half_keep, out=pairs)
+    pairs[..., 0, 0] = 0.0
     return growth
 
 
 def _padded_phys(coeffs: np.ndarray, n: int, pad: float,
                  buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Samples on a (pad*n)^2 lattice of the Hermitian spectra whose columns
-    k2 = 0..w-1 are ``coeffs[..., n, w]`` (band or half planes, or full
-    spectra, of which k2 <= n/2 is read), zero padded into a half plane.
-    Given ``buffers`` (the padded half planes and the samples, of the
-    shapes that this call would allocate), it writes into them."""
+    k2 = 0..w-1 are ``coeffs[..., n, w]`` (half planes, or full spectra, of
+    which k2 <= n/2 is read), or whose band is the dealiased block
+    ``coeffs``, zero padded into a half plane.  Given ``buffers`` (the
+    padded half planes and the samples, of the shapes that this call would
+    allocate), it writes into them."""
     m, h = round(pad * n), n // 2
     w = min(coeffs.shape[-1], h + 1)
     c = min(w, h)
-    rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
     fine, samples = buffers or (np.empty(coeffs.shape[:-2] + (m, w), dtype=np.complex128),
                                 np.empty(coeffs.shape[:-2] + (m, m)))
+    if coeffs.shape[-2] != n:
+        # a block's rows k1 = 0..kcut and -kcut..-1 sit below the Nyquist lines
+        return _half_to_phys(_unblock(coeffs, fine), out=samples)
+    rows = np.fft.fftfreq(n, 1.0 / n).astype(int) % m
     fine[...] = 0.0
     fine[..., rows, :c] = coeffs[..., :c]
     # the Nyquist lines k1, k2 = -n/2 are self-conjugate on the coarse grid only:
@@ -162,23 +170,24 @@ def _rho_and_h1(grid: Grid, pairs: np.ndarray,
     """
     |rho|_{L2} for rho(x) = sum_j (|v_j|^2 + |z_j|^2), evaluated with exact
     zero-padded quadrature, plus sum_j ||phi_j||_H1^2, per-pair H1 norms
-    and the integral of rho, of pairs ``pairs[N, 3, n, w]`` given as band
-    or half planes.  The quadrature takes one pair at a time, in the
+    and the integral of rho, of pairs ``pairs[N, 3, rows, w]`` given as
+    dealiased blocks or half planes.  The quadrature takes one pair at a
+    time, in the
     buffers ``padded`` of :func:`_padded_phys` (for one pair) when given;
     rho sums the squares in order, with the bits of one sum over all pairs.
     """
-    # rho^2 of band planes reaches |k_i| <= 4 kcut < 3n/2, so a (3n/2)^2
+    # rho^2 of blocks reaches |k_i| <= 4 kcut < 3n/2, so a (3n/2)^2
     # lattice is exact for them; half planes reach n/2 and take (2n)^2
-    pad = 1.5 if pairs.shape[-1] <= grid.kcut + 1 else 2
+    pad = 1.5 if pairs.shape[-2] != grid.n else 2
     rho = np.zeros((round(pad * grid.n),) * 2)
     for pair in pairs:
         samples = _padded_phys(pair, grid.n, pad, padded)
         for plane in np.square(samples, out=samples):
             rho += plane
     rho_l2 = math.sqrt(grid.area * float(np.mean(rho**2)))
-    w = pairs.shape[-1]
-    h1_each = grid.area * np.sum(_column_weights(grid, w) * grid.lam[:, :w] * _power(pairs),
-                                 axis=(1, 2, 3))
+    shape = pairs.shape[-2:]
+    h1_each = grid.area * np.sum(_column_weights(grid, shape[-1]) * _slots(grid, shape, grid.lam)
+                                 * _power(pairs), axis=(1, 2, 3))
     return rho_l2, float(np.sum(h1_each)), h1_each, grid.area * float(np.mean(rho))
 
 
@@ -187,25 +196,25 @@ def _trace_sample(grid: Grid, params: Params, U: np.ndarray, W: np.ndarray,
                   work: _Workspace | None = None,
                   padded: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
     """
-    Trace of the linearized generator on the orthonormal span of band-plane
-    ``pairs[N, 3, n, kcut + 1]`` about the base (U, W), half or band planes,
+    Trace of the linearized generator on the orthonormal span of the
+    blocks ``pairs[N, 3, 2 kcut + 1, kcut + 1]`` about the base (U, W),
+    blocks, half planes or full spectra,
     -sum_j [a(phi_j, phi_j) + B(phi_j, ubar, phi_j) + R(phi_j, phi_j)],
     taken as sum_j Re <E(phi_j), phi_j> minus the diagonal part
     sum_j [(nu + nu_r) ||v_j||^2 + alpha ||z_j||^2 + 4 nu_r |z_j|^2]
     (b(u, v_j, v_j) = 0; the Leray gradient is orthogonal to the span).
-    E are the pairs' explicit terms ``terms[3, N, n, kcut + 1]``, which a
+    E are the pairs' explicit terms ``terms[3, N, 2 kcut + 1, kcut + 1]``,
+    which a
     step's kernel call serves, as forcing does not reach them; or else the
     kernel runs in ``work`` (1 + N members, nothing live) or a fresh one.
     ``padded`` are the quadrature's buffers (see :func:`_padded_phys`).
     """
     if terms is None:
-        zero = np.zeros_like(W)
         work = work or _Workspace(grid, 1 + len(pairs))
-        _explicit_terms(grid, params, U, W, zero, zero, V=pairs[:, :2], Z=pairs[:, 2], work=work)
+        _explicit_terms(grid, params, U, W, *_UNFORCED, V=pairs[:, :2], Z=pairs[:, 2], work=work)
         terms = work.E[:, 1:]
-    m = pairs.shape[-1]
-    frame, weights = pairs.swapaxes(0, 1), _column_weights(grid, m)
-    h1, power = weights * grid.lam[:, :m], _power(frame)
+    frame, weights = pairs.swapaxes(0, 1), _column_weights(grid, pairs.shape[-1])
+    h1, power = weights * _slots(grid, pairs.shape[-2:], grid.lam), _power(frame)
     explicit = np.sum(weights * (terms * np.conj(frame)).real)
     diagonal = np.sum((params.nu + params.nu_r) * h1 * (power[0] + power[1])
                       + (params.alpha * h1 + 4.0 * params.nu_r * weights) * power[2])
@@ -249,19 +258,19 @@ def _draw_radius(grid: Grid, modes: int) -> float:
     return float(radii[min(modes, len(radii)) - 1])
 
 
-def _band_pairs(grid: Grid, count: int, seed: int, velocity_only: bool = False) -> np.ndarray:
-    """:func:`random_tangent_pairs` as band planes (count, 3, n, kcut + 1) of
-    (v1, v2, z), not yet orthonormal, masked to the dealiased band (kmax = 4
-    reaches beyond kcut below n = 14): a frame holds nothing a step drops."""
+def _block_pairs(grid: Grid, count: int, seed: int, velocity_only: bool = False) -> np.ndarray:
+    """:func:`random_tangent_pairs` as dealiased blocks (count, 3, 2 kcut + 1,
+    kcut + 1) of (v1, v2, z), not yet orthonormal (kmax = 4 reaches beyond
+    kcut below n = 14, and the blocks drop those modes): a frame holds
+    nothing a step drops."""
     V, Z = random_tangent_pairs(grid, count, seed, velocity_only=velocity_only)
-    m = grid.kcut + 1
-    pairs = np.concatenate([V[..., :m], Z[:, None, :, :m]], axis=1)
-    return np.multiply(pairs, grid.half_keep, out=pairs)
+    return np.concatenate([_block(grid, V), _block(grid, Z)[:, None]], axis=1)
 
 
 class _TangentRun:
-    """Co-integrates a base trajectory (half, then band planes) and N tangent
-    pairs, kept as band planes ``pairs[N, 3, n, kcut + 1]`` (v1, v2, z)."""
+    """Co-integrates a base trajectory and N tangent pairs, as dealiased
+    blocks; the pairs are kept as ``pairs[N, 3, 2 kcut + 1, kcut + 1]``
+    (v1, v2, z)."""
 
     def __init__(self, initial: State, params: Params, forcing: Forcing, count: int,
                  dt: float, reorth_interval: int = 10, seed: int = 0,
@@ -288,9 +297,9 @@ class _TangentRun:
         self.t0 = initial.t
         self.t = initial.t
 
-        self.pairs = _band_pairs(grid, count, seed, velocity_only)
+        self.pairs = _block_pairs(grid, count, seed, velocity_only)
         self.V, self.Z = self.pairs[:, :2], self.pairs[:, 2]
-        # the trace samples' quadrature buffers: one pair's padded band
+        # the trace samples' quadrature buffers: one pair's padded half
         # planes and their samples on the (3n/2)^2 lattice
         fine = round(1.5 * grid.n)
         self.padded = (np.empty((3, fine, grid.kcut + 1), dtype=np.complex128),

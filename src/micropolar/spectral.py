@@ -93,14 +93,15 @@ class Grid:
 
     ``dealias_mask`` keeps |k1|, |k2| <= ``kcut`` = (n - 1) // 3, the
     largest cutoff for which quadratic products alias only outside the
-    band.  The ``half_*`` tables serve the band plane (n, kcut + 1), the
-    columns k2 = 0..kcut of the real-transform half plane (n, n//2 + 1)
-    that the time stepper carries: derivative factors (shaped (n, 1) and
-    (1, kcut + 1) to broadcast), the Leray entries (P11, P12, P22) with the
-    dealias mask folded in, the mask itself without the mean mode, and the
-    row map k1 -> -k1 that rebuilds the full Hermitian spectrum.
+    band.  The ``block_*`` tables serve the dealiased block (2 kcut + 1,
+    kcut + 1) that the time loops carry: the modes of the band in the
+    columns k2 = 0..kcut of the real-transform half plane (n, n//2 + 1),
+    rows k1 = 0..kcut then -kcut..-1 (FFT order; a block has no Nyquist
+    row).  They are the derivative factors (shaped (2 kcut + 1, 1) and
+    (1, kcut + 1) to broadcast) and the Leray entries (P11, P12, P22) with
+    the mean mode zeroed; every other mode of a block is kept.
 
-    A grid stores its 1-D wavenumber axes, the ``half_*`` tables and
+    A grid stores its 1-D wavenumber axes, those tables and
     ``mode_order``, the flat slot i n + j of each enumerated mode (int32).
     The wavenumber tables ``k1``, ``k2`` (integer) and ``k1_deriv``,
     ``k2_deriv`` (float, Nyquist lines zeroed) are read-only (n, n) views
@@ -125,7 +126,6 @@ class Grid:
         # 2/3 rule: products of two fields with |k_i| <= kcut alias onto
         # wavenumbers k -/+ n, which stay outside the band iff 3 kcut < n.
         kcut = (n - 1) // 3
-        dealias = (np.abs(K1) <= kcut) & (np.abs(K2) <= kcut)
 
         # Enumerate all nonzero modes sorted by (|k|^2, k1, k2); slot
         # (i, j) has the flat index i n + j.
@@ -139,18 +139,17 @@ class Grid:
         kd[n // 2] = 0.0
         K1d, K2d = (np.broadcast_to(k, (n, n)) for k in (kd[:, None], kd))
 
-        # Band-plane tables (columns k2 = 0..kcut of the real-transform half
-        # plane), stored complex so products with spectra need no casting.
-        # The dealias mask, with the mean mode dropped, is folded into the
-        # Leray entries, so one projection also truncates and zeroes the mean.
-        m = kcut + 1
-        keep = (dealias & (ksq > 0))[:, :m]
-        k1h, k2h = K1d[:, :m], K2d[:, :m]
-        ksq_h = k1h * k1h + k2h * k2h
-        inv_ksq_h = np.divide(1.0, ksq_h, out=np.zeros_like(ksq_h), where=ksq_h > 0)
-        leray_h = np.stack([1.0 - k1h * k1h * inv_ksq_h,
-                            -k1h * k2h * inv_ksq_h,
-                            1.0 - k2h * k2h * inv_ksq_h]) * keep
+        # Block tables (the band's rows of the columns k2 = 0..kcut of the
+        # real-transform half plane), stored complex so products with
+        # spectra need no casting.  The mean mode is zeroed in the Leray
+        # entries, so one projection also zeroes the mean.
+        k1b, k2b = kd[_block_rows(n)][:, None], kd[None, :kcut + 1]
+        ksq_b = k1b * k1b + k2b * k2b
+        inv_ksq_b = np.divide(1.0, ksq_b, out=np.zeros_like(ksq_b), where=ksq_b > 0)
+        leray_b = np.stack([1.0 - k1b * k1b * inv_ksq_b,
+                            -k1b * k2b * inv_ksq_b,
+                            1.0 - k2b * k2b * inv_ksq_b])
+        leray_b[:, 0, 0] = 0.0
         deriv = 1j * (2.0 * np.pi / self.L)
 
         for name, value in (
@@ -159,11 +158,9 @@ class Grid:
             ("k1_deriv", K1d),
             ("k2_deriv", K2d),
             ("mode_order", nonzero[order].astype(np.int32)),
-            ("half_keep", keep.astype(np.complex128)),
-            ("half_d1", deriv * kd[:, None]),
-            ("half_d2", deriv * kd[None, :m]),
-            ("half_leray", leray_h.astype(np.complex128)),
-            ("half_conj_rows", (-np.arange(n)) % n),
+            ("block_d1", deriv * k1b),
+            ("block_d2", deriv * k2b),
+            ("block_leray", leray_b.astype(np.complex128)),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -195,7 +192,8 @@ class Grid:
     @_computed
     def conj_flat(self) -> np.ndarray:
         """Flat index of the conjugate slot -k of each slot k, shape (n^2,)."""
-        return (self.half_conj_rows[:, None] * self.n + self.half_conj_rows).ravel()
+        rows = _conj_rows(self.n)
+        return (rows[:, None] * self.n + rows).ravel()
 
     def table_rows(self, stop: int | None = None) -> np.ndarray:
         """(k1, k2) of the enumerated modes 0..stop-1 (all n^2 - 1 of them by
@@ -495,85 +493,173 @@ def _dft_columns(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(inverse.reshape(2 * width, n), forward.reshape(n, 2 * width))
 
 
+@functools.cache
+def _block_rows(n: int) -> np.ndarray:
+    """The lattice rows k1 = 0..kcut, then n-kcut..n-1 (k1 = -kcut..-1), of
+    the rows of a dealiased block of an n x n lattice, kcut = (n - 1) // 3;
+    writeable, as np.take copies a read-only index array at every call."""
+    kcut = (n - 1) // 3
+    return np.r_[0:kcut + 1, n - kcut:n]
+
+
+@functools.cache
+def _dft_block_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of :func:`_dft_rows` restricted to the rows k of a
+    dealiased block, read-only: the inverse (n, 2 kcut + 1) and the forward
+    (2 kcut + 1, n)."""
+    inverse, forward = _dft_rows(n)
+    rows = _block_rows(n)
+    return _read_only(np.ascontiguousarray(inverse[:, rows]), np.ascontiguousarray(forward[rows]))
+
+
+def _block(grid: Grid, spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """
+    The dealiased block (..., 2 kcut + 1, kcut + 1) of half planes, full
+    spectra or full-lattice tables ``spectra`` (..., n, w >= kcut + 1), as
+    a copy, written to ``out`` when given.  A block is returned as it is,
+    or copied to ``out``.
+    """
+    kcut = grid.kcut
+    if spectra.shape[-2] != grid.n:
+        if out is not None:
+            np.copyto(out, spectra)
+            return out
+        return spectra
+    if out is None:
+        out = np.empty(spectra.shape[:-2] + (2 * kcut + 1, kcut + 1), dtype=spectra.dtype)
+    out[..., :kcut + 1, :] = spectra[..., :kcut + 1, :kcut + 1]
+    out[..., kcut + 1:, :] = spectra[..., grid.n - kcut:, :kcut + 1]
+    return out
+
+
+def _unblock(planes: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    """Write ``planes`` into ``padded`` (..., N, w) and return it: planes of
+    N rows as they are, dealiased blocks (..., 2 kcut + 1, w) into the rows
+    k1 = 0..kcut and -kcut..-1 of a lattice of N > 2 kcut points a side,
+    with its other rows zeroed."""
+    rows = padded.shape[-2]
+    if planes.shape[-2] == rows:
+        padded[...] = planes
+        return padded
+    kcut = planes.shape[-2] // 2
+    padded[..., :kcut + 1, :] = planes[..., :kcut + 1, :]
+    padded[..., kcut + 1:rows - kcut, :] = 0.0
+    padded[..., rows - kcut:, :] = planes[..., kcut + 1:, :]
+    return padded
+
+
 def _half_to_phys(half: np.ndarray, out: np.ndarray | None = None,
-                  stage: np.ndarray | None = None) -> np.ndarray:
+                  stage: np.ndarray | None = None, n: int | None = None) -> np.ndarray:
     """
     Real samples on an n x n lattice from the leading columns k2 = 0..w-1
-    of half-plane spectra (last two axes (n, w), w <= n//2 + 1); the
-    missing columns are zero.  Given ``out``, the samples are written there.
+    of half-plane spectra (last two axes (n, w), w <= n//2 + 1), or, given
+    n, from dealiased blocks (last two axes (2 kcut + 1, kcut + 1)); the
+    missing columns and rows are zero.  Given ``out``, the samples are
+    written there.
 
     Up to n = ``_DENSE_DFT_MAX_N``, two dense products with the tables of
-    :func:`_dft_rows` and :func:`_dft_columns`, one plane at a time: the
-    complex axis-0 product into ``stage`` (of the shape of ``half``; a new
-    array when omitted), then the real product of its (re, im) view.  The
-    results are within roundoff of ``irfft2(half, s=(n, n))``, and the
-    bits do not depend on how many planes one call takes.
+    :func:`_dft_rows` (of :func:`_dft_block_rows` for blocks) and
+    :func:`_dft_columns`, one plane at a time: the complex axis-0 product
+    into ``stage`` (..., n, w) (a new array when omitted), then the real
+    product of its (re, im) view.  The results are within roundoff of
+    ``irfft2(half, s=(n, n))``, a block's bits are those of its half
+    planes, and the bits do not depend on how many planes one call takes.
 
     Above, the stages of ``irfft2(half, s=(n, n))``, with its bits: the
     axis-0 ``ifft`` on the w given columns only, then the last-axis
     ``irfft``, which zero-pads the rest.  Given ``out``, the axis-0 stage
-    runs in place in ``half``, which it overwrites.
+    runs in place in ``half``, which it overwrites.  A block is first
+    scattered into its rows of ``stage`` (..., n, kcut + 1), whose other
+    rows are zeroed, and the axis-0 stage runs in place there.
     """
-    n, width = half.shape[-2:]
+    rows, width = half.shape[-2:]
+    n = rows if n is None else n
+    block = rows != n
     if _dense_dft(n):
-        stage = np.matmul(_dft_rows(n)[0], half, out=stage)
+        stage = np.matmul((_dft_block_rows if block else _dft_rows)(n)[0], half, out=stage)
         return np.matmul(stage.view(np.float64), _dft_columns(n, width)[0], out=out)
-    stage = np.fft.ifft(half, axis=-2, norm="forward", out=None if out is None else half)
+    if block:
+        half = _unblock(half, np.empty(half.shape[:-2] + (n, width), dtype=np.complex128)
+                        if stage is None else stage)
+    in_place = block or out is not None
+    stage = np.fft.ifft(half, axis=-2, norm="forward", out=half if in_place else None)
     return np.fft.irfft(stage, n=n, axis=-1, norm="forward", out=out)
 
 
-def _phys_to_half(samples: np.ndarray, width: int, out: np.ndarray | None = None,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+def _phys_to_half(samples: np.ndarray, width: int | None = None, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None,
+                  stage: np.ndarray | None = None) -> np.ndarray:
     """
     Columns k2 = 0..width-1 of the half-plane spectra of real samples
-    (last two axes (n, n)), written to ``out`` when given.  The last-axis
+    (last two axes (n, n)), or without ``width`` their dealiased block
+    (2 kcut + 1, kcut + 1), written to ``out`` when given.  The last-axis
     stage goes to the leading columns of ``scratch`` (..., n, n//2 + 1)
     when given; its columns k2 = 0 and n/2 are exactly real, as rfft's are.
 
     Up to n = ``_DENSE_DFT_MAX_N``, two dense products, one plane at a
     time: the real product with the forward table of :func:`_dft_columns`
     into the (re, im) view of the stage's columns, then the complex axis-0
-    product; within roundoff of ``rfft2(samples)[..., :width]``.  Above,
-    the bits of ``rfft2(samples)[..., :width]``, with the axis-0 stage run
-    on those columns only (the last-axis ``rfft`` writes the whole half
-    plane into ``scratch``).
+    product (a block's with the rows of :func:`_dft_block_rows`, which
+    keeps their bits); within roundoff of ``rfft2(samples)[..., :width]``.
+    Above, the bits of ``rfft2(samples)[..., :width]``, with the axis-0
+    stage run on those columns only (the last-axis ``rfft`` writes the
+    whole half plane into ``scratch``); a block's goes to ``stage``
+    (..., n, kcut + 1), a new array when omitted, whose block rows one
+    ``np.take`` gathers.
     """
     n = samples.shape[-1]
+    block = width is None
+    if block:
+        width = (n - 1) // 3 + 1
     if _dense_dft(n):
         half = (np.empty(samples.shape[:-1] + (width,), dtype=np.complex128) if scratch is None
                 else scratch[..., :width])
         np.matmul(samples, _dft_columns(n, width)[1], out=half.view(np.float64))
-        return np.matmul(_dft_rows(n)[1], half, out=out)
+        return np.matmul((_dft_block_rows if block else _dft_rows)(n)[1], half, out=out)
     half = np.fft.rfft(samples, axis=-1, norm="forward", out=scratch)
-    return np.fft.fft(half[..., :width], axis=-2, norm="forward", out=out)
+    if not block:
+        return np.fft.fft(half[..., :width], axis=-2, norm="forward", out=out)
+    stage = np.fft.fft(half[..., :width], axis=-2, norm="forward", out=stage)
+    # mode="clip": out= is written directly, not through a checked copy
+    return np.take(stage, _block_rows(n), axis=-2, out=out, mode="clip")
 
 
 def _full_from_half(grid: Grid, half: np.ndarray, out: np.ndarray | None = None,
                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Full Hermitian spectrum whose columns k2 = 0..w-1 are ``half``, for any
-    width w = 1..n/2 + 1 (a band plane included); columns k2 = w..n/2 are zero.
-    Given ``out`` (..., n, n) and the scratch of :func:`_mirror_half`, it is
-    written there and nothing is allocated."""
+    width w = 1..n/2 + 1, or whose band is the dealiased block ``half``;
+    the other modes are zero.  Given ``out`` (..., n, n) and the scratch of
+    :func:`_mirror_half`, it is written there and nothing is allocated."""
     w = half.shape[-1]
-    full = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128) if out is None else out
-    full[..., :w] = half
+    full = np.empty(half.shape[:-2] + (grid.n, grid.n), dtype=np.complex128) if out is None \
+        else out
+    _unblock(half, full[..., :w])
     full[..., w:] = 0.0
     return _mirror_half(grid, full, w, half, scratch)
+
+
+@functools.cache
+def _conj_rows(rows: int) -> np.ndarray:
+    """The row map k1 -> -k1 of planes of ``rows`` rows in FFT order (the
+    lattice's, or a block's), with which the full Hermitian spectrum is
+    rebuilt; writeable, as np.take copies a read-only index array at every
+    call."""
+    return (-np.arange(rows)) % rows
 
 
 def _mirror_half(grid: Grid, full: np.ndarray, m: int, half: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Fill, in place, the columns k2 = n-m+1..n-1 of spectra ``full[..., n, n]``
     from their columns k2 = 1..m-1 (m <= n/2 + 1) by Hermitian symmetry.
-    Given their C-contiguous source ``half`` (..., n, m) and a flat complex
-    ``scratch`` of at least 2 * (j - 1) elements per row, j = min(m, n/2),
-    it allocates nothing."""
+    Given their C-contiguous source ``half`` (..., n, m), or the dealiased
+    block that ``full`` holds, and a flat complex ``scratch`` of at least
+    2 * (j - 1) elements per row, j = min(m, n/2), it allocates nothing."""
     n = grid.n
     # column n - j holds conj(c[-k1, j]) for j = m - 1 .. 1, below n/2
     j = min(m, n // 2)
     mirrored = full[..., n - j + 1:]
     if scratch is None:
-        np.conj(full[..., grid.half_conj_rows, j - 1:0:-1], out=mirrored)
+        np.conj(full[..., _conj_rows(n), j - 1:0:-1], out=mirrored)
         return full
     # the same values without a temporary: the columns are gathered in
     # reverse order, then the rows, conjugated and written into place.
@@ -584,45 +670,50 @@ def _mirror_half(grid: Grid, full: np.ndarray, m: int, half: np.ndarray | None =
     size = math.prod(shape)
     cols, rows = scratch[:size].reshape(shape), scratch[size:2 * size].reshape(shape)
     np.take(half, np.arange(j - 1, 0, -1), axis=-1, out=cols, mode="clip")
-    np.take(cols, grid.half_conj_rows, axis=-2, out=rows, mode="clip")
+    np.take(cols, _conj_rows(half.shape[-2]), axis=-2, out=rows, mode="clip")
     np.conj(rows, out=rows)
-    mirrored[...] = rows
+    _unblock(rows, mirrored)
     return full
 
 
 @functools.cache
-def _own_rows(n: int, width: int) -> np.ndarray:
-    """Flat indices of the rows n/2-1..1 of column k2 = 0 in a plane (n, width);
-    writeable, as np.take copies a read-only index array at every call."""
-    return np.arange(n // 2 - 1, 0, -1) * width
+def _own_rows(rows: int, width: int) -> np.ndarray:
+    """Flat indices of the rows kcut..1 of column k2 = 0 in a block (2 kcut +
+    1, width); writeable, as np.take copies a read-only index array at
+    every call."""
+    return np.arange(rows // 2, 0, -1) * width
 
 
 def _mirror_own_column(planes: np.ndarray, scratch: np.ndarray) -> None:
-    """Make column k2 = 0 of C-contiguous planes ``planes[..., n, w]`` exactly
-    Hermitian, in place: rows n/2+1..n-1 := conj(rows n/2-1..1), rows 0 and
-    n/2 := +0, with no array allocated: as in :func:`_mirror_half`, the rows
-    are conjugated in a flat complex ``scratch``, n/2 - 1 elements a plane."""
-    n, w = planes.shape[-2:]
-    flat = planes.reshape(-1, n * w)
-    rows = scratch[:len(flat) * (n // 2 - 1)].reshape(len(flat), -1)
-    np.take(flat, _own_rows(n, w), axis=1, out=rows, mode="clip")
-    np.conj(rows, out=rows)
-    planes[..., n // 2 + 1:, 0] = rows.reshape(planes.shape[:-2] + (-1,))
-    planes[..., 0:n:n // 2, 0] = 0.0
+    """Make column k2 = 0 of C-contiguous dealiased blocks ``planes[...,
+    2 kcut + 1, w]`` exactly Hermitian, in place: rows -1..-kcut :=
+    conj(rows 1..kcut), row 0 (the mean, in column 0) := +0 (a block has no
+    Nyquist row), with no array allocated: as in :func:`_mirror_half`, the
+    rows are conjugated in a flat complex ``scratch``, kcut elements a
+    plane."""
+    rows, w = planes.shape[-2:]
+    kcut = rows // 2
+    flat = planes.reshape(-1, rows * w)
+    own = scratch[:len(flat) * kcut].reshape(len(flat), -1)
+    np.take(flat, _own_rows(rows, w), axis=1, out=own, mode="clip")
+    np.conj(own, out=own)
+    planes[..., kcut + 1:, 0] = own.reshape(planes.shape[:-2] + (-1,))
+    planes[..., 0, 0] = 0.0
 
 
 def _full_spectra(grid: Grid, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
-    Full spectra (3, n, n) of (u1, u2, omega), rebuilt from half or band
-    planes U (2, n, w) and W (n, w) of a finite state in one array: filled,
-    mirrored and the mean zeroed.  From planes exactly Hermitian in column
-    k2 = 0 (and n/2), as a time loop's and a ``State``'s are, they equal
-    the validating ``ScalarField``'s bit for bit, and are copies.
+    Full spectra (3, n, n) of (u1, u2, omega), rebuilt from the dealiased
+    blocks, or half planes, U (2, r, w) and W (r, w) of a finite state in
+    one array: filled, mirrored and the mean zeroed.  From planes exactly
+    Hermitian in column k2 = 0 (and n/2), as a time loop's and a
+    ``State``'s are, they equal the validating ``ScalarField``'s bit for
+    bit, and are copies.
     """
     n, m = grid.n, U.shape[-1]
     full = np.zeros((3, n, n), dtype=np.complex128)
-    full[:2, :, :m] = U
-    full[2, :, :m] = W
+    _unblock(U, full[:2, :, :m])
+    _unblock(W, full[2, :, :m])
     _mirror_half(grid, full, m)
     # _hermitianized's (c_k + conj(c_-k)) * 0.5, with its bits (signed zeros
     # included), as c_k + c_k: every conj(c_-k) is c_k exactly
@@ -677,10 +768,10 @@ def _leray_arrays(grid: Grid, c1: np.ndarray, c2: np.ndarray,
 
 def _half_leray(leray: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """
-    Leray projection ``out`` of band-plane vector spectra ``c`` = (c1, c2),
-    truncated to the dealiased band with the mean mode zeroed: two
-    products over the component block and one add per component.
-    ``leray`` holds the entries (P11, P12, P22) of ``Grid.half_leray``
+    Leray projection ``out`` of the dealiased blocks of vector spectra
+    ``c`` = (c1, c2), with the mean mode zeroed: two products over the
+    component block and one add per component.
+    ``leray`` holds the entries (P11, P12, P22) of ``Grid.block_leray``
     (stacked like c, along a first axis of 3) and ``tmp`` two scratch
     planes of the shape of c, so that every operation is elementwise over
     equal shapes.  out may be c.
@@ -797,8 +888,8 @@ def _spectra_norm(grid: Grid, spectra, kind: str) -> float:
 def _column_weights(grid: Grid, width: int) -> np.ndarray:
     """How often each column k2 = 0..width-1 of a half plane appears in the
     full Hermitian spectrum: once for k2 = 0 and n/2, their own mirror
-    images, twice for the others.  Weighted sums over half or band planes
-    are the full spectra's sums."""
+    images, twice for the others.  Weighted sums over half planes or
+    dealiased blocks are the full spectra's sums."""
     weights = np.full(width, 2.0)
     weights[0:width:grid.n // 2] = 1.0
     return weights
@@ -824,28 +915,38 @@ def norm(field, kind: str = "L2") -> float:
     return _spectra_norm(field.grid, spectra, kind)
 
 
-def _half_weights(grid: Grid, width: int, *tables: np.ndarray | None) -> np.ndarray:
-    """Weights (K, n, width) of half-plane power: the columns k2 < width of
-    each conjugate-closed full-plane table (``grid.lam``, a mode mask; None
-    for 1) times their :func:`_column_weights` and |Q|."""
-    cw = grid.area * _column_weights(grid, width)
-    return np.stack([np.broadcast_to(cw, (grid.n, width)) if table is None
-                     else cw * table[:, :width] for table in tables])
+def _slots(grid: Grid, shape: tuple[int, int], table: np.ndarray) -> np.ndarray:
+    """The entries of a full-lattice ``table`` at the slots of planes of
+    ``shape`` (rows, width): half planes' leading columns, or, for fewer
+    rows than n, a dealiased block's."""
+    rows, width = shape
+    return table[:, :width] if rows == grid.n else _block(grid, table)
+
+
+def _half_weights(grid: Grid, shape: tuple[int, int], *tables: np.ndarray | None) -> np.ndarray:
+    """Weights (K, rows, width) of the power of half planes or dealiased
+    blocks of ``shape`` (rows, width): each conjugate-closed full-plane
+    table (``grid.lam``, a mode mask; None for 1) at their :func:`_slots`,
+    times their :func:`_column_weights` and |Q|."""
+    cw = grid.area * _column_weights(grid, shape[-1])
+    return np.stack([np.broadcast_to(cw, shape) if table is None
+                     else cw * _slots(grid, shape, table) for table in tables])
 
 
 def _product_energies(grid: Grid, dU: np.ndarray, dW: np.ndarray,
                       *tables: np.ndarray) -> list[float]:
-    """Energies area * sum table |c|^2 of the fields of half or band planes
-    (dU, dW), one per full-plane ``table`` (a mode mask or ``grid.lam``),
-    the full spectra's sums for planes exactly Hermitian in column k2 = 0,
-    as the time loops' are: one BLAS product of the weights (K, n w) with
-    the power planes of (u1, u2, omega), whose sums are then added.  (With
+    """Energies area * sum table |c|^2 of the fields of dealiased blocks or
+    half planes (dU, dW), one per full-plane ``table`` (a mode mask or
+    ``grid.lam``), the full spectra's sums for planes exactly Hermitian in
+    column k2 = 0, as the time loops' are: one BLAS product of the weights
+    (K, rows w) with the power planes of (u1, u2, omega), whose sums are
+    then added.  (With
     one summed plane, one table would take a dot product, which BLAS
     splits over its threads on long planes: its bits would vary with them.
     One table takes a matrix-vector product, whose bits do not:
     tests/test_blas_threads.py checks it at n = 128.)"""
     power = _power(np.concatenate([dU, dW[None]]))
-    weights = _half_weights(grid, power.shape[-1], *tables)
+    weights = _half_weights(grid, power.shape[-2:], *tables)
     sums = weights.reshape(len(tables), -1) @ power.reshape(3, -1).T
     return sums.sum(axis=1).tolist()
 
@@ -870,16 +971,16 @@ def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
     """
     Advective form b(u, v, w) = sum_ij int u_i d(v_j)/dx_i w_j dx.
 
-    Inputs are truncated to the dealiased band |k_i| <= kcut, where the
-    result equals the direct convolution sum: the cubic integrand then has
-    |k_i| <= 3 kcut < n, so its grid mean is its exact integral.
+    Inputs are truncated to the dealiased band |k_i| <= kcut (their
+    blocks), where the result equals the direct convolution sum: the cubic
+    integrand then has |k_i| <= 3 kcut < n, so its grid mean is its exact
+    integral.
     """
     grid = _same_grid(u, v, w)
-    m = grid.kcut + 1
-    V = v.stacked()[..., :m]
+    V = _block(grid, v.stacked())
     u1, u2, d1v1, d1v2, d2v1, d2v2, w1, w2 = _half_to_phys(np.concatenate(
-        [u.stacked()[..., :m], grid.half_d1 * V, grid.half_d2 * V, w.stacked()[..., :m]])
-        * grid.half_keep)
+        [_block(grid, u.stacked()), grid.block_d1 * V, grid.block_d2 * V,
+         _block(grid, w.stacked())]), n=grid.n)
     q = (u1 * d1v1 + u2 * d2v1) * w1 + (u1 * d1v2 + u2 * d2v2) * w2
     return float(grid.area * np.mean(q))
 
@@ -887,11 +988,10 @@ def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
 def trilinear_b1(u: VectorField, omega: ScalarField, psi: ScalarField) -> float:
     """Scalar advective form b1(u, w, p) = sum_i int u_i dw/dx_i p dx, evaluated as b."""
     grid = _same_grid(u, omega, psi)
-    m = grid.kcut + 1
-    om = omega.coeffs[:, :m]
+    om = _block(grid, omega.coeffs)
     u1, u2, d1w, d2w, p = _half_to_phys(np.stack(
-        [u.u1.coeffs[:, :m], u.u2.coeffs[:, :m], grid.half_d1 * om, grid.half_d2 * om,
-         psi.coeffs[:, :m]]) * grid.half_keep)
+        [*_block(grid, u.stacked()), grid.block_d1 * om, grid.block_d2 * om,
+         _block(grid, psi.coeffs)]), n=grid.n)
     return float(grid.area * np.mean((u1 * d1w + u2 * d2w) * p))
 
 
@@ -993,20 +1093,21 @@ def _sample_scalar(half: np.ndarray, nodes: NodeSet, out: np.ndarray | None = No
                    stage: np.ndarray | None = None) -> np.ndarray:
     """
     Values at the nodes of half-plane spectra ``half[..., n, w]`` (any
-    width w <= n//2 + 1, missing columns zero), shape (..., N).  Given
-    ``out``, the values are written there; given ``phys`` (..., n, n) as
-    well, aligned nodes take no other array: the samples go to ``phys``,
-    and the inverse transform's axis-0 stage runs in place in ``half``,
-    which it overwrites, or, on lattices that take dense DFT products,
-    goes to ``stage`` (of the shape of ``half``), which is then needed
-    too.  Other nodes take none given ``contraction``: the
+    width w <= n//2 + 1, missing columns zero) or of dealiased blocks
+    ``half[..., 2 kcut + 1, kcut + 1]``, shape (..., N).  Given ``out``,
+    the values are written there; given ``phys`` (..., n, n) as well,
+    aligned nodes take no other array: the samples go to ``phys``, and the
+    inverse transform's axis-0 stage runs in place in half planes, which
+    it overwrites, or, for blocks or on lattices that take dense DFT
+    products, goes to ``stage`` (..., n, w), which is then needed too.
+    Other nodes take none given ``contraction``: the
     buffers of their contraction (full spectra (..., n, n), the mirror
     scratch of :func:`_full_from_half`, phase products (..., n, N), sums
     (..., N)) and E1.T as a C-contiguous (n, N) copy, with which numpy
     need not buffer the products.
     """
     if nodes.aligned:
-        samples = _half_to_phys(half, out=phys, stage=stage)
+        samples = _half_to_phys(half, out=phys, stage=stage, n=nodes.grid.n)
         flat = samples.reshape(samples.shape[:-2] + (-1,))
         # mode="clip": out= is written directly, not through a checked copy
         return np.take(flat, nodes.flat_indices, axis=-1, out=out, mode="clip")
@@ -1043,17 +1144,19 @@ def nodal_values_max(field, nodes: NodeSet) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def _interpolant_scalar(values: np.ndarray, nodes: NodeSet, width: int | None = None,
+def _interpolant_scalar(values: np.ndarray, nodes: NodeSet, block: bool = False,
                         out: np.ndarray | None = None, phys: np.ndarray | None = None,
-                        scratch: np.ndarray | None = None) -> np.ndarray:
+                        scratch: np.ndarray | None = None,
+                        stage: np.ndarray | None = None) -> np.ndarray:
     """
-    Columns k2 = 0..width-1 (default: the whole half plane, n//2 + 1) of
-    the half-plane spectra of the mean-free piecewise-constant
-    interpolants of ``values[..., N]``, shape (..., n, width).  The axis-0
-    stage transforms each column on its own, so a narrower width keeps
-    the bits of those columns.  Given ``out``, ``phys`` (..., n, n) and
-    ``scratch`` (..., n, n//2 + 1), it writes into them and takes no other
-    array but the planes' means.
+    The whole half planes (..., n, n//2 + 1), or with ``block`` the
+    dealiased blocks (..., 2 kcut + 1, kcut + 1), of the spectra of the
+    mean-free piecewise-constant interpolants of ``values[..., N]``.  The
+    axis-0 stage transforms each column on its own, so a block keeps the
+    bits of its modes in the half planes.  Given ``out``, ``phys`` (..., n,
+    n), ``scratch`` (..., n, n//2 + 1) and for a block ``stage`` (..., n,
+    kcut + 1), it writes into them and takes no other array but the
+    planes' means.
     """
     # take() returns a C-ordered gather, whose per-plane means are summed
     # in the same (pairwise) order as the mean of a single plane
@@ -1062,8 +1165,8 @@ def _interpolant_scalar(values: np.ndarray, nodes: NodeSet, width: int | None = 
     means = phys.mean(axis=(-2, -1))
     for plane, mean in zip(phys.reshape((-1,) + phys.shape[-2:]), means.reshape(-1)):
         np.subtract(plane, mean, out=plane)
-    width = nodes.grid.n // 2 + 1 if width is None else width
-    return _phys_to_half(phys, width, out=out, scratch=scratch)
+    width = None if block else nodes.grid.n // 2 + 1
+    return _phys_to_half(phys, width, out=out, scratch=scratch, stage=stage)
 
 
 def nodal_interpolant(values: np.ndarray, nodes: NodeSet, grid: Grid):

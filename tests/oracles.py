@@ -11,8 +11,11 @@ complex full-plane FFTs, which the library no longer uses.  The
 re-orthonormalization reference is modified Gram-Schmidt over full
 spectra, the library's loop before it took one QR of band planes.  The
 IMEX step reference takes the library's kernel and CN/AB2 update one
-band plane of one member at a time, in the library's operation order,
-before each stage ran as one numpy call over its component block.  The
+band plane (n, kcut + 1), the columns k2 = 0..kcut of the half plane, of
+one member at a time, in the library's operation order, before each
+stage ran as one numpy call over its component block and before the
+time loops carried only the dealiased block of those planes; it builds
+its band tables itself, by the formulas with which the grid stored them.  The
 dense DFT references take the transform helpers' two products one plane
 at a time.  The grid-table reference builds every full-lattice table at
 once, by the formulas with which the grid stored them; the mode-sync
@@ -189,17 +192,17 @@ def mode_sync_by_fancy_index(config, m: int) -> tuple[list, np.ndarray, np.ndarr
     slaved twin."""
     from micropolar.assimilation import _whole_steps
     from micropolar.dynamics import _Stepper, _to_half
-    from micropolar.spectral import _product_energies, mode_mask
+    from micropolar.spectral import _block, _product_energies, mode_mask
 
     grid = config.reference.grid
     mask_P = mode_mask(grid, m)
+    P = _block(grid, mask_P)
     s1 = _Stepper(grid, config.params, config.forcing1, config.dt)
     s2 = _Stepper(grid, config.params, config.forcing2, config.dt)
     U1, W1 = _to_half(config.reference)
     U2, W2 = _to_half(config.perturbed)
 
     def slave():
-        P = mask_P[:, : U2.shape[-1]]
         U2[:, P] = U1[:, P]
         W2[P] = W1[P]
 
@@ -300,6 +303,32 @@ def mgs(grid: Grid, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return norms
 
 
+def band_tables(grid: Grid) -> dict[str, np.ndarray]:
+    """The band-plane tables (n, kcut + 1) of a grid, complex, by the
+    formulas with which the grid stored them while the time loops carried
+    band planes: the dealias mask without the mean ``keep``, the
+    derivative factors ``d1`` (n, 1) and ``d2`` (1, kcut + 1), and the
+    Leray entries ``leray`` (P11, P12, P22) with ``keep`` folded in."""
+    n, m = grid.n, grid.kcut + 1
+    kax = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    K1, K2 = (np.broadcast_to(k, (n, n)) for k in (kax[:, None], kax))
+    ksq = K1 * K1 + K2 * K2
+    dealias = (np.abs(K1) <= grid.kcut) & (np.abs(K2) <= grid.kcut)
+    kd = kax.astype(np.float64)
+    kd[n // 2] = 0.0
+    K1d, K2d = (np.broadcast_to(k, (n, n)) for k in (kd[:, None], kd))
+    keep = (dealias & (ksq > 0))[:, :m]
+    k1h, k2h = K1d[:, :m], K2d[:, :m]
+    ksq_h = k1h * k1h + k2h * k2h
+    inv_ksq_h = np.divide(1.0, ksq_h, out=np.zeros_like(ksq_h), where=ksq_h > 0)
+    leray = np.stack([1.0 - k1h * k1h * inv_ksq_h,
+                      -k1h * k2h * inv_ksq_h,
+                      1.0 - k2h * k2h * inv_ksq_h]) * keep
+    deriv = 1j * (2.0 * np.pi / grid.L)
+    return {"keep": keep.astype(np.complex128), "d1": deriv * kd[:, None],
+            "d2": deriv * kd[None, :m], "leray": leray.astype(np.complex128)}
+
+
 def per_plane_terms(grid: Grid, params, U, W, f_hat, g_hat, extra=None, t: float = 0.0,
                     V=None, Z=None):
     """
@@ -311,7 +340,8 @@ def per_plane_terms(grid: Grid, params, U, W, f_hat, g_hat, extra=None, t: float
     last two in the spectral combination.
     """
     m = grid.kcut + 1
-    keep, d1, d2 = grid.half_keep, grid.half_d1, grid.half_d2
+    tables = band_tables(grid)
+    keep, d1, d2 = tables["keep"], tables["d1"], tables["d2"]
     two_nur = 2.0 * params.nu_r
     members = [(U[0], U[1], W)]
     if V is not None:
@@ -355,8 +385,8 @@ def per_plane_terms(grid: Grid, params, U, W, f_hat, g_hat, extra=None, t: float
 
 def per_plane_leray(grid: Grid, c1, c2):
     """Leray projection of band planes (c1, c2) by the entries of
-    ``Grid.half_leray``, in the library's operation order."""
-    p11, p12, p22 = grid.half_leray
+    :func:`band_tables`, in the library's operation order."""
+    p11, p12, p22 = band_tables(grid)["leray"]
     return p11 * c1 + p12 * c2, p12 * c1 + p22 * c2
 
 
@@ -407,7 +437,7 @@ class PerPlaneStepper:
             c1 = self.num_u * c1[..., :m] + self.dt_den_u * e[0]
             c2 = self.num_u * c2[..., :m] + self.dt_den_u * e[1]
             w = self.num_w * w[..., :m] + self.dt_den_w * e[2]
-            stepped.append((*per_plane_leray(grid, c1, c2), w * grid.half_keep))
+            stepped.append((*per_plane_leray(grid, c1, c2), w * band_tables(grid)["keep"]))
             for plane in stepped[-1]:
                 mirror_own_column(plane)
         out = [np.stack(stepped[0][:2]), stepped[0][2]]

@@ -25,11 +25,11 @@ PARAMS = Params(nu=0.25, nu_r=0.1, alpha=0.25)
 
 
 def separate_energy(grid, dU, dW, weight):
-    """One weighted energy of half planes with its own |c|^2 and a pairwise
-    sum, as each twin series would take it alone."""
+    """One weighted energy of blocks or half planes with its own |c|^2 and a
+    pairwise sum, as each twin series would take it alone."""
     power = _power(np.concatenate([dU, dW[None]]))
     density = power[0] + power[1] + power[2]
-    return float(np.sum(density * _half_weights(grid, density.shape[-1], weight)[0]))
+    return float(np.sum(density * _half_weights(grid, density.shape, weight)[0]))
 
 
 @pytest.fixture(scope="module")

@@ -175,20 +175,42 @@ class TestExitCodes:
         }))
         assert run("simulate", bad, tmp_path) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("damage", ["missing", "trailing_bytes", "not_a_path"])
-    def test_bad_checkpoint(self, small_config, tmp_path, damage):
+    @pytest.mark.parametrize("damage", ["missing", "trailing_bytes", "not_a_path",
+                                        "nonzero_mean", "outside_band", "not_divergence_free"])
+    def test_bad_checkpoint(self, small_config, tmp_path, capsys, damage):
+        # besides files that cannot be read, states that a resumed run would
+        # change at its first step without a trace (the fields zero a mean,
+        # the time loops carry only the dealiased band and project the
+        # velocity) are config errors naming initial.checkpoint, while
+        # checkpoint-info still reports on them
         assert run("simulate", small_config, tmp_path / "src") == EXIT_OK
         ckpt = tmp_path / "src" / "final.ckpt"
         if damage == "missing":
             ckpt.unlink()
         elif damage == "trailing_bytes":
             ckpt.write_bytes(ckpt.read_bytes() + b"\0" * 7)
+        elif damage != "not_a_path":
+            raw = ckpt.read_bytes()
+            header = len(raw) - 3 * 16 * 16 * 16
+            spectra = np.frombuffer(raw, dtype="<c16", offset=header).reshape(3, 16, 16)
+            u1, u2, omega = spectra.copy()
+            if damage == "nonzero_mean":
+                omega[0, 0] = 0.5
+            elif damage == "outside_band":
+                # kcut = 5 at n = 16
+                omega[7, 7] = omega[-7, -7] = 1e-3
+            else:
+                u1[1, 0] = u1[-1, 0] = 1e-3
+            ckpt.write_bytes(raw[:header] + np.stack([u1, u2, omega]).tobytes())
+            assert main(["checkpoint-info", str(ckpt)]) == EXIT_OK
         cfg = json.loads(small_config.read_text())
         # an integer would otherwise be opened as a file descriptor (0 is stdin)
         cfg["initial"] = {"checkpoint": 0 if damage == "not_a_path" else str(ckpt)}
         resumed = tmp_path / "resumed.json"
         resumed.write_text(json.dumps(cfg))
+        capsys.readouterr()
         assert run("simulate", resumed, tmp_path / "out") == EXIT_CONFIG
+        assert "initial.checkpoint" in capsys.readouterr().err
 
     @staticmethod
     def _variant(small_config, tmp_path, **sections):

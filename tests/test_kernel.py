@@ -35,6 +35,7 @@ from micropolar.lyapunov import lyapunov_spectrum, random_tangent_pairs, tangent
 from micropolar.spectral import (
     ScalarField,
     VectorField,
+    _block,
     _full_from_half,
     _leray_arrays,
     make_grid,
@@ -141,7 +142,7 @@ def test_tangent_terms_match_advective_form(grid32, nu_r, velocity_only):
     U, W = base.u.stacked(), base.omega.coeffs
     V, Z = random_tangent_pairs(grid32, 3, seed=9, velocity_only=velocity_only)
     zero = np.zeros_like(W)
-    *_, EV, EZ = _explicit_terms(grid32, params, U, W, zero, zero, V=V, Z=Z)
+    *_, EV, EZ = _explicit_terms(grid32, params, U, W, np.stack([zero, zero]), zero, V=V, Z=Z)
 
     mask = grid32.dealias_mask
     d1, d2 = grid32.deriv_factor(0), grid32.deriv_factor(1)
@@ -191,7 +192,8 @@ def test_pairs_ride_along_bitwise(n, nu_r):
     for a, b in zip(alone, riding[:3]):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     EV, EZ = riding[3:]
-    assert EV.shape == (4, 2, n, grid.kcut + 1) and EZ.shape == (4, n, grid.kcut + 1)
+    block = (2 * grid.kcut + 1, grid.kcut + 1)
+    assert EV.shape == (4, 2, *block) and EZ.shape == (4, *block)
     for j in range(4):
         *_, EVj, EZj = _explicit_terms(grid, params, U, W, f_hat, g_hat, extra, 0.0,
                                        V=V[j:j + 1], Z=Z[j:j + 1])
@@ -204,38 +206,43 @@ def test_pairs_ride_along_bitwise(n, nu_r):
 @pytest.mark.parametrize("pairs", [0, 1, 4])
 @pytest.mark.parametrize("given", ["half", "band"])
 def test_advance_equals_per_plane_oracle(n, nu_r, pairs, given):
-    # the same operations in the same order, so the same bits: the forward
-    # Euler step and 49 AB2 steps, from half planes and then the stepper's
-    # own planes fed back, or from band-plane copies at every step
+    # the same operations in the same order, so the same bits on the
+    # block's rows: the forward Euler step and 49 AB2 steps, from half
+    # planes and then the stepper's own blocks fed back, or from band-plane
+    # copies (n, kcut + 1) of them at every step; the oracle's other rows
+    # stay zero
     grid = make_grid(n, 2 * np.pi)
     params = Params(0.1, nu_r, 0.1)
     forcing = make_forcing(grid, "steady", 0.05, 0.01, mode_hi=4, seed=n)
     half = n // 2 + 1
-    planes = list(_to_half(random_state(grid, n, 1.0, 0.5, kmax=n)))
+    state = random_state(grid, n, 1.0, 0.5, kmax=n)
+    planes = [state.u.stacked()[..., :half], state.omega.coeffs[:, :half].copy()]
     if pairs:
         planes += [x[..., :half].copy()
                    for x in random_tangent_pairs(grid, pairs, seed=n + 1, kmax=n)]
     stepper = _Stepper(grid, params, forcing, dt=0.01)
     oracle = PerPlaneStepper(grid, params, forcing, dt=0.01)
     band = grid.kcut + 1
+    outside = ~grid.dealias_mask[:, :band]
     expected = planes
     for i in range(50):
-        if given == "band":
-            planes = [x[..., :band].copy() for x in planes]
+        if given == "band" and i:
+            planes = [_full_from_half(grid, x)[..., :band] for x in planes]
         planes = stepper.advance(planes[0], planes[1], 0.01 * i, *planes[2:])
         expected = oracle.advance(expected[0], expected[1], 0.01 * i, *expected[2:])
         for a, b in zip(planes, expected):
-            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64), b.view(np.uint64)), i
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  _block(grid, b).view(np.uint64)), i
+            assert np.all(b[..., outside] == 0), i
 
 
 def _assert_projected(grid, velocity, scalar):
-    # band or full spectra: divergence-free to 1e-14 of their scale, and
+    # blocks or full spectra: divergence-free to 1e-14 of their scale, and
     # zero outside the dealiased band and at k = 0
-    w = velocity.shape[-1]
-    keep = grid.dealias_mask[:, :w] & (grid.lam[:, :w] > 0)
-    for c in (*velocity, scalar):
+    full = _full_from_half(grid, velocity) if velocity.shape[-1] < grid.n else velocity
+    keep = grid.dealias_mask & (grid.lam > 0)
+    for c in (*full, _full_from_half(grid, scalar) if scalar.shape[-1] < grid.n else scalar):
         assert np.all(c[~keep] == 0)
-    full = _full_from_half(grid, velocity) if w < grid.n else velocity
     assert VectorField.from_coeffs(grid, full[0], full[1]).max_divergence() <= 1e-14
 
 
@@ -411,12 +418,13 @@ def test_time_loops_keep_column_zero_exactly_hermitian(n, monkeypatch):
     params = Params(0.15, 0.075, 0.15)
     forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
     reference, perturbed = random_state(grid, 2, 0.15, 0.05), random_state(grid, 3, 0.15, 0.05)
-    mirror_rows = (-np.arange(n)) % n
     checked = []
 
     def check(*planes):
         for X in planes:
             column = X[..., 0]
+            # the blocks' rows k1 = 0..kcut, -kcut..-1
+            mirror_rows = (-np.arange(X.shape[-2])) % X.shape[-2]
             assert np.array_equal(column, np.conj(column[..., mirror_rows]))
         checked.append(len(planes))
 
@@ -454,3 +462,77 @@ def test_time_loops_keep_column_zero_exactly_hermitian(n, monkeypatch):
     assert len(checked) == 41 + 2 * 4 * 40
     lyapunov_spectrum(reference, params, forcing, 4, t_span=0.4, dt=0.01)
     assert len(checked) == 41 + 2 * 4 * 40 + 40
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_time_loops_equal_band_plane_oracle(n, monkeypatch):
+    # every step that simulate, both twins (the slaved follower and the
+    # nudged one, each with its reference) and the Benettin run take over
+    # 40 steps, on either transform path: the blocks it returns equal, bit
+    # for bit, the block rows of the band planes (n, kcut + 1) that the
+    # per-plane oracle steps from the same planes, and the oracle's other
+    # rows stay exactly zero.  The oracle's nudging term takes the node
+    # values and the interpolant of band planes.
+    import micropolar.assimilation as assimilation
+    import micropolar.dynamics as dynamics
+    import micropolar.lyapunov as lyapunov
+    from micropolar.assimilation import SyncConfig, run_mode_sync, run_node_sync
+    from micropolar.spectral import _phys_to_half, _sample_scalar
+
+    grid = make_grid(n, 2 * np.pi)
+    m = grid.kcut + 1
+    params = Params(0.15, 0.075, 0.15)
+    forcing = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
+    reference, perturbed = random_state(grid, 2, 0.15, 0.05), random_state(grid, 3, 0.15, 0.05)
+    outside = ~grid.dealias_mask[:, :m]
+    checked = []
+
+    def band(X):
+        return _full_from_half(grid, X)[..., :m]
+
+    class BandNudging:
+        # the nudging term of the library's _Nudging on band planes: the
+        # nodes sample the band planes of the gap, and its interpolant is
+        # transformed to the band columns
+        def __init__(self, nudge):
+            self.nudge = nudge
+
+        def __call__(self, t, U, W):
+            nodes = self.nudge.nodes
+            U1, W1 = (band(X) for X in self.nudge.reference)
+            values = _sample_scalar(np.concatenate([U - U1, (W - W1)[None]]), nodes)
+            phys = np.take(values, nodes.square_of_cell, axis=-1)
+            for plane, mean in zip(phys, phys.mean(axis=(-2, -1))):
+                plane -= mean
+            gap = -self.nudge.mu * _phys_to_half(phys, m)
+            return gap[:2], gap[2]
+
+    class ShadowedStepper(_Stepper):
+        def __init__(self, grid, params, forcing, dt, cfl_limit=0.5, extra=None):
+            super().__init__(grid, params, forcing, dt, cfl_limit, extra)
+            self.oracle = PerPlaneStepper(grid, params, forcing, dt,
+                                          None if extra is None else BandNudging(extra))
+
+        def advance(self, U, W, t, V=None, Z=None):
+            given = [band(X) for X in (U, W, V, Z) if X is not None]
+            planes = super().advance(U, W, t, V, Z)
+            expected = self.oracle.advance(given[0], given[1], t, *given[2:])
+            for a, b in zip(planes, expected):
+                assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                      _block(grid, b).view(np.uint64))
+                assert np.all(b[..., outside] == 0)
+            checked.append(len(planes))
+            return planes
+
+    for module in (dynamics, assimilation, lyapunov):
+        monkeypatch.setattr(module, "_Stepper", ShadowedStepper)
+    final = dynamics.simulate(reference, params, forcing, 0.4, 0.01).final_state
+    assert len(checked) == 40
+    config = SyncConfig(params, reference, perturbed, forcing, forcing, t_end=0.4, dt=0.01)
+    run_mode_sync(config, 20)
+    run_node_sync(config, make_node_set(grid, count=16), mu=5.0)
+    assert len(checked) == 40 + 2 * 2 * 40
+    lyapunov_spectrum(reference, params, forcing, 4, t_span=0.4, dt=0.01)
+    assert checked == [2] * 200 + [4] * 40
+    # the final state holds the last blocks, and nothing beyond them
+    assert np.all(final.omega.coeffs[~grid.dealias_mask] == 0)

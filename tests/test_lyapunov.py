@@ -26,7 +26,7 @@ from micropolar.dynamics import (
 from micropolar.estimates import compute_constants
 from micropolar import lyapunov
 from micropolar.lyapunov import (
-    _band_pairs,
+    _block_pairs,
     _mgs,
     _padded_phys,
     _rho_and_h1,
@@ -42,6 +42,7 @@ from micropolar.lyapunov import (
 from micropolar.spectral import (
     ScalarField,
     VectorField,
+    _block,
     _full_from_half,
     inner,
     make_grid,
@@ -60,8 +61,8 @@ def perturbation(grid, seed, scale=1.0):
 
 
 def orthonormal_pairs(grid, count, seed, velocity_only=False):
-    """Band-plane pairs (count, 3, n, kcut + 1) as a run starts from."""
-    pairs = _band_pairs(grid, count, seed, velocity_only)
+    """Block pairs (count, 3, 2 kcut + 1, kcut + 1) as a run starts from."""
+    pairs = _block_pairs(grid, count, seed, velocity_only)
     _mgs(grid, pairs)
     return pairs
 
@@ -152,13 +153,13 @@ class TestOrthonormalization:
                 assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
     def test_rank_loss_detected(self, grid16):
-        pairs = _band_pairs(grid16, 2, seed=1)
+        pairs = _block_pairs(grid16, 2, seed=1)
         pairs[1] = pairs[0]
         with pytest.raises(RuntimeError, match="rank"):
             _mgs(grid16, pairs)
 
     def test_non_finite_pairs_rejected(self, grid16):
-        pairs = _band_pairs(grid16, 3, seed=1)
+        pairs = _block_pairs(grid16, 3, seed=1)
         pairs[1, 0, 1, 2] = np.inf
         with pytest.raises(NumericsError, match="non-finite"):
             _mgs(grid16, pairs)
@@ -167,7 +168,7 @@ class TestOrthonormalization:
     def test_qr_matches_mgs_oracle(self, grid32, count):
         # the QR of the weighted real view against modified Gram-Schmidt
         # over full spectra: same growth factors and an orthonormal frame
-        pairs = _band_pairs(grid32, count, seed=count)
+        pairs = _block_pairs(grid32, count, seed=count)
         full = _full_from_half(grid32, pairs)
         V, Z = full[:, :2].copy(), full[:, 2].copy()
         expected = mgs(grid32, V, Z)
@@ -182,7 +183,7 @@ class TestOrthonormalization:
         # two nearly parallel pairs: the frame still comes out orthonormal,
         # with the growth factors of Gram-Schmidt to its own accuracy there
         # (eps times the condition)
-        pairs = _band_pairs(grid32, 4, seed=7)
+        pairs = _block_pairs(grid32, 4, seed=7)
         pairs[1] = pairs[0] + scale * pairs[1]
         full = _full_from_half(grid32, pairs)
         expected = mgs(grid32, full[:, :2].copy(), full[:, 2].copy())
@@ -193,7 +194,8 @@ class TestOrthonormalization:
     def test_slots_outside_the_band_stay_zero(self, grid16):
         pairs = orthonormal_pairs(grid16, 3, seed=2, velocity_only=True)
         assert np.all(pairs[:, 2] == 0)
-        assert np.all(pairs[..., grid16.half_keep == 0] == 0)
+        # a block holds only the band: of its slots, the mean alone is not kept
+        assert np.all(pairs[..., 0, 0] == 0)
 
 
 class TestLiebThirring:
@@ -269,14 +271,13 @@ class TestLiebThirring:
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_band_lattice_matches_half_plane_lattice(self, n):
-        # band planes are sampled on a (3n/2)^2 lattice, half planes on a
+        # blocks are sampled on a (3n/2)^2 lattice, half planes on a
         # (2n)^2 one; with the band full, both give rho's moments exactly
         grid = make_grid(n, 2 * np.pi)
         V, Z = random_tangent_pairs(grid, 5, seed=n, kmax=n)
-        band = np.concatenate([V, Z[:, None]], axis=1)[..., :grid.kcut + 1] * grid.half_keep
+        band = _block(grid, np.concatenate([V, Z[:, None]], axis=1))
         _mgs(grid, band)
-        half = np.zeros(band.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-        half[..., :grid.kcut + 1] = band
+        half = _full_from_half(grid, band)[..., :n // 2 + 1]
         rho_l2, sum_h1, _, rho_integral = _rho_and_h1(grid, band)
         expected = _rho_and_h1(grid, half)
         assert rho_l2 == pytest.approx(expected[0], rel=1e-14)
@@ -433,7 +434,8 @@ class TestBenettinBlocks:
         from_step = stepper.work.E_prev[:, 1:]
         fresh = _Workspace(grid32, 9)
         zero = np.zeros_like(W)
-        _explicit_terms(grid32, params, U, W, zero, zero, V=pairs[:, :2], Z=pairs[:, 2], work=fresh)
+        _explicit_terms(grid32, params, U, W, np.stack([zero, zero]), zero, V=pairs[:, :2],
+                        Z=pairs[:, 2], work=fresh)
         assert np.array_equal(from_step.view(np.uint64), fresh.E[:, 1:].view(np.uint64))
         assert _trace_sample(grid32, params, U, W, pairs, terms=from_step) \
             == _trace_sample(grid32, params, U, W, pairs)
@@ -459,8 +461,7 @@ class TestBenettinBlocks:
             full = _full_from_half(grid, pairs)
             V, Z = full[:, :2].copy(), full[:, 2].copy()
             growth = mgs(grid, V, Z)
-            m = pairs.shape[-1]
-            pairs[:, :2], pairs[:, 2] = V[..., :m], Z[..., :m]
+            pairs[:, :2], pairs[:, 2] = _block(grid, V), _block(grid, Z)
             return growth
 
         monkeypatch.setattr(lyapunov, "_mgs", oracle)
@@ -475,8 +476,7 @@ class TestBenettinBlocks:
         grid = make_grid(n, 2 * np.pi)
         run = _TangentRun(random_state(grid, 2, 0.05, 0.02), PARAMS, Forcing.zero(grid), 6,
                           dt=0.01, seed=4)
-        band = run.pairs * grid.half_keep
-        assert np.max(np.abs(gram(grid, band) - np.eye(6))) <= 1e-12
+        assert np.max(np.abs(gram(grid, run.pairs) - np.eye(6))) <= 1e-12
 
 
 class TestKaplanYorke:

@@ -77,3 +77,16 @@ def test_csv_report_without_identical_columns():
 def test_csv_report_of_a_changed_header_stops_at_the_file():
     assert report("a.csv", b"t,x\n0,1\n", b"t,y\n0,1\n") == [
         "  differs: a.csv (largest normalized deviation inf, shape or header)"]
+
+
+def test_host_line_names_versions_and_blas():
+    import platform
+
+    import numpy
+
+    line = _tool().host()
+    assert line.startswith(f"host: Python {platform.python_version()}, numpy {numpy.__version__}, ")
+    config, corename = _tool()._openblas()
+    assert f"OpenBLAS config {config!r}, core {corename}" in line
+    # a config string names the core it was read with, or both are unknown
+    assert (config, corename) == ("unknown", "unknown") or corename in config

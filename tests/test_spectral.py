@@ -146,7 +146,7 @@ class TestGrid:
             assert np.array_equal(grid.table_rows(stop), expected["table_wavevectors"][:stop])
 
     def test_grid_stores_band_tables_and_axes_only(self):
-        # make_grid(128) owns its band tables, its two wavenumber axes and
+        # make_grid(128) owns its block tables and row map, its two wavenumber axes and
         # one int32 per enumerated mode; every (n, n) table that it stores
         # is a broadcast view of an axis
         n = 128
@@ -160,7 +160,8 @@ class TestGrid:
                     value = value.base
                 owners[id(value)] = value
         owned = sum(array.nbytes for array in owners.values())
-        band = sum(value.nbytes for name, value in vars(grid).items() if name.startswith("half_"))
+        band = sum(value.nbytes for name, value in vars(grid).items()
+                   if name.startswith(("block_", "half_")))
         axes = 2 * n * 8
         assert grid.mode_order.dtype == np.int32
         assert owned <= band + axes + 4 * grid.num_modes

@@ -14,7 +14,11 @@ Every file the commands leave (``final.ckpt``, CSV series, JSON
 summaries) is then compared byte for byte between the two trees; the
 ``"timestamp"`` value of a JSON summary is the one thing ignored.
 
-Prints one line per part and the differing files, and exits 1 when an
+First prints the host it runs on: the Python and numpy versions, and the
+config and core name of the OpenBLAS library bundled with numpy (read
+through ctypes; "unknown" where the library or its symbols are absent),
+since a BLAS kernel other than this host's may write other bytes.  Then
+prints one line per part and the differing files, and exits 1 when an
 exit code or a file differs, 0 otherwise.  For each differing CSV or JSON
 file it also prints the largest normalized deviation and where it is:
 over the CSV columns, max|a - b| / max|b| of each column; over the JSON
@@ -29,10 +33,12 @@ budget, and which columns it keeps, from one command.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -45,6 +51,35 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+
+
+def _openblas() -> tuple[str, str]:
+    """(config, core name) of the OpenBLAS library that numpy bundles, each
+    "unknown" where the library or its symbol is absent."""
+    import numpy
+
+    found = {"config": "unknown", "corename": "unknown"}
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for key in found:
+            symbol = getattr(lib, f"scipy_openblas_get_{key}64_", None)
+            if symbol is not None:
+                symbol.restype = ctypes.c_char_p
+                found[key] = symbol().decode()
+    return found["config"], found["corename"]
+
+
+def host() -> str:
+    """The line naming the host that the comparison runs on."""
+    import numpy
+
+    config, corename = _openblas()
+    return (f"host: Python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"OpenBLAS config {config!r}, core {corename}")
 
 
 def _run_part(root: Path, workdir: Path, part, seed: int) -> list[int]:
@@ -184,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (root / "src" / "micropolar").is_dir():
             parser.error(f"{root} holds no src/micropolar")
 
+    print(host())
     compared = differing = 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         for workload in WORKLOADS.values():
