@@ -55,8 +55,9 @@ Layers, on the README parameters at n = 16, 32, 64, 128 and 256:
   command), ``simulate`` and ``verify-estimates`` (resumed from its
   checkpoint) at n = 64, 128 and 256, ``bounds`` at n = 128,
   ``sync-modes`` and ``sync-nodes`` at n = 64 and ``lyapunov`` at n = 32
-  (so every command of ``large-n`` shows its peak at its own n); the
-  median and all values of up to 3 runs each.
+  (so every command of ``large-n`` shows its peak at its own n), and
+  ``sync-nodes-900``, ``sync-nodes`` with 900 nodes, off the n = 64
+  lattice; the median and all values of up to 3 runs each.
 
 Each layer reports the median and interquartile range of single-call
 times in microseconds, and, from a separate run under ``tracemalloc``
@@ -89,20 +90,23 @@ out of ``pairs``.  ``--sizes`` and ``--calls`` narrow any run to some n
 and a fixed number of calls per layer.  Paired, ``command_rss`` also
 holds per command ``rss_difference_mib``, the difference this - other of
 each round's peak RSS: its median, interquartile range and ``wins``
-(rounds where this is lower).
+(rounds where this is lower).  Paired rounds measure copies of the two
+trees' ``src`` (see ``_copies``).
 
 ``--e2e SECONDS`` adds ``e2e``: the end-to-end lines of
 ``perfbench/run.py --trace 0 --seconds SECONDS`` on ``large-n`` and
 ``small-n`` (each line's metrics, counts and unscaled samples), run by
-each tree's own perfbench from a temporary copy, ``--rounds`` rounds on
-seeds 0, 1, ..., the trees alternating as above; with ``--ab``, ``pairs``
-holds each metric's ratio this / other with its wins (see ``_e2e``).  A
-tree without perfbench is recorded as absent.
+each tree's own perfbench from a temporary copy (see ``_copies``),
+``--rounds`` rounds on seeds 0, 1, ..., the trees alternating as above;
+with ``--ab``, ``pairs`` holds each metric's ratio this / other with its
+wins (see ``_e2e``).  A tree without perfbench is recorded as absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
+import copy
 import json
 import os
 import platform
@@ -297,6 +301,8 @@ def _nudge(n: int, calls: int) -> dict:
     """The nudging term as ``run_node_sync`` hands it to its stepper: caught
     from a three-step twin run, then called on the planes that the loop
     carries (dealiased blocks, or band planes in trees that carry those)."""
+    import numpy as np
+
     from micropolar.assimilation import SyncConfig, run_node_sync
     from micropolar.dynamics import _Stepper, _to_half, random_state
     from micropolar.spectral import make_node_set
@@ -310,7 +316,8 @@ def _nudge(n: int, calls: int) -> dict:
     # 1024 nodes at n = 64 sit on the lattice (side n / 2), 900 do not
     for name, side in (("aligned", n // 2), ("unaligned", n // 2 - 2)):
         nodes = make_node_set(grid, side=side)
-        assert nodes.aligned == (name == "aligned")
+        lattice = nodes.points * (n / grid.L)
+        assert np.all(np.abs(lattice - np.rint(lattice)) < 1e-9) == (name == "aligned")
         caught = []
         init = _Stepper.__init__
 
@@ -417,9 +424,11 @@ def _faults(n: int, calls: int) -> dict:
 # configs for RSS_SEED (simulate that of its dense-n16 part at n = 16,
 # simulate and verify-estimates those of its sim-n128 part at that n
 # above); at any other n, simulate and verify-estimates of sim-n128 on the
-# shortened (--smoke) configs.
+# shortened (--smoke) configs.  sync-nodes-900 is sync-nodes with 900
+# nodes, off the n = 64 lattice.
 RSS_COMMANDS = {16: ("simulate",), 32: ("lyapunov",),
-                64: ("simulate", "verify-estimates", "sync-modes", "sync-nodes"),
+                64: ("simulate", "verify-estimates", "sync-modes", "sync-nodes",
+                     "sync-nodes-900"),
                 128: ("simulate", "verify-estimates", "bounds"),
                 256: ("simulate", "verify-estimates")}
 RSS_SEED = 5
@@ -457,7 +466,7 @@ def _command_rss(n: int, calls: int) -> dict:
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from harness import child_env
-    from workloads import DENSE_N16, LYAP_N32, SIM_N128, TWIN_N64
+    from workloads import DENSE_N16, LYAP_N32, SIM_N128, TWIN_N64, Command
 
     env = child_env(Path(micropolar.__file__).resolve().parents[2])
     sim = DENSE_N16 if n == 16 else SIM_N128
@@ -468,6 +477,9 @@ def _command_rss(n: int, calls: int) -> dict:
     if sim is SIM_N128:
         for name in ("sim.json", "verify.json"):
             configs[name]["grid"]["n"] = n
+    commands["sync-nodes-900"] = Command("sync_nodes_900", "sync-nodes", "twin-900.json")
+    configs["twin-900.json"] = copy.deepcopy(configs["twin.json"])
+    configs["twin-900.json"]["experiment"]["num_nodes"] = 900
     runs = max(1, min(3, calls // 5))
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -549,15 +561,41 @@ def _paired(this: list, other: list):
     return pair
 
 
+def _copies(trees: dict[str, Path], parts: tuple[str, ...], tmp: Path) -> dict[str, Path]:
+    """
+    Copies of the ``parts`` (directories or files) of each tree (a
+    checkout), in the directories ``tmp``/a, ``tmp``/b, ..., with their
+    Python sources compiled.  A CLI process's peak RSS moves with the
+    length of the path it runs from, and with compiling the package,
+    which each process does when no bytecode exists (perfbench's children
+    and ``command_rss``'s run with PYTHONDONTWRITEBYTECODE=1), so two
+    trees are compared from paths of equal length, precompiled.
+    """
+    copies = {}
+    for letter, (side, tree) in zip("abcdefghijklmnopqrstuvwxyz", trees.items()):
+        copies[side] = Path(tmp) / letter
+        copies[side].mkdir()
+        for part in parts:
+            if (tree / part).is_dir():
+                shutil.copytree(tree / part, copies[side] / part,
+                                ignore=shutil.ignore_patterns("__pycache__", ".perfbench-work"))
+            else:
+                shutil.copy(tree / part, copies[side] / part)
+        compileall.compile_dir(copies[side], quiet=1)
+    return copies
+
+
 def _ab(args) -> dict:
     """The paired point of ``args.src`` (this) against ``args.ab`` (other)."""
     srcs = {"this": Path(args.src).resolve(), "other": Path(args.ab).resolve()}
     rounds = {"this": [], "other": []}
     with tempfile.TemporaryDirectory() as tmp:
+        copies = _copies({side: src.parent for side, src in srcs.items()}, ("src",), Path(tmp))
         for i in range(args.rounds):
             for side in ("this", "other")[:: 1 if i % 2 == 0 else -1]:
                 out = Path(tmp) / f"{side}-{i}.json"
-                command = [sys.executable, __file__, "--label", side, "--src", str(srcs[side]),
+                command = [sys.executable, __file__, "--label", side,
+                           "--src", str(copies[side] / "src"),
                            "--out", str(out), "--sizes", *map(str, args.sizes)]
                 if args.calls:
                     command += ["--calls", str(args.calls)]
@@ -601,30 +639,26 @@ def _e2e(trees: dict[str, Path], seconds: float, rounds: int, smoke: bool = Fals
     its own ``perfbench/run.py --trace 0`` on each of E2E_WORKLOADS, round
     i on seed i, the trees alternating within a round as ``--ab`` does.
     Each tree's ``src``, ``perfbench`` and ``BENCHMARK.json`` run from a
-    temporary copy, so the tree is only read; a tree without them is
-    recorded as absent.  With two trees, ``pairs`` holds per metric the
-    ratio this / other of each round: its median, IQR and ``wins``
-    (rounds where this is better, in the direction BENCHMARK.json gives).
+    temporary copy (``_copies``), so the tree is only read; a tree
+    without them is recorded as absent.  With two trees, ``pairs`` holds
+    per metric the ratio this / other of each round: its median, IQR and
+    ``wins`` (rounds where this is better, in the direction BENCHMARK.json
+    gives).
     """
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     point = {workload: {} for workload in E2E_WORKLOADS}
+    parts = ("src", "perfbench", "BENCHMARK.json")
+    present = {}
+    for side, tree in trees.items():
+        if all((tree / part).exists() for part in parts) \
+                and (tree / "perfbench" / "run.py").is_file():
+            present[side] = tree
+        for workload in E2E_WORKLOADS:
+            point[workload][side] = [] if side in present else \
+                {"absent": f"{tree} holds no perfbench/run.py"}
     with tempfile.TemporaryDirectory() as tmp:
-        copies = {}
-        for side, tree in trees.items():
-            parts = ("src", "perfbench", "BENCHMARK.json")
-            if not all((tree / part).exists() for part in parts) \
-                    or not (tree / "perfbench" / "run.py").is_file():
-                for workload in E2E_WORKLOADS:
-                    point[workload][side] = {"absent": f"{tree} holds no perfbench/run.py"}
-                continue
-            copies[side] = Path(tmp) / side
-            for part in parts[:2]:
-                shutil.copytree(tree / part, copies[side] / part,
-                                ignore=shutil.ignore_patterns("__pycache__", ".perfbench-work"))
-            shutil.copy(tree / parts[2], copies[side])
-            for workload in E2E_WORKLOADS:
-                point[workload][side] = []
+        copies = _copies(present, parts, Path(tmp))
         for i in range(rounds):
             for workload in E2E_WORKLOADS:
                 for side in list(copies)[:: 1 if i % 2 == 0 else -1]:

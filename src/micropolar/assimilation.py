@@ -196,29 +196,24 @@ class _Nudging:
     The nudging term of a node twin, -mu I_h of the gap between the
     nudged blocks and ``reference`` (the reference's current blocks, which
     the loop keeps up to date), as the stepper's ``extra``.  It works in
-    buffers of the run: the differences, the physical planes (samples,
-    then interpolants), the node values, the interpolants' blocks, which
-    the kernel reads, the transforms' axis-0 stages (n, kcut + 1), and for
-    nodes off the lattice the buffers of the phase contraction; each call
-    overwrites the last one's.
+    buffers of the run: the differences, the node sampling's column and
+    row products, the node values, the interpolants' physical planes, the
+    forward transform's stages and the interpolants' blocks, which the
+    kernel reads; each call overwrites the last one's.
     """
 
     def __init__(self, nodes: NodeSet, mu: float, reference: tuple[np.ndarray, np.ndarray]):
         grid = nodes.grid
-        n, m = grid.n, grid.kcut + 1
+        n, rows, m = grid.n, 2 * grid.kcut + 1, grid.kcut + 1
         self.nodes, self.mu, self.reference = nodes, mu, reference
-        self.diff, self.gap = (np.empty((3, 2 * grid.kcut + 1, m), dtype=np.complex128)
-                               for _ in range(2))
+        self.diff, self.gap = (np.empty((3, rows, m), dtype=np.complex128) for _ in range(2))
         self.stage = np.empty((3, n, m), dtype=np.complex128)
         self.phys = np.empty((3, n, n))
         self.values = np.empty((3, nodes.count))
         self.scratch = np.empty((3, n, n // 2 + 1), dtype=np.complex128)
-        self.contraction = None
-        if not nodes.aligned:
-            shapes = ((3, n, n), 2 * 3 * n * (n // 2 - 1), (3, n, nodes.count))
-            full, mirror, product = (np.empty(shape, dtype=np.complex128) for shape in shapes)
-            self.contraction = (full, mirror, product, np.ascontiguousarray(nodes.phases[0].T),
-                                np.empty((3, nodes.count), dtype=np.complex128))
+        p, q = (len(E) for E in nodes.block_phases)
+        self.sampling = (np.empty((3, rows, q), dtype=np.complex128),
+                         np.empty((2, 3, p, q), dtype=np.complex128))
 
     def node_values(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Values of (u1, u2, w) of the blocks (U, W) minus the reference at
@@ -226,8 +221,7 @@ class _Nudging:
         U1, W1 = self.reference
         np.subtract(U, U1, out=self.diff[:2])
         np.subtract(W, W1, out=self.diff[2])
-        return spectral._sample_scalar(self.diff, self.nodes, out=self.values, phys=self.phys,
-                                       contraction=self.contraction, stage=self.stage)
+        return spectral._sample_scalar(self.diff, self.nodes, out=self.values, work=self.sampling)
 
     def __call__(self, t: float, U: np.ndarray, W: np.ndarray):
         # -mu I_h of the gap, one piecewise-constant interpolant per field,

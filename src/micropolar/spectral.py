@@ -19,7 +19,6 @@ so Parseval reads ``int_Q f^2 dx = L^2 * sum_k |c_k|^2``.  The mean mode
 from __future__ import annotations
 
 import functools
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -624,18 +623,15 @@ def _phys_to_half(samples: np.ndarray, width: int | None = None, out: np.ndarray
     return np.take(stage, _block_rows(n), axis=-2, out=out, mode="clip")
 
 
-def _full_from_half(grid: Grid, half: np.ndarray, out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
+def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Full Hermitian spectrum whose columns k2 = 0..w-1 are ``half``, for any
     width w = 1..n/2 + 1, or whose band is the dealiased block ``half``;
-    the other modes are zero.  Given ``out`` (..., n, n) and the scratch of
-    :func:`_mirror_half`, it is written there and nothing is allocated."""
+    the other modes are zero."""
     w = half.shape[-1]
-    full = np.empty(half.shape[:-2] + (grid.n, grid.n), dtype=np.complex128) if out is None \
-        else out
+    full = np.empty(half.shape[:-2] + (grid.n, grid.n), dtype=np.complex128)
     _unblock(half, full[..., :w])
     full[..., w:] = 0.0
-    return _mirror_half(grid, full, w, half, scratch)
+    return _mirror_half(grid, full, w)
 
 
 @functools.cache
@@ -647,32 +643,14 @@ def _conj_rows(rows: int) -> np.ndarray:
     return (-np.arange(rows)) % rows
 
 
-def _mirror_half(grid: Grid, full: np.ndarray, m: int, half: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
+def _mirror_half(grid: Grid, full: np.ndarray, m: int) -> np.ndarray:
     """Fill, in place, the columns k2 = n-m+1..n-1 of spectra ``full[..., n, n]``
-    from their columns k2 = 1..m-1 (m <= n/2 + 1) by Hermitian symmetry.
-    Given their C-contiguous source ``half`` (..., n, m), or the dealiased
-    block that ``full`` holds, and a flat complex ``scratch`` of at least
-    2 * (j - 1) elements per row, j = min(m, n/2), it allocates nothing."""
+    from their columns k2 = 1..m-1 (m <= n/2 + 1) by Hermitian symmetry."""
     n = grid.n
     # column n - j holds conj(c[-k1, j]) for j = m - 1 .. 1, below n/2
     j = min(m, n // 2)
     mirrored = full[..., n - j + 1:]
-    if scratch is None:
-        np.conj(full[..., _conj_rows(n), j - 1:0:-1], out=mirrored)
-        return full
-    # the same values without a temporary: the columns are gathered in
-    # reverse order, then the rows, conjugated and written into place.
-    # take() reads a C-contiguous source as it is and writes out= directly
-    # (mode="clip"), where an elementwise operation on these short strided
-    # rows would make numpy buffer them.
-    shape = half.shape[:-1] + (j - 1,)
-    size = math.prod(shape)
-    cols, rows = scratch[:size].reshape(shape), scratch[size:2 * size].reshape(shape)
-    np.take(half, np.arange(j - 1, 0, -1), axis=-1, out=cols, mode="clip")
-    np.take(cols, _conj_rows(half.shape[-2]), axis=-2, out=rows, mode="clip")
-    np.conj(rows, out=rows)
-    _unblock(rows, mirrored)
+    np.conj(full[..., _conj_rows(n), j - 1:0:-1], out=mirrored)
     return full
 
 
@@ -688,9 +666,11 @@ def _mirror_own_column(planes: np.ndarray, scratch: np.ndarray) -> None:
     """Make column k2 = 0 of C-contiguous dealiased blocks ``planes[...,
     2 kcut + 1, w]`` exactly Hermitian, in place: rows -1..-kcut :=
     conj(rows 1..kcut), row 0 (the mean, in column 0) := +0 (a block has no
-    Nyquist row), with no array allocated: as in :func:`_mirror_half`, the
-    rows are conjugated in a flat complex ``scratch``, kcut elements a
-    plane."""
+    Nyquist row), with no array allocated: the rows are gathered by
+    ``np.take`` (which reads a C-contiguous source as it is and writes
+    ``out=`` directly, where an elementwise operation on these short
+    strided rows would make numpy buffer them) and conjugated in a flat
+    complex ``scratch``, kcut elements a plane."""
     rows, w = planes.shape[-2:]
     kcut = rows // 2
     flat = planes.reshape(-1, rows * w)
@@ -1004,13 +984,18 @@ class NodeSet:
     """
     N = s^2 observation points, one in each square of an s x s covering of Q.
 
-    Default placement is the center of each covering square.  When every
-    node lies on a collocation point the sampling fast path reads physical
-    samples directly, at the row-major lattice indices ``flat_indices``;
-    otherwise the exact trigonometric interpolant is
-    evaluated through the per-axis phase tables ``phases`` = (E1, E2),
-    E_ja = exp(2 pi i x_j k_a / L) over the full wavenumber axis, built
-    once here.
+    Default placement is the center of each covering square.  The nodes
+    are sampled over the distinct values of their coordinates,
+    ``coordinates`` = (x, y), p values x_a on the first axis and q values
+    y_b on the second: ``slots`` holds the slot a q + b of each node in a
+    (p, q) plane, doubled to index the real parts of its float view.
+    ``block_phases`` = (E1, E2), built once here and read-only, are
+    E1_ak = exp(2 pi i x_a k1 / L) over the rows k1 of a dealiased block
+    (p, 2 kcut + 1) and E2_bk = exp(2 pi i y_b k2 / L) over its columns
+    k2 = 0..kcut times their :func:`_column_weights` (q, kcut + 1);
+    ``full_phases`` are the same over the whole wavenumber axes, without
+    weights, computed when read.  Every tensor set (each
+    :func:`make_node_set` default, and shifted copies of it) has p = q = s.
     """
 
     grid: Grid
@@ -1036,31 +1021,51 @@ class NodeSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-        frac = pts * n / L
-        rounded = np.rint(frac)
-        aligned = bool(np.max(np.abs(frac - rounded)) < 1e-9)
-        object.__setattr__(self, "aligned", aligned)
-        flat = phases = None
-        if aligned:
-            gi = (rounded.astype(np.int64)) % n
-            flat = gi[:, 0] * n + gi[:, 1]
-        else:
-            k = self.grid.k1[:, 0].astype(np.float64)
-            phases = np.exp(2j * np.pi / L * pts.T[:, :, None] * k)
-            phases.setflags(write=False)
-        object.__setattr__(self, "flat_indices", flat)
-        object.__setattr__(self, "phases", phases)
+        (xs, a), (ys, b) = _distinct(pts[:, 0]), _distinct(pts[:, 1])
+        object.__setattr__(self, "coordinates", (xs, ys))
+        kcut = self.grid.kcut
+        object.__setattr__(self, "block_phases", _read_only(
+            _phases(self.grid, xs, _block_rows(n)),
+            _phases(self.grid, ys, np.arange(kcut + 1)) * _column_weights(self.grid, kcut + 1)))
 
         cells = np.arange(n)
         cell_sq = np.minimum((cells * s) // n, s - 1)
         square_of_cell = cell_sq[:, None] * s + cell_sq[None, :]
         # the two gather tables stay writeable: np.take copies a read-only
         # index array at every call
+        object.__setattr__(self, "slots", 2 * (a * len(ys) + b))
         object.__setattr__(self, "square_of_cell", square_of_cell)
+
+    @property
+    def full_phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The phase tables (p, n) and (q, n) over the whole wavenumber axes."""
+        xs, ys = self.coordinates
+        axis = np.arange(self.grid.n)
+        return _read_only(_phases(self.grid, xs, axis), _phases(self.grid, ys, axis))
 
     @property
     def count(self) -> int:
         return self.side * self.side
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``values`` (N,), ascending, and the index of
+    each entry among them, as one stable sort gives them (``np.unique``
+    would import numpy.ma, about 10 ms, which no CLI run needs)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    index = np.empty(len(values), dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
+
+
+def _phases(grid: Grid, coordinates: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """exp(2 pi i x k / L) of each coordinate x (rows) and the wavenumber k
+    at each of the lattice ``indices`` of an axis (columns)."""
+    k = grid.k1[indices, 0].astype(np.float64)
+    return np.exp(2j * np.pi / grid.L * coordinates[:, None] * k)
 
 
 def make_node_set(grid: Grid, count: int | None = None, side: int | None = None,
@@ -1087,41 +1092,40 @@ def make_node_set(grid: Grid, count: int | None = None, side: int | None = None,
     return NodeSet(grid, side, points)
 
 
-def _sample_scalar(half: np.ndarray, nodes: NodeSet, out: np.ndarray | None = None,
-                   phys: np.ndarray | None = None,
-                   contraction: tuple[np.ndarray, ...] | None = None,
-                   stage: np.ndarray | None = None) -> np.ndarray:
+def _sample_scalar(planes: np.ndarray, nodes: NodeSet, out: np.ndarray | None = None,
+                   work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """
-    Values at the nodes of half-plane spectra ``half[..., n, w]`` (any
-    width w <= n//2 + 1, missing columns zero) or of dealiased blocks
-    ``half[..., 2 kcut + 1, kcut + 1]``, shape (..., N).  Given ``out``,
-    the values are written there; given ``phys`` (..., n, n) as well,
-    aligned nodes take no other array: the samples go to ``phys``, and the
-    inverse transform's axis-0 stage runs in place in half planes, which
-    it overwrites, or, for blocks or on lattices that take dense DFT
-    products, goes to ``stage`` (..., n, w), which is then needed too.
-    Other nodes take none given ``contraction``: the
-    buffers of their contraction (full spectra (..., n, n), the mirror
-    scratch of :func:`_full_from_half`, phase products (..., n, N), sums
-    (..., N)) and E1.T as a C-contiguous (n, N) copy, with which numpy
-    need not buffer the products.
+    Values at the nodes, shape (..., N), of dealiased blocks ``planes[...,
+    2 kcut + 1, kcut + 1]`` or of full spectra ``planes[..., n, n]``: the
+    trigonometric interpolant Re(E1 C E2^T) at the (p, q) distinct node
+    coordinates, with the tables ``nodes.block_phases`` or
+    ``nodes.full_phases``, gathered at ``nodes.slots``.  A block has no
+    Nyquist line, so its values are the full interpolant's exactly.
+    A tensor set (p = q = s) costs two small products; any other set
+    costs O(rows p q), in time and in memory.
+
+    The columns are contracted first (inner dimension kcut + 1, or n),
+    then the rows as two products, over the rows k1 >= 0 and k1 < 0, that
+    are added: OpenBLAS takes other bits on 2 threads than on 1 for a
+    complex product whose inner dimension exceeds 128 (the 171 rows of a
+    block at n = 256).  Given ``out`` and ``work``, the column products
+    (..., rows, q) and the two row products (2, ..., p, q), nothing is
+    allocated.
     """
-    if nodes.aligned:
-        samples = _half_to_phys(half, out=phys, stage=stage, n=nodes.grid.n)
-        flat = samples.reshape(samples.shape[:-2] + (-1,))
-        # mode="clip": out= is written directly, not through a checked copy
-        return np.take(flat, nodes.flat_indices, axis=-1, out=out, mode="clip")
-    # sum_ab c_ab E1_ja E2_jb, contracted over the full spectrum (the
-    # Nyquist lines sit off the grid here)
-    E1, E2 = nodes.phases
-    full, mirror, product, e1, sums = contraction or (None, None, None, E1.T, None)
-    product = np.matmul(_full_from_half(nodes.grid, half, full, mirror), E2.T, out=product)
-    np.multiply(product, e1, out=product)
-    values = np.sum(product, axis=-2, out=sums).real
-    if out is None:
-        return values
-    np.copyto(out, values)
-    return out
+    E1, E2 = nodes.full_phases if planes.shape[-2] == nodes.grid.n else nodes.block_phases
+    columns, rows = work or (None, None)
+    columns = np.matmul(planes, E2.T, out=columns)
+    if rows is None:
+        rows = np.empty((2,) + columns.shape[:-2] + (len(E1), len(E2)), dtype=np.complex128)
+    # the rows k1 >= 0 in FFT order: 0..kcut of a block, 0..n/2-1 of a spectrum
+    split = (planes.shape[-2] + 1) // 2
+    np.matmul(E1[:, :split], columns[..., :split, :], out=rows[0])
+    np.matmul(E1[:, split:], columns[..., split:, :], out=rows[1])
+    np.add(rows[0], rows[1], out=rows[0])
+    # the real parts, at the even entries of the sums' float view
+    # mode="clip": out= is written directly, not through a checked copy
+    sums = rows[0].view(np.float64).reshape(rows.shape[1:-2] + (-1,))
+    return np.take(sums, nodes.slots, axis=-1, out=out, mode="clip")
 
 
 def nodal_sample(field, nodes: NodeSet) -> np.ndarray:
@@ -1130,10 +1134,9 @@ def nodal_sample(field, nodes: NodeSet) -> np.ndarray:
 
     Returns shape (N,) for scalars and (N, 2) for vector fields.
     """
-    m = nodes.grid.n // 2 + 1
     if isinstance(field, VectorField):
-        return _sample_scalar(field.stacked()[..., :m], nodes).T
-    return _sample_scalar(field.coeffs[:, :m], nodes)
+        return _sample_scalar(field.stacked(), nodes).T
+    return _sample_scalar(field.coeffs, nodes)
 
 
 def nodal_values_max(field, nodes: NodeSet) -> float:

@@ -207,8 +207,7 @@ class TestNodeSync:
         self._assert_warm_nudged_advance_allocates_no_arrays(grid64, 1024, monkeypatch)
 
     def test_warm_dense_nudged_advance_allocates_no_arrays(self, grid32, monkeypatch):
-        # n = 32 samples aligned nodes through a dense DFT product, whose
-        # stage is a buffer of the run too
+        # n = 32 takes the interpolant's transform as dense DFT products
         self._assert_warm_nudged_advance_allocates_no_arrays(grid32, 256, monkeypatch)
 
     @staticmethod
@@ -229,7 +228,6 @@ class TestNodeSync:
         params = Params(0.15, 0.075, 0.15)
         fo = make_forcing(grid, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
         nodes = make_node_set(grid, count=count)
-        assert nodes.aligned
         ref, pert = random_state(grid, 2, 0.15, 0.05), random_state(grid, 3, 0.15, 0.05)
         run_node_sync(SyncConfig(params, ref, pert, fo, fo, t_end=0.03, dt=0.01), nodes, mu=1.0)
         monkeypatch.undo()
@@ -251,8 +249,8 @@ class TestNodeSync:
         assert peak < band_plane, f"{peak} bytes above baseline, one band plane is {band_plane}"
 
     def test_warm_unaligned_nudged_advance_allocates_no_arrays(self, grid64):
-        # 900 nodes sit off the lattice: the phase contraction, the full
-        # spectra it reads and its mirror scratch are buffers of the run too
+        # 900 nodes sit off the lattice, and are sampled by the same
+        # products, in the same buffers of the run, as nodes on it
         import tracemalloc
 
         from micropolar.assimilation import _Nudging
@@ -261,7 +259,6 @@ class TestNodeSync:
         params = Params(0.15, 0.075, 0.15)
         fo = make_forcing(grid64, "two_scale", 0.008, 0.002, mode_lo=9, mode_hi=25, seed=1)
         nodes = make_node_set(grid64, count=900)
-        assert not nodes.aligned
         ref, pert = random_state(grid64, 2, 0.15, 0.05), random_state(grid64, 3, 0.15, 0.05)
         m = grid64.kcut + 1
         reference = tuple(x[..., :m].copy() for x in _to_half(ref))

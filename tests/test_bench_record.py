@@ -78,11 +78,11 @@ def test_ab_writes_paired_ratios(tmp_path):
 def test_command_rss_records_fresh_cli_processes():
     # the commands of the layer (at n = 16 the dense-n16 part's simulate;
     # every large-n command at its own n, bounds at 128 and the twins at
-    # 64), and at n = 24 (not in the table) the shortened simulate and
-    # resumed verify-estimates
+    # 64, sync-nodes also with 900 nodes off that lattice), and at n = 24
+    # (not in the table) the shortened simulate and resumed verify-estimates
     assert RECORD.RSS_COMMANDS == {16: ("simulate",), 32: ("lyapunov",),
                                    64: ("simulate", "verify-estimates", "sync-modes",
-                                        "sync-nodes"),
+                                        "sync-nodes", "sync-nodes-900"),
                                    128: ("simulate", "verify-estimates", "bounds"),
                                    256: ("simulate", "verify-estimates")}
     sizes = {name: sizes for name, _, sizes in RECORD.LAYERS}
@@ -108,6 +108,24 @@ def test_ab_pairs_the_peak_rss():
     rss = pair["rss_difference_mib"]
     assert (rss["median"], rss["wins"], rss["pairs"]) == (-0.75, 1, 2) and rss["iqr"] > 0
     assert pair["ratio"]["wins"] == 1
+
+
+def test_copies_have_equal_path_lengths_and_bytecode(tmp_path):
+    # two trees under paths of different lengths are measured from copies
+    # under paths of equal length, with their bytecode written (the CLI
+    # processes run with PYTHONDONTWRITEBYTECODE=1)
+    short, long = tmp_path / "t", tmp_path / "a-longer-tree-name"
+    for tree in (short, long):
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+        (tree / "NOTE").write_text("x")
+    (tmp_path / "copies").mkdir()
+    copies = RECORD._copies({"this": long, "other": short}, ("src", "NOTE"), tmp_path / "copies")
+    assert len(str(copies["this"])) == len(str(copies["other"]))
+    assert copies["this"] != copies["other"]
+    for copy in copies.values():
+        assert (copy / "NOTE").read_text() == "x"
+        assert list((copy / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))
 
 
 def test_e2e_records_each_trees_perfbench_lines(tmp_path):

@@ -4,13 +4,16 @@ to n = 32 take their transforms as dense DFT products through BLAS, a
 Benettin run's re-orthonormalization is a QR, and records take their
 energies as one product of weights with power planes (with one table, a
 matrix-vector product, which OpenBLAS splits over its threads from about
-9e3 elements).  A short n = 16 ``simulate``, a short n = 32 ``lyapunov``
-with 8 tangent pairs and a short n = 128 ``sync-nodes`` run in fresh
-processes under OPENBLAS_NUM_THREADS=1 and =2 and must write the same
-bytes (a JSON summary's ``timestamp`` aside), as must an n = 128 Benettin
-run's ``base_h1`` series, which the CLI does not write.
+9e3 elements), and node sampling is BLAS products at every n.  A short
+n = 16 ``simulate``, a short n = 32 ``lyapunov`` with 8 tangent pairs and
+short ``sync-nodes`` runs (n = 128 with 1024 nodes on the lattice and
+2025 off it, n = 256 with 4096 nodes, whose blocks have 171 rows) run in
+fresh processes under OPENBLAS_NUM_THREADS=1 and =2 and must write the
+same bytes (a JSON summary's ``timestamp`` aside), as must an n = 128
+Benettin run's ``base_h1`` series, which the CLI does not write.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -49,6 +52,11 @@ CONFIGS = {
         "experiment": {"num_nodes": 1024, "spinup": 0.02, "perturb_seed": 5},
     },
 }
+# more sync-nodes runs, each named "sync-nodes/<lattice and nodes>"
+for name, n, nodes in (("n128-2025", 128, 2025), ("n256-4096", 256, 4096)):
+    CONFIGS[f"sync-nodes/{name}"] = config = copy.deepcopy(CONFIGS["sync-nodes"])
+    config["grid"]["n"] = n
+    config["experiment"]["num_nodes"] = nodes
 
 # the base_h1 series of an n = 128 Benettin run, as hex of its bits
 BASE_H1 = """
@@ -84,9 +92,9 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, command):
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "micropolar.cli", command, "--config", str(config),
-                        "--out", str(out)], env=env, check=True, stdout=subprocess.DEVNULL,
-                       timeout=300)
+        subprocess.run([sys.executable, "-m", "micropolar.cli", command.split("/")[0], "--config",
+                        str(config), "--out", str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL, timeout=300)
         outputs.append(_outputs(out))
     assert outputs[0] and outputs[0] == outputs[1]
 

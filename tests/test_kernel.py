@@ -472,7 +472,8 @@ def test_time_loops_equal_band_plane_oracle(n, monkeypatch):
     # for bit, the block rows of the band planes (n, kcut + 1) that the
     # per-plane oracle steps from the same planes, and the oracle's other
     # rows stay exactly zero.  The oracle's nudging term takes the node
-    # values and the interpolant of band planes.
+    # values of the block of band planes and the interpolant of band
+    # planes.
     import micropolar.assimilation as assimilation
     import micropolar.dynamics as dynamics
     import micropolar.lyapunov as lyapunov
@@ -492,15 +493,15 @@ def test_time_loops_equal_band_plane_oracle(n, monkeypatch):
 
     class BandNudging:
         # the nudging term of the library's _Nudging on band planes: the
-        # nodes sample the band planes of the gap, and its interpolant is
-        # transformed to the band columns
+        # nodes sample the block of the band planes of the gap, and its
+        # interpolant is transformed to the band columns
         def __init__(self, nudge):
             self.nudge = nudge
 
         def __call__(self, t, U, W):
             nodes = self.nudge.nodes
             U1, W1 = (band(X) for X in self.nudge.reference)
-            values = _sample_scalar(np.concatenate([U - U1, (W - W1)[None]]), nodes)
+            values = _sample_scalar(_block(grid, np.concatenate([U - U1, (W - W1)[None]])), nodes)
             phys = np.take(values, nodes.square_of_cell, axis=-1)
             for plane, mean in zip(phys, phys.mean(axis=(-2, -1))):
                 plane -= mean

@@ -53,6 +53,40 @@ def test_other_differences_read_infinite(name, change, parent):
     assert deviation(name, change, parent)[0] == math.inf
 
 
+def _checkpoint(omega: list[float], t: float = 1.0) -> bytes:
+    # an n = 8 MPF1 checkpoint: u1 and u2 zero, omega's first floats given
+    import struct
+
+    import numpy as np
+
+    payload = np.zeros(3 * 8 * 8 * 2)
+    payload[2 * 8 * 8 * 2:][:len(omega)] = omega
+    header = struct.pack("<4sII6d", b"MPF1", 1, 8, 6.25, 0.15, 0.075, 0.15, t, 0.0)
+    return header + payload.astype("<f8").tobytes()
+
+
+def test_checkpoint_sign_of_zero_reads_zero_and_is_counted():
+    parent = _checkpoint([0.0, 2.0, 0.0, -4.0])
+    change = _checkpoint([-0.0, 2.0, -0.0, -4.0])
+    assert change != parent
+    assert deviation("simulate/final.ckpt", change, parent) \
+        == (0.0, "2 floats differ only in the sign of zero")
+
+
+def test_checkpoint_value_change_reads_its_field():
+    parent = _checkpoint([1.0, 2.0, 0.0, -4.0])
+    change = _checkpoint([1.0, 2.0, -0.0, -4.000000000004])
+    dev, where = deviation("simulate/final.ckpt", change, parent)
+    assert where == "field omega, 1 floats differ only in the sign of zero"
+    assert dev == pytest.approx(1e-12, rel=1e-3)
+
+
+@pytest.mark.parametrize("change", [_checkpoint([1.0, 2.0], t=1.5), _checkpoint([1.0, 2.0])[:-8]],
+                         ids=["header", "size"])
+def test_checkpoint_header_or_size_change_reads_infinite(change):
+    assert deviation("final.ckpt", change, _checkpoint([1.0, 2.0]))[0] == math.inf
+
+
 report = _tool()._report
 
 

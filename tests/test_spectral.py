@@ -623,22 +623,20 @@ class TestNodal:
 
     def test_aligned_matches_trig_evaluation(self, grid32):
         aligned = make_node_set(grid32, count=64)
-        assert aligned.aligned
         shifted_points = aligned.points + 0.001
         unaligned = make_node_set(grid32, side=8, points=shifted_points % (2 * np.pi))
-        assert not unaligned.aligned
         _, f = random_fields(grid32, 12)
-        # trig evaluation at aligned points equals the grid gather
-        direct = phase_sum_sample(grid32, f.coeffs, aligned.points)
-        assert np.max(np.abs(nodal_sample(f, aligned) - direct)) < 1e-12
-        nodal_sample(f, unaligned)  # exercises the generic path
+        # trig evaluation at points on the lattice, and off it
+        for nodes in (aligned, unaligned):
+            direct = phase_sum_sample(grid32, f.coeffs, nodes.points)
+            assert np.max(np.abs(nodal_sample(f, nodes) - direct)) < 1e-12
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("placement", ["shifted", "random"])
     @pytest.mark.parametrize("band", ["kcut", "n"])
     def test_unaligned_matches_phase_sum(self, n, placement, band):
         from micropolar.dynamics import _random_scalars
-        from micropolar.spectral import _sample_scalar
+        from micropolar.spectral import _block, _sample_scalar
 
         grid = make_grid(n, 2 * np.pi)
         centers = make_node_set(grid, side=n // 4)
@@ -650,57 +648,67 @@ class TestNodal:
             corners = np.floor(centers.points / h) * h
             points = corners + rng.uniform(0.05, 0.95, corners.shape) * h
         nodes = make_node_set(grid, side=centers.side, points=points)
-        assert not nodes.aligned
-        # kmax = n fills every slot, the Nyquist lines included
+        # kmax = n fills every slot, the Nyquist lines included, which a
+        # block does not hold: its spectra are sampled whole
         coeffs = _random_scalars(grid, rng, grid.kcut if band == "kcut" else n, 3)
-        values = _sample_scalar(coeffs[..., : n // 2 + 1], nodes)
         reference = phase_sum_sample(grid, coeffs, nodes.points)
-        assert np.max(np.abs(values - reference)) <= 1e-13 * np.max(np.abs(reference))
+        for planes in [coeffs] + ([_block(grid, coeffs)] if band == "kcut" else []):
+            values = _sample_scalar(planes, nodes)
+            assert np.max(np.abs(values - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_unaligned_phase_tables_built_once(self, n):
         from micropolar.dynamics import _random_scalars
-        from micropolar.spectral import _full_from_half, _sample_scalar
+        from micropolar.spectral import _block, _block_rows, _column_weights, _sample_scalar
 
         grid = make_grid(n, 2 * np.pi)
         rng = np.random.default_rng(n)
         # shuffled, so the node set must sort the points before the tables
-        points = rng.permutation((make_node_set(grid, side=n // 4).points + 0.001) % grid.L)
-        nodes = make_node_set(grid, side=n // 4, points=points)
-        assert not nodes.aligned and not nodes.phases.flags.writeable
-        coeffs = _random_scalars(grid, rng, grid.kcut, 3)
-        # the tables as the sampler once built them on every call
+        side = n // 4
+        points = rng.permutation((make_node_set(grid, side=side).points + 0.001) % grid.L)
+        nodes = make_node_set(grid, side=side, points=points)
+        # built once, over the s distinct coordinates of each axis of a
+        # tensor set, and read-only
+        E1, E2 = nodes.block_phases
+        assert nodes.block_phases[0] is E1 and nodes.block_phases[1] is E2
+        assert not E1.flags.writeable and not E2.flags.writeable
+        xs, ys = (np.array(sorted(set(nodes.points[:, i]))) for i in (0, 1))
+        assert E1.shape == (side, 2 * grid.kcut + 1) and E2.shape == (side, grid.kcut + 1)
         k = grid.k1[:, 0].astype(np.float64)
-        E1, E2 = np.exp(2j * np.pi / grid.L * nodes.points.T[:, :, None] * k)
-        for width in (grid.kcut + 1, n // 2 + 1):
-            half = coeffs[..., :width]
-            per_call = ((_full_from_half(grid, half) @ E2.T) * E1.T).sum(axis=-2).real
-            assert _sample_scalar(half, nodes).tobytes() == per_call.tobytes()
+        assert np.array_equal(E1, np.exp(2j * np.pi / grid.L * xs[:, None] * k[_block_rows(n)]))
+        assert np.array_equal(E2, np.exp(2j * np.pi / grid.L * ys[:, None] * k[:grid.kcut + 1])
+                              * _column_weights(grid, grid.kcut + 1))
+        # each node's slot is its (x, y) pair in the (s, s) plane of sums
+        slot = nodes.slots // 2
+        assert np.array_equal(xs[slot // side], nodes.points[:, 0])
+        assert np.array_equal(ys[slot % side], nodes.points[:, 1])
+        # the sampler's bits: the columns, then the rows k1 >= 0 and k1 < 0
+        block = _block(grid, _random_scalars(grid, rng, grid.kcut, 3))
+        columns, h = block @ E2.T, grid.kcut + 1
+        sums = E1[:, :h] @ columns[..., :h, :] + E1[:, h:] @ columns[..., h:, :]
+        expected = sums.real.reshape(3, -1)[:, slot]
+        assert _sample_scalar(block, nodes).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("aligned", [True, False])
     def test_batched_helpers_match_per_plane(self, grid32, aligned):
-        from micropolar.spectral import _full_from_half, _interpolant_scalar, _sample_scalar
+        from micropolar.spectral import (_block, _full_from_half, _interpolant_scalar,
+                                         _sample_scalar)
 
         nodes = make_node_set(grid32, count=64)
         if not aligned:
             nodes = make_node_set(grid32, side=8, points=(nodes.points + 0.001) % grid32.L)
-        assert nodes.aligned == aligned
         u, w = random_fields(grid32, 4)
         stack = np.stack([u.u1.coeffs, u.u2.coeffs, w.coeffs])
-        half = stack[..., : grid32.n // 2 + 1]
-        values = _sample_scalar(half, nodes)
+        for planes in (stack, _block(grid32, stack)):
+            values = _sample_scalar(planes, nodes)
+            single_values = np.stack([_sample_scalar(c, nodes) for c in planes])
+            assert values.shape == (3, nodes.count)
+            assert np.array_equal(values, single_values)
         spectra = _full_from_half(grid32, _interpolant_scalar(values, nodes))
-        single_values = np.stack([_sample_scalar(c, nodes) for c in half])
         single_spectra = np.stack([_full_from_half(grid32, _interpolant_scalar(v, nodes))
                                    for v in single_values])
-        assert values.shape == (3, nodes.count) and spectra.shape == stack.shape
-        if aligned:
-            assert np.array_equal(values, single_values)
-            assert np.array_equal(spectra, single_spectra)
-        else:
-            assert np.max(np.abs(values - single_values)) <= 1e-14 * np.max(np.abs(single_values))
-            assert np.max(np.abs(spectra - single_spectra)) \
-                <= 1e-14 * np.max(np.abs(single_spectra))
+        assert spectra.shape == stack.shape
+        assert np.array_equal(spectra, single_spectra)
 
     def test_interpolant_piecewise_values(self, grid16):
         nodes = make_node_set(grid16, count=16)
@@ -724,8 +732,8 @@ class TestNodal:
         code = ("import sys\n"
                 "from micropolar.spectral import make_grid, make_node_set\n"
                 "grid = make_grid(16, 6.283185307179586)\n"
-                "assert make_node_set(grid, count=64).aligned\n"
-                "assert not make_node_set(grid, side=6).aligned\n"
+                "make_node_set(grid, count=64)\n"
+                "make_node_set(grid, side=6)\n"
                 "print('numpy.ma' in sys.modules)\n")
         src = str(Path(micropolar.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -23,10 +23,13 @@ exit code or a file differs, 0 otherwise.  For each differing CSV or JSON
 file it also prints the largest normalized deviation and where it is:
 over the CSV columns, max|a - b| / max|b| of each column; over the JSON
 numbers, |a - b| / |b| of each value (a zero b counts a difference as
-infinite).  Any other difference, in a string, a structure or a binary
-file, reads as infinite.  For a differing CSV file it then lists every
-column whose text differs, with its deviation, and names the columns that
-are byte-identical.  So a change that moves bits on purpose can state its
+infinite); over an MPF1 checkpoint (``final.ckpt``), whose header must
+be equal, max|a - b| / max|b| of each field's payload floats (u1, u2,
+omega), with the count of floats that differ only in the sign of zero.
+Any other difference, in a string, a structure, a checkpoint's header or
+size, or another binary file, reads as infinite.  For a differing CSV
+file it then lists every column whose text differs, with its deviation,
+and names the columns that are byte-identical.  So a change that moves bits on purpose can state its
 budget, and which columns it keeps, from one command.
 """
 
@@ -40,6 +43,7 @@ import math
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -51,6 +55,11 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+# the header of an MPF1 checkpoint (micropolar.dynamics.write_checkpoint):
+# magic, version, n, (L, nu, nu_r, alpha, t, reserved); then the spectra of
+# u1, u2 and omega, n x n complex each, as little-endian floats
+_CHECKPOINT = struct.Struct("<4sII6d")
+_FIELDS = ("u1", "u2", "omega")
 
 
 def _openblas() -> tuple[str, str]:
@@ -176,6 +185,30 @@ def _json_deviation(a, b, path: str = "") -> tuple[float, str]:
     return worst
 
 
+def _checkpoint_deviation(a: bytes, b: bytes) -> tuple[float, str]:
+    """Over two MPF1 checkpoints whose headers are equal: each field's
+    max|a - b| / max|b|, the largest of them, and how many payload floats
+    differ only in the sign of zero."""
+    import numpy as np
+
+    head = _CHECKPOINT.size
+    if len(b) < head or a[:head] != b[:head] or b[:4] != b"MPF1":
+        return math.inf, "header"
+    n = _CHECKPOINT.unpack(b[:head])[2]
+    if not len(a) == len(b) == head + 3 * n * n * 16:
+        return math.inf, "payload size"
+    xa, xb = (np.frombuffer(x, dtype="<f8", offset=head).reshape(len(_FIELDS), -1)
+              for x in (a, b))
+    zeros = int(np.count_nonzero((xa == 0) & (xb == 0) & (np.signbit(xa) != np.signbit(xb))))
+    worst = (0.0, "")
+    for field, fa, fb in zip(_FIELDS, xa, xb):
+        diff, scale = float(np.max(np.abs(fa - fb))), float(np.max(np.abs(fb)))
+        dev = 0.0 if diff == 0 else (diff / scale if scale > 0 else math.inf)
+        if not dev <= worst[0]:
+            worst = (dev, f"field {field}, ")
+    return worst[0], f"{worst[1]}{zeros} floats differ only in the sign of zero"
+
+
 def _deviation(name: str, a: bytes | None, b: bytes | None) -> tuple[float, str]:
     """Largest normalized deviation of file ``a`` from file ``b``, and where."""
     if a is None or b is None:
@@ -185,6 +218,8 @@ def _deviation(name: str, a: bytes | None, b: bytes | None) -> tuple[float, str]
             return _csv_deviation(a, b)
         if name.endswith(".json"):
             return _json_deviation(json.loads(a), json.loads(b))
+        if name.endswith(".ckpt"):
+            return _checkpoint_deviation(a, b)
     except (UnicodeDecodeError, json.JSONDecodeError, csv.Error):
         pass
     return math.inf, "bytes"
